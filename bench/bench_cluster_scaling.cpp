@@ -2,23 +2,17 @@
  * @file
  * Planet-scale cluster sweep: one serving fleet of hundreds of MCM
  * shards replaying a Poisson stream of ~a million requests, swept
- * over engine threads (the parallel epoch engine draining window
- * boundaries between deterministic barriers) and over fleet sizes
- * (the hierarchical cluster -> pod -> shard routing index, O(log N)
- * candidates per dispatch).
+ * over fleet sizes (the hierarchical cluster -> pod -> shard routing
+ * index, O(log N) candidates per dispatch).
  *
- * Three claims are measured:
- *  - Engine scaling: wall time of the identical virtual replay as
- *    engineThreads grows 1 -> 8. The virtual columns cannot move —
- *    the epoch engine is byte-deterministic — so the Speedup column
- *    isolates the host-side win.
+ * Two claims are measured:
  *  - Routing scaling: wall time per request as the shard count grows
  *    at a fixed saturating load per shard. The indexed BestFit path
  *    scores O(log N) candidates per dispatch, so the per-request
  *    cost stays near-flat where the flat O(N) scan would grow
  *    linearly.
- *  - Determinism: the serial (engineThreads = 1) and widest parallel
- *    runs render their full ServingReport to
+ *  - Determinism: the full-size replay runs on a 1-thread and an
+ *    8-thread solver pool and renders its full ServingReport to
  *    bench_results/cluster_scaling_report_{serial,parallel}.txt; the
  *    bench exits nonzero if the two differ by a byte, and CI cmp's
  *    the dumps again.
@@ -32,7 +26,7 @@
  * SCAR_BENCH_CLUSTER_MODE selects the workload the sweep replays:
  *  - "arvr" (default): the 8-model AR/VR catalog above.
  *  - "llm": a continuous-batching chat catalog (llmPoissonTrace) —
- *    the epoch engine's join/release bound terms on the hot path.
+ *    the fast-forward's join/release bound terms on the hot path.
  *  - "preempt": the AR/VR catalog with tight SLOs and boundary
  *    preemption on — the urgency bound term on the hot path.
  * Non-default modes suffix the CSV and the report dumps (e.g.
@@ -40,11 +34,7 @@
  * so one build can emit all three series side by side.
  *
  * Raw series: bench_results/cluster_scaling*.csv (columns documented
- * in bench/README.md). Every row carries the host's hardware
- * concurrency and a single-core marker: the Speedup column measures
- * host-side parallelism, so rows recorded on a 1-core host tie
- * serial by construction and must be read as determinism (not
- * performance) evidence.
+ * in bench/README.md).
  */
 
 #include <chrono>
@@ -52,7 +42,6 @@
 #include <fstream>
 #include <iostream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -103,7 +92,7 @@ baseCatalog()
 
 /** Chat-style continuous-batching catalog for the "llm" mode: one
  *  small decoder whose per-request cost is a prefill plus a handful
- *  of decode rounds, so the join/release epoch bound terms sit on
+ *  of decode rounds, so the join/release bound terms sit on
  *  the hot path of every shard. */
 std::vector<ServedModel>
 llmBaseCatalog()
@@ -179,13 +168,12 @@ CellResult
 runCell(const ClusterMode& mode,
         const std::vector<ServedModel>& catalog,
         const std::vector<Request>& trace, int shards,
-        int engineThreads, ThreadPool& servingPool)
+        ThreadPool& solverPool)
 {
     FleetOptions options;
     options.shards = shards;
     options.routing = RoutingPolicy::BestFit;
-    options.engineThreads = engineThreads;
-    options.serving.pool = &servingPool;
+    options.serving.pool = &solverPool;
     options.serving.modeledSolveSec = 0.01;
     options.serving.switchOverheadSec = 0.002;
     options.serving.admission.maxQueueDelaySec = 0.02;
@@ -205,12 +193,7 @@ runCell(const ClusterMode& mode,
     cell.wallMs =
         std::chrono::duration<double, std::milli>(Clock::now() - t0)
             .count();
-    // Pin the reporter's engineThreads render gate so the
-    // serial-vs-parallel dump comparison also covers the epoch
-    // statistics (identical at every thread count by contract).
-    ServingReport normalized = cell.report;
-    normalized.engineThreads = 8;
-    cell.rendered = describeServingReport(normalized);
+    cell.rendered = describeServingReport(cell.report);
     return cell;
 }
 
@@ -243,86 +226,22 @@ main()
     const int kShards =
         bench::envInt("SCAR_BENCH_SHARDS", mode.llm ? 64 : 512);
 
-    // The Speedup column only moves with physical parallelism; the
-    // marker keeps 1-core rows (every thread count ties serial)
-    // honest in aggregated CSVs.
-    const unsigned hostConcurrency =
-        std::thread::hardware_concurrency();
-    const bool singleCoreHost = hostConcurrency <= 1;
+    ThreadPool serialPool(1);
+    ThreadPool widePool(8);
 
-    ThreadPool servingPool(0); // solver workers, default concurrency
-
-    TextTable table({"Sweep", "Shards", "Eng thr", "Wall (ms)",
-                     "Speedup", "Events/s", "Virt req/s", "p99 (s)",
-                     "Solves"});
+    TextTable table({"Shards", "Requests", "Wall (ms)",
+                     "Wall/req (us)", "Events/s", "Virt req/s",
+                     "p99 (s)", "Solves"});
     CsvWriter csv(bench::csvPath("cluster_scaling" + mode.suffix()),
-                  {"sweep", "shards", "engine_threads", "requests",
-                   "wall_ms", "speedup", "events_per_s",
-                   "virt_throughput_rps", "p99_s", "slo_miss_rate",
-                   "searches", "contested_routes",
-                   "cost_optimal_routes", "host_hw_concurrency",
-                   "single_core_host"});
+                  {"shards", "requests", "wall_ms", "wall_us_per_req",
+                   "events_per_s", "virt_throughput_rps", "p99_s",
+                   "slo_miss_rate", "searches", "contested_routes",
+                   "cost_optimal_routes"});
 
-    auto addRow = [&](const char* sweep, int shards, int threads,
-                      const CellResult& cell, double speedup,
-                      long requests) {
-        // Committed boundary ticks are not exported; completed
-        // requests + dispatches + arrivals is the event-count proxy
-        // every cell shares, so the columns compare fairly.
-        const double events = static_cast<double>(requests) +
-                              cell.report.completed +
-                              cell.report.dispatches;
-        const double eventsPerS = events / (cell.wallMs / 1000.0);
-        table.addRow({sweep, std::to_string(shards),
-                      std::to_string(threads),
-                      TextTable::num(cell.wallMs, 0),
-                      TextTable::num(speedup, 2) + "x",
-                      TextTable::num(eventsPerS, 0),
-                      TextTable::num(cell.report.throughputRps, 0),
-                      TextTable::num(cell.report.p99LatencySec, 3),
-                      std::to_string(cell.report.cache.misses)});
-        csv.addRow({sweep, std::to_string(shards),
-                    std::to_string(threads), std::to_string(requests),
-                    TextTable::num(cell.wallMs, 3),
-                    TextTable::num(speedup, 4),
-                    TextTable::num(eventsPerS, 1),
-                    TextTable::num(cell.report.throughputRps, 3),
-                    TextTable::num(cell.report.p99LatencySec, 6),
-                    TextTable::num(cell.report.sloViolationRate, 6),
-                    std::to_string(cell.report.cache.misses),
-                    std::to_string(cell.report.contestedRoutes),
-                    std::to_string(cell.report.costOptimalRoutes),
-                    std::to_string(hostConcurrency),
-                    singleCoreHost ? "1" : "0"});
-    };
-
-    // ---- engine-thread sweep at full fleet size ------------------
-    const auto catalog =
-        scaledCatalog(mode, static_cast<double>(kShards));
-    const std::vector<Request> trace =
-        modeTrace(mode, catalog, kRequests);
-
-    std::string serialReport;
-    std::string parallelReport;
-    double serialWallMs = 0.0;
-    for (const int threads : {1, 2, 4, 8}) {
-        const CellResult cell = runCell(mode, catalog, trace,
-                                        kShards, threads,
-                                        servingPool);
-        if (threads == 1) {
-            serialWallMs = cell.wallMs;
-            serialReport = cell.rendered;
-        }
-        if (threads == 8)
-            parallelReport = cell.rendered;
-        addRow("engine", kShards, threads, cell,
-               serialWallMs / cell.wallMs, kRequests);
-    }
-
-    // ---- shard sweep at 8 engine threads -------------------------
+    // ---- shard sweep --------------------------------------------
     // Constant load per shard: the stream grows with the fleet, so a
     // flat wall-per-request column demonstrates O(log N) routing.
-    double shardBaseWallPerReq = 0.0;
+    std::string parallelReport; // the full-size row, when swept
     for (int shards = std::max(kShards / 8, 8); shards <= kShards;
          shards *= 2) {
         const int requests =
@@ -332,39 +251,65 @@ main()
             scaledCatalog(mode, static_cast<double>(shards));
         const auto tr = modeTrace(mode, cat, requests);
         const CellResult cell =
-            runCell(mode, cat, tr, shards, 8, servingPool);
-        const double wallPerReq = cell.wallMs / requests;
-        if (shardBaseWallPerReq == 0.0)
-            shardBaseWallPerReq = wallPerReq;
-        addRow("shards", shards, 8, cell,
-               shardBaseWallPerReq / wallPerReq, requests);
+            runCell(mode, cat, tr, shards, widePool);
+        if (shards == kShards)
+            parallelReport = cell.rendered;
+        // Committed boundary ticks are not exported; completed
+        // requests + dispatches + arrivals is the event-count proxy
+        // every cell shares, so the columns compare fairly.
+        const double events = static_cast<double>(requests) +
+                              cell.report.completed +
+                              cell.report.dispatches;
+        const double eventsPerS = events / (cell.wallMs / 1000.0);
+        const double wallUsPerReq = cell.wallMs * 1000.0 / requests;
+        table.addRow({std::to_string(shards), std::to_string(requests),
+                      TextTable::num(cell.wallMs, 0),
+                      TextTable::num(wallUsPerReq, 1),
+                      TextTable::num(eventsPerS, 0),
+                      TextTable::num(cell.report.throughputRps, 0),
+                      TextTable::num(cell.report.p99LatencySec, 3),
+                      std::to_string(cell.report.cache.misses)});
+        csv.addRow({std::to_string(shards), std::to_string(requests),
+                    TextTable::num(cell.wallMs, 3),
+                    TextTable::num(wallUsPerReq, 3),
+                    TextTable::num(eventsPerS, 1),
+                    TextTable::num(cell.report.throughputRps, 3),
+                    TextTable::num(cell.report.p99LatencySec, 6),
+                    TextTable::num(cell.report.sloViolationRate, 6),
+                    std::to_string(cell.report.cache.misses),
+                    std::to_string(cell.report.contestedRoutes),
+                    std::to_string(cell.report.costOptimalRoutes)});
     }
 
     std::cout << "Cluster scaling sweep (" << mode.name
-              << " mode): " << kRequests << " Poisson requests over "
-              << kShards << " shards ("
+              << " mode): up to " << kRequests
+              << " Poisson requests over up to " << kShards
+              << " shards ("
               << (mode.llm ? "continuous-batching chat catalog"
                            : "8-model AR/VR catalog")
               << (mode.preempt ? ", boundary preemption on" : "")
               << ",\nBestFit routing, shared striped cache, modeled "
-                 "solve 0.01 s, switch overhead 0.002 s)\n"
-              << "Host concurrency: " << hostConcurrency
-              << (singleCoreHost ? " (SINGLE-CORE HOST: " : " (")
-              << "engine speedup is bounded by physical cores; on "
-                 "a 1-core host every row ties serial)\n\n";
+                 "solve 0.01 s, switch overhead 0.002 s)\n\n";
     std::cout << table.render();
-    std::cout << "\nEngine rows replay the identical virtual stream; "
-                 "Speedup is serial wall / row wall.\nShard rows "
-                 "scale the stream with the fleet; Speedup is "
-                 "base wall-per-request / row's\n(flat = O(log N) "
-                 "routing). Virtual columns never move across engine "
-                 "threads.\n";
+    std::cout << "\nRows scale the stream with the fleet; a flat "
+                 "Wall/req column = O(log N) routing.\n";
     std::cout << "\nCSV: "
               << bench::csvPath("cluster_scaling" + mode.suffix())
               << "\n";
 
     // ---- determinism gate ----------------------------------------
-    // csvPath() above already created bench_results/.
+    // The full-size replay on 1 vs 8 solver threads: solve speed
+    // must never reach the virtual clock. csvPath() above already
+    // created bench_results/.
+    const auto catalog =
+        scaledCatalog(mode, static_cast<double>(kShards));
+    const std::vector<Request> trace =
+        modeTrace(mode, catalog, kRequests);
+    const std::string serialReport =
+        runCell(mode, catalog, trace, kShards, serialPool).rendered;
+    if (parallelReport.empty())
+        parallelReport =
+            runCell(mode, catalog, trace, kShards, widePool).rendered;
     const std::string serialPath =
         "bench_results/cluster_scaling_report" + mode.suffix() +
         "_serial.txt";
@@ -377,12 +322,12 @@ main()
         return 1;
     }
     if (serialReport != parallelReport) {
-        std::cerr << "DETERMINISM VIOLATION: serial and 8-thread "
+        std::cerr << "DETERMINISM VIOLATION: 1- and 8-solver-thread "
                      "reports differ (see "
                   << serialPath << " vs " << parallelPath << ")\n";
         return 1;
     }
-    std::cout << "\nDeterminism: serial and 8-thread reports are "
+    std::cout << "\nDeterminism: 1- and 8-solver-thread reports are "
                  "byte-identical (" << serialPath << ")\n";
     return 0;
 }

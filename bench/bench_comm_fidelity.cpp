@@ -26,10 +26,10 @@
  * Gate: the fidelity switch must flip at least one routing decision
  * (per-shard dispatch counts differ between the two runs).
  *
- * Part 3 — determinism: the phased fleet run repeats at 1 and 8
- * engine threads; both rendered ServingReports are dumped to
- * bench_results/comm_fidelity_report_{serial,parallel}.txt, the
- * bench exits nonzero if they differ by a byte, and CI cmp's the
+ * Part 3 — determinism: the phased fleet run repeats on a 1-thread
+ * and an 8-thread solver pool; both rendered ServingReports are
+ * dumped to bench_results/comm_fidelity_report_{serial,parallel}.txt,
+ * the bench exits nonzero if they differ by a byte, and CI cmp's the
  * dumps again.
  *
  * Env knobs (bench-smoke CI shrinks the run through these):
@@ -49,6 +49,7 @@
 #include "bench_util.h"
 #include "common/csv.h"
 #include "common/table.h"
+#include "common/thread_pool.h"
 #include "cost/comm_model.h"
 #include "eval/reporter.h"
 #include "runtime/fleet.h"
@@ -147,13 +148,13 @@ onePortPackage(bool broadcast)
 ServingReport
 runFleet(const std::vector<ServedModel>& catalog,
          const std::vector<Request>& trace, CommFidelity fidelity,
-         int engineThreads)
+         ThreadPool& solverPool)
 {
     FleetOptions options;
     options.shardTemplates = {onePortPackage(false),
                               onePortPackage(true)};
     options.routing = RoutingPolicy::BestFit;
-    options.engineThreads = engineThreads;
+    options.serving.pool = &solverPool;
     options.serving.scar.window.eval.fidelity = fidelity;
     options.serving.modeledSolveSec = 0.01;
     options.serving.switchOverheadSec = 0.002;
@@ -268,10 +269,12 @@ main()
     const auto catalog = fleetCatalog();
     const auto trace = poissonTrace(catalog, kRequests, /*seed=*/23);
 
+    ThreadPool serialPool(1);
+    ThreadPool widePool(8);
     const ServingReport staticRun =
-        runFleet(catalog, trace, CommFidelity::Static, 1);
+        runFleet(catalog, trace, CommFidelity::Static, serialPool);
     const ServingReport phasedRun =
-        runFleet(catalog, trace, CommFidelity::Phased, 1);
+        runFleet(catalog, trace, CommFidelity::Phased, serialPool);
 
     TextTable fleetTable({"Fidelity", "Shard 0 (mesh)",
                           "Shard 1 (bcast)", "p99 (s)",
@@ -303,17 +306,10 @@ main()
     std::cout << "\nGate: phased fidelity flips >= 1 BestFit routing "
                  "decision — OK\n";
 
-    // ---- Part 3: phased determinism across engine threads ----------
-    // Pin the reporter's engineThreads render gate on both sides so
-    // the byte comparison also covers the epoch statistics
-    // (identical at every thread count by contract).
-    const auto renderPinned = [](ServingReport report) {
-        report.engineThreads = 8;
-        return describeServingReport(report);
-    };
-    const std::string serialReport = renderPinned(phasedRun);
-    const std::string parallelReport = renderPinned(
-        runFleet(catalog, trace, CommFidelity::Phased, 8));
+    // ---- Part 3: phased determinism across solver threads ----------
+    const std::string serialReport = describeServingReport(phasedRun);
+    const std::string parallelReport = describeServingReport(
+        runFleet(catalog, trace, CommFidelity::Phased, widePool));
 
     const std::string serialPath =
         "bench_results/comm_fidelity_report_serial.txt";
@@ -325,12 +321,12 @@ main()
         return 1;
     }
     if (serialReport != parallelReport) {
-        std::cerr << "DETERMINISM VIOLATION: serial and 8-thread "
+        std::cerr << "DETERMINISM VIOLATION: 1- and 8-solver-thread "
                      "phased reports differ (see "
                   << serialPath << " vs " << parallelPath << ")\n";
         return 1;
     }
-    std::cout << "\nDeterminism: serial and 8-thread phased reports "
-                 "are byte-identical (" << serialPath << ")\n";
+    std::cout << "\nDeterminism: 1- and 8-solver-thread phased "
+                 "reports are byte-identical (" << serialPath << ")\n";
     return 0;
 }

@@ -21,10 +21,9 @@
  * Gates (nonzero exit on failure, CI runs this at reduced scale):
  *  - quality: at the highest load, Continuous must beat Static on
  *    p99 end-to-end latency or SLO miss rate;
- *  - determinism: the serial (1 solver thread, 1 engine thread) and
- *    parallel (8/8) continuous runs must render byte-identical
- *    reports (dumped to bench_results/llm_serving_report_*.txt and
- *    cmp'd again by CI).
+ *  - determinism: the continuous run on a 1-thread and an 8-thread
+ *    solver pool must render byte-identical reports (dumped to
+ *    bench_results/llm_serving_report_*.txt and cmp'd again by CI).
  *
  * Scale knob: SCAR_BENCH_REQUESTS (default 600 chat requests).
  */
@@ -97,12 +96,11 @@ struct CellResult
 CellResult
 runCell(const std::vector<ServedModel>& catalog,
         const std::vector<Request>& trace, LlmBatchingMode mode,
-        ThreadPool& pool, int engineThreads)
+        ThreadPool& pool)
 {
     FleetOptions options;
     options.shards = 2;
     options.routing = RoutingPolicy::BestFit;
-    options.engineThreads = engineThreads;
     options.serving.pool = &pool;
     options.serving.modeledSolveSec = 0.002;
     options.serving.switchOverheadSec = 0.0005;
@@ -118,12 +116,7 @@ runCell(const std::vector<ServedModel>& catalog,
     cell.wallMs =
         std::chrono::duration<double, std::milli>(Clock::now() - t0)
             .count();
-    // Pin the reporter's engineThreads render gate so the
-    // serial-vs-parallel dump comparison also covers the epoch
-    // statistics (identical at every thread count by contract).
-    ServingReport normalized = cell.report;
-    normalized.engineThreads = 8;
-    cell.rendered = describeServingReport(normalized);
+    cell.rendered = describeServingReport(cell.report);
     return cell;
 }
 
@@ -194,9 +187,9 @@ main()
         const auto trace =
             llmPoissonTrace(catalog, kRequests, /*seed=*/11);
         const CellResult stat =
-            runCell(catalog, trace, LlmBatchingMode::Static, pool, 1);
+            runCell(catalog, trace, LlmBatchingMode::Static, pool);
         const CellResult cont = runCell(
-            catalog, trace, LlmBatchingMode::Continuous, pool, 1);
+            catalog, trace, LlmBatchingMode::Continuous, pool);
         addRow("static", rate, stat);
         addRow("continuous", rate, cont);
         if (rate == rates.back()) {
@@ -234,16 +227,16 @@ main()
 
     // ---- determinism gate ----------------------------------------
     // The continuous path re-routes at every join cut, so it is the
-    // run worth pinning across solver and engine thread counts.
+    // run worth pinning across solver thread counts.
     const auto catalog = chatCatalog(rates.back());
     const auto trace =
         llmPoissonTrace(catalog, kRequests, /*seed=*/11);
     ThreadPool serialPool(1);
     ThreadPool widePool(8);
     const CellResult serial = runCell(
-        catalog, trace, LlmBatchingMode::Continuous, serialPool, 1);
+        catalog, trace, LlmBatchingMode::Continuous, serialPool);
     const CellResult parallel = runCell(
-        catalog, trace, LlmBatchingMode::Continuous, widePool, 8);
+        catalog, trace, LlmBatchingMode::Continuous, widePool);
     const std::string serialPath =
         "bench_results/llm_serving_report_serial.txt";
     const std::string parallelPath =

@@ -2,7 +2,7 @@
  * @file
  * google-benchmark microbenchmarks for the discrete-event runtime:
  * host-side event throughput of the fleet engine on a warm schedule
- * cache — the epoch drain, the indexed calendar, and the
+ * cache — the calendar fast-forward, the indexed calendar, and the
  * cluster -> pod -> shard routing are what is being timed, not the
  * solver (every mix is cached after the warmup replay).
  *
@@ -50,7 +50,7 @@ BENCHMARK(BM_RuntimeCalibrationGemm);
 /**
  * One saturated fleet replay per iteration, solver cost excluded: a
  * warmup replay populates the shared schedule cache, so the timed
- * replays walk the event loop alone — epoch drains, calendar
+ * replays walk the event loop alone — fast-forwards, calendar
  * updates, BestFit routing over the pod index, commits. The argument
  * is the shard count; the request stream scales with it (constant
  * per-shard load), so items/s is comparable across sizes and a
@@ -99,7 +99,7 @@ BENCHMARK(BM_FleetEngineEvents)->Arg(4)->Arg(16);
 /**
  * The LLM counterpart of BM_FleetEngineEvents: continuous-batching
  * chat traffic on a warm cache, so the timed loop covers the decode
- * queue, the join/release epoch bound terms, and per-sequence
+ * queue, the join/release bound terms, and per-sequence
  * retirement on top of the plain event machinery.
  */
 void
@@ -150,12 +150,12 @@ BM_FleetEngineEventsLlm(benchmark::State& state)
 BENCHMARK(BM_FleetEngineEventsLlm)->Arg(4);
 
 /**
- * Batched tick commits in isolation: a deep fleet whose shards all
+ * Long fast-forwards in isolation: a deep fleet whose shards all
  * replay multi-window schedules with arrivals absorbed, so almost
- * every epoch commits long same-shard runs through the merge set.
- * The contrast with BM_FleetEngineEvents (mostly short batches) is
- * the per-tick erase/insert saving the batching buys; the regression
- * gate holds the absolute event rate.
+ * every fast-forward crosses long same-shard tick runs between
+ * re-keyings of the boundary queue — the only bench exercising
+ * arrival absorption. The regression gate holds the absolute event
+ * rate.
  */
 void
 BM_FleetEngineCommitBatched(benchmark::State& state)

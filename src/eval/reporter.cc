@@ -176,52 +176,6 @@ describeServingReport(const runtime::ServingReport& report)
         table.addRow({"Gen tokens/s",
                       TextTable::num(report.genTokensPerSec, 1)});
     }
-    // Epoch-engine rows render only for a non-default engineThreads:
-    // the statistics are identical at every setting (the epoch path
-    // runs inline at 1 too), so gating on the knob keeps default
-    // reports byte-identical to the pre-engine format while letting
-    // serial-vs-parallel determinism gates compare the stats by
-    // normalizing the field on both sides.
-    if (report.engineThreads != 1) {
-        table.addSeparator();
-        table.addRow({"Engine threads",
-                      std::to_string(report.engineThreads)});
-        table.addRow({"Epochs", std::to_string(report.epochs)});
-        table.addRow(
-            {"Epoch ticks",
-             std::to_string(report.epochTicks) + " (" +
-                 TextTable::num(
-                     report.epochs > 0
-                         ? static_cast<double>(report.epochTicks) /
-                               static_cast<double>(report.epochs)
-                         : 0.0,
-                     2) +
-                 "/epoch)"});
-        table.addRow(
-            {"Commit batches",
-             std::to_string(report.epochCommitBatches) + " (mean " +
-                 TextTable::num(
-                     report.epochCommitBatches > 0
-                         ? static_cast<double>(report.epochTicks) /
-                               static_cast<double>(
-                                   report.epochCommitBatches)
-                         : 0.0,
-                     2) +
-                 ", max " +
-                 std::to_string(report.epochMaxCommitBatch) + ")"});
-        table.addRow({"Absorbed arrivals",
-                      std::to_string(report.epochAbsorbedArrivals)});
-        table.addRow(
-            {"Epoch caps (end/park/arr/timer/spec/urg/join/rel)",
-             std::to_string(report.epochCapReplayEnd) + "/" +
-                 std::to_string(report.epochCapParked) + "/" +
-                 std::to_string(report.epochCapArrival) + "/" +
-                 std::to_string(report.epochCapTimer) + "/" +
-                 std::to_string(report.epochCapSpeculation) + "/" +
-                 std::to_string(report.epochCapUrgency) + "/" +
-                 std::to_string(report.epochCapJoin) + "/" +
-                 std::to_string(report.epochCapRelease)});
-    }
     out << table.render();
 
     // Queue-wait vs execution split per model: which component an SLO

@@ -34,7 +34,7 @@
  *
  * Sharding: an unbounded cache is split into K independently locked
  * stripes by a stable hash of the signature, so a planet-scale fleet
- * whose solver workers and event engine hammer one shared cache do
+ * whose solver workers and event loop hammer one shared cache do
  * not serialize on a single mutex. Striping an unbounded cache is a
  * pure partition — every key maps to exactly one stripe, so hit/miss
  * counts, exactly-once solve dedup, and stored contents are identical

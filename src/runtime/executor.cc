@@ -94,18 +94,6 @@ ReplayExecutor::advance()
     return tick;
 }
 
-std::size_t
-ReplayExecutor::drainUntil(double boundSec,
-                           std::vector<WindowTick>& out)
-{
-    std::size_t ticks = 0;
-    while (busy_ && windowEndSec_ < boundSec) {
-        out.push_back(advance());
-        ++ticks;
-    }
-    return ticks;
-}
-
 double
 ReplayExecutor::boundaryInstantSec(std::size_t j) const
 {

@@ -99,50 +99,37 @@ class ReplayExecutor
     WindowTick advance();
 
     /**
-     * Batch advance for the parallel epoch engine (runtime/fleet.cc):
-     * crosses every boundary strictly before boundSec, appending each
-     * tick to `out` in replay order, and stops at the first boundary
-     * at or past the bound (or when the dispatch ends). Equivalent to
-     * calling advance() in a loop while nextBoundarySec() < boundSec;
-     * exists so a fleet epoch can drain each shard independently —
-     * the method touches only this executor's state.
-     * @return the number of ticks appended
-     */
-    std::size_t drainUntil(double boundSec,
-                           std::vector<WindowTick>& out);
-
-    /**
      * Absolute time of the replay's *last* boundary, on the same
      * accumulated clock advance() uses (windowEndSec_ summed window
      * by window). This is the exact instant busy() clears — the
      * fleet's busyUntilSec (startSec + makespanSec, one rounding) can
-     * differ from it by ulps, and the epoch engine's conservative
-     * bound must never admit a dispatch-done tick, so it keys on this
-     * value. Requires busy().
+     * differ from it by ulps, and the fleet's fast-forward bound must
+     * never admit a dispatch-done tick, so it keys on this value.
+     * Requires busy().
      */
     double finalBoundarySec() const;
 
     /**
-     * Epoch-bound probe for continuous-batching joins: the absolute
+     * Fast-forward-bound probe for continuous-batching joins: the absolute
      * instant of the next *step-aligned, non-final* window boundary —
      * the earliest place the fleet's join-cut rule
      * ((windowIdx + 1) % windowsPerStep == 0 on a non-dispatchDone
      * tick) could cut this decode round to merge fresh waiters.
      * Accumulated forward from the next boundary in advance()'s exact
      * rounding order, so the returned instant equals the matching
-     * tick's timeSec bit for bit and a drainUntil() at this bound
+     * tick's timeSec bit for bit and a fast-forward bounded by it
      * stops strictly before the cut. Returns +infinity when no such
      * boundary remains. Requires busy().
      */
     double nextStepBoundarySec(int windowsPerStep) const;
 
     /**
-     * Epoch-bound probe for mid-replay completions: the earliest
+     * Fast-forward-bound probe for mid-replay completions: the earliest
      * boundary instant at which any dispatch group selected by
      * `pred(groupIdx)` replays its last window (and so completes its
      * requests mid-replay — for autoregressive groups that completion
-     * enqueues decode waiters, a routing-decision source the epoch
-     * bound must not cross). Same exact accumulation as
+     * enqueues decode waiters, a routing-decision source the
+     * fast-forward bound must not cross). Same exact accumulation as
      * nextStepBoundarySec(). Returns +infinity when no selected group
      * completes at or after the next boundary. Requires busy().
      */

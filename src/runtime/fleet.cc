@@ -113,10 +113,6 @@ FleetSimulator::FleetSimulator(std::vector<ServedModel> catalog,
                  "fleet: negative preemption slack threshold");
     SCAR_REQUIRE(options_.serving.preemption.resumeOverheadSec >= 0.0,
                  "fleet: negative preemption resume overhead");
-    SCAR_REQUIRE(options_.engineThreads >= 0,
-                 "fleet: negative engineThreads");
-    SCAR_REQUIRE(options_.cacheStripes >= 0,
-                 "fleet: negative cacheStripes");
     // Mix signatures key the schedule cache by model name, so two
     // catalog entries sharing a name would silently replay each
     // other's schedules — as would names containing the signature's
@@ -161,8 +157,8 @@ FleetSimulator::FleetSimulator(std::vector<ServedModel> catalog,
     const int numCaches =
         options_.sharedCache ? 1 : options_.shards;
     for (int c = 0; c < numCaches; ++c)
-        caches_.push_back(std::make_unique<AsyncScheduleCache>(
-            *pool_, cacheOpts, options_.cacheStripes));
+        caches_.push_back(
+            std::make_unique<AsyncScheduleCache>(*pool_, cacheOpts));
     shards_.resize(options_.shards);
     for (int s = 0; s < options_.shards; ++s) {
         shards_[s].cache =
@@ -189,54 +185,12 @@ FleetSimulator::FleetSimulator(std::vector<ServedModel> catalog,
     }
     idx_.resize(shards_.size());
 
-    // Epoch engine concurrency: 1 drains inline, 0 borrows the
-    // serving pool, > 1 owns a dedicated pool. Output is identical
-    // at every setting.
-    if (options_.engineThreads == 0) {
-        enginePool_ = pool_;
-        engineMode_ = EngineMode::Borrowed;
-    } else if (options_.engineThreads > 1) {
-        ownedEnginePool_ =
-            std::make_unique<ThreadPool>(options_.engineThreads);
-        enginePool_ = ownedEnginePool_.get();
-        engineMode_ = EngineMode::Dedicated;
-    }
-    debug("fleet: epoch engine ", engineModeDescription(), ", ",
-          shards_.size(), " shards, indexedRouting=",
+    debug("fleet: ", shards_.size(), " shards, indexedRouting=",
           options_.indexedRouting ? "on" : "off",
           llmEnabled_ ? ", llm bound terms armed" : "",
           options_.serving.preemption.enabled
               ? ", urgency bound term armed"
               : "");
-}
-
-const char*
-engineModeName(EngineMode mode)
-{
-    switch (mode) {
-    case EngineMode::Inline: return "inline";
-    case EngineMode::Borrowed: return "borrowed-pool";
-    case EngineMode::Dedicated: return "dedicated-pool";
-    }
-    return "?";
-}
-
-std::string
-FleetSimulator::engineModeDescription() const
-{
-    switch (engineMode_) {
-    case EngineMode::Inline:
-        return "inline (engineThreads = 1: epoch drains run on the "
-               "event thread)";
-    case EngineMode::Borrowed:
-        return "borrowed serving pool (engineThreads = 0: " +
-               std::to_string(pool_->concurrency()) +
-               "-way shared pool)";
-    case EngineMode::Dedicated:
-        return "dedicated pool (" +
-               std::to_string(options_.engineThreads) + " threads)";
-    }
-    return "?";
 }
 
 const AsyncScheduleCache&
@@ -732,9 +686,10 @@ FleetSimulator::syncShard(std::size_t s)
     if (busy) {
         k.boundarySec = sh.executor.nextBoundarySec();
         boundaryQueue_.insert({k.boundarySec, si});
-        // The epoch bound keys on the executor's accumulated final
-        // boundary, not busyUntilSec: the two can differ by ulps and
-        // an epoch must never admit a dispatch-done tick.
+        // The fast-forward bound keys on the executor's accumulated
+        // final boundary, not busyUntilSec: the two can differ by
+        // ulps and a fast-forward must never cross a dispatch-done
+        // tick.
         k.busyEndSec = sh.executor.finalBoundarySec();
         busyEndQueue_.insert({k.busyEndSec, si});
     }
@@ -1039,7 +994,6 @@ FleetSimulator::run(const std::vector<Request>& trace)
     llmDecodeRounds_ = 0;
     llmJoins_ = 0;
     llmBoardedSum_ = 0;
-    epochStats_ = EpochStats{};
     std::fill(llmStreams_.begin(), llmStreams_.end(), 0);
     // Flight recorder: rec == nullptr is the disabled state, and every
     // hook below sits behind that check — a disabled run does no
@@ -1127,10 +1081,9 @@ FleetSimulator::run(const std::vector<Request>& trace)
     // value at each scheduled instant is the value now; rows are
     // stamped with the scheduled time, and the headline series double
     // as ph = C counter tracks in the trace. Fired at the loop head
-    // and after each epoch-committed tick (the serial loop fires a
+    // and after each fast-forwarded tick (the serial loop fires a
     // tick's due samples at the head of the following iteration, so
-    // an epoch commit replays the same interleaving — the sampled
-    // state is provably constant across an epoch's ticks).
+    // the fast-forward replays the same interleaving).
     auto fireSamples = [&]() {
         while (rec && rec->samples().due(nowSec)) {
             const double atSec = rec->samples().nextSampleSec();
@@ -1168,8 +1121,8 @@ FleetSimulator::run(const std::vector<Request>& trace)
     };
     // One crossed window boundary: the replay span, the completed
     // requests' records and lifecycle events. Shared verbatim by the
-    // serial boundary branch and the epoch commit so both emit the
-    // exact same byte stream.
+    // single-tick path and the fast-forward so both emit the exact
+    // same byte stream.
     auto commitTick = [&](int shardIdx, WindowTick& tick) {
         Shard& sh = shards_[shardIdx];
         if (rec)
@@ -1279,7 +1232,7 @@ FleetSimulator::run(const std::vector<Request>& trace)
         }
     };
     // Admits the next trace arrival: shared by the serial arrival
-    // branch and the epoch drain (which absorbs arrivals that can
+    // branch and the fast-forward (which absorbs arrivals that can
     // only enqueue). Timestamps come from the request itself, so the
     // rendered trace is identical on either path.
     auto commitArrival = [&]() {
@@ -1697,15 +1650,15 @@ FleetSimulator::run(const std::vector<Request>& trace)
             commitArrival();
         } else if (tBoundary <= tPending && tBoundary <= tTimer &&
                    tBoundary <= tUrgent) {
-            // Epoch drain. The serial loop's steps 0-3 are provably
-            // no-ops strictly before the conservative bound B — the
-            // min over every next-possible-routing-decision term
+            // Calendar fast-forward. The serial loop's steps 0-3 are
+            // provably no-ops strictly before the conservative bound B
+            // — the min over every next-possible-routing-decision term
             // (docs/ARCHITECTURE.md tabulates each with its proof
             // sketch):
             //  - no suspension is parked (the gate below), so step 0
             //    never fires;
             //  - no parked schedule comes due before tPending >= B;
-            //  - no shard frees mid-epoch (a dispatch-done tick lands
+            //  - no shard frees before B (a dispatch-done tick lands
             //    at its final boundary >= B), so the candidate set is
             //    frozen and steps 1.5/2 cannot dispatch before the
             //    timer or an arrival, both >= B;
@@ -1717,8 +1670,8 @@ FleetSimulator::run(const std::vector<Request>& trace)
             //    (t >= deadline - slack, the same FP expression as
             //    U) is false bit-for-bit, so the preempt check after
             //    each committed tick is a no-op — and the queued
-            //    deadlines cannot change inside the epoch because
-            //    arrivals are never absorbed under preemption;
+            //    deadlines cannot change before B because arrivals
+            //    are never absorbed under preemption;
             //  - on LLM fleets, B stops strictly before the earliest
             //    step-aligned boundary where a decode round with
             //    already-queued waiters could take a join cut, and
@@ -1728,76 +1681,53 @@ FleetSimulator::run(const std::vector<Request>& trace)
             //    llmStreams_, and the join-cut predicate stay frozen
             //    across every committed tick, and the per-tick join
             //    check is a provable no-op.
-            // So every window tick strictly before B commits with no
-            // interleaved routing decision, and the busy shards can
-            // drain their tick runs in parallel. Commit order — a
-            // k-way merge on (timeSec, shardIdx) — replays the serial
-            // scan's tie-break (strict <, lowest index wins, one
-            // shard's equal-time run drains contiguously), and the
-            // sample block fires after each tick exactly like the
-            // serial loop head does, so report, metrics, and trace
-            // come out byte-identical at any engine-thread count.
-            bool epochDone = false;
-            // Per-event serial fallbacks: a deferred dispatch
-            // re-routes after every tick, and a preemptive fleet
-            // with a parked suspension (step 0 resumes re-check
-            // per tick) or an already-urgent queue (the very next
-            // boundary suspends) stays on the single-tick path.
+            // So every window tick strictly before B commits without
+            // re-entering the loop head. A deferred dispatch re-routes
+            // after every tick, and a preemptive fleet with a parked
+            // suspension (step 0 re-checks per tick) or an
+            // already-urgent queue (the very next boundary suspends)
+            // stays on the single-tick path: B = the head boundary.
+            //
+            // With no free shard (and none freeing before B), no
+            // urgency, and speculation off, an arrival before B can
+            // only enqueue — every routing decision needs a candidate
+            // shard, and none appears until >= B — so arrivals are
+            // absorbed into the fast-forward instead of capping B.
+            // This is what lets a saturated fleet fast-forward whole
+            // replay windows rather than one inter-arrival gap.
+            // Preemption disables absorption: an absorbed arrival
+            // could carry an earlier deadline and move the urgency
+            // crossing into the past.
+            const bool absorbArrivals = freeShards_.empty() &&
+                                        !options_.speculativeSolve &&
+                                        !preemption.enabled;
+            double bound = tBoundary;
             if (!deferred &&
                 (!preemption.enabled ||
                  (suspendedCount_ == 0 && !urgent))) {
-                // With no free shard (and none freeing before the
-                // bound), no urgency, and speculation off, an
-                // arrival strictly inside the epoch can only
-                // enqueue — every routing decision needs a candidate
-                // shard, and none appears until >= bound — so
-                // arrivals are absorbed into the commit stream
-                // (merged by timestamp, arrival wins ties like the
-                // serial branch order) instead of capping the epoch.
-                // This is what lets a saturated fleet's epochs span
-                // whole replay windows rather than one inter-arrival
-                // gap. Preemption disables absorption: an absorbed
-                // arrival could carry an earlier deadline and move
-                // the urgency crossing into the epoch's past.
-                const bool absorbArrivals =
-                    freeShards_.empty() &&
-                    !options_.speculativeSolve &&
-                    !preemption.enabled;
-                // Fold the bound terms cheapest-first, remembering
-                // which term capped the epoch (ties keep the first —
-                // the attribution priority in EpochBoundTerm order).
-                double bound = kInf;
-                int cap = kEpochCapReplayEnd;
-                auto consider = [&](double t, int term) {
-                    if (t < bound) {
-                        bound = t;
-                        cap = term;
-                    }
-                };
+                bound = kInf;
                 if (!busyEndQueue_.empty())
-                    consider(busyEndQueue_.begin()->first,
-                             kEpochCapReplayEnd);
-                consider(tPending, kEpochCapParked);
+                    bound = busyEndQueue_.begin()->first;
+                bound = std::min(bound, tPending);
                 if (!absorbArrivals)
-                    consider(tArrival, kEpochCapArrival);
-                consider(tTimer, kEpochCapTimer);
+                    bound = std::min(bound, tArrival);
+                bound = std::min(bound, tTimer);
                 if (options_.speculativeSolve &&
                     options_.serving.modeledSolveSec > 0.0 &&
                     admission.queuedCount() > 0 &&
                     queueEpoch != lastSpeculativeEpoch)
-                    consider(admission.nextForcedDispatchSec(),
-                             kEpochCapSpeculation);
+                    bound = std::min(bound,
+                                     admission.nextForcedDispatchSec());
                 // Preemption-aware term: the next urgency crossing,
                 // on the same FP expression as the urgency timer —
                 // unconditioned on candidate availability, because a
                 // crossing is a routing decision either way (with a
                 // candidate step 2 dispatches the urgent batch; with
                 // none the next boundary tick suspends a replay).
-                if (preemption.enabled &&
-                    admission.queuedCount() > 0)
-                    consider(admission.earliestDeadlineSec() -
-                                 preemption.slackThresholdSec,
-                             kEpochCapUrgency);
+                if (preemption.enabled && admission.queuedCount() > 0)
+                    bound = std::min(bound,
+                                     admission.earliestDeadlineSec() -
+                                         preemption.slackThresholdSec);
                 // Join-aware LLM terms, per busy shard.
                 if (llmEnabled_) {
                     const bool continuous =
@@ -1806,162 +1736,104 @@ FleetSimulator::run(const std::vector<Request>& trace)
                     for (const auto& [tb, si] : boundaryQueue_) {
                         (void)tb;
                         const Shard& sh = shards_[si];
-                        const Dispatch& running =
-                            sh.executor.dispatch();
+                        const Dispatch& running = sh.executor.dispatch();
                         if (running.llmDecodeSteps > 0) {
-                            // Decode round: riders retire only at
-                            // the round's final boundary — the
-                            // replay-end term already covers that
-                            // slot release — so the in-epoch hazard
-                            // is a join cut at the next step-aligned
-                            // boundary once waiters are queued for
-                            // the round's model.
+                            // Decode round: riders retire only at the
+                            // round's final boundary — the replay-end
+                            // term already covers that slot release —
+                            // so the hazard is a join cut at the next
+                            // step-aligned boundary once waiters are
+                            // queued for the round's model.
                             if (continuous &&
                                 admission.decodeQueuedCount(
                                     running.catalogIdx.front()) > 0)
-                                consider(
+                                bound = std::min(
+                                    bound,
                                     sh.executor.nextStepBoundarySec(
-                                        sh.llmWindowsPerStep),
-                                    kEpochCapJoin);
+                                        sh.llmWindowsPerStep));
                         } else {
                             // Prefill/mixed replay: an autoregressive
                             // group completing mid-replay enqueues
                             // decode waiters (commitTick bumps the
                             // decode queue and the queue epoch — a
                             // routing-decision source), so the bound
-                            // stops strictly before the earliest
-                            // such completion.
-                            consider(
+                            // stops strictly before the earliest such
+                            // completion.
+                            bound = std::min(
+                                bound,
                                 sh.executor.earliestGroupEndSec(
                                     [&](std::size_t m) {
                                         return catalog_
                                             [running.catalogIdx[m]]
                                                 .llm.autoregressive;
-                                    }),
-                                kEpochCapRelease);
+                                    }));
                         }
-                    }
-                }
-                if (tBoundary < bound) {
-                    // Only the prefix with a next boundary inside the
-                    // epoch has ticks to drain.
-                    std::vector<int> busyIdx;
-                    for (const auto& [t, si] : boundaryQueue_) {
-                        if (t >= bound)
-                            break;
-                        busyIdx.push_back(si);
-                    }
-                    std::vector<std::vector<WindowTick>> ticks(
-                        busyIdx.size());
-                    auto drainOne = [&](std::size_t i) {
-                        shards_[busyIdx[i]].executor.drainUntil(
-                            bound, ticks[i]);
-                    };
-                    if (enginePool_ != nullptr && busyIdx.size() > 1)
-                        enginePool_->parallelFor(busyIdx.size(),
-                                                 drainOne);
-                    else
-                        for (std::size_t i = 0; i < busyIdx.size();
-                             ++i)
-                            drainOne(i);
-                    // Merge-commit on the event thread.
-                    std::set<std::tuple<double, int, std::size_t>>
-                        heads;
-                    std::vector<std::size_t> cur(busyIdx.size(), 0);
-                    std::size_t committed = 0;
-                    for (std::size_t i = 0; i < busyIdx.size(); ++i)
-                        if (!ticks[i].empty())
-                            heads.insert({ticks[i].front().timeSec,
-                                          busyIdx[i], i});
-                    while (!heads.empty() ||
-                           (absorbArrivals && next < trace.size() &&
-                            trace[next].arrivalSec < bound)) {
-                        const double tTick =
-                            heads.empty()
-                                ? kInf
-                                : std::get<0>(*heads.begin());
-                        if (absorbArrivals && next < trace.size() &&
-                            trace[next].arrivalSec < bound &&
-                            trace[next].arrivalSec <= tTick) {
-                            nowSec = trace[next].arrivalSec;
-                            commitArrival();
-                            fireSamples();
-                            ++epochStats_.absorbedArrivals;
-                            continue;
-                        }
-                        const auto [t, si, i] = *heads.begin();
-                        heads.erase(heads.begin());
-                        // Batched commit: every consecutive tick of
-                        // this shard that precedes the next other-
-                        // shard head in (timeSec, shardIdx) order —
-                        // and any absorbable arrival — commits as
-                        // one run without re-touching the merge set.
-                        // The committed sequence is exactly the
-                        // per-tick merge's (the loop conditions
-                        // replicate the set's ordering and the
-                        // arrival-wins-ties branch above), so
-                        // artifacts stay byte-identical; what
-                        // batching removes is the per-tick
-                        // erase/insert — the serial commit work the
-                        // saturated shard sweep decays on.
-                        double tOther = kInf;
-                        int siOther =
-                            std::numeric_limits<int>::max();
-                        if (!heads.empty()) {
-                            tOther = std::get<0>(*heads.begin());
-                            siOther = std::get<1>(*heads.begin());
-                        }
-                        long batch = 0;
-                        for (;;) {
-                            WindowTick& tick = ticks[i][cur[i]];
-                            ++cur[i];
-                            ++batch;
-                            nowSec = tick.timeSec;
-                            commitTick(si, tick);
-                            fireSamples();
-                            ++committed;
-                            if (cur[i] >= ticks[i].size())
-                                break;
-                            const double tn =
-                                ticks[i][cur[i]].timeSec;
-                            if (tn > tOther ||
-                                (tn == tOther && si > siOther))
-                                break;
-                            if (absorbArrivals &&
-                                next < trace.size() &&
-                                trace[next].arrivalSec < bound &&
-                                trace[next].arrivalSec <= tn)
-                                break;
-                        }
-                        if (cur[i] < ticks[i].size())
-                            heads.insert(
-                                {ticks[i][cur[i]].timeSec, si, i});
-                        ++epochStats_.commitBatches;
-                        epochStats_.maxCommitBatch = std::max(
-                            epochStats_.maxCommitBatch, batch);
-                        if (rec)
-                            rec->metrics()
-                                .histogram("epoch.commit_batch",
-                                           {1.0, 2.0, 16})
-                                .record(static_cast<double>(batch));
-                    }
-                    if (committed > 0) {
-                        for (const int si : busyIdx)
-                            syncShard(static_cast<std::size_t>(si));
-                        epochDone = true;
-                        ++epochStats_.epochs;
-                        epochStats_.ticks +=
-                            static_cast<long>(committed);
-                        ++epochStats_.caps[cap];
                     }
                 }
             }
-            if (!epochDone) {
+            if (tBoundary < bound) {
+                // Cross the ticks straight off the boundary queue in
+                // its (time, shard) order — the order the loop head
+                // picks them in — one shard's run at a time: the run
+                // ends at the first tick >= B, after the next other
+                // head, or after an absorbable arrival (the arrival
+                // wins ties, like the serial branch order). The
+                // sample block fires after each tick exactly like the
+                // loop head does. A tick before B moves only its
+                // shard's boundary key (it is never dispatch-done,
+                // and commitTick touches no indexed field), so the
+                // queue node is re-keyed in place of a syncShard.
+                const auto arrivalDue = [&](double t) {
+                    return absorbArrivals && next < trace.size() &&
+                           trace[next].arrivalSec < bound &&
+                           trace[next].arrivalSec <= t;
+                };
+                for (;;) {
+                    const auto head = boundaryQueue_.begin();
+                    const double tHead =
+                        head != boundaryQueue_.end() &&
+                                head->first < bound
+                            ? head->first
+                            : kInf;
+                    if (arrivalDue(tHead)) {
+                        nowSec = trace[next].arrivalSec;
+                        commitArrival();
+                        fireSamples();
+                        continue;
+                    }
+                    if (tHead == kInf)
+                        break;
+                    auto node = boundaryQueue_.extract(head);
+                    const int si = node.value().second;
+                    const std::pair<double, int> other =
+                        boundaryQueue_.empty()
+                            ? std::make_pair(
+                                  kInf, std::numeric_limits<int>::max())
+                            : *boundaryQueue_.begin();
+                    ReplayExecutor& executor = shards_[si].executor;
+                    double tTick = tHead;
+                    do {
+                        WindowTick tick = executor.advance();
+                        SCAR_ASSERT(!tick.dispatchDone,
+                                    "fast-forward crossed shard ", si,
+                                    "'s final boundary");
+                        nowSec = tick.timeSec;
+                        commitTick(si, tick);
+                        fireSamples();
+                        tTick = executor.nextBoundarySec();
+                    } while (tTick < bound &&
+                             std::make_pair(tTick, si) < other &&
+                             !arrivalDue(tTick));
+                    node.value().first = tTick;
+                    idx_[si].boundarySec = tTick;
+                    boundaryQueue_.insert(std::move(node));
+                }
+            } else {
                 // Single-tick path: a pending deferral, a parked
-                // suspension or already-urgent queue, or an epoch
-                // whose bound already sits at the head boundary
-                // (e.g. a shard in its final window, a join cut, a
-                // mid-replay LLM release, an urgency crossing).
+                // suspension or already-urgent queue, or a bound at
+                // the head boundary (e.g. a shard in its final window,
+                // a join cut, a mid-replay LLM release, an urgency
+                // crossing).
                 Shard& sh = shards_[boundaryShard];
                 WindowTick tick = sh.executor.advance();
                 commitTick(boundaryShard, tick);
@@ -2107,7 +1979,7 @@ FleetSimulator::run(const std::vector<Request>& trace)
         modelNames.push_back(sm.model.name);
     ServingReport report = summarizeServing(
         records_, static_cast<long>(trace.size()), dispatches,
-        paddedSlots, delta, cachedMixes, modelNames, enginePool_);
+        paddedSlots, delta, cachedMixes, modelNames);
     for (std::size_t s = 0; s < shards_.size(); ++s) {
         const Shard& shard = shards_[s];
         ShardReport sr;
@@ -2130,25 +2002,6 @@ FleetSimulator::run(const std::vector<Request>& trace)
     }
     report.preemptionEnabled = options_.serving.preemption.enabled;
     report.llmEnabled = llmEnabled_;
-    // Epoch-engine statistics. The numbers are identical at every
-    // engineThreads value (the epoch path runs at all of them —
-    // inline at 1); the reporter renders them only when != 1, so
-    // default runs stay byte-identical.
-    report.engineThreads = options_.engineThreads;
-    report.epochs = epochStats_.epochs;
-    report.epochTicks = epochStats_.ticks;
-    report.epochCommitBatches = epochStats_.commitBatches;
-    report.epochMaxCommitBatch = epochStats_.maxCommitBatch;
-    report.epochAbsorbedArrivals = epochStats_.absorbedArrivals;
-    report.epochCapReplayEnd = epochStats_.caps[kEpochCapReplayEnd];
-    report.epochCapParked = epochStats_.caps[kEpochCapParked];
-    report.epochCapArrival = epochStats_.caps[kEpochCapArrival];
-    report.epochCapTimer = epochStats_.caps[kEpochCapTimer];
-    report.epochCapSpeculation =
-        epochStats_.caps[kEpochCapSpeculation];
-    report.epochCapUrgency = epochStats_.caps[kEpochCapUrgency];
-    report.epochCapJoin = epochStats_.caps[kEpochCapJoin];
-    report.epochCapRelease = epochStats_.caps[kEpochCapRelease];
     if (llmEnabled_) {
         report.llmDecodeRounds = llmDecodeRounds_;
         report.llmJoins = llmJoins_;
@@ -2169,17 +2022,6 @@ FleetSimulator::run(const std::vector<Request>& trace)
         rec->metrics()
             .gauge("batch_occupancy")
             .set(report.batchOccupancy);
-        // Epoch-engine counters (the per-batch size histogram was
-        // recorded inline). Deterministic at any engineThreads.
-        rec->metrics().counter("epoch.epochs").inc(
-            epochStats_.epochs);
-        rec->metrics().counter("epoch.ticks").inc(epochStats_.ticks);
-        rec->metrics()
-            .counter("epoch.commit_batches")
-            .inc(epochStats_.commitBatches);
-        rec->metrics()
-            .counter("epoch.absorbed_arrivals")
-            .inc(epochStats_.absorbedArrivals);
     }
     report.contestedRoutes = contestedRoutes_;
     report.costOptimalRoutes = costOptimalRoutes_;

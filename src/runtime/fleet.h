@@ -60,7 +60,7 @@
  * wall-clock solve speed affects how long run() takes, never what it
  * returns.
  *
- * Parallel epoch engine: between two consecutive *routing-decision*
+ * Calendar fast-forward: between two consecutive *routing-decision*
  * events, the only events in the fleet are window-boundary crossings
  * — pure replay bookkeeping that touches one shard each. run()
  * exploits that: it computes the conservative lookahead bound B as
@@ -71,26 +71,22 @@
  * could take and the earliest mid-replay autoregressive completion
  * (it enqueues decode waiters), plus (preemptive fleets) the next
  * urgency crossing on the same FP expression as the urgency timer —
- * lets every busy shard drain all its boundaries strictly before B
- * concurrently (engineThreads), and then commits the ticks in
- * (time, shard index) order — exactly the order the serial loop
- * would have produced, including the flight-recorder trace and
- * sampler rows, so the report and trace are byte-identical at any
- * engineThreads value. Runs of consecutive same-shard ticks that
- * precede every other shard's head in that order commit as one
- * batch (a single merge-set update per run; syncShard already runs
- * once per shard per epoch). Epochs are skipped only around a
+ * and crosses every boundary strictly before B straight off the
+ * boundary queue, in the (time, shard index) order the event loop
+ * would have picked them, without re-entering the loop head. The
+ * report, trace, and sampler rows are exactly those of a one-tick-
+ * per-iteration loop. The fast-forward is skipped only around a
  * deferred dispatch and while a preempted replay awaits its resume
- * (both re-inspect the fleet after every tick, so they stay on the
- * serial path); docs/ARCHITECTURE.md tabulates every bound term
- * with its conservativeness argument.
+ * (both re-inspect the fleet after every tick); docs/ARCHITECTURE.md
+ * tabulates every bound term with its conservativeness argument.
  *
  * Event calendar: the per-event O(shards) scans of the serial loop
  * (next boundary, next parked-ready, candidate checks) are replaced
  * by incrementally maintained ordered indexes — a boundary queue, a
  * parked-solve queue, a replay-end queue, and free/occupied shard
  * sets — all updated at a single choke point (syncShard) whenever a
- * shard changes state, so picking the next event is O(log shards).
+ * shard changes state (the fast-forward alone re-keys a boundary
+ * queue entry in place), so picking the next event is O(log shards).
  *
  * Hierarchical routing: shards are grouped into pods of identical
  * (package template, schedule cache) pairs — the cluster -> pod ->
@@ -273,46 +269,15 @@ struct FleetOptions
      * Route through the hierarchical cluster -> pod -> shard index
      * (O(log N) candidates per dispatch) instead of the flat O(N)
      * shard scan. The indexed path reproduces the flat scan's
-     * choices — same cost model, same tie-breaks — so this exists
-     * only as an A/B lever for validation and for measuring the
-     * routing speedup; preemptive fleets always use the flat scan
+     * choices — same cost model, same tie-breaks — so the flat scan
+     * is kept only as the validation reference the routing tests
+     * compare against; preemptive fleets always use the flat scan
      * (suspension states change candidates mid-replay). Equality can
      * diverge only on exact cost ties closer than the routing
      * epsilon, which real (heterogeneous, staggered) traffic does
      * not produce.
      */
     bool indexedRouting = true;
-    /**
-     * Concurrency of the epoch engine draining window boundaries
-     * between state-changing events: 1 (the default) drains inline
-     * on the caller; 0 borrows the serving worker pool; > 1 builds a
-     * dedicated engine pool of that many threads. The exported
-     * report and flight-recorder trace are byte-identical at every
-     * setting — the engine only parallelizes provably independent
-     * per-shard replay bookkeeping and commits it in the serial
-     * event order.
-     *
-     * Interactions: the setting is independent of `indexedRouting`
-     * (routing picks shards at epoch edges; the engine only drains
-     * between them — enable both for large fleets). LLM fleets and
-     * preemptive fleets run under the engine too (join-aware /
-     * urgency-aware bound terms); nothing disables the resolved
-     * engine mode, only per-event serial fallbacks (deferred
-     * dispatch, suspended replay awaiting resume) shorten epochs.
-     * The resolved mode is queryable via engineMode() and logged at
-     * LogLevel::Debug by the constructor, so A/B sweeps cannot
-     * silently run serial.
-     */
-    int engineThreads = 1;
-    /**
-     * Lock stripes per AsyncScheduleCache (0 picks the cache's
-     * default: 16 for an unbounded store, 1 when cacheCapacity
-     * bounds it — a global LRU order needs a global lock). Striping
-     * is a pure partition of the key space, so counters and contents
-     * are unaffected; it only removes mutex contention when many
-     * engine threads and solver workers share one global cache.
-     */
-    int cacheStripes = 0;
     /**
      * One schedule cache shared by every shard (each (mix, package)
      * pair solved once fleet-wide) versus a private cache per shard
@@ -337,19 +302,6 @@ struct FleetOptions
      */
     obs::FlightRecorder* recorder = nullptr;
 };
-
-/**
- * The resolved concurrency mode of the parallel epoch engine (from
- * FleetOptions::engineThreads; see engineModeName for rendering).
- */
-enum class EngineMode
-{
-    Inline,    ///< engineThreads == 1: drains run on the event thread
-    Borrowed,  ///< engineThreads == 0: drains on the serving pool
-    Dedicated, ///< engineThreads > 1: drains on an owned engine pool
-};
-
-const char* engineModeName(EngineMode mode);
 
 /** Simulates serving one request stream on a fleet of MCMs. */
 class FleetSimulator
@@ -390,20 +342,6 @@ class FleetSimulator
     /** The package template of a shard (shard 0 by default, which is
      *  the constructor template in a homogeneous fleet). */
     const Mcm& mcm(int shard = 0) const;
-
-    /**
-     * The resolved epoch-engine concurrency mode. Nothing disables
-     * the engine outright — LLM and preemptive fleets run under it
-     * with join-/urgency-aware bound terms — but per-event serial
-     * fallbacks (a deferred dispatch, a suspended replay awaiting
-     * resume) can shorten or skip individual epochs. The constructor
-     * also logs the resolution at LogLevel::Debug.
-     */
-    EngineMode engineMode() const { return engineMode_; }
-
-    /** Human-readable engine-mode resolution, e.g.
-     *  "dedicated pool (8 threads)". */
-    std::string engineModeDescription() const;
 
     /**
      * The completion-cost estimate BestFit uses for a mix on a
@@ -579,8 +517,9 @@ class FleetSimulator
     /**
      * The single choke point keeping every calendar and routing
      * index consistent with shard s's state. Called after each
-     * mutation of a shard (park, start, tick, suspend, resume, epoch
-     * drain); O(log N) per call.
+     * mutation of a shard (park, start, tick, suspend, resume); the
+     * fast-forward, whose ticks move only the boundary key, re-keys
+     * that one entry itself. O(log N) per call.
      */
     void syncShard(std::size_t s);
 
@@ -646,39 +585,6 @@ class FleetSimulator
     std::vector<Pod> pods_;
     std::vector<int> podOf_; ///< shard -> pod
 
-    // --- Epoch engine ---
-    ThreadPool* enginePool_ = nullptr; ///< nullptr = inline drain
-    std::unique_ptr<ThreadPool> ownedEnginePool_;
-    EngineMode engineMode_ = EngineMode::Inline;
-
-    /** Which bound term capped an epoch (per-run statistics; the
-     *  order is the attribution priority on exact ties). */
-    enum EpochBoundTerm
-    {
-        kEpochCapReplayEnd = 0, ///< earliest busy replay's final end
-        kEpochCapParked,        ///< earliest parked-solve ready
-        kEpochCapArrival,       ///< next unabsorbed arrival
-        kEpochCapTimer,         ///< batching-timer maturity
-        kEpochCapSpeculation,   ///< speculative-solve guard
-        kEpochCapUrgency,       ///< next preemption urgency crossing
-        kEpochCapJoin,          ///< earliest step-aligned join cut
-        kEpochCapRelease,       ///< earliest mid-replay LLM release
-        kEpochBoundTermCount,
-    };
-
-    /** Per-run epoch-engine statistics (reset by run(); surfaced in
-     *  ServingReport and, behind the recorder, obs/ metrics). */
-    struct EpochStats
-    {
-        long epochs = 0;
-        long ticks = 0;             ///< boundary ticks committed in epochs
-        long commitBatches = 0;     ///< same-shard runs committed as one
-        long maxCommitBatch = 0;
-        long absorbedArrivals = 0;
-        long caps[kEpochBoundTermCount] = {};
-    };
-    EpochStats epochStats_;
-
     /** Memoized WindowEvaluator makespan estimates, keyed like the
      *  schedule caches by (mix, package) signature. */
     std::map<std::string, double> makespanEstimates_;
@@ -689,11 +595,11 @@ class FleetSimulator
     // --- Autoregressive serving (continuous batching) ---
     /** Any catalog entry has LlmProfile::autoregressive set. Gates
      *  every LLM code path (a catalog without LLM entries runs the
-     *  pre-LLM event loop byte-for-byte) and arms the epoch engine's
+     *  pre-LLM event loop byte-for-byte) and arms the fast-forward's
      *  join-cut and mid-replay-release bound terms: decode requeues
-     *  and join cuts are event-loop decisions, so the epoch bound
-     *  stops strictly before the first boundary where one could
-     *  occur and leaves that tick to the serial path. */
+     *  and join cuts are event-loop decisions, so the bound stops
+     *  strictly before the first boundary where one could occur and
+     *  leaves that tick to the single-tick path. */
     bool llmEnabled_ = false;
     /** In-flight decode rounds (parked or replaying) per catalog
      *  model. Continuous batching dispatches a second concurrent

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/error.h"
-#include "common/thread_pool.h"
 
 namespace scar
 {
@@ -50,18 +49,6 @@ summarizeServing(const std::vector<Request>& requests, long offered,
                  long dispatches, long paddedSlots,
                  const ScheduleCacheStats& cacheStats, long uniqueMixes,
                  const std::vector<std::string>& modelNames)
-{
-    return summarizeServing(requests, offered, dispatches, paddedSlots,
-                            cacheStats, uniqueMixes, modelNames,
-                            nullptr);
-}
-
-ServingReport
-summarizeServing(const std::vector<Request>& requests, long offered,
-                 long dispatches, long paddedSlots,
-                 const ScheduleCacheStats& cacheStats, long uniqueMixes,
-                 const std::vector<std::string>& modelNames,
-                 ThreadPool* pool)
 {
     ServingReport report;
     report.offered = offered;
@@ -147,12 +134,10 @@ summarizeServing(const std::vector<Request>& requests, long offered,
     // Per-model queue-wait vs execution decomposition. latency =
     // (dispatch - arrival) + (completion - dispatch): the first term
     // is admission/batching/routing delay, the second the replay
-    // (suspension gaps included for preempted requests). Each model's
-    // scan, sorts, and percentiles touch only its own slot, so the
-    // catalog fans out over the pool (inline when pool is null).
+    // (suspension gaps included for preempted requests).
     report.perModel.resize(modelNames.size());
-    forEachIndex(pool, modelNames.size(), [&](std::size_t m) {
-        ModelServingBreakdown mb;
+    for (std::size_t m = 0; m < modelNames.size(); ++m) {
+        ModelServingBreakdown& mb = report.perModel[m];
         mb.modelIdx = static_cast<int>(m);
         mb.name = modelNames[m];
         std::vector<double> total;
@@ -178,10 +163,8 @@ summarizeServing(const std::vector<Request>& requests, long offered,
             queueSum += queueSec;
             execSum += execSec;
         }
-        if (mb.completed == 0) {
-            report.perModel[m] = std::move(mb);
-            return;
-        }
+        if (mb.completed == 0)
+            continue;
         std::sort(total.begin(), total.end());
         std::sort(queue.begin(), queue.end());
         std::sort(exec.begin(), exec.end());
@@ -197,8 +180,7 @@ summarizeServing(const std::vector<Request>& requests, long offered,
         mb.p50ExecSec = sortedPercentile(exec, 50.0);
         mb.p95ExecSec = sortedPercentile(exec, 95.0);
         mb.p99ExecSec = sortedPercentile(exec, 99.0);
-        report.perModel[m] = std::move(mb);
-    });
+    }
     return report;
 }
 

@@ -20,9 +20,6 @@
 
 namespace scar
 {
-
-class ThreadPool;
-
 namespace runtime
 {
 
@@ -156,32 +153,6 @@ struct ServingReport
     double meanTpotSec = 0.0;
     /** Generated tokens per virtual second over the run horizon. */
     double genTokensPerSec = 0.0;
-
-    // Parallel epoch engine (runtime/fleet.h). The statistics are a
-    // pure function of virtual time — identical at every
-    // engineThreads value — but the reporter renders them only when
-    // engineThreads != 1, so a default (serial-inline) run keeps the
-    // pre-engine report format byte for byte.
-    int engineThreads = 1;
-    /** Epochs that committed at least one tick. */
-    long epochs = 0;
-    /** Window-boundary ticks committed through epochs (the rest went
-     *  through the single-tick path). */
-    long epochTicks = 0;
-    /** Same-shard tick runs committed as one merge-set update. */
-    long epochCommitBatches = 0;
-    long epochMaxCommitBatch = 0;
-    /** Arrivals absorbed into epoch commit streams. */
-    long epochAbsorbedArrivals = 0;
-    // Which bound term capped each committed epoch.
-    long epochCapReplayEnd = 0;   ///< earliest busy replay's final end
-    long epochCapParked = 0;      ///< earliest parked-solve ready
-    long epochCapArrival = 0;     ///< next unabsorbed arrival
-    long epochCapTimer = 0;       ///< batching-timer maturity
-    long epochCapSpeculation = 0; ///< speculative-solve guard
-    long epochCapUrgency = 0;     ///< next preemption urgency crossing
-    long epochCapJoin = 0;        ///< earliest step-aligned join cut
-    long epochCapRelease = 0;     ///< earliest mid-replay LLM release
 };
 
 /**
@@ -217,20 +188,6 @@ ServingReport summarizeServing(const std::vector<Request>& requests,
                                const ScheduleCacheStats& cacheStats,
                                long uniqueMixes,
                                const std::vector<std::string>& modelNames);
-
-/**
- * As above, with the per-model breakdowns computed on the pool (one
- * task per catalog model — each model's sorts and percentiles are
- * independent). Results are byte-identical to the serial overload;
- * a null pool runs inline.
- */
-ServingReport summarizeServing(const std::vector<Request>& requests,
-                               long offered, long dispatches,
-                               long paddedSlots,
-                               const ScheduleCacheStats& cacheStats,
-                               long uniqueMixes,
-                               const std::vector<std::string>& modelNames,
-                               ThreadPool* pool);
 
 } // namespace runtime
 } // namespace scar

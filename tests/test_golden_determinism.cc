@@ -24,14 +24,13 @@
  *    run unconditionally — they need no stored golden.
  */
 
-#include <cinttypes>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
+
+#include "golden_file.h"
 
 #include "arch/mcm_templates.h"
 #include "eval/scenario_suite.h"
@@ -49,6 +48,7 @@ using runtime::ServingOptions;
 using runtime::ServingReport;
 using runtime::ServingSimulator;
 using runtime::ShardReport;
+using golden::checkGolden;
 
 /** Exact (bit-preserving) rendering of a double. */
 std::string
@@ -63,65 +63,6 @@ void
 putD(std::ostringstream& os, const char* tag, double v)
 {
     os << tag << '=' << hexDouble(v) << '\n';
-}
-
-/**
- * The toolchain fingerprint goldens are valid for. FP bit patterns
- * depend on the compiler (contraction policy), the optimization
- * level, and the target ISA extensions actually enabled (FMA/AVX
- * change contraction and vectorization), so the signature folds in
- * every flag-sensitive macro observable from inside the build. Not
- * airtight — e.g. -O2 vs -O3 are indistinguishable by macro — but a
- * clang build, a Debug/sanitizer build, -Ofast, or -march=native all
- * skip instead of failing spuriously.
- */
-std::string
-toolchainSignature()
-{
-    std::ostringstream os;
-    os << __VERSION__ << " |"
-#ifdef NDEBUG
-       << " opt"
-#else
-       << " noopt"
-#endif
-#ifdef __OPTIMIZE__
-       << " O"
-#endif
-#ifdef __FAST_MATH__
-       << " fastmath"
-#endif
-#ifdef __FMA__
-       << " fma"
-#endif
-#ifdef __AVX2__
-       << " avx2"
-#endif
-#ifdef __AVX512F__
-       << " avx512f"
-#endif
-        ;
-    return os.str();
-}
-
-std::string
-goldenDir()
-{
-    if (const char* env = std::getenv("SCAR_GOLDEN_DIR"))
-        return env;
-#ifdef SCAR_GOLDEN_DIR_DEFAULT
-    return SCAR_GOLDEN_DIR_DEFAULT;
-#else
-    return "tests/golden";
-#endif
-}
-
-bool
-captureMode()
-{
-    const char* env = std::getenv("SCAR_GOLDEN_CAPTURE");
-    return env != nullptr && env[0] != '\0' &&
-           std::strcmp(env, "0") != 0;
 }
 
 std::string
@@ -220,50 +161,6 @@ serialize(const ServingReport& report)
     os << "preemptedRequests=" << report.preemptedRequests << '\n';
     putD(os, "preemptedP99Sec", report.preemptedP99Sec);
     return os.str();
-}
-
-/**
- * Compares `produced` against the stored golden, or (re)writes the
- * golden in capture mode. Skips when the stored toolchain signature
- * does not match this build.
- */
-void
-checkGolden(const std::string& name, const std::string& produced)
-{
-    const std::string path = goldenDir() + "/" + name + ".golden.txt";
-    const std::string sigPath = goldenDir() + "/toolchain.txt";
-    if (captureMode()) {
-        std::ofstream sigOut(sigPath);
-        ASSERT_TRUE(sigOut.good()) << "cannot write " << sigPath;
-        sigOut << toolchainSignature() << '\n';
-        std::ofstream out(path);
-        ASSERT_TRUE(out.good()) << "cannot write " << path;
-        out << produced;
-        SUCCEED() << "captured golden " << path;
-        return;
-    }
-
-    std::ifstream sigIn(sigPath);
-    ASSERT_TRUE(sigIn.good())
-        << "missing " << sigPath
-        << " — capture goldens first (SCAR_GOLDEN_CAPTURE=1)";
-    std::string storedSig;
-    std::getline(sigIn, storedSig);
-    if (storedSig != toolchainSignature()) {
-        GTEST_SKIP() << "goldens captured under a different toolchain "
-                        "(stored: "
-                     << storedSig << "; this build: "
-                     << toolchainSignature()
-                     << ") — FP bit patterns are not comparable";
-    }
-
-    std::ifstream in(path);
-    ASSERT_TRUE(in.good()) << "missing golden " << path;
-    std::ostringstream stored;
-    stored << in.rdbuf();
-    EXPECT_EQ(stored.str(), produced)
-        << "hot-path output drifted from the golden " << path
-        << " — the optimization changed observable bits";
 }
 
 ScheduleResult

@@ -1,12 +1,11 @@
 /**
  * @file
- * Tests for the planet-scale serving additions: the parallel epoch
- * engine (serial-vs-parallel byte identity of the report, metrics,
- * samples, and trace export at several engine-thread counts — on
- * plain, preemptive, and LLM continuous/static fleets), the
- * generalized conservative epoch bound (drainUntil never crosses
- * it, the join/urgency terms land ticks exactly on their cuts, and
- * the bound-term attribution statistics), the hierarchical
+ * Tests for the fleet's event-calendar machinery: golden end-to-end
+ * runs pinning the calendar fast-forward (report, trace, samples, and
+ * metrics of plain, preemptive, and LLM continuous/static fleets must
+ * match goldens captured from the pre-fast-forward engine byte for
+ * byte), the boundary probes behind its conservative bound (the
+ * join/release terms land exactly on their cuts), the hierarchical
  * cluster -> pod -> shard routing index (identical decisions and
  * routing-quality counters to the flat BestFit scan on small
  * fleets), and the signature-striped AsyncScheduleCache (exactly
@@ -16,10 +15,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cinttypes>
+#include <cstdint>
+#include <cstdio>
 #include <limits>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "golden_file.h"
 
 #include "arch/mcm_templates.h"
 #include "common/error.h"
@@ -81,16 +85,9 @@ runFleet(FleetOptions options, const std::vector<ServedModel>& catalog,
                          templates::hetSides3x3(templates::kArvrPes),
                          options);
     RunArtifacts out;
-    ServingReport report = fleet.run(trace);
+    const ServingReport report = fleet.run(trace);
     if (reportOut)
         *reportOut = report;
-    // Normalize the render gate before formatting: the epoch-stats
-    // section is keyed on engineThreads (so default reports keep the
-    // pre-engine format), but the statistics themselves are identical
-    // at every thread count. Pinning the field to one off-default
-    // value on both sides makes every byte-equality below also cover
-    // the epoch counters.
-    report.engineThreads = 8;
     out.report = describeServingReport(report);
     out.traceJson = rec.trace().toJson();
     out.metricsJson = rec.metrics().toJson();
@@ -107,10 +104,36 @@ runFleet(FleetOptions options, const std::vector<ServedModel>& catalog,
                     poissonTrace(catalog, requests, seed), reportOut);
 }
 
-/** A 4-shard heterogeneous BestFit fleet exercising every epoch
+/** "<bytes> bytes, fnv1a64 <hex>": a compact fingerprint of a large
+ *  artifact for a golden file. */
+std::string
+digest(const std::string& text)
+{
+    std::uint64_t h = 14695981039346656037ull;
+    for (const unsigned char c : text) {
+        h ^= c;
+        h *= 1099511628211ull;
+    }
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%zu bytes, fnv1a64 %016" PRIx64,
+                  text.size(), h);
+    return buf;
+}
+
+/** The golden record of a run: the rendered report in full, plus
+ *  digests of the trace, samples, and metrics exports. */
+std::string
+goldenRecord(const RunArtifacts& run)
+{
+    return run.report + "\ntrace.json: " + digest(run.traceJson) +
+           "\nsamples.csv: " + digest(run.samplesCsv) +
+           "\nmetrics.json: " + digest(run.metricsJson) + "\n";
+}
+
+/** A 4-shard heterogeneous BestFit fleet exercising every calendar
  *  hazard at once: deferral, speculation, solve stalls, switches. */
 FleetOptions
-epochFleetOptions()
+hetFleetOptions()
 {
     FleetOptions options;
     options.shardTemplates = {
@@ -125,90 +148,65 @@ epochFleetOptions()
     return options;
 }
 
-TEST(ParallelFleet, EngineThreadsAreByteInvisible)
+TEST(FleetGolden, HeterogeneousBestFitFleet)
 {
+    // Without speculative solves a saturated fleet absorbs arrivals
+    // into the fast-forward (they can only enqueue), so the blocking
+    // variant pins the arrival/tick interleaving too.
     const auto catalog = twoModelCatalog();
-    FleetOptions options = epochFleetOptions();
-    options.engineThreads = 1; // serial reference
-    const RunArtifacts serial = runFleet(options, catalog, 400, 17);
-
-    // 0 borrows the serving pool; > 1 builds a dedicated engine pool.
-    for (const int threads : {0, 4, 8}) {
-        options.engineThreads = threads;
-        const RunArtifacts parallel =
-            runFleet(options, catalog, 400, 17);
-        EXPECT_TRUE(serial == parallel)
-            << "engineThreads = " << threads
-            << " diverged from the serial engine";
+    for (const bool speculative : {true, false}) {
+        FleetOptions options = hetFleetOptions();
+        options.speculativeSolve = speculative;
+        golden::checkGolden(speculative ? "fleet_het_bestfit"
+                                        : "fleet_het_bestfit_blocking",
+                            goldenRecord(runFleet(options, catalog, 400,
+                                                  17)));
     }
 }
 
-TEST(ParallelFleet, SingleShardServingPathIsUnchanged)
+TEST(FleetGolden, PreemptiveFleet)
 {
-    // The golden serving scenario shape: one shard, RoundRobin. The
-    // epoch engine must leave it byte-identical too.
-    const auto catalog = twoModelCatalog();
-    FleetOptions options;
-    options.shards = 1;
-    options.routing = RoutingPolicy::RoundRobin;
-    options.serving.modeledSolveSec = 0.01;
-    options.engineThreads = 1;
-    const RunArtifacts serial = runFleet(options, catalog, 250, 3);
-    options.engineThreads = 8;
-    const RunArtifacts parallel = runFleet(options, catalog, 250, 3);
-    EXPECT_TRUE(serial == parallel);
-}
-
-TEST(ParallelFleet, PreemptiveFleetsMatchSerialAtEveryThreadCount)
-{
-    // Preemptive fleets drain in urgency-capped epochs now (the bound
-    // stops strictly before the next deadline-slack crossing, and no
-    // epoch forms while a replay is suspended). Full artifacts must
-    // stay byte-identical to the serial engine, and the workload must
-    // actually exercise both epochs and urgency crossings — a bound
-    // that silently excluded every tick would pass a bare equality
-    // check.
-    const auto catalog = twoModelCatalog();
-    FleetOptions options = epochFleetOptions();
-    options.serving.preemption.enabled = true;
-    options.serving.preemption.slackThresholdSec = 0.004;
-    options.engineThreads = 1;
-    ServingReport serialReport;
-    const RunArtifacts serial =
-        runFleet(options, catalog, 300, 29, &serialReport);
-    EXPECT_GT(serialReport.epochs, 0)
-        << "preemptive fleets must form epochs";
-    EXPECT_GT(serialReport.preemptions, 0)
-        << "the trace must still exercise urgency crossings";
-    for (const int threads : {0, 4, 8}) {
-        options.engineThreads = threads;
-        const RunArtifacts parallel =
-            runFleet(options, catalog, 300, 29);
-        EXPECT_TRUE(serial == parallel)
-            << "engineThreads = " << threads
-            << " diverged under preemption";
+    // Preemption arms the urgency bound term: the fast-forward stops
+    // strictly before the next deadline-slack crossing and never runs
+    // while a replay is suspended. The trace must actually preempt —
+    // a bound that silently excluded every tick would still match.
+    // At the 10 ms SLO crossings fall between ticks no other term
+    // separates, so a fast-forward without the urgency term changes
+    // this golden.
+    for (const double sloSec : {0.05, 0.01}) {
+        auto catalog = twoModelCatalog();
+        catalog[0].sloSec = sloSec;
+        catalog[1].sloSec = sloSec;
+        FleetOptions options = hetFleetOptions();
+        options.serving.preemption.enabled = true;
+        options.serving.preemption.slackThresholdSec = 0.004;
+        ServingReport report;
+        const RunArtifacts run =
+            runFleet(options, catalog, 300, 29, &report);
+        EXPECT_GT(report.preemptions, 0)
+            << "the trace must exercise urgency crossings";
+        golden::checkGolden(sloSec == 0.05 ? "fleet_preempt"
+                                           : "fleet_preempt_slo10ms",
+                            goldenRecord(run));
     }
 }
 
-TEST(ParallelFleet, UrgencyCrossingCapsTheEpoch)
+TEST(FleetGolden, TightSloUrgencyCrossing)
 {
-    // Regression for the urgency bound term: with queued work and a
-    // tight SLO, at least one epoch must end at the deadline-slack
-    // crossing (cap attribution kEpochCapUrgency), i.e. crossings are
-    // not swallowed into longer epochs and then noticed late. A tight
-    // SLO puts the crossing in front of the next replay end and the
-    // batching timer, so the urgency term is the binding one.
+    // A tight SLO puts the urgency crossing in front of the next
+    // replay end and the batching timer, so the urgency term is the
+    // binding one: a crossing swallowed into a longer fast-forward
+    // and noticed late would move preemptions and latencies.
     auto catalog = twoModelCatalog();
     catalog[0].sloSec = 0.006;
     catalog[1].sloSec = 0.006;
-    FleetOptions options = epochFleetOptions();
+    FleetOptions options = hetFleetOptions();
     options.serving.preemption.enabled = true;
     options.serving.preemption.slackThresholdSec = 0.002;
     ServingReport report;
-    (void)runFleet(options, catalog, 300, 29, &report);
+    const RunArtifacts run = runFleet(options, catalog, 300, 29, &report);
     EXPECT_GT(report.preemptions, 0);
-    EXPECT_GT(report.epochCapUrgency, 0)
-        << "no epoch was capped by the urgency term";
+    golden::checkGolden("fleet_preempt_tight_slo", goldenRecord(run));
 }
 
 /** One-model LLM catalog around a deliberately small decoder. */
@@ -233,14 +231,11 @@ llmChatCatalog(int batchCap)
     return catalog;
 }
 
-TEST(ParallelFleet, LlmFleetsMatchSerialAtEveryThreadCount)
+TEST(FleetGolden, LlmContinuousAndStaticFleets)
 {
-    // LLM fleets no longer bypass the epoch engine: the join term
-    // caps epochs at the next step-aligned cut while decode waiters
-    // exist, and the release term at the earliest mid-replay
-    // autoregressive completion. Continuous and Static batching must
-    // both stay byte-identical to the serial engine across every
-    // engine mode (inline / borrowed / dedicated).
+    // The join term stops the fast-forward before the next
+    // step-aligned cut while decode waiters exist, and the release
+    // term before the earliest mid-replay autoregressive completion.
     const auto catalog = llmChatCatalog(/*batchCap=*/4);
     const auto trace = llmPoissonTrace(catalog, 80, 7);
     for (const LlmBatchingMode mode :
@@ -250,33 +245,23 @@ TEST(ParallelFleet, LlmFleetsMatchSerialAtEveryThreadCount)
         options.serving.modeledSolveSec = 0.002;
         options.serving.admission.maxQueueDelaySec = 0.001;
         options.serving.admission.llmBatching = mode;
-        options.engineThreads = 1;
-        ServingReport serialReport;
-        const RunArtifacts serial =
-            runFleet(options, catalog, trace, &serialReport);
-        EXPECT_GT(serialReport.epochs, 0)
-            << "LLM fleets must form epochs";
-        EXPECT_GT(serialReport.llmDecodeRounds, 0);
-        for (const int threads : {0, 4, 8}) {
-            options.engineThreads = threads;
-            const RunArtifacts parallel =
-                runFleet(options, catalog, trace);
-            EXPECT_TRUE(serial == parallel)
-                << "engineThreads = " << threads << ", mode "
-                << static_cast<int>(mode)
-                << " diverged on the LLM fleet";
-        }
+        ServingReport report;
+        const RunArtifacts run =
+            runFleet(options, catalog, trace, &report);
+        EXPECT_GT(report.llmDecodeRounds, 0);
+        golden::checkGolden(mode == LlmBatchingMode::Continuous
+                                ? "fleet_llm_continuous"
+                                : "fleet_llm_static",
+                            goldenRecord(run));
     }
 }
 
-TEST(ParallelFleet, JoinLandsExactlyOnTheStepCut)
+TEST(FleetGolden, JoinLandsExactlyOnTheStepCut)
 {
-    // Regression for the join bound term: B's prefill finishes while
-    // A decodes a long stream, so the join must land on a step-aligned
-    // boundary of A's in-flight round — under every engine mode, with
-    // the join count intact and all artifacts byte-identical. An
-    // off-by-one-ulp join probe would either commit the cut tick
-    // inside an epoch (losing the join) or cut a step early.
+    // B's prefill finishes while A decodes a long stream, so the join
+    // must land on a step-aligned boundary of A's in-flight round. An
+    // off-by-one-ulp join probe would either fast-forward past the
+    // cut tick (losing the join) or cut a step early.
     auto catalog = llmChatCatalog(/*batchCap=*/4);
     auto trace =
         traceFromArrivals(catalog, {{0.0, 0}, {0.001, 0}});
@@ -290,135 +275,19 @@ TEST(ParallelFleet, JoinLandsExactlyOnTheStepCut)
     options.serving.admission.llmBatching =
         LlmBatchingMode::Continuous;
     options.serving.admission.maxQueueDelaySec = 0.0002;
-    options.engineThreads = 1;
-    ServingReport serialReport;
-    const RunArtifacts serial =
-        runFleet(options, catalog, trace, &serialReport);
-    EXPECT_GE(serialReport.llmJoins, 1)
+    ServingReport report;
+    const RunArtifacts run = runFleet(options, catalog, trace, &report);
+    EXPECT_GE(report.llmJoins, 1)
         << "B must join A's in-flight decode stream";
-    for (const int threads : {0, 4, 8}) {
-        options.engineThreads = threads;
-        ServingReport report;
-        const RunArtifacts parallel =
-            runFleet(options, catalog, trace, &report);
-        EXPECT_EQ(report.llmJoins, serialReport.llmJoins);
-        EXPECT_TRUE(serial == parallel)
-            << "engineThreads = " << threads
-            << " diverged around the join cut";
-    }
+    golden::checkGolden("fleet_llm_join_cut", goldenRecord(run));
 }
 
-TEST(ParallelFleet, EpochSectionRendersOnlyOffDefault)
-{
-    // The reporter's epoch-statistics section is gated on the
-    // engineThreads knob: a default run keeps the pre-engine report
-    // format byte for byte; any off-default value renders the stats.
-    const auto catalog = twoModelCatalog();
-    FleetOptions options = epochFleetOptions();
-    FleetSimulator fleet(catalog,
-                         templates::hetSides3x3(templates::kArvrPes),
-                         options);
-    ServingReport report = fleet.run(poissonTrace(catalog, 100, 5));
-    EXPECT_EQ(report.engineThreads, 1);
-    EXPECT_GT(report.epochs, 0);
-    const std::string serial = describeServingReport(report);
-    EXPECT_EQ(serial.find("Epoch ticks"), std::string::npos);
-    report.engineThreads = 8;
-    const std::string parallel = describeServingReport(report);
-    EXPECT_NE(parallel.find("Engine threads"), std::string::npos);
-    EXPECT_NE(parallel.find("Epoch ticks"), std::string::npos);
-    EXPECT_NE(parallel.find("Commit batches"), std::string::npos);
-}
-
-TEST(ParallelFleet, EngineModeResolutionIsQueryable)
-{
-    const auto catalog = twoModelCatalog();
-    const auto modeOf = [&](int threads) {
-        FleetOptions options;
-        options.engineThreads = threads;
-        FleetSimulator fleet(
-            catalog, templates::hetSides3x3(templates::kArvrPes),
-            options);
-        return fleet.engineMode();
-    };
-    EXPECT_EQ(modeOf(1), EngineMode::Inline);
-    EXPECT_EQ(modeOf(0), EngineMode::Borrowed);
-    EXPECT_EQ(modeOf(8), EngineMode::Dedicated);
-    EXPECT_STREQ(engineModeName(EngineMode::Inline), "inline");
-    EXPECT_STREQ(engineModeName(EngineMode::Borrowed),
-                 "borrowed-pool");
-    EXPECT_STREQ(engineModeName(EngineMode::Dedicated),
-                 "dedicated-pool");
-}
-
-TEST(ParallelFleet, DrainUntilStopsStrictlyBeforeBound)
-{
-    // Two windows of 1 s each starting at 2 s: boundaries at 3 and 4.
-    CachedSchedule entry;
-    Scenario mix;
-    mix.name = "mix";
-    mix.models = {zoo::eyeCod(1)};
-    entry.mix = mix;
-    ScheduledWindow w0;
-    ModelPlacement mp;
-    mp.modelIdx = 0;
-    mp.segments.push_back(
-        {LayerRange{0, mix.models[0].numLayers() - 1}, 0});
-    w0.placement.models = {mp};
-    w0.cost.latencyCycles = 500.0e6; // 1 s at the 500 MHz clock
-    ScheduledWindow w1 = w0;
-    entry.result.windows = {w0, w1};
-    buildReplayView(entry);
-
-    Dispatch dispatch;
-    dispatch.mix = entry.mix;
-    dispatch.catalogIdx = {0};
-    BatchGroup g;
-    g.catalogIdx = 0;
-    g.batch = 1;
-    Request r;
-    r.id = 0;
-    r.modelIdx = 0;
-    r.arrivalSec = 1.0;
-    g.requests = {r};
-    dispatch.groups = {g};
-
-    ReplayExecutor executor;
-    executor.start(std::make_shared<CachedSchedule>(entry), dispatch,
-                   2.0);
-    EXPECT_DOUBLE_EQ(executor.finalBoundarySec(), 4.0);
-
-    // Bound below the first boundary: nothing drains.
-    std::vector<WindowTick> ticks;
-    EXPECT_EQ(executor.drainUntil(3.0, ticks), 0u);
-    EXPECT_TRUE(ticks.empty());
-    EXPECT_TRUE(executor.busy());
-
-    // Bound between the boundaries: exactly the first tick, and the
-    // executor still owns its final window.
-    EXPECT_EQ(executor.drainUntil(3.5, ticks), 1u);
-    ASSERT_EQ(ticks.size(), 1u);
-    EXPECT_DOUBLE_EQ(ticks[0].timeSec, 3.0);
-    EXPECT_FALSE(ticks[0].dispatchDone);
-    EXPECT_TRUE(executor.busy());
-
-    // A bound at the final boundary (the epoch engine's cap) leaves
-    // the dispatch-done tick for the serial path.
-    EXPECT_EQ(executor.drainUntil(executor.finalBoundarySec(), ticks),
-              0u);
-    EXPECT_TRUE(executor.busy());
-    EXPECT_EQ(executor.drainUntil(100.0, ticks), 1u);
-    ASSERT_EQ(ticks.size(), 2u);
-    EXPECT_TRUE(ticks[1].dispatchDone);
-    EXPECT_FALSE(executor.busy());
-}
-
-TEST(ParallelFleet, BoundaryProbesAreUlpExact)
+TEST(FleetCalendar, BoundaryProbesAreUlpExact)
 {
     // The join/release bound terms only work if the probes reproduce
     // advance()'s boundary instants bit for bit: a probe one ulp
-    // early commits the cut tick inside the epoch, one ulp late cuts
-    // a window short. Awkward window durations make naive
+    // late lets the fast-forward commit the cut tick itself and skip
+    // the join. Awkward window durations make naive
     // start-plus-prefix-sum arithmetic diverge from the executor's
     // left-to-right accumulation.
     CachedSchedule entry;
@@ -456,12 +325,20 @@ TEST(ParallelFleet, BoundaryProbesAreUlpExact)
     executor.start(std::make_shared<CachedSchedule>(entry), dispatch,
                    0.1234567);
 
+    // Crosses every boundary strictly before `bound` — what the
+    // fleet's fast-forward does — and returns how many it crossed.
+    const auto advanceBefore = [&](double bound) {
+        int crossed = 0;
+        for (; executor.nextBoundarySec() < bound; ++crossed)
+            executor.advance();
+        return crossed;
+    };
+
     // With 2 windows per step, the step-aligned cuts follow windows 1
     // and 3; window 5 is the final boundary and must never be a cut.
     const double cut1 = executor.nextStepBoundarySec(2);
-    std::vector<WindowTick> ticks;
-    EXPECT_EQ(executor.drainUntil(cut1, ticks), 1u)
-        << "the cut tick itself must stay outside the epoch";
+    EXPECT_EQ(advanceBefore(cut1), 1)
+        << "the cut tick itself must stay outside the fast-forward";
     WindowTick tick = executor.advance();
     EXPECT_EQ(tick.windowIdx, 1);
     EXPECT_EQ(tick.timeSec, cut1)
@@ -469,8 +346,7 @@ TEST(ParallelFleet, BoundaryProbesAreUlpExact)
 
     const double cut2 = executor.nextStepBoundarySec(2);
     EXPECT_GT(cut2, cut1);
-    ticks.clear();
-    EXPECT_EQ(executor.drainUntil(cut2, ticks), 1u);
+    EXPECT_EQ(advanceBefore(cut2), 1);
     tick = executor.advance();
     EXPECT_EQ(tick.windowIdx, 3);
     EXPECT_EQ(tick.timeSec, cut2);
@@ -490,7 +366,7 @@ TEST(ParallelFleet, BoundaryProbesAreUlpExact)
               std::numeric_limits<double>::infinity());
 }
 
-TEST(ParallelFleet, IndexedRoutingMatchesFlatBestFit)
+TEST(FleetRouting, IndexedRoutingMatchesFlatBestFit)
 {
     // Acceptance gate: on small fleets the hierarchical index must
     // reproduce the flat scan's decisions and its routing-quality
@@ -498,7 +374,7 @@ TEST(ParallelFleet, IndexedRoutingMatchesFlatBestFit)
     // keep candidate costs distinct (no eps-level ties).
     const auto catalog = twoModelCatalog();
     for (const bool defer : {true, false}) {
-        FleetOptions options = epochFleetOptions();
+        FleetOptions options = hetFleetOptions();
         options.bestFitDefer = defer;
         options.indexedRouting = false;
         const RunArtifacts flat = runFleet(options, catalog, 400, 11);
@@ -509,13 +385,13 @@ TEST(ParallelFleet, IndexedRoutingMatchesFlatBestFit)
     }
 }
 
-TEST(ParallelFleet, IndexedRoutingMatchesFlatOnEveryPolicy)
+TEST(FleetRouting, IndexedRoutingMatchesFlatOnEveryPolicy)
 {
     const auto catalog = twoModelCatalog();
     for (const RoutingPolicy policy :
          {RoutingPolicy::RoundRobin, RoutingPolicy::LeastLoaded,
           RoutingPolicy::MixAffinity}) {
-        FleetOptions options = epochFleetOptions();
+        FleetOptions options = hetFleetOptions();
         options.routing = policy;
         options.indexedRouting = false;
         const RunArtifacts flat = runFleet(options, catalog, 300, 23);
@@ -527,10 +403,10 @@ TEST(ParallelFleet, IndexedRoutingMatchesFlatOnEveryPolicy)
     }
 }
 
-TEST(ParallelFleet, IndexedRoutingKeepsCostOptimalityCounters)
+TEST(FleetRouting, IndexedRoutingKeepsCostOptimalityCounters)
 {
     const auto catalog = twoModelCatalog();
-    FleetOptions options = epochFleetOptions();
+    FleetOptions options = hetFleetOptions();
     FleetSimulator fleet(catalog,
                          templates::hetSides3x3(templates::kArvrPes),
                          options);
