@@ -1,8 +1,9 @@
 /**
  * @file
  * google-benchmark microbenchmarks for the scheduler engines:
- * scheduling-tree path enumeration, per-window SCHED search, and the
- * end-to-end SCAR run on a representative scenario.
+ * scheduling-tree path enumeration, the Heuristic-1 segmentation
+ * ranking, per-window SCHED search, and the end-to-end SCAR run on a
+ * representative scenario.
  */
 
 #include <benchmark/benchmark.h>
@@ -12,6 +13,7 @@
 #include "eval/scenario_suite.h"
 #include "sched/scar.h"
 #include "sched/sched_tree.h"
+#include "sched/segmentation.h"
 #include "workload/model_zoo.h"
 
 using namespace scar;
@@ -31,6 +33,30 @@ BM_PathEnumeration(benchmark::State& state)
     }
 }
 BENCHMARK(BM_PathEnumeration)->Arg(2)->Arg(4)->Arg(6);
+
+/**
+ * Heuristic-1 ranking of one model's window range — the SEG front end
+ * of every window search: BERT-base at up to 6 segments takes the
+ * capped branch (512 distinct sampled splits per count), so this
+ * times the streaming enumeration, scoring and top-k selection.
+ */
+void
+BM_RankSegmentations(benchmark::State& state)
+{
+    Scenario sc;
+    sc.name = "rank";
+    sc.models = {zoo::bertBase(8)};
+    sc.finalize();
+    const Mcm mcm = templates::hetSides3x3();
+    const CostDb db(sc, mcm);
+    const LayerRange range{0, sc.models[0].numLayers() - 1};
+    for (auto _ : state) {
+        Rng rng(1);
+        benchmark::DoNotOptimize(rankSegmentations(
+            db, 0, range, 6, OptTarget::Edp, SegmentationOptions{}, rng));
+    }
+}
+BENCHMARK(BM_RankSegmentations);
 
 void
 BM_WindowSearch(benchmark::State& state)
@@ -64,6 +90,11 @@ BM_ScarFullRun(benchmark::State& state)
 }
 BENCHMARK(BM_ScarFullRun)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
+/**
+ * One EA solve on the 6x6 package. Serial (threads = 1) because the
+ * CI gate normalises by a single-threaded calibration: on the global
+ * pool the time would scale with the runner's core count.
+ */
 void
 BM_ScarEvolutionary6x6(benchmark::State& state)
 {
@@ -73,6 +104,7 @@ BM_ScarEvolutionary6x6(benchmark::State& state)
         ScarOptions opts;
         opts.mode = SearchMode::Evolutionary;
         opts.nsplits = 2;
+        opts.threads = 1;
         Scar scar(sc, mcm, opts);
         benchmark::DoNotOptimize(scar.run());
     }

@@ -34,6 +34,7 @@ SolveProfile::captureCounters(const SearchCounters& counters)
     windowEvals = load(counters.windowEvals);
     combosPlaced = load(counters.combosPlaced);
     eaGenerations = load(counters.eaGenerations);
+    segCandidates = load(counters.segCandidates);
     costDbRangeQueries = load(counters.costDbRangeQueries);
     costDbLayerQueries = load(counters.costDbLayerQueries);
 }
@@ -103,7 +104,8 @@ SolveProfile::summary() const
     out += caches.render();
 
     out += "windows evaluated: " + std::to_string(windowEvals) +
-           ", combos placed: " + std::to_string(combosPlaced);
+           ", combos placed: " + std::to_string(combosPlaced) +
+           ", segmentations ranked: " + std::to_string(segCandidates);
     if (eaGenerations > 0)
         out += ", EA generations: " + std::to_string(eaGenerations);
     out += "\n";

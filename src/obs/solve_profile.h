@@ -39,6 +39,7 @@ struct SearchCounters
     std::atomic<std::int64_t> windowEvals{0};   ///< evaluator calls
     std::atomic<std::int64_t> combosPlaced{0};  ///< combo fan-out size
     std::atomic<std::int64_t> eaGenerations{0}; ///< EA bred generations
+    std::atomic<std::int64_t> segCandidates{0}; ///< Heuristic-1 scored
     std::atomic<std::int64_t> costDbRangeQueries{0}; ///< O(1) tables
     std::atomic<std::int64_t> costDbLayerQueries{0}; ///< per-layer path
 
@@ -76,6 +77,7 @@ struct SolveProfile
     std::int64_t windowEvals = 0;
     std::int64_t combosPlaced = 0;
     std::int64_t eaGenerations = 0;
+    std::int64_t segCandidates = 0;
     std::int64_t costDbRangeQueries = 0;
     std::int64_t costDbLayerQueries = 0;
 

@@ -100,7 +100,8 @@ WindowScheduler::Result
 EvolutionaryWindowSearch::search(const WindowAssignment& wa,
                                  const NodeAllocation& nodes,
                                  std::uint64_t seed,
-                                 const std::vector<int>& entry) const
+                                 const std::vector<int>& entry,
+                                 PathCache* sharedPaths) const
 {
     const std::vector<int> present = WindowScheduler::presentModels(wa);
     SCAR_REQUIRE(!present.empty(), "window has no layers to schedule");
@@ -120,11 +121,9 @@ EvolutionaryWindowSearch::search(const WindowAssignment& wa,
         Individual seeded;
         Rng seedRng(1);
         for (int m : present) {
-            SegmentationOptions segOpts;
-            segOpts.topK = 1;
-            const auto ranked =
-                rankSegmentations(db_, m, wa.perModel[m], nodes[m],
-                                  target_, segOpts, seedRng);
+            const auto ranked = rankSegmentations(
+                db_, m, wa.perModel[m], nodes[m], target_,
+                SegmentationOptions{}, seedRng);
             std::vector<int> splits;
             const LayerRange& range = wa.perModel[m];
             for (std::size_t k = 0;
@@ -150,10 +149,12 @@ EvolutionaryWindowSearch::search(const WindowAssignment& wa,
     WindowScheduler::Result global;
     WindowScheduler::SoloCache soloCache;
     // The EA re-places thousands of genomes on the same topology, so
-    // one shared path memo serves the whole run (deterministic
-    // values; see PathCache).
-    PathCache pathCache;
-    pathCache.setCounters(counters_);
+    // one path memo serves the whole run, or the caller's
+    // (deterministic values; see PathCache).
+    PathCache localPaths;
+    localPaths.setCounters(counters_);
+    PathCache& pathCache =
+        sharedPaths != nullptr ? *sharedPaths : localPaths;
     auto evaluateBatch = [&](std::vector<Individual*>& batch) {
         forEachIndex(pool_, batch.size(), [&](std::size_t i) {
             Individual& ind = *batch[i];

@@ -47,11 +47,13 @@ class EvolutionaryWindowSearch
                              EvoOptions evoOpts = EvoOptions{});
 
     /** Runs the EA for one window; same contract as
-     *  WindowScheduler::search (re-entrant, seed-deterministic). */
+     *  WindowScheduler::search (re-entrant, seed-deterministic,
+     *  optional shared path memo). */
     WindowScheduler::Result search(const WindowAssignment& wa,
                                    const NodeAllocation& nodes,
                                    std::uint64_t seed,
-                                   const std::vector<int>& entry = {}) const;
+                                   const std::vector<int>& entry = {},
+                                   PathCache* sharedPaths = nullptr) const;
 
   private:
     /** Per-model split lists (gap indices local to the window range). */

@@ -61,8 +61,8 @@ Scar::Scar(Scenario scenario, Mcm mcm, ScarOptions options)
 
 WindowScheduler::Result
 Scar::searchWindow(const WindowAssignment& wa, const NodeAllocation& nodes,
-                   std::uint64_t seed,
-                   const std::vector<int>& entry) const
+                   std::uint64_t seed, const std::vector<int>& entry,
+                   PathCache& pathCache) const
 {
     WindowSearchOptions wopts = options_.window;
     wopts.pool = pool_;
@@ -70,10 +70,10 @@ Scar::searchWindow(const WindowAssignment& wa, const NodeAllocation& nodes,
     if (options_.mode == SearchMode::Evolutionary) {
         EvolutionaryWindowSearch evo(db_, options_.target, wopts,
                                      options_.evo);
-        return evo.search(wa, nodes, seed, entry);
+        return evo.search(wa, nodes, seed, entry, &pathCache);
     }
     WindowScheduler scheduler(db_, options_.target, wopts);
-    return scheduler.search(wa, nodes, seed, entry);
+    return scheduler.search(wa, nodes, seed, entry, &pathCache);
 }
 
 ScheduleResult
@@ -112,6 +112,11 @@ Scar::run()
            plan.windows.size(), " windows, target ",
            optTargetName(options_.target));
 
+    // One path memo serves every search of this solve: its values are
+    // pure functions of (length, occupancy) on this topology and cap.
+    PathCache pathCache;
+    pathCache.setCounters(runCounters_);
+
     ScheduleResult result;
     std::vector<std::vector<ScoredPlacement>> windowTops;
     // Where each model's live data sits as windows progress (-1 = DRAM).
@@ -143,7 +148,7 @@ Scar::run()
                 searchWindow(wa, allocations[a],
                              mixSeed(windowSeed,
                                      static_cast<std::uint64_t>(a)),
-                             entry);
+                             entry, pathCache);
             if (!found.found)
                 continue;
             mergedTop.insert(mergedTop.end(), found.top.begin(),

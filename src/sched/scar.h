@@ -153,11 +153,10 @@ class Scar
     const ScarOptions& options() const { return options_; }
 
   private:
-    WindowScheduler::Result searchWindow(const WindowAssignment& wa,
-                                         const NodeAllocation& nodes,
-                                         std::uint64_t seed,
-                                         const std::vector<int>& entry)
-        const;
+    WindowScheduler::Result searchWindow(
+        const WindowAssignment& wa, const NodeAllocation& nodes,
+        std::uint64_t seed, const std::vector<int>& entry,
+        PathCache& pathCache) const;
 
     const Scenario scenario_;
     const Mcm mcm_;

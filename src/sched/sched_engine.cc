@@ -294,7 +294,8 @@ WindowScheduler::placeCombo(const std::vector<int>& present,
 WindowScheduler::Result
 WindowScheduler::search(const WindowAssignment& wa,
                         const NodeAllocation& nodes, std::uint64_t seed,
-                        const std::vector<int>& entry) const
+                        const std::vector<int>& entry,
+                        PathCache* sharedPaths) const
 {
     const std::vector<int> present = presentModels(wa);
     SCAR_REQUIRE(!present.empty(), "window has no layers to schedule");
@@ -307,24 +308,26 @@ WindowScheduler::search(const WindowAssignment& wa,
     };
 
     // SEG (Heuristic 1): quick prune per model, then placement-aware
-    // refinement keeping the top-k per model. Each model draws from
-    // its own seed stream, so one model's capped-enumeration sampling
-    // never shifts another's.
+    // refinement keeping the top-k per model. Models are independent
+    // and each draws from its own seed stream, so one model's
+    // capped-enumeration sampling never shifts another's; the
+    // per-model passes fan out and collect by model index.
     SoloCache cache;
-    PathCache pathCache;
-    pathCache.setCounters(opts_.counters);
-    std::vector<std::vector<Segmentation>> segLists;
-    segLists.reserve(present.size());
-    for (int m : present) {
+    PathCache localPaths;
+    localPaths.setCounters(opts_.counters);
+    PathCache& pathCache =
+        sharedPaths != nullptr ? *sharedPaths : localPaths;
+    std::vector<std::vector<Segmentation>> segLists(present.size());
+    forEachIndex(opts_.pool, present.size(), [&](std::size_t i) {
+        const int m = present[i];
         Rng segRng(mixSeed(seed, static_cast<std::uint64_t>(m)));
         auto pruned = rankSegmentations(db_, m, wa.perModel[m], nodes[m],
                                         target_, opts_.seg, segRng);
-        segLists.push_back(refineSegmentations(m, std::move(pruned),
-                                               entryOf(m), cache,
-                                               pathCache));
-        SCAR_ASSERT(!segLists.back().empty(),
+        segLists[i] = refineSegmentations(m, std::move(pruned),
+                                          entryOf(m), cache, pathCache);
+        SCAR_ASSERT(!segLists[i].empty(),
                     "no segmentation candidates for model ", m);
-    }
+    });
 
     // Combo enumeration ordered by total rank (best-first), capped.
     std::vector<std::vector<int>> combos;

@@ -22,10 +22,11 @@
  * Parallelism and determinism: search() is re-entrant. Randomness
  * comes from a seed value, not a shared generator — each model's
  * segmentation pass draws from its own mixSeed(seed, model) stream.
- * The combo loop and the refinement pass fan out across the optional
- * worker pool; per-combo results are merged in combo index order and
- * ranked with a stable sort, so the returned Result is bit-identical
- * at any pool size (including fully serial).
+ * The per-model rank+refine pass, the refinement's candidate scoring
+ * and the combo loop fan out across the optional worker pool; results
+ * are collected by model, candidate and combo index and ranked with
+ * stable sorts, so the returned Result is bit-identical at any pool
+ * size (including fully serial).
  *
  * All enumeration caps are explicit in WindowSearchOptions; exceeding
  * a cap logs at debug level rather than failing silently.
@@ -96,9 +97,10 @@ class WindowScheduler
 
     /**
      * Thread-safe memo of contention-free single-model costs, shared
-     * across the combo fan-out (and, for the evolutionary driver,
-     * across a whole EA run). Values are deterministic functions of
-     * the key, so concurrent insertion order never changes results.
+     * across the per-model and combo fan-outs of one search (and, for
+     * the evolutionary driver, across a whole EA run). Values are
+     * deterministic functions of the key, so concurrent insertion
+     * order never changes results.
      * Backed by the open-addressing FlatHashMap (common/flat_hash.h):
      * the pre-PR std::map paid an ordered-tree walk with a full
      * lexicographic vector comparison per node on every probe of the
@@ -147,10 +149,13 @@ class WindowScheduler
      * @param entry per-model entry chiplets (-1/empty = DRAM input);
      *        models continuing from a previous window receive their
      *        live data over the NoP from these chiplets
+     * @param sharedPaths optional path-enumeration memo reused across
+     *        searches (Scar::run shares one per solve); nullptr uses
+     *        a private cache
      */
     Result search(const WindowAssignment& wa, const NodeAllocation& nodes,
-                  std::uint64_t seed,
-                  const std::vector<int>& entry = {}) const;
+                  std::uint64_t seed, const std::vector<int>& entry = {},
+                  PathCache* sharedPaths = nullptr) const;
 
     /**
      * Evaluates a fixed per-model segmentation choice (used by the

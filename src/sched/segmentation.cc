@@ -1,11 +1,12 @@
 #include "sched/segmentation.h"
 
 #include <algorithm>
-#include <set>
 
+#include "common/flat_hash.h"
 #include "common/logging.h"
 #include "common/units.h"
 #include "cost/comm_model.h"
+#include "sched/segmentation_detail.h"
 
 namespace scar
 {
@@ -18,6 +19,7 @@ Segmentation
 fromSplits(const LayerRange& range, const std::vector<int>& splits)
 {
     Segmentation seg;
+    seg.segments.reserve(splits.size() + 1);
     int first = range.first;
     for (int gap : splits) {
         seg.segments.push_back(LayerRange{first, range.first + gap});
@@ -50,18 +52,54 @@ choose(int n, int k)
     return result;
 }
 
-} // namespace
+/**
+ * A set of split gaps as a bitmap (bit g set = split after gap g):
+ * one word per 64 gaps, and its set bits read out in sorted order.
+ */
+using GapBitmap = std::vector<std::uint64_t>;
 
-std::vector<Segmentation>
-enumerateSegmentations(const LayerRange& range, int maxSegs,
-                       int capPerCount, Rng& rng)
+/** Sets `gap`; false when it was already set. */
+bool
+setGap(GapBitmap& bitmap, int gap)
+{
+    std::uint64_t& word = bitmap[static_cast<std::size_t>(gap) / 64];
+    const std::uint64_t bit = std::uint64_t{1} << (gap % 64);
+    if (word & bit)
+        return false;
+    word |= bit;
+    return true;
+}
+
+/** The set gaps of `bitmap`, ascending. */
+void
+gapsOf(const GapBitmap& bitmap, std::vector<int>& splits)
+{
+    splits.clear();
+    for (std::size_t w = 0; w < bitmap.size(); ++w) {
+        for (std::uint64_t bits = bitmap[w]; bits != 0; bits &= bits - 1)
+            splits.push_back(static_cast<int>(w * 64) +
+                             __builtin_ctzll(bits));
+    }
+}
+
+/**
+ * The one candidate generator: calls visit(splits) for every
+ * segmentation of `range` into 1..maxSegs parts, as sorted local
+ * split gaps, in enumeration order. Counts whose combination count
+ * exceeds `capPerCount` visit the balanced candidate plus distinct
+ * random samples drawn from `rng`.
+ */
+template <typename Visit>
+void
+walkSplits(const LayerRange& range, int maxSegs, int capPerCount, Rng& rng,
+           Visit&& visit)
 {
     SCAR_REQUIRE(!range.empty(), "cannot segment an empty range");
     SCAR_REQUIRE(maxSegs >= 1, "need at least one segment");
     const int layers = range.size();
     const int segLimit = std::min(maxSegs, layers);
 
-    std::vector<Segmentation> out;
+    std::vector<int> splits;
     for (int numSegs = 1; numSegs <= segLimit; ++numSegs) {
         const int splitsNeeded = numSegs - 1;
         const int gaps = layers - 1;
@@ -69,11 +107,11 @@ enumerateSegmentations(const LayerRange& range, int maxSegs,
 
         if (count <= capPerCount) {
             // Full enumeration of split combinations.
-            std::vector<int> splits(splitsNeeded);
+            splits.resize(splitsNeeded);
             for (int i = 0; i < splitsNeeded; ++i)
                 splits[i] = i;
             while (true) {
-                out.push_back(fromSplits(range, splits));
+                visit(splits);
                 // Next combination in lexicographic order.
                 int i = splitsNeeded - 1;
                 while (i >= 0 && splits[i] == gaps - splitsNeeded + i)
@@ -87,24 +125,165 @@ enumerateSegmentations(const LayerRange& range, int maxSegs,
         } else {
             debug("segmentation enumeration capped: C(", gaps, ",",
                   splitsNeeded, ") > ", capPerCount);
-            std::set<std::vector<int>> seen;
+            GapBitmap picks((static_cast<std::size_t>(gaps) + 63) / 64);
+            FlatHashMap<GapBitmap, char, IntSequenceHash> seen;
             // Always include the balanced candidate.
-            std::vector<int> balanced = balancedSplits(layers, numSegs);
-            seen.insert(balanced);
-            out.push_back(fromSplits(range, balanced));
+            splits = balancedSplits(layers, numSegs);
+            for (int gap : splits)
+                setGap(picks, gap);
+            seen.insert(picks, 0);
+            visit(splits);
             int attempts = 0;
             while (static_cast<int>(seen.size()) < capPerCount &&
                    attempts < capPerCount * 4) {
                 ++attempts;
-                std::set<int> picks;
-                while (static_cast<int>(picks.size()) < splitsNeeded)
-                    picks.insert(rng.uniformInt(0, gaps - 1));
-                std::vector<int> splits(picks.begin(), picks.end());
-                if (seen.insert(splits).second)
-                    out.push_back(fromSplits(range, splits));
+                // Distinct picks: the draws of filling an ordered set,
+                // which the bitmap keeps sorted.
+                std::fill(picks.begin(), picks.end(), 0);
+                for (int picked = 0; picked < splitsNeeded;) {
+                    if (setGap(picks, rng.uniformInt(0, gaps - 1)))
+                        ++picked;
+                }
+                if (seen.find(picks) != nullptr)
+                    continue;
+                seen.insert(picks, 0);
+                gapsOf(picks, splits);
+                visit(splits);
             }
         }
     }
+}
+
+/**
+ * The Heuristic-1 placement-free pipeline score of split lists over
+ * one range: expected layer cycles and energy per segment, plus a
+ * 1-hop NoP handoff into every segment after the first.
+ *
+ * Every per-layer term is tabulated once at construction, and the
+ * accumulators after each completed segment are kept, so a candidate
+ * sharing its leading splits with the previous one resumes from
+ * there. The sums are the same additions in the same order as the
+ * plain per-layer loop, so scores are bit-identical to it whatever
+ * the candidate order.
+ */
+class SplitScorer
+{
+  public:
+    SplitScorer(const CostDb& db, int model, const LayerRange& range,
+                OptTarget target)
+        : target_(target), batch_(db.scenario().models[model].batch)
+    {
+        SCAR_REQUIRE(!range.empty(), "cannot score an empty range");
+        const Model& m = db.scenario().models[model];
+        const CommModel comm(db.mcm());
+        const int layers = range.size();
+        cycles_.resize(layers);
+        energy_.resize(layers);
+        handoffCycles_.resize(layers);
+        handoffEnergy_.resize(layers);
+        for (int i = 0; i < layers; ++i) {
+            const int l = range.first + i;
+            cycles_[i] = db.expectedLayerCycles(model, l);
+            energy_[i] = db.expectedLayerEnergyNj(model, l) * batch_;
+            // Handoff into the segment after one ending at layer l.
+            const double bytes = m.layers[l].outputBytes();
+            handoffCycles_[i] =
+                bytes / comm.nopBytesPerCycle() + comm.hopLatencyCycles();
+            handoffEnergy_[i] =
+                pjToNj(bytes * 8.0 * db.mcm().params().nopEnergyPjPerBit) *
+                batch_;
+        }
+        partial_.push_back(Partial{});
+    }
+
+    /** Score of the segmentation split after the local gaps `splits`. */
+    double
+    score(const std::vector<int>& splits)
+    {
+        const std::size_t numSplits = splits.size();
+        std::size_t reuse = 0;
+        if (numSplits == prev_.size()) {
+            while (reuse < numSplits && splits[reuse] == prev_[reuse])
+                ++reuse;
+        }
+        partial_.resize(numSplits + 1);
+        Partial acc = partial_[reuse];
+        int first = reuse == 0 ? 0 : splits[reuse - 1] + 1;
+        const int lastLayer = static_cast<int>(cycles_.size()) - 1;
+        for (std::size_t k = reuse; k <= numSplits; ++k) {
+            const int last = k < numSplits ? splits[k] : lastLayer;
+            double cycles = 0.0;
+            for (int l = first; l <= last; ++l) {
+                cycles += cycles_[l];
+                acc.energyNj += energy_[l];
+            }
+            if (k > 0) {
+                cycles += handoffCycles_[first - 1];
+                acc.energyNj += handoffEnergy_[first - 1];
+            }
+            acc.sumCycles += cycles;
+            acc.maxSeg = std::max(acc.maxSeg, cycles);
+            if (k < numSplits)
+                partial_[k + 1] = acc;
+            first = last + 1;
+        }
+        prev_ = splits;
+
+        const double latCycles =
+            acc.sumCycles + (batch_ - 1) * acc.maxSeg;
+        const Metrics metrics{cyclesToSeconds(latCycles),
+                              njToJoules(acc.energyNj)};
+        return metrics.value(target_);
+    }
+
+  private:
+    /** Accumulators after a whole number of segments. */
+    struct Partial
+    {
+        double sumCycles = 0.0;
+        double maxSeg = 0.0;
+        double energyNj = 0.0;
+    };
+
+    OptTarget target_;
+    int batch_;
+    std::vector<double> cycles_;        ///< expected cycles per layer
+    std::vector<double> energy_;        ///< expected energy x batch
+    std::vector<double> handoffCycles_; ///< NoP handoff after layer
+    std::vector<double> handoffEnergy_; ///< its energy x batch
+    std::vector<int> prev_;             ///< last scored split list
+    std::vector<Partial> partial_;      ///< [k]: after k segments of prev_
+};
+
+/** A candidate kept by the streaming selection. */
+struct Ranked
+{
+    static constexpr std::size_t kNone = ~std::size_t{0};
+
+    double score = 0.0;
+    std::size_t index = kNone; ///< enumeration order; kNone = empty
+    std::vector<int> splits;
+};
+
+/** The ranking order: score, then enumeration index. */
+bool
+ranksBefore(double score, std::size_t index, const Ranked& other)
+{
+    return score < other.score ||
+           (score == other.score && index < other.index);
+}
+
+} // namespace
+
+std::vector<Segmentation>
+enumerateSegmentations(const LayerRange& range, int maxSegs,
+                       int capPerCount, Rng& rng)
+{
+    std::vector<Segmentation> out;
+    walkSplits(range, maxSegs, capPerCount, rng,
+               [&](const std::vector<int>& splits) {
+                   out.push_back(fromSplits(range, splits));
+               });
     return out;
 }
 
@@ -112,38 +291,26 @@ double
 quickScore(const CostDb& db, int model, const Segmentation& seg,
            OptTarget target)
 {
-    const Model& m = db.scenario().models[model];
-    const int batch = m.batch;
-    const CommModel comm(db.mcm());
+    const LayerRange covered{seg.segments.front().first,
+                             seg.segments.back().last};
+    std::vector<int> splits;
+    for (std::size_t k = 0; k + 1 < seg.segments.size(); ++k)
+        splits.push_back(seg.segments[k].last - covered.first);
+    return SplitScorer(db, model, covered, target).score(splits);
+}
 
-    double sumCycles = 0.0;
-    double maxSeg = 0.0;
-    double energyNj = 0.0;
-    const std::size_t numSegs = seg.segments.size();
-    for (std::size_t k = 0; k < numSegs; ++k) {
-        const LayerRange& r = seg.segments[k];
-        double cycles = 0.0;
-        for (int l = r.first; l <= r.last; ++l) {
-            cycles += db.expectedLayerCycles(model, l);
-            energyNj += db.expectedLayerEnergyNj(model, l) * batch;
-        }
-        // 1-hop NoP handoff into this segment (placement-free proxy).
-        if (k > 0) {
-            const int prevLast = seg.segments[k - 1].last;
-            const double bytes = m.layers[prevLast].outputBytes();
-            cycles += bytes / comm.nopBytesPerCycle() +
-                      comm.hopLatencyCycles();
-            energyNj += pjToNj(bytes * 8.0 *
-                               db.mcm().params().nopEnergyPjPerBit) *
-                        batch;
-        }
-        sumCycles += cycles;
-        maxSeg = std::max(maxSeg, cycles);
-    }
-    const double latCycles = sumCycles + (batch - 1) * maxSeg;
-    const Metrics metrics{cyclesToSeconds(latCycles),
-                          njToJoules(energyNj)};
-    return metrics.value(target);
+std::vector<double>
+detail::quickScores(const CostDb& db, int model, const LayerRange& range,
+                    int maxSegs, int capPerCount, OptTarget target,
+                    Rng& rng)
+{
+    SplitScorer scorer(db, model, range, target);
+    std::vector<double> scores;
+    walkSplits(range, maxSegs, capPerCount, rng,
+               [&](const std::vector<int>& splits) {
+                   scores.push_back(scorer.score(splits));
+               });
+    return scores;
 }
 
 std::vector<Segmentation>
@@ -151,47 +318,82 @@ rankSegmentations(const CostDb& db, int model, const LayerRange& range,
                   int maxSegs, OptTarget target,
                   const SegmentationOptions& opts, Rng& rng)
 {
-    std::vector<Segmentation> candidates =
-        enumerateSegmentations(range, maxSegs, opts.enumCapPerCount, rng);
+    // One streaming pass keeps, in (score, enumeration index) order,
+    // the best candidate of every segment count plus the pruneK best
+    // overall (a max-heap), so memory does not grow with the number
+    // of candidates. The fillers chosen below always come from those
+    // pruneK: a count best takes at most one of them per count.
+    SplitScorer scorer(db, model, range, target);
+    std::vector<Ranked> countBest; // by split count
+    std::vector<Ranked> heap;
+    const std::size_t heapCap =
+        static_cast<std::size_t>(std::max(opts.pruneK, 0));
+    heap.reserve(heapCap);
+    const auto worse = [](const Ranked& a, const Ranked& b) {
+        return ranksBefore(a.score, a.index, b);
+    };
+    std::size_t index = 0;
+    walkSplits(range, maxSegs, opts.enumCapPerCount, rng,
+               [&](const std::vector<int>& splits) {
+                   const double score = scorer.score(splits);
+                   const std::size_t idx = index++;
+                   const auto keep = [&](Ranked& slot) {
+                       slot.score = score;
+                       slot.index = idx;
+                       slot.splits.assign(splits.begin(), splits.end());
+                   };
+                   if (splits.size() >= countBest.size())
+                       countBest.resize(splits.size() + 1);
+                   Ranked& best = countBest[splits.size()];
+                   if (best.index == Ranked::kNone ||
+                       ranksBefore(score, idx, best))
+                       keep(best);
+                   if (heap.size() < heapCap) {
+                       heap.emplace_back();
+                       keep(heap.back());
+                       std::push_heap(heap.begin(), heap.end(), worse);
+                   } else if (heapCap > 0 &&
+                              ranksBefore(score, idx, heap.front())) {
+                       std::pop_heap(heap.begin(), heap.end(), worse);
+                       keep(heap.back());
+                       std::push_heap(heap.begin(), heap.end(), worse);
+                   }
+               });
+    obs::SearchCounters::bump(db.counters(),
+                              &obs::SearchCounters::segCandidates,
+                              static_cast<std::int64_t>(index));
 
-    std::vector<std::pair<double, std::size_t>> scored;
-    scored.reserve(candidates.size());
-    for (std::size_t i = 0; i < candidates.size(); ++i)
-        scored.emplace_back(quickScore(db, model, candidates[i], target),
-                            i);
-    std::sort(scored.begin(), scored.end());
-
-    // Per-segment-count diversity: always keep each count's best.
-    std::set<int> countsSeen;
-    std::vector<std::size_t> picked;
-    std::vector<bool> taken(candidates.size(), false);
-    for (const auto& [score, idx] : scored) {
-        const int count = candidates[idx].numSegments();
-        if (countsSeen.insert(count).second) {
-            picked.push_back(idx);
-            taken[idx] = true;
-        }
+    // Per-segment-count diversity: always keep each count's best,
+    // then fill by rank up to pruneK.
+    std::vector<const Ranked*> picked;
+    for (const Ranked& best : countBest) {
+        if (best.index != Ranked::kNone)
+            picked.push_back(&best);
     }
-    for (const auto& [score, idx] : scored) {
+    std::sort(picked.begin(), picked.end(),
+              [](const Ranked* a, const Ranked* b) {
+                  return ranksBefore(a->score, a->index, *b);
+              });
+    std::sort_heap(heap.begin(), heap.end(), worse);
+    for (const Ranked& cand : heap) {
         if (static_cast<int>(picked.size()) >= opts.pruneK)
             break;
-        if (!taken[idx]) {
-            picked.push_back(idx);
-            taken[idx] = true;
-        }
+        if (countBest[cand.splits.size()].index != cand.index)
+            picked.push_back(&cand);
     }
 
-    // Re-sort the picked set by score so callers see best-first order.
+    // Re-sort by score alone so callers see best-first order. The
+    // comparator and the input order are those of the materializing
+    // ranker this replaced, so equal scores keep its exact order.
     std::sort(picked.begin(), picked.end(),
-              [&](std::size_t a, std::size_t b) {
-                  return quickScore(db, model, candidates[a], target) <
-                         quickScore(db, model, candidates[b], target);
+              [](const Ranked* a, const Ranked* b) {
+                  return a->score < b->score;
               });
 
     std::vector<Segmentation> top;
     top.reserve(picked.size());
-    for (std::size_t idx : picked)
-        top.push_back(candidates[idx]);
+    for (const Ranked* cand : picked)
+        top.push_back(fromSplits(range, cand->splits));
     return top;
 }
 

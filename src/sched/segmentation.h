@@ -34,7 +34,8 @@ struct Segmentation
 /** SEG engine knobs. */
 struct SegmentationOptions
 {
-    int topK = 3;              ///< Heuristic-1 candidates kept per model
+    int topK = 3;              ///< refined candidates kept per model
+                               ///< (read by the SCHED refinement)
     int pruneK = 16;           ///< quick-stage survivors before the
                                ///< placement-aware refinement
     int enumCapPerCount = 512; ///< cap on enumerated splits per count
@@ -45,6 +46,8 @@ struct SegmentationOptions
  * parts. When the combination count for a segment count exceeds
  * `capPerCount`, a deterministic balanced candidate plus random
  * samples are used instead (the cap is logged at debug level).
+ * rankSegmentations streams exactly these candidates, in this order
+ * and with the same draws from `rng`, without materializing them.
  */
 std::vector<Segmentation> enumerateSegmentations(const LayerRange& range,
                                                  int maxSegs,
@@ -54,10 +57,19 @@ std::vector<Segmentation> enumerateSegmentations(const LayerRange& range,
 /**
  * Heuristic-1 quick ranking: scores each candidate with a
  * placement-free pipeline model (expected layer cycles, 1-hop NoP
- * handoffs) and returns up to pruneK survivors, best first. The best
- * candidate of every segment count is always retained so the
- * placement-aware refinement in the SCHED engine can still choose a
- * different degree of pipelining.
+ * handoffs) and returns the survivors, best first: the best
+ * candidate of every segment count, topped up with the next best
+ * candidates to pruneK in total. There are more than pruneK
+ * survivors when there are more segment counts than pruneK — every
+ * count's best is always retained so the placement-aware refinement
+ * in the SCHED engine can still choose a different degree of
+ * pipelining.
+ *
+ * The candidates are scored as they are enumerated and only the
+ * survivors become Segmentations; the result is identical to scoring
+ * the enumerateSegmentations list and sorting it. A profiled solve
+ * (counters attached to `db`) counts the scored candidates in
+ * SearchCounters::segCandidates.
  */
 std::vector<Segmentation> rankSegmentations(const CostDb& db, int model,
                                             const LayerRange& range,
@@ -66,8 +78,8 @@ std::vector<Segmentation> rankSegmentations(const CostDb& db, int model,
                                             Rng& rng);
 
 /**
- * The placement-free score used by the ranking (exposed for tests and
- * for the evolutionary search's fitness seeding). Lower is better.
+ * The placement-free score the ranking uses, of one segmentation
+ * (exposed for tests). Lower is better.
  */
 double quickScore(const CostDb& db, int model, const Segmentation& seg,
                   OptTarget target);

@@ -363,6 +363,7 @@ TEST(ObsSolveProfile, ProfilesDatacenterSolvePhasesAndCaches)
     EXPECT_GT(profile.allocationsSearched, 0);
     EXPECT_GT(profile.windowEvals, 0);
     EXPECT_GT(profile.combosPlaced, 0);
+    EXPECT_GT(profile.segCandidates, 0);
     EXPECT_GT(profile.soloHits + profile.soloMisses, 0);
     EXPECT_GT(profile.pathHits + profile.pathMisses, 0);
     EXPECT_GT(profile.costDbRangeQueries, 0);
@@ -376,6 +377,9 @@ TEST(ObsSolveProfile, ProfilesDatacenterSolvePhasesAndCaches)
     EXPECT_NE(summary.find("search"), std::string::npos);
     EXPECT_NE(summary.find("PathCache"), std::string::npos);
     EXPECT_NE(summary.find("CostDb"), std::string::npos);
+    EXPECT_NE(summary.find("segmentations ranked: " +
+                           std::to_string(profile.segCandidates)),
+              std::string::npos);
 }
 
 TEST(ObsSolveProfile, ProfiledCountersAreExactAtAnyThreadCount)
@@ -397,6 +401,7 @@ TEST(ObsSolveProfile, ProfiledCountersAreExactAtAnyThreadCount)
     // size (wall timings are the only run-to-run variant fields).
     EXPECT_EQ(at1.windowEvals, at4.windowEvals);
     EXPECT_EQ(at1.combosPlaced, at4.combosPlaced);
+    EXPECT_EQ(at1.segCandidates, at4.segCandidates);
     EXPECT_EQ(at1.soloHits + at1.soloMisses,
               at4.soloHits + at4.soloMisses);
     EXPECT_EQ(at1.costDbRangeQueries, at4.costDbRangeQueries);

@@ -112,6 +112,51 @@ TEST_F(SchedEngineTest, DeterministicForFixedSeed)
     EXPECT_DOUBLE_EQ(a.best.score, b.best.score);
 }
 
+/** Exact (bitwise for doubles) equality of two window placements. */
+void
+expectSamePlacement(const ScoredPlacement& got, const ScoredPlacement& want)
+{
+    EXPECT_EQ(got.score, want.score);
+    EXPECT_EQ(got.cost.latencyCycles, want.cost.latencyCycles);
+    EXPECT_EQ(got.cost.energyNj, want.cost.energyNj);
+    EXPECT_EQ(got.cost.dramBytes, want.cost.dramBytes);
+    EXPECT_EQ(got.cost.dramBoundCycles, want.cost.dramBoundCycles);
+    EXPECT_EQ(got.cost.maxLinkSharers, want.cost.maxLinkSharers);
+    ASSERT_EQ(got.cost.perModel.size(), want.cost.perModel.size());
+    for (std::size_t m = 0; m < got.cost.perModel.size(); ++m) {
+        EXPECT_EQ(got.cost.perModel[m].latencyCycles,
+                  want.cost.perModel[m].latencyCycles);
+        EXPECT_EQ(got.cost.perModel[m].energyNj,
+                  want.cost.perModel[m].energyNj);
+    }
+    EXPECT_EQ(got.placement.entryChiplet, want.placement.entryChiplet);
+    ASSERT_EQ(got.placement.models.size(), want.placement.models.size());
+    for (std::size_t m = 0; m < got.placement.models.size(); ++m) {
+        const ModelPlacement& g = got.placement.models[m];
+        const ModelPlacement& w = want.placement.models[m];
+        EXPECT_EQ(g.modelIdx, w.modelIdx);
+        ASSERT_EQ(g.segments.size(), w.segments.size());
+        for (std::size_t k = 0; k < g.segments.size(); ++k) {
+            EXPECT_EQ(g.segments[k].chiplet, w.segments[k].chiplet);
+            EXPECT_EQ(g.segments[k].range, w.segments[k].range);
+        }
+    }
+}
+
+/** Exact equality of two search results: best and the ranked list. */
+void
+expectSameResult(const WindowScheduler::Result& got,
+                 const WindowScheduler::Result& want)
+{
+    ASSERT_EQ(got.found, want.found);
+    expectSamePlacement(got.best, want.best);
+    ASSERT_EQ(got.top.size(), want.top.size());
+    for (std::size_t i = 0; i < got.top.size(); ++i) {
+        SCOPED_TRACE("top " + std::to_string(i));
+        expectSamePlacement(got.top[i], want.top[i]);
+    }
+}
+
 /** The tentpole guarantee: the ranked result is byte-identical at any
  *  pool size, including fully serial. */
 TEST_F(SchedEngineTest, PoolSizeDoesNotChangeResults)
@@ -122,40 +167,52 @@ TEST_F(SchedEngineTest, PoolSizeDoesNotChangeResults)
     ASSERT_TRUE(baseline.found);
 
     for (int concurrency : {2, 4, 8}) {
+        SCOPED_TRACE("concurrency " + std::to_string(concurrency));
         ThreadPool pool(concurrency);
         WindowSearchOptions opts;
         opts.pool = &pool;
         const WindowScheduler parallel(*db_, OptTarget::Edp, opts);
-        const auto result = parallel.search(wa_, nodes_, 42);
-        ASSERT_TRUE(result.found);
-        ASSERT_EQ(result.top.size(), baseline.top.size())
-            << "concurrency " << concurrency;
-        for (std::size_t i = 0; i < result.top.size(); ++i) {
-            EXPECT_EQ(result.top[i].score, baseline.top[i].score);
-            EXPECT_EQ(result.top[i].cost.latencyCycles,
-                      baseline.top[i].cost.latencyCycles);
-            EXPECT_EQ(result.top[i].cost.energyNj,
-                      baseline.top[i].cost.energyNj);
-            ASSERT_EQ(result.top[i].placement.models.size(),
-                      baseline.top[i].placement.models.size());
-            for (std::size_t m = 0;
-                 m < result.top[i].placement.models.size(); ++m) {
-                const ModelPlacement& got =
-                    result.top[i].placement.models[m];
-                const ModelPlacement& want =
-                    baseline.top[i].placement.models[m];
-                EXPECT_EQ(got.modelIdx, want.modelIdx);
-                ASSERT_EQ(got.segments.size(), want.segments.size());
-                for (std::size_t k = 0; k < got.segments.size(); ++k) {
-                    EXPECT_EQ(got.segments[k].chiplet,
-                              want.segments[k].chiplet);
-                    EXPECT_EQ(got.segments[k].range.first,
-                              want.segments[k].range.first);
-                    EXPECT_EQ(got.segments[k].range.last,
-                              want.segments[k].range.last);
-                }
-            }
-        }
+        expectSameResult(parallel.search(wa_, nodes_, 42), baseline);
+    }
+}
+
+/**
+ * Scar::run shares one path memo across every window search of a
+ * solve. Its values are pure functions of (length, occupancy) on one
+ * topology and cap, so a search on a memo warmed by other windows,
+ * allocations and entry chiplets returns exactly what a fresh search
+ * does — for the brute-force and the evolutionary search alike.
+ */
+TEST_F(SchedEngineTest, WarmSharedPathMemoDoesNotChangeResults)
+{
+    const std::vector<int> entry = {4, -1};
+    WindowAssignment shifted;
+    shifted.perModel = {
+        LayerRange{2, sc_.models[0].numLayers() - 1},
+        LayerRange{3, 11},
+    };
+    const NodeAllocation otherNodes = {2, 4};
+    const WindowScheduler brute(*db_, OptTarget::Edp);
+    const EvolutionaryWindowSearch evo(*db_, OptTarget::Edp,
+                                       WindowSearchOptions{});
+
+    PathCache paths;
+    ASSERT_TRUE(brute.search(shifted, otherNodes, 3, {1, 7}, &paths).found);
+    ASSERT_TRUE(brute.search(shifted, nodes_, 5, entry, &paths).found);
+    ASSERT_TRUE(evo.search(shifted, otherNodes, 6, {0, 8}, &paths).found);
+
+    {
+        SCOPED_TRACE("brute force");
+        const auto fresh = brute.search(wa_, nodes_, 9, entry);
+        ASSERT_TRUE(fresh.found);
+        expectSameResult(brute.search(wa_, nodes_, 9, entry, &paths),
+                         fresh);
+    }
+    {
+        SCOPED_TRACE("evolutionary");
+        const auto fresh = evo.search(wa_, nodes_, 9, entry);
+        ASSERT_TRUE(fresh.found);
+        expectSameResult(evo.search(wa_, nodes_, 9, entry, &paths), fresh);
     }
 }
 
