@@ -288,7 +288,7 @@ main()
               << (mode.llm ? "continuous-batching chat catalog"
                            : "8-model AR/VR catalog")
               << (mode.preempt ? ", boundary preemption on" : "")
-              << ",\nBestFit routing, shared striped cache, modeled "
+              << ",\nBestFit routing, shared cache, modeled "
                  "solve 0.01 s, switch overhead 0.002 s)\n\n";
     std::cout << table.render();
     std::cout << "\nRows scale the stream with the fleet; a flat "

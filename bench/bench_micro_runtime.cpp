@@ -190,6 +190,67 @@ BM_FleetEngineCommitBatched(benchmark::State& state)
 }
 BENCHMARK(BM_FleetEngineCommitBatched);
 
+/**
+ * The preemptive path on a warm cache, which the benches above never
+ * reach: frame-deadline traffic with boundary preemption and
+ * speculative solves on (modeledSolveSec > 0). A preemptive fleet
+ * routes on the flat BestFit scan, and every event with a ready batch
+ * but no free shard runs the speculation-target scan, both pricing
+ * all shards against their pod's schedule-cache probe. The argument
+ * is the shard count (one shared cache: a single pod); the stream
+ * scales with it, and the regime is sustained (SLO miss ~0).
+ */
+void
+BM_FleetEnginePreempt(benchmark::State& state)
+{
+    const int shards = static_cast<int>(state.range(0));
+    const int requests = 50 * shards;
+
+    std::vector<ServedModel> catalog;
+    {
+        ServedModel a;
+        a.model = zoo::eyeCod(4);
+        a.rateRps = 60.0 * shards;
+        a.sloSec = 0.04;
+        catalog.push_back(std::move(a));
+        ServedModel b;
+        b.model = zoo::handSP(2);
+        b.rateRps = 18.0 * shards;
+        b.sloSec = 1.0;
+        catalog.push_back(std::move(b));
+    }
+    const std::vector<Request> trace =
+        poissonTrace(catalog, requests, /*seed=*/11);
+
+    ThreadPool pool(1);
+    FleetOptions options;
+    options.shards = shards;
+    options.routing = RoutingPolicy::BestFit;
+    options.serving.pool = &pool;
+    options.serving.modeledSolveSec = 0.01;
+    options.serving.switchOverheadSec = 0.002;
+    options.serving.admission.maxQueueDelaySec = 0.01;
+    options.serving.preemption.enabled = true;
+    options.serving.preemption.slackThresholdSec = 0.02;
+    FleetSimulator fleet(catalog, templates::hetSides3x3(templates::kArvrPes),
+                         options);
+    // Warm until a replay needs no solve: speculative solves can
+    // discover new (urgent) mixes on the first passes.
+    for (int warm = 0; warm < 5; ++warm)
+        if (fleet.run(trace).cache.misses == 0)
+            break;
+
+    long preemptions = 0;
+    for (auto _ : state) {
+        const ServingReport report = fleet.run(trace);
+        preemptions = report.preemptions;
+        benchmark::DoNotOptimize(report);
+    }
+    state.counters["preemptions"] = static_cast<double>(preemptions);
+    state.SetItemsProcessed(state.iterations() * requests);
+}
+BENCHMARK(BM_FleetEnginePreempt)->Arg(32);
+
 } // namespace
 
 int

@@ -1,8 +1,6 @@
 #include "runtime/async_schedule_cache.h"
 
-#include <cstdint>
 #include <utility>
-#include <vector>
 
 #include "common/error.h"
 #include "common/logging.h"
@@ -12,97 +10,48 @@ namespace scar
 namespace runtime
 {
 
-namespace
-{
-
-/** Default stripe count for an unbounded (capacity 0) cache. */
-constexpr int kDefaultStripes = 16;
-
-/** FNV-1a over the signature: stable across platforms, unlike
- *  std::hash, so stripe placement (and thus per-stripe stats) is
- *  reproducible everywhere. */
-std::size_t
-stripeHash(const std::string& s)
-{
-    std::uint64_t h = 1469598103934665603uLL;
-    for (const char c : s) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 1099511628211uLL;
-    }
-    return static_cast<std::size_t>(h);
-}
-
-} // namespace
-
 AsyncScheduleCache::AsyncScheduleCache(ThreadPool& pool,
-                                       ScheduleCacheOptions options,
-                                       int stripes)
-    : pool_(pool)
+                                       ScheduleCacheOptions options)
+    : pool_(pool), store_(options)
 {
-    if (stripes == 0)
-        stripes = options.capacity > 0 ? 1 : kDefaultStripes;
-    SCAR_REQUIRE(stripes >= 1, "async schedule cache: stripes = ",
-                 stripes);
-    SCAR_REQUIRE(options.capacity == 0 || stripes == 1,
-                 "async schedule cache: a bounded store needs a "
-                 "single stripe (global LRU order), got ", stripes);
-    stripes_.reserve(static_cast<std::size_t>(stripes));
-    for (int i = 0; i < stripes; ++i)
-        stripes_.push_back(std::make_unique<Stripe>(options));
 }
 
 AsyncScheduleCache::~AsyncScheduleCache()
 {
     // wait() (unlike get()) does not rethrow a failed solve, so this
     // drain is exception-free; abandoned results are simply dropped.
-    for (const auto& stripe : stripes_) {
-        for (;;) {
-            Future pending;
-            {
-                std::lock_guard<std::mutex> lock(stripe->mu);
-                if (stripe->inflight.empty())
-                    break;
-                pending = stripe->inflight.begin()->second.future;
-                stripe->inflight.erase(stripe->inflight.begin());
-            }
-            pending.wait();
+    for (;;) {
+        Future pending;
+        {
+            std::lock_guard<std::mutex> lock(mu_);
+            if (inflight_.empty())
+                break;
+            pending = inflight_.begin()->second.future;
+            inflight_.erase(inflight_.begin());
         }
+        pending.wait();
     }
 }
 
-AsyncScheduleCache::Stripe&
-AsyncScheduleCache::stripeFor(const std::string& signature)
-{
-    return *stripes_[stripeHash(signature) % stripes_.size()];
-}
-
-const AsyncScheduleCache::Stripe&
-AsyncScheduleCache::stripeFor(const std::string& signature) const
-{
-    return *stripes_[stripeHash(signature) % stripes_.size()];
-}
-
 std::function<void()>
-AsyncScheduleCache::launchLocked(Stripe& stripe,
-                                 const std::string& signature,
+AsyncScheduleCache::launchLocked(const std::string& signature,
                                  const Scenario& mix,
                                  const ComputeFn& compute,
                                  double readySec)
 {
-    ++stripe.stats.misses;
+    ++stats_.misses;
     debug("async schedule cache: solve for mix ", signature);
     auto promise = std::make_shared<
         std::promise<std::shared_ptr<const CachedSchedule>>>();
-    stripe.inflight.emplace(signature,
-                            Inflight{promise->get_future().share(),
-                                     readySec});
+    inflight_.emplace(signature,
+                      Inflight{promise->get_future().share(), readySec});
     // The worker only fulfills the promise; promotion into the LRU
     // store happens at join() on the (virtual-time) event loop, so
     // store contents never depend on wall-clock solve speed. Copy mix
     // and compute: the caller's references may die before the worker
     // runs. The task is returned rather than submitted here because
     // a zero-worker pool runs submissions inline — the solve must
-    // not execute under the stripe lock.
+    // not execute under the cache lock.
     return [promise, mix, compute] {
         try {
             promise->set_value(makeCachedSchedule(mix, compute));
@@ -124,17 +73,16 @@ AsyncScheduleCache::getOrCompute(const std::string& key,
                                  const Scenario& mix,
                                  const ComputeFn& compute)
 {
-    Stripe& stripe = stripeFor(key);
     Future pending;
     {
-        std::lock_guard<std::mutex> lock(stripe.mu);
-        if (auto hit = stripe.store.find(key)) {
-            ++stripe.stats.hits;
+        std::lock_guard<std::mutex> lock(mu_);
+        if (auto hit = store_.find(key)) {
+            ++stats_.hits;
             return hit;
         }
-        auto it = stripe.inflight.find(key);
-        if (it != stripe.inflight.end()) {
-            ++stripe.stats.hits;
+        auto it = inflight_.find(key);
+        if (it != inflight_.end()) {
+            ++stats_.hits;
             pending = it->second.future;
         }
     }
@@ -147,20 +95,20 @@ AsyncScheduleCache::getOrCompute(const std::string& key,
     auto promise = std::make_shared<
         std::promise<std::shared_ptr<const CachedSchedule>>>();
     {
-        std::lock_guard<std::mutex> lock(stripe.mu);
+        std::lock_guard<std::mutex> lock(mu_);
         // Double-check: another thread may have won the race between
         // the two critical sections.
-        if (auto hit = stripe.store.find(key)) {
-            ++stripe.stats.hits;
+        if (auto hit = store_.find(key)) {
+            ++stats_.hits;
             return hit;
         }
-        auto it = stripe.inflight.find(key);
-        if (it != stripe.inflight.end()) {
-            ++stripe.stats.hits;
+        auto it = inflight_.find(key);
+        if (it != inflight_.end()) {
+            ++stats_.hits;
             pending = it->second.future;
         } else {
-            ++stripe.stats.misses;
-            stripe.inflight.emplace(
+            ++stats_.misses;
+            inflight_.emplace(
                 key, Inflight{promise->get_future().share(), 0.0});
         }
     }
@@ -175,16 +123,16 @@ AsyncScheduleCache::getOrCompute(const std::string& key,
         {
             // Drop the poisoned in-flight entry so a later caller can
             // retry the solve instead of rejoining the dead future.
-            std::lock_guard<std::mutex> lock(stripe.mu);
-            stripe.inflight.erase(key);
+            std::lock_guard<std::mutex> lock(mu_);
+            inflight_.erase(key);
         }
         throw;
     }
     promise->set_value(entry);
     {
-        std::lock_guard<std::mutex> lock(stripe.mu);
-        stripe.store.insert(key, entry);
-        stripe.inflight.erase(key);
+        std::lock_guard<std::mutex> lock(mu_);
+        store_.insert(key, entry);
+        inflight_.erase(key);
     }
     return entry;
 }
@@ -201,14 +149,13 @@ AsyncScheduleCache::prefetch(const std::string& key,
                              const Scenario& mix,
                              const ComputeFn& compute, double readySec)
 {
-    Stripe& stripe = stripeFor(key);
     std::function<void()> solve;
     {
-        std::lock_guard<std::mutex> lock(stripe.mu);
-        if (stripe.store.find(key) != nullptr ||
-            stripe.inflight.count(key) > 0)
+        std::lock_guard<std::mutex> lock(mu_);
+        if (store_.find(key) != nullptr ||
+            inflight_.count(key) > 0)
             return;
-        solve = launchLocked(stripe, key, mix, compute, readySec);
+        solve = launchLocked(key, mix, compute, readySec);
     }
     pool_.submit(std::move(solve));
 }
@@ -227,25 +174,24 @@ AsyncScheduleCache::lookup(const std::string& key, const Scenario& mix,
                            const ComputeFn& compute, double nowSec,
                            double modeledSolveSec)
 {
-    Stripe& stripe = stripeFor(key);
     AsyncLookup result;
     std::function<void()> solve;
     {
-        std::lock_guard<std::mutex> lock(stripe.mu);
-        if (auto hit = stripe.store.find(key)) {
-            ++stripe.stats.hits;
+        std::lock_guard<std::mutex> lock(mu_);
+        if (auto hit = store_.find(key)) {
+            ++stats_.hits;
             result.schedule = std::move(hit);
             result.readySec = nowSec;
             return result;
         }
-        auto it = stripe.inflight.find(key);
-        if (it != stripe.inflight.end()) {
+        auto it = inflight_.find(key);
+        if (it != inflight_.end()) {
             // The running solve is reused, not restarted.
-            ++stripe.stats.hits;
+            ++stats_.hits;
             result.readySec = std::max(nowSec, it->second.readySec);
             return result;
         }
-        solve = launchLocked(stripe, key, mix, compute,
+        solve = launchLocked(key, mix, compute,
                              nowSec + modeledSolveSec);
     }
     pool_.submit(std::move(solve));
@@ -257,14 +203,13 @@ AsyncScheduleCache::lookup(const std::string& key, const Scenario& mix,
 CachePeek
 AsyncScheduleCache::peek(const std::string& key) const
 {
-    const Stripe& stripe = stripeFor(key);
-    std::lock_guard<std::mutex> lock(stripe.mu);
+    std::lock_guard<std::mutex> lock(mu_);
     CachePeek result;
-    result.schedule = stripe.store.peek(key);
+    result.schedule = store_.peek(key);
     if (result.schedule != nullptr)
         return result;
-    auto it = stripe.inflight.find(key);
-    if (it != stripe.inflight.end()) {
+    auto it = inflight_.find(key);
+    if (it != inflight_.end()) {
         result.inFlight = true;
         result.readySec = it->second.readySec;
     }
@@ -272,16 +217,15 @@ AsyncScheduleCache::peek(const std::string& key) const
 }
 
 std::shared_ptr<const CachedSchedule>
-AsyncScheduleCache::joinStripe(Stripe& stripe,
-                               const std::string& signature)
+AsyncScheduleCache::join(const std::string& signature)
 {
     Future pending;
     {
-        std::lock_guard<std::mutex> lock(stripe.mu);
-        if (auto hit = stripe.store.find(signature))
+        std::lock_guard<std::mutex> lock(mu_);
+        if (auto hit = store_.find(signature))
             return hit;
-        auto it = stripe.inflight.find(signature);
-        SCAR_REQUIRE(it != stripe.inflight.end(),
+        auto it = inflight_.find(signature);
+        SCAR_REQUIRE(it != inflight_.end(),
                      "async schedule cache: join of unknown mix ",
                      signature);
         pending = it->second.future;
@@ -293,69 +237,53 @@ AsyncScheduleCache::joinStripe(Stripe& stripe,
     try {
         entry = pending.get();
     } catch (...) {
-        std::lock_guard<std::mutex> lock(stripe.mu);
-        stripe.inflight.erase(signature);
+        std::lock_guard<std::mutex> lock(mu_);
+        inflight_.erase(signature);
         throw;
     }
     {
-        std::lock_guard<std::mutex> lock(stripe.mu);
-        if (stripe.inflight.erase(signature) > 0)
-            stripe.store.insert(signature, entry);
+        std::lock_guard<std::mutex> lock(mu_);
+        if (inflight_.erase(signature) > 0)
+            store_.insert(signature, entry);
     }
     return entry;
-}
-
-std::shared_ptr<const CachedSchedule>
-AsyncScheduleCache::join(const std::string& signature)
-{
-    return joinStripe(stripeFor(signature), signature);
 }
 
 void
 AsyncScheduleCache::drainInFlight()
 {
-    for (const auto& stripe : stripes_) {
-        for (;;) {
-            std::string next;
-            {
-                std::lock_guard<std::mutex> lock(stripe->mu);
-                if (stripe->inflight.empty())
-                    break;
-                next = stripe->inflight.begin()->first;
-            }
-            joinStripe(*stripe, next);
+    for (;;) {
+        std::string next;
+        {
+            std::lock_guard<std::mutex> lock(mu_);
+            if (inflight_.empty())
+                break;
+            next = inflight_.begin()->first;
         }
+        join(next);
     }
 }
 
 ScheduleCacheStats
 AsyncScheduleCache::stats() const
 {
-    ScheduleCacheStats stats;
-    for (const auto& stripe : stripes_) {
-        std::lock_guard<std::mutex> lock(stripe->mu);
-        stats.hits += stripe->stats.hits;
-        stats.misses += stripe->stats.misses;
-        stats.evictions += stripe->store.stats().evictions;
-    }
+    std::lock_guard<std::mutex> lock(mu_);
+    ScheduleCacheStats stats = stats_;
+    stats.evictions = store_.stats().evictions;
     return stats;
 }
 
 std::size_t
 AsyncScheduleCache::size() const
 {
-    std::size_t total = 0;
-    for (const auto& stripe : stripes_) {
-        std::lock_guard<std::mutex> lock(stripe->mu);
-        total += stripe->store.size();
-    }
-    return total;
+    std::lock_guard<std::mutex> lock(mu_);
+    return store_.size();
 }
 
 std::size_t
 AsyncScheduleCache::capacity() const
 {
-    return stripes_.front()->store.capacity();
+    return store_.capacity();
 }
 
 } // namespace runtime

@@ -31,16 +31,6 @@
  * Counters: misses = solves launched (speculative prefetches
  * included), hits = dispatch-time lookups served without launching a
  * solve (ready or already in flight).
- *
- * Sharding: an unbounded cache is split into K independently locked
- * stripes by a stable hash of the signature, so a planet-scale fleet
- * whose solver workers and event loop hammer one shared cache do
- * not serialize on a single mutex. Striping an unbounded cache is a
- * pure partition — every key maps to exactly one stripe, so hit/miss
- * counts, exactly-once solve dedup, and stored contents are identical
- * to the single-lock cache. A *bounded* cache always uses one stripe:
- * per-stripe LRU lists would evict in a different order than the one
- * global list the capacity contract promises.
  */
 
 #ifndef SCAR_RUNTIME_ASYNC_SCHEDULE_CACHE_H
@@ -51,7 +41,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
 #include "common/thread_pool.h"
 #include "runtime/schedule_cache.h"
@@ -96,15 +85,10 @@ class AsyncScheduleCache
      * @param pool workers for background solves (not owned); with
      *        concurrency 1 solves run inline — the blocking PR 1 path
      * @param options LRU bound for the completed-schedule store
-     * @param stripes lock stripes: 0 picks the default (16 when the
-     *        store is unbounded, 1 when a capacity is set — a global
-     *        LRU order needs a global lock); an explicit count must
-     *        be 1 when options.capacity > 0
      */
     explicit AsyncScheduleCache(
         ThreadPool& pool,
-        ScheduleCacheOptions options = ScheduleCacheOptions{},
-        int stripes = 0);
+        ScheduleCacheOptions options = ScheduleCacheOptions{});
 
     /**
      * Blocks until every background solve has finished: solve tasks
@@ -175,20 +159,14 @@ class AsyncScheduleCache
      */
     void drainInFlight();
 
-    /** Counter snapshot summed over the stripes (each locked in
-     *  turn; exact once background solves have quiesced). */
+    /** Counter snapshot (exact once background solves have
+     *  quiesced). */
     ScheduleCacheStats stats() const;
 
     /** Completed schedules in the store (in-flight excluded). */
     std::size_t size() const;
 
     std::size_t capacity() const;
-
-    /** Lock stripes the signature space is sharded over. */
-    int stripeCount() const
-    {
-        return static_cast<int>(stripes_.size());
-    }
 
   private:
     using Future =
@@ -200,40 +178,23 @@ class AsyncScheduleCache
         double readySec = 0.0;
     };
 
-    /** One independently locked shard of the signature space. */
-    struct Stripe
-    {
-        explicit Stripe(ScheduleCacheOptions options)
-            : store(options)
-        {
-        }
-        mutable std::mutex mu;
-        ScheduleCache store;
-        std::map<std::string, Inflight> inflight;
-        ScheduleCacheStats stats;
-    };
-
-    Stripe& stripeFor(const std::string& signature);
-    const Stripe& stripeFor(const std::string& signature) const;
-
     /**
-     * Registers the signature as in flight in its stripe and returns
-     * the solve task for the caller to submit *after releasing the
-     * stripe lock* (a zero-worker pool runs submissions inline, and
-     * the solve must never execute under a cache lock). Caller must
-     * hold stripe.mu and have checked absence.
+     * Registers the signature as in flight and returns the solve task
+     * for the caller to submit *after releasing the lock* (a
+     * zero-worker pool runs submissions inline, and the solve must
+     * never execute under the cache lock). Caller must hold mu_ and
+     * have checked absence.
      */
-    std::function<void()> launchLocked(Stripe& stripe,
-                                       const std::string& signature,
+    std::function<void()> launchLocked(const std::string& signature,
                                        const Scenario& mix,
                                        const ComputeFn& compute,
                                        double readySec);
 
-    std::shared_ptr<const CachedSchedule>
-    joinStripe(Stripe& stripe, const std::string& signature);
-
     ThreadPool& pool_;
-    std::vector<std::unique_ptr<Stripe>> stripes_;
+    mutable std::mutex mu_;
+    ScheduleCache store_;
+    std::map<std::string, Inflight> inflight_;
+    ScheduleCacheStats stats_;
 };
 
 } // namespace runtime

@@ -327,12 +327,39 @@ FleetSimulator::estimateMakespanKeyed(const std::string& key,
     return sec;
 }
 
+const FleetSimulator::PodProbe&
+FleetSimulator::probePod(RoutingProbes& probes, std::size_t shard,
+                         bool priced)
+{
+    PodProbe& probe =
+        probes.pods[static_cast<std::size_t>(podOf_[shard])];
+    if (!probe.probed) {
+        probe.probed = true;
+        probe.key = cacheKey(probes.mixSig, shard);
+        const CachePeek peek = shards_[shard].cache->peek(probe.key);
+        probe.stored = peek.schedule != nullptr;
+        probe.inFlight = peek.inFlight;
+        probe.readySec = peek.readySec;
+        if (probe.stored) {
+            probe.priced = true;
+            probe.makespanSec = peek.schedule->makespanSec;
+        }
+    }
+    if (priced && !probe.priced) {
+        probe.priced = true;
+        probe.makespanSec =
+            estimateMakespanKeyed(probe.key, shard, probes.mix);
+    }
+    return probe;
+}
+
 double
 FleetSimulator::dispatchCostSec(std::size_t shard,
-                                const std::string& mixSig,
-                                const Scenario& mix, double nowSec,
-                                bool urgent)
+                                const PodProbe& probe, double nowSec,
+                                bool urgent) const
 {
+    SCAR_ASSERT(probe.priced,
+                "fleet: dispatch cost of an unpriced pod probe");
     const Shard& sh = shards_[shard];
     const PreemptionOptions& preemption =
         options_.serving.preemption;
@@ -362,7 +389,6 @@ FleetSimulator::dispatchCostSec(std::size_t shard,
         waitSec += std::max(0.0, sh.pendingEndSec - nowSec);
     }
 
-    const std::string key = cacheKey(mixSig, shard);
     // The replay running right before this dispatch would be the
     // current one when busy, the parked one when a dispatch waits for
     // its solve, and the last finished one otherwise.
@@ -371,24 +397,18 @@ FleetSimulator::dispatchCostSec(std::size_t shard,
             ? sh.lastKey
             : (sh.hasPending ? sh.pendingKey : sh.lastKey);
     double switchSec = 0.0;
-    if (!prevKey.empty() && prevKey != key)
+    if (!prevKey.empty() && prevKey != probe.key)
         switchSec = options_.serving.switchOverheadSec;
 
-    const CachePeek peek = sh.cache->peek(key);
+    // An in-flight solve lands while the backlog drains; only the
+    // part outlasting the wait delays this dispatch. (A peek reports
+    // a stored schedule or an in-flight solve, never both.)
     double solveSec = 0.0;
-    double makespanSec;
-    if (peek.schedule != nullptr) {
-        makespanSec = peek.schedule->makespanSec;
-    } else if (peek.inFlight) {
-        // An in-flight solve lands while the backlog drains; only
-        // the part outlasting the wait delays this dispatch.
-        solveSec = std::max(0.0, peek.readySec - nowSec - waitSec);
-        makespanSec = estimateMakespanKeyed(key, shard, mix);
-    } else {
+    if (probe.inFlight)
+        solveSec = std::max(0.0, probe.readySec - nowSec - waitSec);
+    else if (!probe.stored)
         solveSec = options_.serving.modeledSolveSec;
-        makespanSec = estimateMakespanKeyed(key, shard, mix);
-    }
-    return waitSec + switchSec + solveSec + makespanSec;
+    return waitSec + switchSec + solveSec + probe.makespanSec;
 }
 
 int
@@ -417,14 +437,16 @@ FleetSimulator::routeDispatch(const std::string& mixSig,
     };
     // Per-shard completion costs, computed at most once per routing
     // decision and shared between BestFit's pick and the
-    // routing-quality accounting below.
+    // routing-quality accounting below; each pod's cache is probed
+    // once for all of its shards.
+    RoutingProbes probes = newProbes(mixSig, mix);
     std::vector<double> costSec;
     auto costs = [&]() -> const std::vector<double>& {
         if (costSec.empty()) {
             costSec.reserve(n);
             for (std::size_t s = 0; s < n; ++s)
-                costSec.push_back(
-                    dispatchCostSec(s, mixSig, mix, nowSec, urgent));
+                costSec.push_back(dispatchCostSec(
+                    s, probePod(probes, s, true), nowSec, urgent));
         }
         return costSec;
     };
@@ -478,7 +500,7 @@ FleetSimulator::routeDispatch(const std::string& mixSig,
         // makespan of this mix); past it, the batch takes the best
         // idle candidate instead of waiting out a long replay.
         if (deferralWithinHorizon(static_cast<std::size_t>(best),
-                                  mixSig, mix, nowSec))
+                                  probes, nowSec))
             return -1;
         int cbest = -1;
         double cbestCost = kInf;
@@ -553,6 +575,7 @@ FleetSimulator::speculationTarget(const std::string& mixSig,
                                   bool urgent)
 {
     const std::size_t n = shards_.size();
+    RoutingProbes probes = newProbes(mixSig, mix);
     int target = -1;
     switch (options_.routing) {
       case RoutingPolicy::MixAffinity:
@@ -565,8 +588,8 @@ FleetSimulator::speculationTarget(const std::string& mixSig,
         // so the solve warms the shard the preemptor will suspend.
         double bestCost = kInf;
         for (std::size_t s = 0; s < n; ++s) {
-            const double cost =
-                dispatchCostSec(s, mixSig, mix, nowSec, urgent);
+            const double cost = dispatchCostSec(
+                s, probePod(probes, s, true), nowSec, urgent);
             if (target < 0 || cost < bestCost - kCostTieEps) {
                 target = static_cast<int>(s);
                 bestCost = cost;
@@ -603,9 +626,8 @@ FleetSimulator::speculationTarget(const std::string& mixSig,
     // the dispatch-time lookup will hit. Before (mix, package) keys,
     // only the shared-cache configuration was protected against this
     // by prefetch idempotence.
-    const std::string key =
-        cacheKey(mixSig, static_cast<std::size_t>(target));
-    if (shards_[target].cache->peek(key).known())
+    if (probePod(probes, static_cast<std::size_t>(target), false)
+            .known())
         return -1;
     return target;
 }
@@ -753,21 +775,24 @@ FleetSimulator::rebuildCalendar()
 }
 
 std::vector<int>
-FleetSimulator::candidateReps(const std::string& mixSig) const
+FleetSimulator::candidateReps(RoutingProbes& probes)
 {
+    static const std::string kNeverDispatched;
     std::vector<int> reps;
     for (const Pod& pod : pods_) {
         if (pod.freeByClass.empty())
             continue;
-        const std::string match = cacheKey(
-            mixSig, static_cast<std::size_t>(pod.shards.front()));
+        const std::string& match =
+            probePod(probes,
+                     static_cast<std::size_t>(pod.shards.front()),
+                     false)
+                .key;
         // No-switch candidates: the matching class and the
         // never-dispatched class cost the same, so their joint
         // cheapest — min by (busySec, shard) — represents both.
         const std::pair<double, int>* noSwitch = nullptr;
-        for (const std::string& cls :
-             {match, std::string()}) {
-            const auto it = pod.freeByClass.find(cls);
+        for (const std::string* cls : {&match, &kNeverDispatched}) {
+            const auto it = pod.freeByClass.find(*cls);
             if (it == pod.freeByClass.end())
                 continue;
             const std::pair<double, int>& head = *it->second.begin();
@@ -792,14 +817,17 @@ FleetSimulator::candidateReps(const std::string& mixSig) const
 }
 
 std::vector<int>
-FleetSimulator::occupiedReps(const std::string& mixSig) const
+FleetSimulator::occupiedReps(RoutingProbes& probes)
 {
     std::vector<int> reps;
     for (const Pod& pod : pods_) {
         if (pod.occByClass.empty())
             continue;
-        const std::string match = cacheKey(
-            mixSig, static_cast<std::size_t>(pod.shards.front()));
+        const std::string& match =
+            probePod(probes,
+                     static_cast<std::size_t>(pod.shards.front()),
+                     false)
+                .key;
         const auto it = pod.occByClass.find(match);
         if (it != pod.occByClass.end())
             reps.push_back(it->second.begin()->second);
@@ -818,8 +846,7 @@ FleetSimulator::occupiedReps(const std::string& mixSig) const
 
 bool
 FleetSimulator::deferralWithinHorizon(std::size_t s,
-                                      const std::string& mixSig,
-                                      const Scenario& mix,
+                                      RoutingProbes& probes,
                                       double nowSec)
 {
     const Shard& sh = shards_[s];
@@ -829,14 +856,8 @@ FleetSimulator::deferralWithinHorizon(std::size_t s,
     const double nextFreeSec = sh.executor.busy()
                                    ? sh.executor.nextBoundarySec()
                                    : sh.pendingReadySec;
-    const std::string key = cacheKey(mixSig, s);
-    const CachePeek peek = sh.cache->peek(key);
-    const double makespanSec =
-        peek.schedule != nullptr
-            ? peek.schedule->makespanSec
-            : estimateMakespanKeyed(key, s, mix);
-    const double horizonSec =
-        std::max(0.0, nextFreeSec - nowSec) + makespanSec;
+    const double horizonSec = std::max(0.0, nextFreeSec - nowSec) +
+                              probePod(probes, s, true).makespanSec;
     const double occWaitSec = std::max(
         0.0, (sh.executor.busy() ? sh.busyUntilSec : sh.pendingEndSec) -
                  nowSec);
@@ -851,20 +872,22 @@ FleetSimulator::routeIndexed(const std::string& mixSig,
     // Preemption is off on this path, so the candidate set is
     // exactly freeShards_ (no shard ever parks a suspended replay).
     const std::size_t nCand = freeShards_.size();
+    RoutingProbes probes = newProbes(mixSig, mix);
     std::map<int, double> costMemo;
     auto costOf = [&](int s) {
         const auto it = costMemo.find(s);
         if (it != costMemo.end())
             return it->second;
+        const auto shard = static_cast<std::size_t>(s);
         const double c = dispatchCostSec(
-            static_cast<std::size_t>(s), mixSig, mix, nowSec, false);
+            shard, probePod(probes, shard, true), nowSec, false);
         costMemo.emplace(s, c);
         return c;
     };
     std::vector<int> reps;
     auto ensureReps = [&]() {
         if (reps.empty())
-            reps = candidateReps(mixSig);
+            reps = candidateReps(probes);
     };
     auto leastLoaded = [&]() {
         return freeByBusy_.empty() ? -1 : freeByBusy_.begin()->second;
@@ -923,7 +946,7 @@ FleetSimulator::routeIndexed(const std::string& mixSig,
         ensureReps();
         std::vector<int> pool = reps;
         if (allowDefer) {
-            const std::vector<int> occ = occupiedReps(mixSig);
+            const std::vector<int> occ = occupiedReps(probes);
             pool.insert(pool.end(), occ.begin(), occ.end());
             std::sort(pool.begin(), pool.end());
         }
@@ -933,7 +956,7 @@ FleetSimulator::routeIndexed(const std::string& mixSig,
         } else if (idx_[best].inFree) {
             chosen = best;
         } else if (deferralWithinHorizon(
-                       static_cast<std::size_t>(best), mixSig, mix,
+                       static_cast<std::size_t>(best), probes,
                        nowSec)) {
             chosen = -1; // defer: the occupied shard frees in time
         } else {

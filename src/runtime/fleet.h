@@ -411,9 +411,57 @@ class FleetSimulator
                                  const Scenario& mix);
 
     /**
-     * BestFit's completion-cost estimate for dispatching the mix on
-     * shard s at nowSec: availability wait + switch overhead + solve
-     * wait + makespan (cached when resident, estimated otherwise).
+     * One pod's schedule-cache state for the mix being routed, read
+     * once per routing decision. Every shard of a pod shares its
+     * (package template, schedule cache) pair, so for one mix they
+     * share the cache key, the stored / in-flight state and the
+     * makespan; nothing mutates a cache while a decision is made
+     * (peek is const, the estimate memo holds pure values).
+     */
+    struct PodProbe
+    {
+        bool probed = false;      ///< key and cache state are set
+        bool priced = false;      ///< makespanSec is set
+        std::string key;          ///< (mix, package) cache key
+        bool stored = false;      ///< schedule resident in the cache
+        bool inFlight = false;    ///< background solve running
+        double readySec = 0.0;    ///< in-flight solve's ready instant
+        double makespanSec = 0.0; ///< cached makespan, else estimate
+
+        /** Stored or in flight. */
+        bool known() const { return stored || inFlight; }
+    };
+
+    /** The pod probes of one routing decision for one mix, one slot
+     *  per pod, filled lazily by probePod. */
+    struct RoutingProbes
+    {
+        const std::string& mixSig;
+        const Scenario& mix;
+        std::vector<PodProbe> pods;
+    };
+
+    RoutingProbes newProbes(const std::string& mixSig,
+                            const Scenario& mix) const
+    {
+        return {mixSig, mix, std::vector<PodProbe>(pods_.size())};
+    }
+
+    /**
+     * Shard s's pod probe: the first call in a decision builds the
+     * key and peeks the cache; with `priced` it also fills the
+     * makespan — the stored schedule's, or the WindowEvaluator
+     * estimate only when none is stored.
+     */
+    const PodProbe& probePod(RoutingProbes& probes, std::size_t shard,
+                             bool priced);
+
+    /**
+     * BestFit's completion-cost estimate for dispatching the probed
+     * mix on shard s at nowSec: availability wait + switch overhead +
+     * solve wait + makespan. The cache state and makespan come from
+     * the shard's priced pod probe, so the per-shard work is
+     * arithmetic on the shard's own backlog and previous key.
      * With `urgent` set and preemption enabled, a busy shard is
      * charged only the wait to its next window boundary — the instant
      * boundary preemption would free it — instead of its full replay
@@ -423,10 +471,8 @@ class FleetSimulator
      * additionally charged the resume overhead plus the suspended
      * replay's remaining windows for non-urgent traffic.
      */
-    double dispatchCostSec(std::size_t shard,
-                           const std::string& mixSig,
-                           const Scenario& mix, double nowSec,
-                           bool urgent);
+    double dispatchCostSec(std::size_t shard, const PodProbe& probe,
+                           double nowSec, bool urgent) const;
 
     /**
      * Picks the target among idle pending-free shards (for urgent
@@ -455,7 +501,8 @@ class FleetSimulator
      * holds or is already solving the (mix, package) schedule, so no
      * background solve is wasted re-deriving a resident schedule
      * (previously only the shared-cache configuration was protected
-     * against this).
+     * against this). The BestFit scan and that final check share one
+     * probe per pod, so a shared-cache fleet probes its cache once.
      */
     int speculationTarget(const std::string& mixSig,
                           const Scenario& mix, double nowSec,
@@ -482,7 +529,10 @@ class FleetSimulator
      * the head of its (busySec, shard) set — represents every shard
      * of that class in the BestFit fold. Occupied shards are indexed
      * by availability instant: their cost is monotone in it, so the
-     * earliest-available shard of a class is its cheapest.
+     * earliest-available shard of a class is its cheapest. The same
+     * sharing makes the pod the unit of cache probing: a routing
+     * decision reads each pod's cache once (PodProbe), on the flat
+     * scan as on the indexed fold.
      */
     struct Pod
     {
@@ -532,14 +582,14 @@ class FleetSimulator
      * and the cheapest idle shard that would pay a switch — at most
      * two per pod, covering the pod's full candidate cost range —
      * sorted by shard index so a fold over them replays the serial
-     * scan's tie-breaks.
+     * scan's tie-breaks. The matching class is the pod probe's key.
      */
-    std::vector<int> candidateReps(const std::string& mixSig) const;
+    std::vector<int> candidateReps(RoutingProbes& probes);
 
     /** As candidateReps, for the occupied (busy or parked) shards:
      *  the earliest-available shard of the matching class and of the
      *  cheapest switching class per pod. */
-    std::vector<int> occupiedReps(const std::string& mixSig) const;
+    std::vector<int> occupiedReps(RoutingProbes& probes);
 
     /**
      * The satellite deferral-horizon rule shared by the flat and
@@ -547,11 +597,10 @@ class FleetSimulator
      * allowed while the wait for it (its backlog end) stays within
      * the preemption-style horizon — the shard's next free event
      * (window boundary when replaying, solve-ready when parked) plus
-     * one makespan of the deferred mix.
+     * one makespan of the deferred mix (from s's pod probe).
      */
-    bool deferralWithinHorizon(std::size_t s,
-                               const std::string& mixSig,
-                               const Scenario& mix, double nowSec);
+    bool deferralWithinHorizon(std::size_t s, RoutingProbes& probes,
+                               double nowSec);
 
     /**
      * The O(pods) BestFit pick over class representatives; same

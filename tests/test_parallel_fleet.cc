@@ -8,8 +8,8 @@
  * join/release terms land exactly on their cuts), the hierarchical
  * cluster -> pod -> shard routing index (identical decisions and
  * routing-quality counters to the flat BestFit scan on small
- * fleets), and the signature-striped AsyncScheduleCache (exactly
- * one solve per key under concurrent callers, stripe-count rules).
+ * fleets), and the AsyncScheduleCache behind it (exactly one solve
+ * per key under concurrent callers, idempotent prefetch).
  */
 
 #include <gtest/gtest.h>
@@ -26,7 +26,6 @@
 #include "golden_file.h"
 
 #include "arch/mcm_templates.h"
-#include "common/error.h"
 #include "common/thread_pool.h"
 #include "eval/reporter.h"
 #include "obs/flight_recorder.h"
@@ -207,6 +206,40 @@ TEST(FleetGolden, TightSloUrgencyCrossing)
     const RunArtifacts run = runFleet(options, catalog, 300, 29, &report);
     EXPECT_GT(report.preemptions, 0);
     golden::checkGolden("fleet_preempt_tight_slo", goldenRecord(run));
+}
+
+TEST(FleetGolden, HomogeneousPreemptiveSpeculativeFleet)
+{
+    // Many identical shards on the flat preemptive BestFit scan, with
+    // speculative solves: every routing decision and speculation
+    // target prices all shards against their caches. One shared cache
+    // makes the fleet a single pod; private caches make one pod per
+    // shard on a single template, where per-cache state (which shard
+    // holds or is solving a schedule) must steer routing — a probe
+    // keyed by template alone would lose that.
+    auto catalog = twoModelCatalog();
+    for (ServedModel& sm : catalog) {
+        sm.rateRps *= 1.5;
+        sm.sloSec = 0.03;
+    }
+    for (const bool shared : {true, false}) {
+        FleetOptions options;
+        options.shards = 8;
+        options.sharedCache = shared;
+        options.routing = RoutingPolicy::BestFit;
+        options.serving.modeledSolveSec = 0.01;
+        options.serving.switchOverheadSec = 0.002;
+        options.serving.admission.maxQueueDelaySec = 0.005;
+        options.serving.preemption.enabled = true;
+        options.serving.preemption.slackThresholdSec = 0.004;
+        ServingReport report;
+        const RunArtifacts run =
+            runFleet(options, catalog, 500, 41, &report);
+        EXPECT_GT(report.preemptions, 0) << "sharedCache = " << shared;
+        golden::checkGolden(shared ? "fleet_preempt_homog_shared"
+                                   : "fleet_preempt_homog_private",
+                            goldenRecord(run));
+    }
 }
 
 /** One-model LLM catalog around a deliberately small decoder. */
@@ -419,7 +452,7 @@ TEST(FleetRouting, IndexedRoutingKeepsCostOptimalityCounters)
     EXPECT_DOUBLE_EQ(report.costOptimalRouteFrac, 1.0);
 }
 
-// ---- striped AsyncScheduleCache ------------------------------------
+// ---- AsyncScheduleCache --------------------------------------------
 
 Scenario
 mixNamed(const std::string& name, int batch)
@@ -447,25 +480,7 @@ stubSchedule(const Scenario& mix)
     return result;
 }
 
-TEST(StripedCache, DefaultStripeCountsFollowTheCapacityRule)
-{
-    ThreadPool pool(2);
-    const AsyncScheduleCache unbounded(pool);
-    EXPECT_EQ(unbounded.stripeCount(), 16);
-
-    ScheduleCacheOptions bounded;
-    bounded.capacity = 8;
-    const AsyncScheduleCache lru(pool, bounded);
-    EXPECT_EQ(lru.stripeCount(), 1)
-        << "a global LRU order needs a global lock";
-
-    const AsyncScheduleCache four(pool, ScheduleCacheOptions{}, 4);
-    EXPECT_EQ(four.stripeCount(), 4);
-
-    EXPECT_THROW(AsyncScheduleCache(pool, bounded, 4), FatalError);
-}
-
-TEST(StripedCache, SolvesExactlyOncePerKeyUnderConcurrency)
+TEST(AsyncScheduleCache, SolvesExactlyOncePerKeyUnderConcurrency)
 {
     ThreadPool pool(4);
     AsyncScheduleCache cache(pool);
@@ -476,8 +491,8 @@ TEST(StripedCache, SolvesExactlyOncePerKeyUnderConcurrency)
     };
 
     // 8 distinct keys, 4 racing getOrCompute callers per key: each
-    // key must solve exactly once and every caller must see the same
-    // entry, stripes notwithstanding.
+    // key must solve exactly once (the solve runs outside the cache
+    // lock) and every caller must see the same entry.
     constexpr int kKeys = 8;
     constexpr int kCallers = 4;
     std::vector<std::shared_ptr<const CachedSchedule>> seen(
@@ -504,7 +519,7 @@ TEST(StripedCache, SolvesExactlyOncePerKeyUnderConcurrency)
     EXPECT_EQ(stats.hits + stats.misses, kKeys * kCallers);
 }
 
-TEST(StripedCache, PrefetchLookupJoinSpanStripes)
+TEST(AsyncScheduleCache, PrefetchLookupJoinAcrossKeys)
 {
     ThreadPool pool(2);
     AsyncScheduleCache cache(pool);
@@ -517,7 +532,7 @@ TEST(StripedCache, PrefetchLookupJoinSpanStripes)
     for (int k = 0; k < 6; ++k)
         cache.prefetch(mixNamed("pf" + std::to_string(k), k + 1),
                        compute, 0.5);
-    // Idempotent per key, regardless of stripe placement.
+    // Idempotent per key: a stored or in-flight key never re-solves.
     for (int k = 0; k < 6; ++k)
         cache.prefetch(mixNamed("pf" + std::to_string(k), k + 1),
                        compute, 0.5);
@@ -525,7 +540,7 @@ TEST(StripedCache, PrefetchLookupJoinSpanStripes)
     EXPECT_EQ(solves.load(), 6);
     EXPECT_EQ(cache.size(), 6u);
 
-    // lookup() joins the stored entries as hits on their stripes.
+    // lookup() serves the drained entries as hits.
     for (int k = 0; k < 6; ++k) {
         const Scenario mix = mixNamed("pf" + std::to_string(k), k + 1);
         const AsyncLookup found =
