@@ -107,14 +107,13 @@ BM_WindowEvaluate(benchmark::State& state)
 BENCHMARK(BM_WindowEvaluate);
 
 /**
- * Contention-free window evaluation through the dedicated solo fast
- * path: the configuration the beam search's solo scoring uses
- * (thousands of calls per window search). evaluateSolo skips the
- * contention fixed point and link bookkeeping the full evaluate()
- * carries even when both are disabled.
+ * Contention-free pricing of one path through a warm SoloPricer: the
+ * beam search's per-path score (thousands of calls per window
+ * search). Every term comes from the pricer's table, so this times
+ * the path checks and the pipelining fold.
  */
 void
-BM_WindowEvaluateSolo(benchmark::State& state)
+BM_SoloPricer(benchmark::State& state)
 {
     Scenario sc;
     sc.name = "solo";
@@ -127,18 +126,15 @@ BM_WindowEvaluateSolo(benchmark::State& state)
     options.dramRoofline = false;
     const WindowEvaluator eval(db, options);
 
-    WindowPlacement placement;
-    ModelPlacement a;
-    a.modelIdx = 0;
-    a.segments = {PlacedSegment{LayerRange{0, 30}, 0},
-                  PlacedSegment{LayerRange{31, 71}, 3}};
-    placement.models = {a};
-
+    SoloPricer pricer(eval, 0, {LayerRange{0, 30}, LayerRange{31, 71}},
+                      -1);
+    const std::vector<int> path = {0, 3};
+    pricer.price(path);
     for (auto _ : state) {
-        benchmark::DoNotOptimize(eval.evaluateSolo(placement));
+        benchmark::DoNotOptimize(pricer.price(path));
     }
 }
-BENCHMARK(BM_WindowEvaluateSolo);
+BENCHMARK(BM_SoloPricer);
 
 /**
  * Window evaluation over a single autoregressive decode step (fused

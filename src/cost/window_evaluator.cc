@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <optional>
+#include <utility>
 
 #include "common/error.h"
 #include "obs/solve_profile.h"
@@ -15,6 +16,28 @@ WindowEvaluator::WindowEvaluator(const CostDb& db, EvaluatorOptions options)
     : db_(db), comm_(db.mcm()), options_(options)
 {
 }
+
+namespace
+{
+
+/**
+ * Checks one segment of a model's placement: non-empty, starting
+ * right after `prevLast` (contiguity), and inside the model.
+ */
+void
+requireSegmentRange(const Model& model, const LayerRange& range,
+                    int prevLast)
+{
+    SCAR_REQUIRE(!range.empty(), "empty segment for model ", model.name);
+    SCAR_REQUIRE(range.first == prevLast + 1,
+                 "segments must be contiguous for model ", model.name,
+                 " (got first=", range.first, " after last=", prevLast,
+                 ")");
+    SCAR_REQUIRE(range.first >= 0 && range.last < model.numLayers(),
+                 "segment exceeds model ", model.name);
+}
+
+} // namespace
 
 void
 WindowEvaluator::validate(const WindowPlacement& placement) const
@@ -29,14 +52,7 @@ WindowEvaluator::validate(const WindowPlacement& placement) const
                      " placed with no segments");
         int prevLast = mp.segments.front().range.first - 1;
         for (const PlacedSegment& seg : mp.segments) {
-            SCAR_REQUIRE(!seg.range.empty(), "empty segment for model ",
-                         model.name);
-            SCAR_REQUIRE(seg.range.first == prevLast + 1,
-                         "segments must be contiguous for model ",
-                         model.name, " (got first=", seg.range.first,
-                         " after last=", prevLast, ")");
-            SCAR_REQUIRE(seg.range.last < model.numLayers(),
-                         "segment exceeds model ", model.name);
+            requireSegmentRange(model, seg.range, prevLast);
             SCAR_REQUIRE(seg.chiplet >= 0 &&
                              seg.chiplet < db_.mcm().numChiplets(),
                          "bad chiplet id ", seg.chiplet);
@@ -46,43 +62,6 @@ WindowEvaluator::validate(const WindowPlacement& placement) const
             occupancy[seg.chiplet] = 1;
             prevLast = seg.range.last;
         }
-    }
-}
-
-void
-WindowEvaluator::validateSolo(const WindowPlacement& placement) const
-{
-    // Same contract as validate(), restricted to one model. The
-    // occupancy scratch vector (O(numChiplets) touched memory per
-    // evaluation) is replaced by a pairwise check over the model's own
-    // segments — with a single model those are the only chiplets that
-    // could collide, and segment counts are small (<= path length).
-    const Scenario& sc = db_.scenario();
-    const ModelPlacement& mp = placement.models.front();
-    SCAR_REQUIRE(mp.modelIdx >= 0 && mp.modelIdx < sc.numModels(),
-                 "bad model index ", mp.modelIdx);
-    const Model& model = sc.models[mp.modelIdx];
-    SCAR_REQUIRE(!mp.segments.empty(), "model ", model.name,
-                 " placed with no segments");
-    int prevLast = mp.segments.front().range.first - 1;
-    for (std::size_t k = 0; k < mp.segments.size(); ++k) {
-        const PlacedSegment& seg = mp.segments[k];
-        SCAR_REQUIRE(!seg.range.empty(), "empty segment for model ",
-                     model.name);
-        SCAR_REQUIRE(seg.range.first == prevLast + 1,
-                     "segments must be contiguous for model ",
-                     model.name, " (got first=", seg.range.first,
-                     " after last=", prevLast, ")");
-        SCAR_REQUIRE(seg.range.last < model.numLayers(),
-                     "segment exceeds model ", model.name);
-        SCAR_REQUIRE(seg.chiplet >= 0 &&
-                         seg.chiplet < db_.mcm().numChiplets(),
-                     "bad chiplet id ", seg.chiplet);
-        for (std::size_t j = 0; j < k; ++j)
-            SCAR_REQUIRE(mp.segments[j].chiplet != seg.chiplet,
-                         "chiplet ", seg.chiplet,
-                         " hosts more than one segment in this window");
-        prevLast = seg.range.last;
     }
 }
 
@@ -97,27 +76,144 @@ WindowEvaluator::entryOf(const WindowPlacement& placement,
 
 double
 WindowEvaluator::segmentWeights(int modelIdx,
-                                const PlacedSegment& seg) const
+                                const LayerRange& range) const
 {
     // Segment reductions are O(1) range queries against the CostDb
     // tables (see cost_db.h: values are bit-identical to the
     // per-layer loops they replaced).
-    return db_.segmentWeightBytes(modelIdx, seg.range.first,
-                                  seg.range.last);
+    return db_.segmentWeightBytes(modelIdx, range.first, range.last);
 }
 
 bool
-WindowEvaluator::segmentResident(int modelIdx, const PlacedSegment& seg,
-                                 int bPrime) const
+WindowEvaluator::segmentResident(int modelIdx, const LayerRange& range,
+                                 int chiplet, int bPrime) const
 {
-    const double weights = segmentWeights(modelIdx, seg);
+    const double weights = segmentWeights(modelIdx, range);
     const double maxAct =
-        db_.segmentMaxActBytes(modelIdx, seg.range.first,
-                               seg.range.last) *
+        db_.segmentMaxActBytes(modelIdx, range.first, range.last) *
         bPrime;
-    const double l2 = db_.mcm().chiplet(seg.chiplet).spec.l2Bytes;
+    const double l2 = db_.mcm().chiplet(chiplet).spec.l2Bytes;
     return weights + maxAct <= l2;
 }
+
+int
+WindowEvaluator::miniBatchSteps(int modelIdx, int bIdx) const
+{
+    const int bPrime = db_.miniBatchCandidates(modelIdx)[bIdx];
+    const int b = db_.scenario().models[modelIdx].batch;
+    return static_cast<int>(std::ceil(static_cast<double>(b) / bPrime));
+}
+
+template <typename Factor>
+SegmentCost
+WindowEvaluator::segmentCost(int modelIdx, int bIdx,
+                             const LayerRange& range, bool head, int src,
+                             int chiplet, bool writesBack,
+                             Factor&& factor) const
+{
+    const Mcm& mcm = db_.mcm();
+    const Model& model = db_.scenario().models[modelIdx];
+    const int bPrime = db_.miniBatchCandidates(modelIdx)[bIdx];
+    const int steps = miniBatchSteps(modelIdx, bIdx);
+    const int c = chiplet;
+    const Dataflow df = mcm.chiplet(c).spec.dataflow;
+
+    const double compute =
+        db_.segmentCycles(modelIdx, bIdx, df, range.first, range.last);
+    const double intraEnergy = db_.segmentEnergyNj(
+        modelIdx, bIdx, df, range.first, range.last);
+
+    // DRAM-side transfers route between the chiplet and its nearest
+    // memory interface; the phased contention factor charges them
+    // against their phase's link loads (the static factor returns 1
+    // for non-activation phases, so these sites multiply by 1 —
+    // bit-identical to the pre-phase code).
+    const int mem = mcm.nearestMemInterface(c);
+
+    // Input side: DRAM or entry-chiplet NoP for the head segment,
+    // inter-segment NoP (the previous layer's output) otherwise.
+    double ipLat = 0.0;
+    double ipEnergy = 0.0;
+    if (head && src < 0) {
+        const double bytes = model.layers[range.first].inputBytes() *
+                             bPrime;
+        ipLat = comm_.dramLatencyCycles(
+            bytes * factor(mem, c, CommPhase::Spill), c);
+        ipEnergy = comm_.dramEnergyNj(bytes, c);
+    } else {
+        const double bytes =
+            (head ? model.layers[range.first].inputBytes()
+                  : model.layers[range.first - 1].outputBytes()) *
+            bPrime;
+        ipLat = comm_.nopLatencyCycles(
+            bytes * factor(src, c, CommPhase::Activation), src, c);
+        ipEnergy = comm_.nopEnergyNj(bytes, src, c);
+    }
+
+    // Output side: DRAM writeback only when the model's final layer
+    // completes here.
+    double opLat = 0.0;
+    double opEnergy = 0.0;
+    if (writesBack) {
+        const double bytes = model.layers[range.last].outputBytes() *
+                             bPrime;
+        opLat = comm_.dramLatencyCycles(
+            bytes * factor(c, mem, CommPhase::Spill), c);
+        opEnergy = comm_.dramEnergyNj(bytes, c);
+    }
+
+    const bool resident = segmentResident(modelIdx, range, c, bPrime);
+    const double wBytes = segmentWeights(modelIdx, range);
+    const double wLat = comm_.dramLatencyCycles(
+        wBytes * factor(mem, c, CommPhase::WeightLoad), c);
+    const double wEnergy = comm_.dramEnergyNj(wBytes, c);
+
+    SegmentCost segCost;
+    segCost.weightsResident = resident;
+    segCost.steadySampleCycles =
+        ipLat + compute + opLat + (resident ? 0.0 : wLat);
+    segCost.firstSampleCycles =
+        segCost.steadySampleCycles + (resident ? wLat : 0.0);
+    segCost.energyNj = steps * (intraEnergy + ipEnergy + opEnergy) +
+                       wEnergy * (resident ? 1.0 : steps);
+    return segCost;
+}
+
+namespace
+{
+
+/**
+ * Left-to-right fold of the pipelining formula of Section III-E:
+ * sum_k Lat(sg_k|b') + (b/b' - 1) * max_k Lat(sg_k|b'), with energy
+ * summed over segments. evalModel() and SoloPricer::price() both fold
+ * through it, so the two agree in every floating-point operation.
+ */
+struct PipelineFold
+{
+    double firstSum = 0.0;
+    double maxSteady = 0.0;
+    double energyNj = 0.0;
+
+    void
+    add(double firstSample, double steadySample, double energy)
+    {
+        maxSteady = std::max(maxSteady, steadySample);
+        energyNj += energy;
+        firstSum += firstSample;
+    }
+
+    double latency(int steps) const
+    {
+        return firstSum + (steps - 1) * maxSteady;
+    }
+};
+
+struct NoContention
+{
+    int operator()(int, int, CommPhase) const { return 1; }
+};
+
+} // namespace
 
 template <typename Factor>
 ModelWindowCost
@@ -125,119 +221,35 @@ WindowEvaluator::evalModel(const WindowPlacement& placement,
                            const ModelPlacement& mp, int bIdx,
                            Factor&& factor) const
 {
-    const Scenario& sc = db_.scenario();
-    const Mcm& mcm = db_.mcm();
-    const Model& model = sc.models[mp.modelIdx];
-    const int bPrime = db_.miniBatchCandidates(mp.modelIdx)[bIdx];
-    const int b = model.batch;
-    const int steps =
-        static_cast<int>(std::ceil(static_cast<double>(b) / bPrime));
-
+    const Model& model = db_.scenario().models[mp.modelIdx];
     ModelWindowCost modelCost;
     modelCost.segments.reserve(mp.segments.size());
-    double maxSteady = 0.0;
+    PipelineFold fold;
     for (std::size_t k = 0; k < mp.segments.size(); ++k) {
         const PlacedSegment& seg = mp.segments[k];
-        const int c = seg.chiplet;
-        const Dataflow df = mcm.chiplet(c).spec.dataflow;
-        const Layer& first = model.layers[seg.range.first];
-        const Layer& last = model.layers[seg.range.last];
-
-        const double compute = db_.segmentCycles(
-            mp.modelIdx, bIdx, df, seg.range.first, seg.range.last);
-        const double intraEnergy = db_.segmentEnergyNj(
-            mp.modelIdx, bIdx, df, seg.range.first, seg.range.last);
-
-        // DRAM-side transfers route between the chiplet and its
-        // nearest memory interface; the phased contention factor
-        // charges them against their phase's link loads (the static
-        // factor returns 1 for non-activation phases, so these sites
-        // multiply by 1 — bit-identical to the pre-phase code).
-        const int mem = mcm.nearestMemInterface(c);
-
-        // Input side: DRAM or entry-chiplet NoP for the head
-        // segment, inter-segment NoP otherwise.
-        double ipLat = 0.0;
-        double ipEnergy = 0.0;
-        if (k == 0) {
-            const double bytes = first.inputBytes() * bPrime;
-            const int entry = entryOf(placement, mp.modelIdx);
-            if (entry >= 0) {
-                ipLat = comm_.nopLatencyCycles(
-                    bytes * factor(entry, c, CommPhase::Activation),
-                    entry, c);
-                ipEnergy = comm_.nopEnergyNj(bytes, entry, c);
-            } else {
-                ipLat = comm_.dramLatencyCycles(
-                    bytes * factor(mem, c, CommPhase::Spill), c);
-                ipEnergy = comm_.dramEnergyNj(bytes, c);
-            }
-        } else {
-            const int prevC = mp.segments[k - 1].chiplet;
-            const Layer& prevLast =
-                model.layers[mp.segments[k - 1].range.last];
-            const double bytes = prevLast.outputBytes() * bPrime;
-            ipLat = comm_.nopLatencyCycles(
-                bytes * factor(prevC, c, CommPhase::Activation),
-                prevC, c);
-            ipEnergy = comm_.nopEnergyNj(bytes, prevC, c);
-        }
-
-        // Output side: DRAM writeback only when the model's final
-        // layer completes here.
-        double opLat = 0.0;
-        double opEnergy = 0.0;
-        if (k + 1 == mp.segments.size() &&
-            seg.range.last == model.numLayers() - 1) {
-            const double bytes = last.outputBytes() * bPrime;
-            opLat = comm_.dramLatencyCycles(
-                bytes * factor(c, mem, CommPhase::Spill), c);
-            opEnergy = comm_.dramEnergyNj(bytes, c);
-        }
-
-        const bool resident = segmentResident(mp.modelIdx, seg,
-                                              bPrime);
-        const double wBytes = segmentWeights(mp.modelIdx, seg);
-        const double wLat = comm_.dramLatencyCycles(
-            wBytes * factor(mem, c, CommPhase::WeightLoad), c);
-        const double wEnergy = comm_.dramEnergyNj(wBytes, c);
-
-        SegmentCost segCost;
-        segCost.weightsResident = resident;
-        segCost.steadySampleCycles =
-            ipLat + compute + opLat + (resident ? 0.0 : wLat);
-        segCost.firstSampleCycles =
-            segCost.steadySampleCycles + (resident ? wLat : 0.0);
-        segCost.energyNj = steps * (intraEnergy + ipEnergy +
-                                    opEnergy) +
-                           wEnergy * (resident ? 1.0 : steps);
-
-        maxSteady = std::max(maxSteady, segCost.steadySampleCycles);
-        modelCost.energyNj += segCost.energyNj;
+        const int src = k == 0 ? entryOf(placement, mp.modelIdx)
+                               : mp.segments[k - 1].chiplet;
+        const bool writesBack = k + 1 == mp.segments.size() &&
+                                seg.range.last == model.numLayers() - 1;
+        const SegmentCost segCost =
+            segmentCost(mp.modelIdx, bIdx, seg.range, k == 0, src,
+                        seg.chiplet, writesBack, factor);
+        fold.add(segCost.firstSampleCycles, segCost.steadySampleCycles,
+                 segCost.energyNj);
         modelCost.segments.push_back(segCost);
     }
-
-    // The pipelining formula of Section III-E:
-    // sum_k Lat(sg_k|b') + (b/b' - 1) * max_k Lat(sg_k|b').
-    for (const SegmentCost& segCost : modelCost.segments)
-        modelCost.latencyCycles += segCost.firstSampleCycles;
-    modelCost.latencyCycles += (steps - 1) * maxSteady;
+    modelCost.latencyCycles =
+        fold.latency(miniBatchSteps(mp.modelIdx, bIdx));
+    modelCost.energyNj = fold.energyNj;
     return modelCost;
 }
-
-namespace
-{
-struct NoContention
-{
-    int operator()(int, int, CommPhase) const { return 1; }
-};
-} // namespace
 
 WindowCost
 WindowEvaluator::evaluate(const WindowPlacement& placement) const
 {
-    // Profiled solves count every evaluator invocation (solo and
-    // full); unprofiled runs pay one predicted branch.
+    // Profiled solves count every full evaluation (SoloPricer terms
+    // are counted by their users); unprofiled runs pay one predicted
+    // branch.
     obs::SearchCounters::bump(db_.counters(),
                               &obs::SearchCounters::windowEvals);
     validate(placement);
@@ -290,11 +302,12 @@ WindowEvaluator::evaluate(const WindowPlacement& placement) const
             const Layer& first = model.layers[seg.range.first];
             const Layer& last = model.layers[seg.range.last];
 
-            const bool resident = segmentResident(mp.modelIdx, seg,
-                                                  bPrime);
+            const bool resident =
+                segmentResident(mp.modelIdx, seg.range, c, bPrime);
             // Non-resident weights re-stream once per mini-batch step.
-            const double wBytes = segmentWeights(mp.modelIdx, seg) *
-                                  (resident ? 1.0 : steps);
+            const double wBytes =
+                segmentWeights(mp.modelIdx, seg.range) *
+                (resident ? 1.0 : steps);
             flows.push_back(
                 {mem, c, wBytes, true, CommPhase::WeightLoad});
             totalDramBytes += wBytes;
@@ -447,44 +460,103 @@ WindowEvaluator::evaluate(const WindowPlacement& placement) const
     return window;
 }
 
-SoloWindowCost
-WindowEvaluator::evaluateSolo(const WindowPlacement& placement) const
+SoloPricer::SoloPricer(const WindowEvaluator& eval, int modelIdx,
+                       std::vector<LayerRange> segments, int entry)
+    : eval_(eval), modelIdx_(modelIdx), entry_(entry),
+      segments_(std::move(segments))
 {
-    // Counts as one evaluator invocation, exactly like the evaluate()
-    // call it replaces — profiled windowEvals totals are unchanged.
-    obs::SearchCounters::bump(db_.counters(),
-                              &obs::SearchCounters::windowEvals);
-    SCAR_REQUIRE(placement.models.size() == 1,
-                 "evaluateSolo requires exactly one placed model, got ",
-                 placement.models.size());
-    SCAR_REQUIRE(!options_.contention && !options_.dramRoofline,
-                 "evaluateSolo requires contention and dramRoofline "
-                 "disabled");
-    validateSolo(placement);
+    const CostDb& db = eval_.db_;
+    SCAR_REQUIRE(!eval_.options_.contention &&
+                     !eval_.options_.dramRoofline,
+                 "SoloPricer requires an evaluator with contention and "
+                 "dramRoofline disabled");
+    const Scenario& sc = db.scenario();
+    SCAR_REQUIRE(modelIdx_ >= 0 && modelIdx_ < sc.numModels(),
+                 "bad model index ", modelIdx_);
+    const Model& model = sc.models[modelIdx_];
+    SCAR_REQUIRE(!segments_.empty(), "model ", model.name,
+                 " placed with no segments");
+    const Topology& topo = db.mcm().topology();
+    const int numChiplets = topo.numNodes();
+    SCAR_REQUIRE(entry_ >= -1 && entry_ < numChiplets,
+                 "bad entry chiplet ", entry_);
+    int prevLast = segments_.front().first - 1;
+    for (const LayerRange& range : segments_) {
+        requireSegmentRange(model, range, prevLast);
+        prevLast = range.last;
+    }
+    modelEnds_ = prevLast == model.numLayers() - 1;
+
+    const int numCandidates =
+        static_cast<int>(db.miniBatchCandidates(modelIdx_).size());
+    steps_.reserve(numCandidates);
+    for (int bIdx = 0; bIdx < numCandidates; ++bIdx)
+        steps_.push_back(eval_.miniBatchSteps(modelIdx_, bIdx));
+    const std::size_t numSlots =
+        static_cast<std::size_t>(numChiplets) +
+        (segments_.size() - 1) * static_cast<std::size_t>(topo.numLinks());
+    terms_.resize(numSlots * numCandidates);
+    slots_.resize(segments_.size());
+}
+
+SoloWindowCost
+SoloPricer::price(const std::vector<int>& path)
+{
+    const Topology& topo = eval_.db_.mcm().topology();
+    const int numChiplets = topo.numNodes();
+    const int numSegs = static_cast<int>(segments_.size());
+    SCAR_REQUIRE(static_cast<int>(path.size()) == numSegs, "path of ",
+                 path.size(), " chiplets for ", numSegs, " segments");
+    for (int k = 0; k < numSegs; ++k) {
+        const int c = path[k];
+        SCAR_REQUIRE(c >= 0 && c < numChiplets, "bad chiplet id ", c);
+        for (int j = 0; j < k; ++j)
+            SCAR_REQUIRE(path[j] != c, "chiplet ", c,
+                         " hosts more than one segment in this window");
+        if (k == 0) {
+            slots_[k] = c;
+            continue;
+        }
+        const int link = topo.linkId(path[k - 1], c);
+        SCAR_REQUIRE(link >= 0, "path step ", path[k - 1], "->", c,
+                     " is not a NoP edge");
+        slots_[k] = numChiplets + (k - 1) * topo.numLinks() + link;
+    }
 
     // evaluate() prices every mini-batch candidate contention-free in
-    // its selection step, then re-prices the winner — with contention
-    // and the roofline off, that final pass reproduces the selection
-    // pass bit-for-bit (evalModel is pure). So the winner's cost from
-    // the selection loop IS the answer; the re-evaluation, the flow
-    // enumeration, and the contention tables are skipped entirely.
-    // Selection keeps the FIRST strict-< winner, matching evaluate().
-    const ModelPlacement& mp = placement.models.front();
-    const int numCandidates = static_cast<int>(
-        db_.miniBatchCandidates(mp.modelIdx).size());
-    const NoContention noContention;
+    // its selection step and, with contention and the roofline off,
+    // re-prices the winner bit-for-bit; so the selection loop's winner
+    // IS the answer. Selection keeps the FIRST strict-< winner, and
+    // evaluate()'s max(0, lat) and 0 + energy are identities on these
+    // non-negative costs.
+    const int numCandidates = static_cast<int>(steps_.size());
     SoloWindowCost best;
     double bestLat = std::numeric_limits<double>::infinity();
     for (int bIdx = 0; bIdx < numCandidates; ++bIdx) {
-        const ModelWindowCost cost =
-            evalModel(placement, mp, bIdx, noContention);
-        if (cost.latencyCycles < bestLat) {
-            bestLat = cost.latencyCycles;
-            // evaluate() folds the winner into WindowCost as
-            // max(0, lat) and 0 + energy — identities for the
-            // non-negative costs produced here.
-            best.latencyCycles = cost.latencyCycles;
-            best.energyNj = cost.energyNj;
+        PipelineFold fold;
+        for (int k = 0; k < numSegs; ++k) {
+            Term& term = terms_[static_cast<std::size_t>(slots_[k]) *
+                                    numCandidates +
+                                bIdx];
+            if (term.firstSampleCycles < 0.0) {
+                const SegmentCost cost = eval_.segmentCost(
+                    modelIdx_, bIdx, segments_[k], k == 0,
+                    k == 0 ? entry_ : path[k - 1], path[k],
+                    k + 1 == numSegs && modelEnds_, NoContention{});
+                term = {cost.firstSampleCycles, cost.steadySampleCycles,
+                        cost.energyNj};
+                ++fills_;
+            } else {
+                ++hits_;
+            }
+            fold.add(term.firstSampleCycles, term.steadySampleCycles,
+                     term.energyNj);
+        }
+        const double lat = fold.latency(steps_[bIdx]);
+        if (lat < bestLat) {
+            bestLat = lat;
+            best.latencyCycles = lat;
+            best.energyNj = fold.energyNj;
         }
     }
     return best;

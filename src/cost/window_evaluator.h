@@ -41,6 +41,7 @@
 #ifndef SCAR_COST_WINDOW_EVALUATOR_H
 #define SCAR_COST_WINDOW_EVALUATOR_H
 
+#include <cstdint>
 #include <vector>
 
 #include "cost/comm_model.h"
@@ -111,9 +112,9 @@ struct WindowCost
 };
 
 /**
- * Cost of a contention-free single-model window, as returned by the
- * solo fast path. Carries exactly the two scalars `soloCost` consumes;
- * both are bit-identical to the corresponding WindowCost fields.
+ * Cost of a contention-free single-model window, as returned by
+ * SoloPricer::price. Both scalars are bit-identical to the
+ * corresponding WindowCost fields of evaluate() on the same placement.
  */
 struct SoloWindowCost
 {
@@ -149,21 +150,6 @@ class WindowEvaluator
      */
     WindowCost evaluate(const WindowPlacement& placement) const;
 
-    /**
-     * Fast path for the beam search's solo scoring: a single model,
-     * contention and DRAM roofline off (the `soloOptions` evaluator
-     * configuration). Skips flow enumeration, the contention tables,
-     * and the final re-evaluation pass — the mini-batch selection loop
-     * already prices every candidate, so the winner's latency/energy
-     * are returned directly. Both scalars are bit-identical to the
-     * `evaluate()` result on the same placement because candidate
-     * pricing goes through the same `evalModel` member in the same
-     * floating-point operation order (pinned in tests/test_cost.cc).
-     * Requires: exactly one placed model; contention and dramRoofline
-     * disabled in the evaluator options.
-     */
-    SoloWindowCost evaluateSolo(const WindowPlacement& placement) const;
-
     /** The underlying per-transfer communication model. */
     const CommModel& comm() const { return comm_; }
 
@@ -171,6 +157,8 @@ class WindowEvaluator
     const CostDb& db() const { return db_; }
 
   private:
+    friend class SoloPricer;
+
     struct Flow
     {
         int src = -1;
@@ -181,25 +169,44 @@ class WindowEvaluator
     };
 
     void validate(const WindowPlacement& placement) const;
-    void validateSolo(const WindowPlacement& placement) const;
 
     /** Entry chiplet of a model, -1 when its input comes from DRAM. */
     int entryOf(const WindowPlacement& placement, int modelIdx) const;
-    double segmentWeights(int modelIdx, const PlacedSegment& seg) const;
-    bool segmentResident(int modelIdx, const PlacedSegment& seg,
-                         int bPrime) const;
+    double segmentWeights(int modelIdx, const LayerRange& range) const;
+    bool segmentResident(int modelIdx, const LayerRange& range,
+                         int chiplet, int bPrime) const;
+
+    /** Pipeline steps ceil(b / b') of mini-batch candidate `bIdx`. */
+    int miniBatchSteps(int modelIdx, int bIdx) const;
 
     /**
-     * Prices one model's placement at mini-batch candidate `bIdx`,
-     * inflating every transfer's bytes by the supplied contention
-     * factor `factor(src, dst, phase)`. The static factor returns 1
-     * for non-activation phases, so DRAM-side sites multiply by 1 —
+     * Prices one segment at mini-batch candidate `bIdx`: the
+     * per-segment body of the Section III-E formula, inflating every
+     * transfer's bytes by the contention factor
+     * `factor(src, dst, phase)`. The static factor returns 1 for
+     * non-activation phases, so DRAM-side sites multiply by 1 —
      * bit-identical to the pre-phase code that applied no factor
      * there. The factor is a templated callable, so the inner loop
-     * carries no std::function allocation or indirect call. Shared
-     * verbatim by evaluate() and evaluateSolo() — the solo fast
-     * path's bit-exactness contract rests on both going through this
-     * one function.
+     * carries no std::function allocation or indirect call.
+     * evalModel() (behind evaluate()) and SoloPricer both price
+     * segments through this one function, so the pricer's
+     * bit-exactness contract rests on a single expression.
+     * @param head true for the model's first segment in the window
+     * @param src where the input comes from: the previous segment's
+     *        chiplet, or for the head segment the model's entry
+     *        chiplet (-1 = DRAM)
+     * @param writesBack true when the model's final layer completes
+     *        on this segment (its output is written to DRAM)
+     */
+    template <typename Factor>
+    SegmentCost segmentCost(int modelIdx, int bIdx,
+                            const LayerRange& range, bool head, int src,
+                            int chiplet, bool writesBack,
+                            Factor&& factor) const;
+
+    /**
+     * Prices one model's placement at mini-batch candidate `bIdx`:
+     * segmentCost() per segment, folded by the pipelining formula.
      */
     template <typename Factor>
     ModelWindowCost evalModel(const WindowPlacement& placement,
@@ -209,6 +216,76 @@ class WindowEvaluator
     const CostDb& db_;
     CommModel comm_;
     EvaluatorOptions options_;
+};
+
+/**
+ * Prices contention-free placements of one model's fixed
+ * segmentation: the beam search's per-path score (Section IV-D). One
+ * pricer serves one (model, segmentation, entry) triple and is local
+ * to the task that uses it, so pricing takes no lock and hashes
+ * nothing.
+ *
+ * A segment's cost depends only on (segment k, its chiplet, where its
+ * input comes from, mini-batch candidate). For k = 0 the input source
+ * is the fixed entry; for k > 0 it is the previous chiplet of the
+ * path, reached over a NoP edge. The pricer therefore keeps a lazily
+ * filled term table with one slot per chiplet for k = 0 and one slot
+ * per directed NoP link for k > 0, addressed by the topology's dense
+ * link id (ids are numbered in adjacency-list order, i.e. CSR offsets
+ * over Topology::neighbors). The table holds (N + (K-1)·L)·B terms
+ * for N chiplets, L directed links and B mini-batch candidates, never
+ * N², so broadcast and express packages with large degrees stay
+ * cheap.
+ */
+class SoloPricer
+{
+  public:
+    /**
+     * Checks the segmentation once and sizes the term table.
+     * Requires: the evaluator's options disable contention and the
+     * DRAM roofline (the solo configuration price() reproduces); a
+     * valid model index; `segments` non-empty, contiguous and inside
+     * the model; `entry` a chiplet id, or -1 for DRAM input.
+     */
+    SoloPricer(const WindowEvaluator& eval, int modelIdx,
+               std::vector<LayerRange> segments, int entry);
+
+    /**
+     * Contention-free cost of the model with segment k placed on
+     * path[k]. Folds the table terms left to right per mini-batch
+     * candidate with the same floating-point expressions and order
+     * as evaluate(), keeping the first strict-< latency winner, so
+     * both scalars bit-equal evaluate() of the same one-model
+     * placement (pinned in tests/test_cost.cc).
+     * Requires: path.size() equals the segment count; every id is a
+     * chiplet; no chiplet repeats; every step follows a NoP edge.
+     */
+    SoloWindowCost price(const std::vector<int>& path);
+
+    /** Term lookups served by the table so far. */
+    std::int64_t hits() const { return hits_; }
+
+    /** Terms computed and stored so far. */
+    std::int64_t fills() const { return fills_; }
+
+  private:
+    struct Term
+    {
+        double firstSampleCycles = -1.0; ///< < 0 marks an empty slot
+        double steadySampleCycles = 0.0;
+        double energyNj = 0.0;
+    };
+
+    const WindowEvaluator& eval_;
+    int modelIdx_;
+    int entry_;
+    std::vector<LayerRange> segments_;
+    bool modelEnds_;          ///< the last segment holds the final layer
+    std::vector<int> steps_;  ///< pipeline steps per mini-batch candidate
+    std::vector<Term> terms_; ///< slot * B + bIdx
+    std::vector<int> slots_;  ///< scratch: per-segment slot of a path
+    std::int64_t hits_ = 0;
+    std::int64_t fills_ = 0;
 };
 
 } // namespace scar

@@ -93,7 +93,7 @@ SolveProfile::summary() const
                        std::to_string(misses),
                        TextTable::num(100.0 * rate(hits, misses), 1)});
     };
-    cacheRow("SoloCache", soloHits, soloMisses);
+    cacheRow("SoloPricer terms", soloHits, soloMisses);
     cacheRow("PathCache", pathHits, pathMisses);
     cacheRow("CostDb model tables", costDbTableHits,
              costDbTableMisses);

@@ -32,11 +32,13 @@ namespace obs
  */
 struct SearchCounters
 {
+    /// SoloPricer term-table lookups served from the table / filled
+    /// (cost/window_evaluator.h), added once per pricer.
     std::atomic<std::int64_t> soloHits{0};
     std::atomic<std::int64_t> soloMisses{0};
     std::atomic<std::int64_t> pathHits{0};
     std::atomic<std::int64_t> pathMisses{0};
-    std::atomic<std::int64_t> windowEvals{0};   ///< evaluator calls
+    std::atomic<std::int64_t> windowEvals{0};   ///< full evaluate() calls
     std::atomic<std::int64_t> combosPlaced{0};  ///< combo fan-out size
     std::atomic<std::int64_t> eaGenerations{0}; ///< EA bred generations
     std::atomic<std::int64_t> segCandidates{0}; ///< Heuristic-1 scored
@@ -92,7 +94,10 @@ struct SolveProfile
     /** Copies the live counters into the snapshot fields. */
     void captureCounters(const SearchCounters& counters);
 
-    /** SoloCache hit fraction in [0, 1]; 0 with no lookups. */
+    /**
+     * Fraction of SoloPricer term lookups served from a pricer's
+     * table rather than computed, in [0, 1]; 0 with no lookups.
+     */
     double soloHitRate() const;
 
     /** PathCache hit fraction in [0, 1]; 0 with no lookups. */

@@ -143,11 +143,10 @@ EvolutionaryWindowSearch::search(const WindowAssignment& wa,
 
     // Fitness evaluation is the expensive step (beam placement + full
     // window evaluation) and carries no RNG, so a batch of
-    // individuals evaluates in parallel; the shared solo-cost cache
-    // only memoizes deterministic values. Candidate lists then merge
+    // individuals evaluates in parallel (each placement prices its
+    // paths through its own SoloPricer). Candidate lists then merge
     // in population index order for pool-size-independent results.
     WindowScheduler::Result global;
-    WindowScheduler::SoloCache soloCache;
     // The EA re-places thousands of genomes on the same topology, so
     // one path memo serves the whole run, or the caller's
     // (deterministic values; see PathCache).
@@ -160,7 +159,7 @@ EvolutionaryWindowSearch::search(const WindowAssignment& wa,
             Individual& ind = *batch[i];
             ind.result = scheduler_.placeSegmentations(
                 present, decode(ind.genome, present, wa), entry,
-                &soloCache, &pathCache);
+                &pathCache);
             ind.fitness = ind.result.found
                               ? ind.result.best.score
                               : std::numeric_limits<double>::infinity();

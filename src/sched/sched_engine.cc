@@ -36,6 +36,10 @@ WindowScheduler::WindowScheduler(const CostDb& db, OptTarget target,
     SCAR_REQUIRE(opts_.beamWidth >= 1, "beam width must be >= 1");
     SCAR_REQUIRE(opts_.maxPathsPerModel >= 1, "need >= 1 path candidate");
     SCAR_REQUIRE(opts_.maxCombos >= 1, "need >= 1 combo");
+    SCAR_REQUIRE(opts_.maxTopCandidates >= 1,
+                 "need >= 1 top candidate kept");
+    SCAR_REQUIRE(opts_.seg.topK >= 1,
+                 "need >= 1 refined segmentation per model");
 }
 
 std::vector<int>
@@ -68,55 +72,21 @@ WindowScheduler::partialScore(double maxLatency, double sumEnergy) const
     return maxLatency * sumEnergy;
 }
 
-std::pair<double, double>
-WindowScheduler::soloCost(int model, const Segmentation& seg,
-                          const std::vector<int>& path, int entry,
-                          SoloCache& cache) const
+void
+WindowScheduler::countTerms(const SoloPricer& pricer) const
 {
-    SCAR_ASSERT(path.size() == seg.segments.size(),
-                "path length != segment count");
-    std::vector<int> key;
-    key.reserve(seg.segments.size() + path.size() + 3);
-    key.push_back(model);
-    key.push_back(entry);
-    for (const LayerRange& r : seg.segments)
-        key.push_back(r.last);
-    key.push_back(-2);
-    key.insert(key.end(), path.begin(), path.end());
-
-    std::pair<double, double> cached;
-    if (cache.find(key, cached)) {
-        obs::SearchCounters::bump(opts_.counters,
-                                  &obs::SearchCounters::soloHits);
-        return cached;
-    }
     obs::SearchCounters::bump(opts_.counters,
-                              &obs::SearchCounters::soloMisses);
-
-    WindowPlacement placement;
-    placement.entryChiplet.assign(
-        db_.scenario().numModels(), -1);
-    placement.entryChiplet[model] = entry;
-    ModelPlacement mp;
-    mp.modelIdx = model;
-    for (std::size_t k = 0; k < path.size(); ++k)
-        mp.segments.push_back(PlacedSegment{seg.segments[k], path[k]});
-    placement.models.push_back(std::move(mp));
-
-    // Solo fast path: one model, contention-free — skips flow
-    // enumeration and the final re-evaluation while returning the
-    // same two scalars bit-for-bit (pinned in tests/test_cost.cc).
-    const SoloWindowCost cost = soloEval_.evaluateSolo(placement);
-    const std::pair<double, double> result{cost.latencyCycles,
-                                           cost.energyNj};
-    cache.insert(std::move(key), result);
-    return result;
+                              &obs::SearchCounters::soloHits,
+                              pricer.hits());
+    obs::SearchCounters::bump(opts_.counters,
+                              &obs::SearchCounters::soloMisses,
+                              pricer.fills());
 }
 
 std::vector<Segmentation>
 WindowScheduler::refineSegmentations(int model,
                                      std::vector<Segmentation> pruned,
-                                     int entry, SoloCache& cache,
+                                     int entry,
                                      PathCache& pathCache) const
 {
     const Topology& topo = db_.mcm().topology();
@@ -131,14 +101,15 @@ WindowScheduler::refineSegmentations(int model,
         const int numSegs = pruned[i].numSegments();
         const auto paths = pathCache.get(
             topo, numSegs, noneBlocked, opts_.maxPathsPerModel);
+        SoloPricer pricer(soloEval_, model, pruned[i].segments, entry);
         double best = std::numeric_limits<double>::infinity();
         for (const auto& path : *paths) {
-            const auto [lat, energy] =
-                soloCost(model, pruned[i], path, entry, cache);
-            const Metrics metrics{cyclesToSeconds(lat),
-                                  njToJoules(energy)};
+            const SoloWindowCost cost = pricer.price(path);
+            const Metrics metrics{cyclesToSeconds(cost.latencyCycles),
+                                  njToJoules(cost.energyNj)};
             best = std::min(best, metrics.value(target_));
         }
+        countTerms(pricer);
         bestScore[i] = best;
         placeable[i] = paths->empty() ? 0 : 1;
     });
@@ -180,8 +151,7 @@ void
 WindowScheduler::placeCombo(const std::vector<int>& present,
                             const std::vector<Segmentation>& segs,
                             const std::vector<int>& entry,
-                            SoloCache& cache, PathCache& pathCache,
-                            Result& result) const
+                            PathCache& pathCache, Result& result) const
 {
     const Topology& topo = db_.mcm().topology();
     obs::SearchCounters::bump(opts_.counters,
@@ -226,20 +196,21 @@ WindowScheduler::placeCombo(const std::vector<int>& present,
         std::vector<std::shared_ptr<const PathCache::PathList>>
             statePaths(beam.size());
         std::vector<Extension> candidates;
+        SoloPricer pricer(soloEval_, model, seg.segments, entryOf(model));
         for (std::size_t si = 0; si < beam.size(); ++si) {
             const BeamState& state = beam[si];
             statePaths[si] = pathCache.get(
                 topo, numSegs, state.used, opts_.maxPathsPerModel);
             const auto& paths = *statePaths[si];
             for (std::size_t pi = 0; pi < paths.size(); ++pi) {
-                const auto [lat, energy] = soloCost(
-                    model, seg, paths[pi], entryOf(model), cache);
+                const SoloWindowCost cost = pricer.price(paths[pi]);
                 candidates.push_back(
-                    {std::max(state.maxLatency, lat),
-                     state.sumEnergy + energy, static_cast<int>(si),
-                     static_cast<int>(pi)});
+                    {std::max(state.maxLatency, cost.latencyCycles),
+                     state.sumEnergy + cost.energyNj,
+                     static_cast<int>(si), static_cast<int>(pi)});
             }
         }
+        countTerms(pricer);
         if (candidates.empty()) {
             debug("beam died placing model ", model, " with ", numSegs,
                   " segments");
@@ -312,7 +283,6 @@ WindowScheduler::search(const WindowAssignment& wa,
     // and each draws from its own seed stream, so one model's
     // capped-enumeration sampling never shifts another's; the
     // per-model passes fan out and collect by model index.
-    SoloCache cache;
     PathCache localPaths;
     localPaths.setCounters(opts_.counters);
     PathCache& pathCache =
@@ -324,7 +294,7 @@ WindowScheduler::search(const WindowAssignment& wa,
         auto pruned = rankSegmentations(db_, m, wa.perModel[m], nodes[m],
                                         target_, opts_.seg, segRng);
         segLists[i] = refineSegmentations(m, std::move(pruned),
-                                          entryOf(m), cache, pathCache);
+                                          entryOf(m), pathCache);
         SCAR_ASSERT(!segLists[i].empty(),
                     "no segmentation candidates for model ", m);
     });
@@ -377,8 +347,7 @@ WindowScheduler::search(const WindowAssignment& wa,
         segs.reserve(combos[ci].size());
         for (std::size_t i = 0; i < combos[ci].size(); ++i)
             segs.push_back(segLists[i][combos[ci][i]]);
-        placeCombo(present, segs, entry, cache, pathCache,
-                   comboResults[ci]);
+        placeCombo(present, segs, entry, pathCache, comboResults[ci]);
     });
 
     Result result;
@@ -398,7 +367,7 @@ WindowScheduler::search(const WindowAssignment& wa,
             seg.segments.push_back(wa.perModel[m]);
             segs.push_back(std::move(seg));
         }
-        placeCombo(present, segs, entry, cache, pathCache, result);
+        placeCombo(present, segs, entry, pathCache, result);
     }
 
     if (result.top.empty())
@@ -420,16 +389,13 @@ WindowScheduler::Result
 WindowScheduler::placeSegmentations(
     const std::vector<int>& presentModels,
     const std::vector<Segmentation>& segs,
-    const std::vector<int>& entry, SoloCache* sharedCache,
-    PathCache* sharedPaths) const
+    const std::vector<int>& entry, PathCache* sharedPaths) const
 {
     Result result;
-    SoloCache localCache;
-    SoloCache& cache = sharedCache != nullptr ? *sharedCache : localCache;
     PathCache localPaths;
     localPaths.setCounters(opts_.counters);
     PathCache& paths = sharedPaths != nullptr ? *sharedPaths : localPaths;
-    placeCombo(presentModels, segs, entry, cache, paths, result);
+    placeCombo(presentModels, segs, entry, paths, result);
     if (result.top.empty())
         return result;
     std::stable_sort(result.top.begin(), result.top.end(),

@@ -14,8 +14,9 @@
  *     top-k segmentations forms the combo list;
  *  2. for each combo, models place in decreasing node-count order via
  *     beam search: path candidates from every free root are scored
- *     with a contention-free single-model evaluation (cached), and
- *     the best `beamWidth` partial placements survive;
+ *     with a contention-free single-model cost (a SoloPricer per
+ *     model step, cost/window_evaluator.h), and the best `beamWidth`
+ *     partial placements survive;
  *  3. complete placements are re-scored with the full window evaluator
  *     (contention + DRAM roofline) and ranked.
  *
@@ -36,11 +37,8 @@
 #define SCAR_SCHED_SCHED_ENGINE_H
 
 #include <cstdint>
-#include <mutex>
-#include <utility>
 #include <vector>
 
-#include "common/flat_hash.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "cost/window_evaluator.h"
@@ -95,46 +93,6 @@ class WindowScheduler
         std::vector<ScoredPlacement> top; ///< ascending score
     };
 
-    /**
-     * Thread-safe memo of contention-free single-model costs, shared
-     * across the per-model and combo fan-outs of one search (and, for
-     * the evolutionary driver, across a whole EA run). Values are
-     * deterministic functions of the key, so concurrent insertion
-     * order never changes results.
-     * Backed by the open-addressing FlatHashMap (common/flat_hash.h):
-     * the pre-PR std::map paid an ordered-tree walk with a full
-     * lexicographic vector comparison per node on every probe of the
-     * beam search's hottest lookup.
-     */
-    class SoloCache
-    {
-      public:
-        bool
-        find(const std::vector<int>& key,
-             std::pair<double, double>& out) const
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            const auto* value = map_.find(key);
-            if (value == nullptr)
-                return false;
-            out = *value;
-            return true;
-        }
-
-        void
-        insert(std::vector<int> key, std::pair<double, double> value)
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            map_.insert(std::move(key), value);
-        }
-
-      private:
-        mutable std::mutex mu_;
-        FlatHashMap<std::vector<int>, std::pair<double, double>,
-                    IntSequenceHash>
-            map_;
-    };
-
     WindowScheduler(const CostDb& db, OptTarget target,
                     WindowSearchOptions opts = WindowSearchOptions{});
 
@@ -162,9 +120,6 @@ class WindowScheduler
      * evolutionary driver): beam placement + full evaluation.
      * @param segs per-present-model segmentations, aligned with the
      *        present-model order of the window assignment
-     * @param sharedCache optional solo-cost memo reused across calls
-     *        (the EA shares one per window search); nullptr uses a
-     *        private cache
      * @param sharedPaths optional path-enumeration memo reused across
      *        calls (the EA shares one per window search); nullptr
      *        uses a private cache
@@ -172,7 +127,6 @@ class WindowScheduler
     Result placeSegmentations(const std::vector<int>& presentModels,
                               const std::vector<Segmentation>& segs,
                               const std::vector<int>& entry = {},
-                              SoloCache* sharedCache = nullptr,
                               PathCache* sharedPaths = nullptr) const;
 
     /** Window-level score of a cost under the chosen target. */
@@ -190,28 +144,25 @@ class WindowScheduler
         double sumEnergy = 0.0;
     };
 
-    /** Contention-free (latency, energy) of one placed model. */
-    std::pair<double, double> soloCost(int model,
-                                       const Segmentation& seg,
-                                       const std::vector<int>& path,
-                                       int entry, SoloCache& cache) const;
+    /** Adds a pricer's term-table hits and fills to the counters. */
+    void countTerms(const SoloPricer& pricer) const;
 
     double partialScore(double maxLatency, double sumEnergy) const;
 
     void placeCombo(const std::vector<int>& present,
                     const std::vector<Segmentation>& segs,
-                    const std::vector<int>& entry, SoloCache& cache,
-                    PathCache& paths, Result& result) const;
+                    const std::vector<int>& entry, PathCache& paths,
+                    Result& result) const;
 
     /**
      * Placement-aware refinement of Heuristic 1: re-scores pruned
      * segmentation candidates by their best single-model placement on
      * the empty package and keeps the top-k. Candidate scoring fans
-     * out across the pool.
+     * out across the pool, one SoloPricer per candidate.
      */
     std::vector<Segmentation> refineSegmentations(
         int model, std::vector<Segmentation> pruned, int entry,
-        SoloCache& cache, PathCache& paths) const;
+        PathCache& paths) const;
 
     const CostDb& db_;
     OptTarget target_;

@@ -170,7 +170,7 @@ TEST(Csv, RejectsWrongArity)
     std::remove("/tmp/scar_test_csv2.csv");
 }
 
-// ---- FlatHashMap (the SoloCache / PathCache backing store) ---------
+// ---- FlatHashMap (the PathCache backing store) --------------------
 
 TEST(FlatHashMap, FindInsertAndGrowth)
 {

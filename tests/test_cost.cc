@@ -12,6 +12,7 @@
 #include "arch/mcm_templates.h"
 #include "common/units.h"
 #include "common/error.h"
+#include "common/rng.h"
 #include "cost/comm_model.h"
 #include "cost/cost_db.h"
 #include "cost/window_evaluator.h"
@@ -488,69 +489,182 @@ TEST(WindowEvalContention, EvaluationNeverGrowsLoadTables)
     EXPECT_EQ(first.maxLinkSharers, second.maxLinkSharers);
 }
 
-TEST(SoloFastPath, BitExactAgainstFullEvaluate)
+// ---- SoloPricer: differential test against evaluate() ------------
+
+/** A random simple path of `len` chiplets over the NoP adjacency. */
+std::vector<int>
+randomSimplePath(const Topology& topo, int len, Rng& rng)
 {
-    // The beam search's soloCost goes through evaluateSolo; its
-    // pruning thresholds compare those numbers against full-evaluate
-    // window costs, so the fast path must be bit-exact, not merely
-    // close. Cover single- and multi-segment placements of both
-    // models on a heterogeneous package.
-    const Scenario sc = tinyScenario();
-    const Mcm mcm = templates::hetSides3x3();
-    const CostDb db(sc, mcm);
-    const WindowEvaluator eval(db, {false, false});
-
-    std::vector<WindowPlacement> placements;
-    for (int model = 0; model < sc.numModels(); ++model) {
-        const int last = sc.models[model].numLayers() - 1;
-        WindowPlacement whole;
-        ModelPlacement mp;
-        mp.modelIdx = model;
-        mp.segments = {PlacedSegment{LayerRange{0, last}, model}};
-        whole.models = {mp};
-        placements.push_back(whole);
-
-        WindowPlacement split;
-        ModelPlacement sp;
-        sp.modelIdx = model;
-        sp.segments = {PlacedSegment{LayerRange{0, last / 2}, 1},
-                       PlacedSegment{LayerRange{last / 2 + 1, last},
-                                     4}};
-        split.models = {sp};
-        placements.push_back(split);
+    for (int attempt = 0; attempt < 100; ++attempt) {
+        std::vector<int> path{static_cast<int>(
+            rng.index(static_cast<std::size_t>(topo.numNodes())))};
+        while (static_cast<int>(path.size()) < len) {
+            std::vector<int> next;
+            for (const int v : topo.neighbors(path.back())) {
+                if (std::find(path.begin(), path.end(), v) == path.end())
+                    next.push_back(v);
+            }
+            if (next.empty())
+                break;
+            path.push_back(next[rng.index(next.size())]);
+        }
+        if (static_cast<int>(path.size()) == len)
+            return path;
     }
-    for (const WindowPlacement& placement : placements) {
-        const WindowCost full = eval.evaluate(placement);
-        const SoloWindowCost solo = eval.evaluateSolo(placement);
-        EXPECT_EQ(solo.latencyCycles, full.latencyCycles);
-        EXPECT_EQ(solo.energyNj, full.energyNj);
-    }
+    return {};
 }
 
-TEST(SoloFastPath, RequiresSoloConfiguration)
+/** A random contiguous segmentation of `numSegs` segments of [first, last]. */
+std::vector<LayerRange>
+randomSegmentation(int first, int last, int numSegs, Rng& rng)
+{
+    std::vector<int> cuts;
+    for (int l = first; l < last; ++l)
+        cuts.push_back(l);
+    std::shuffle(cuts.begin(), cuts.end(), rng.engine());
+    cuts.resize(numSegs - 1);
+    std::sort(cuts.begin(), cuts.end());
+    std::vector<LayerRange> segments;
+    int begin = first;
+    for (const int cut : cuts) {
+        segments.push_back(LayerRange{begin, cut});
+        begin = cut + 1;
+    }
+    segments.push_back(LayerRange{begin, last});
+    return segments;
+}
+
+/** The one-model placement a pricer prices, for evaluate(). */
+WindowPlacement
+soloPlacement(const Scenario& sc, int model,
+              const std::vector<LayerRange>& segments,
+              const std::vector<int>& path, int entry)
+{
+    WindowPlacement placement;
+    placement.entryChiplet.assign(sc.numModels(), -1);
+    placement.entryChiplet[model] = entry;
+    ModelPlacement mp;
+    mp.modelIdx = model;
+    for (std::size_t k = 0; k < segments.size(); ++k)
+        mp.segments.push_back(PlacedSegment{segments[k], path[k]});
+    placement.models.push_back(std::move(mp));
+    return placement;
+}
+
+TEST(SoloPricer, BitEqualsEvaluateOnSeededDraws)
+{
+    // The beam search ranks paths by SoloPricer::price and compares
+    // the results against evaluate()-scored windows, so the pricer
+    // must be bit-exact, not merely close. Draws cover every
+    // interconnect class, DRAM and chiplet entries, windows that end
+    // the model and windows that do not, and several mini-batch
+    // candidates (batched models).
+    Scenario sc;
+    sc.name = "pricer";
+    sc.models = {zoo::eyeCod(8), zoo::resNet50(4), zoo::bertBase(2)};
+    sc.finalize();
+
+    const Mcm cross = templates::hetCross6x6();
+    std::vector<Mcm> packages = {
+        templates::hetSides3x3(),        templates::hetSidesTorus3x3(),
+        templates::hetSidesExpress3x3(), templates::hetSidesBroadcast3x3(),
+        templates::hetTriangular(),      cross,
+        // A partial wireless plane: per-pair link tables whose routes
+        // mix wired and plane hops.
+        Mcm("Het-Cross-PartialBcast", cross.chiplets(),
+            Topology::broadcastMesh(6, 6, {0, 5, 7, 14, 21, 28, 30, 35}),
+            cross.params())};
+
+    Rng rng(2024);
+    int draws = 0;
+    int endingDraws = 0;
+    int chipletEntries = 0;
+    std::int64_t hits = 0;
+    for (const Mcm& mcm : packages) {
+        const CostDb db(sc, mcm);
+        const WindowEvaluator eval(db, {false, false});
+        const Topology& topo = mcm.topology();
+        for (int d = 0; d < 90; ++d) {
+            const int model = static_cast<int>(rng.index(sc.numModels()));
+            const int numLayers = sc.models[model].numLayers();
+            const bool endsModel = rng.chance(0.5);
+            const int first = rng.uniformInt(0, numLayers - 2);
+            const int last = endsModel ? numLayers - 1
+                                       : rng.uniformInt(first,
+                                                        numLayers - 2);
+            const int numSegs = rng.uniformInt(
+                1, std::min({6, last - first + 1, topo.numNodes()}));
+            const std::vector<int> path =
+                randomSimplePath(topo, numSegs, rng);
+            if (path.empty())
+                continue;
+            const int entry =
+                rng.chance(0.5) ? -1 : rng.uniformInt(0, topo.numNodes() - 1);
+            const auto segments =
+                randomSegmentation(first, last, numSegs, rng);
+
+            SoloPricer pricer(eval, model, segments, entry);
+            // A second path through the same pricer reads shared
+            // terms back from the table.
+            for (const std::vector<int>& p :
+                 {path, randomSimplePath(topo, numSegs, rng), path}) {
+                if (p.empty())
+                    continue;
+                const SoloWindowCost solo = pricer.price(p);
+                const WindowCost full = eval.evaluate(
+                    soloPlacement(sc, model, segments, p, entry));
+                EXPECT_EQ(solo.latencyCycles, full.latencyCycles)
+                    << mcm.name() << " model " << model;
+                EXPECT_EQ(solo.energyNj, full.energyNj)
+                    << mcm.name() << " model " << model;
+            }
+            hits += pricer.hits();
+            ++draws;
+            endingDraws += endsModel ? 1 : 0;
+            chipletEntries += entry >= 0 ? 1 : 0;
+        }
+    }
+    EXPECT_GE(draws, 500);
+    EXPECT_GT(endingDraws, 0);
+    EXPECT_LT(endingDraws, draws);
+    EXPECT_GT(chipletEntries, 0);
+    EXPECT_LT(chipletEntries, draws);
+    EXPECT_GT(hits, 0);
+}
+
+TEST(SoloPricer, RejectsInvalidPathsAndConfigurations)
 {
     const Scenario sc = tinyScenario();
     const Mcm mcm = templates::hetSides3x3();
     const CostDb db(sc, mcm);
-    WindowPlacement p;
-    ModelPlacement mp;
-    mp.modelIdx = 0;
-    mp.segments = {PlacedSegment{
-        LayerRange{0, sc.models[0].numLayers() - 1}, 0}};
-    p.models = {mp};
-
-    // Contention/roofline on: the fast path would not match evaluate.
-    const WindowEvaluator contended(db);
-    EXPECT_THROW(contended.evaluateSolo(p), FatalError);
-    // More than one model: not a solo window.
-    WindowPlacement two = p;
-    ModelPlacement other;
-    other.modelIdx = 1;
-    other.segments = {PlacedSegment{
-        LayerRange{0, sc.models[1].numLayers() - 1}, 5}};
-    two.models.push_back(other);
     const WindowEvaluator solo(db, {false, false});
-    EXPECT_THROW(solo.evaluateSolo(two), FatalError);
+    const int last = sc.models[0].numLayers() - 1;
+    const std::vector<LayerRange> two = {LayerRange{0, last / 2},
+                                         LayerRange{last / 2 + 1, last}};
+
+    SoloPricer pricer(solo, 0, two, -1);
+    EXPECT_NO_THROW(pricer.price({0, 1}));
+    EXPECT_THROW(pricer.price({0}), FatalError);        // wrong length
+    EXPECT_THROW(pricer.price({0, 1, 2}), FatalError);  // wrong length
+    EXPECT_THROW(pricer.price({4, 4}), FatalError);     // repeated chiplet
+    EXPECT_THROW(pricer.price({0, 9}), FatalError);     // out of range
+    EXPECT_THROW(pricer.price({-1, 0}), FatalError);    // out of range
+    EXPECT_THROW(pricer.price({0, 8}), FatalError);     // not adjacent
+
+    // Contention or the roofline on: the pricer would not match.
+    const WindowEvaluator contended(db);
+    EXPECT_THROW(SoloPricer(contended, 0, two, -1), FatalError);
+    const WindowEvaluator roofline(db, {false, true});
+    EXPECT_THROW(SoloPricer(roofline, 0, two, -1), FatalError);
+    // Bad segmentations, model index or entry.
+    EXPECT_THROW(SoloPricer(solo, 0, {}, -1), FatalError);
+    EXPECT_THROW(SoloPricer(solo, 0, {LayerRange{0, 1}, LayerRange{3, last}},
+                            -1),
+                 FatalError);
+    EXPECT_THROW(SoloPricer(solo, 0, {LayerRange{0, last + 1}}, -1),
+                 FatalError);
+    EXPECT_THROW(SoloPricer(solo, 2, two, -1), FatalError);
+    EXPECT_THROW(SoloPricer(solo, 0, two, 9), FatalError);
 }
 
 TEST(CostDb, TableReuseIsCountedAndBitTransparent)

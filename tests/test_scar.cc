@@ -303,6 +303,14 @@ TEST(Scar, SingleModelScenarioWorks)
     expectValidSchedule(sc, scar.run());
 }
 
+TEST(Scar, ZeroTopCandidatesIsRejectedNotACrash)
+{
+    ScarOptions options;
+    options.window.maxTopCandidates = 0;
+    Scar scar(suite::byIndex(1), templates::hetSides3x3(), options);
+    EXPECT_THROW(scar.run(), FatalError);
+}
+
 TEST(Scar, MoreModelsThanChipletsIsRejected)
 {
     Scenario sc;

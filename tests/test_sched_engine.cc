@@ -256,6 +256,19 @@ TEST_F(SchedEngineTest, MoreModelsThanFitFailsGracefully)
     EXPECT_THROW(sched.search(wa_, {0, 3}, 1), FatalError);
 }
 
+TEST_F(SchedEngineTest, RejectsDegenerateOptions)
+{
+    // maxTopCandidates = 0 used to empty the ranked list and then read
+    // its front; both knobs must be rejected up front.
+    WindowSearchOptions noTop;
+    noTop.maxTopCandidates = 0;
+    EXPECT_THROW(WindowScheduler(*db_, OptTarget::Edp, noTop), FatalError);
+    WindowSearchOptions noSegs;
+    noSegs.seg.topK = 0;
+    EXPECT_THROW(WindowScheduler(*db_, OptTarget::Edp, noSegs),
+                 FatalError);
+}
+
 TEST(SchedEngineSmallMcm, WorksOnMotivational2x2)
 {
     Scenario sc;
