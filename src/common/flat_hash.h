@@ -38,21 +38,6 @@ mixBits(std::uint64_t x)
     return x ^ (x >> 31);
 }
 
-/** Hash for small integer-sequence keys (e.g. std::vector<int>). */
-struct IntSequenceHash
-{
-    template <typename Seq>
-    std::uint64_t
-    operator()(const Seq& seq) const
-    {
-        std::uint64_t h = mixBits(static_cast<std::uint64_t>(seq.size()));
-        for (const auto v : seq)
-            h = mixBits(h ^ static_cast<std::uint64_t>(
-                                static_cast<std::int64_t>(v)));
-        return h;
-    }
-};
-
 /**
  * Open-addressing (linear probing) hash map with power-of-two
  * capacity. Insert-only; rehashes at 7/8 load.

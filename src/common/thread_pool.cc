@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <utility>
 
 #include "common/error.h"
 
@@ -105,7 +106,8 @@ ThreadPool::parallelFor(std::size_t n,
         const std::function<void(std::size_t)>* body = nullptr;
         std::mutex mu;
         std::condition_variable cv;
-        std::exception_ptr error; ///< first failure wins (guarded by mu)
+        std::exception_ptr error; ///< lowest failing index's (guarded by mu)
+        std::size_t errorIndex = 0; ///< index of `error`, when set
     };
     auto ctl = std::make_shared<Ctl>();
     ctl->total = n;
@@ -120,8 +122,10 @@ ThreadPool::parallelFor(std::size_t n,
                 (*c->body)(i);
             } catch (...) {
                 std::lock_guard<std::mutex> lock(c->mu);
-                if (!c->error)
+                if (!c->error || i < c->errorIndex) {
                     c->error = std::current_exception();
+                    c->errorIndex = i;
+                }
             }
             if (c->done.fetch_add(1) + 1 == c->total) {
                 std::lock_guard<std::mutex> lock(c->mu);
@@ -138,8 +142,10 @@ ThreadPool::parallelFor(std::size_t n,
     std::unique_lock<std::mutex> lock(ctl->mu);
     ctl->cv.wait(lock,
                  [&] { return ctl->done.load() >= ctl->total; });
+    // Take the exception out of the control block, which a late task
+    // may still hold: the caller then owns its last reference.
     if (ctl->error)
-        std::rethrow_exception(ctl->error);
+        std::rethrow_exception(std::exchange(ctl->error, nullptr));
 }
 
 } // namespace scar

@@ -76,8 +76,11 @@ class ThreadPool
     /**
      * Runs body(i) for every i in [0, n) and blocks until all
      * complete. The caller participates, so the call never deadlocks
-     * even when issued from inside a pool task. The first exception
-     * thrown by any body is rethrown after the loop drains.
+     * even when issued from inside a pool task. Every index runs;
+     * if any body throws, the exception of the lowest failing index
+     * is rethrown after the loop drains — the one a serial loop
+     * would raise — so the reported error does not depend on the
+     * pool size or on which worker failed first.
      */
     void parallelFor(std::size_t n,
                      const std::function<void(std::size_t)>& body);

@@ -80,6 +80,7 @@ SolveProfile::summary() const
     phaseRow("pack (MCM-Reconfig)", packMs);
     phaseRow("provision (PROV)", provisionMs);
     phaseRow("window search (SEG+SCHED)", searchMs);
+    phaseRow("  of which ranking (SEG H1)", rankMs);
     phaseRow("other", std::max(
                           0.0, totalMs - packMs - provisionMs - searchMs));
     phases.addSeparator();

@@ -67,6 +67,9 @@ struct SolveProfile
     double packMs = 0.0;      ///< MCM-Reconfig greedy packing
     double provisionMs = 0.0; ///< PROV node allocation
     double searchMs = 0.0;    ///< SEG+SCHED window searches
+    /// Of searchMs: the up-front Heuristic-1 ranking fan-out over
+    /// every window (the rest is the serial placement walk).
+    double rankMs = 0.0;
 
     std::int64_t windows = 0;
     std::int64_t allocationsSearched = 0;

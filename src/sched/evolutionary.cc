@@ -96,15 +96,39 @@ EvolutionaryWindowSearch::decode(const Genome& genome,
     return segs;
 }
 
+EvolutionaryWindowSearch::Genome
+EvolutionaryWindowSearch::seedGenome(const WindowAssignment& wa,
+                                     const NodeAllocation& nodes) const
+{
+    Genome genome;
+    Rng seedRng(1);
+    for (int m : WindowScheduler::presentModels(wa)) {
+        const auto ranked =
+            rankSegmentations(db_, m, wa.perModel[m], nodes[m], target_,
+                              SegmentationOptions{}, seedRng);
+        std::vector<int> splits;
+        const LayerRange& range = wa.perModel[m];
+        for (std::size_t k = 0; k + 1 < ranked.front().segments.size();
+             ++k) {
+            splits.push_back(ranked.front().segments[k].last -
+                             range.first);
+        }
+        genome.push_back(std::move(splits));
+    }
+    return genome;
+}
+
 WindowScheduler::Result
 EvolutionaryWindowSearch::search(const WindowAssignment& wa,
                                  const NodeAllocation& nodes,
-                                 std::uint64_t seed,
+                                 const Genome& seeded, std::uint64_t seed,
                                  const std::vector<int>& entry,
                                  PathCache* sharedPaths) const
 {
     const std::vector<int> present = WindowScheduler::presentModels(wa);
     SCAR_REQUIRE(!present.empty(), "window has no layers to schedule");
+    SCAR_REQUIRE(seeded.size() == present.size(),
+                 "seed genome does not match the window's present models");
 
     Rng rng(mixSeed(seed, 0x5EEDuLL));
 
@@ -116,25 +140,8 @@ EvolutionaryWindowSearch::search(const WindowAssignment& wa,
     };
 
     // Seed the population: top-1 ranked segmentation + random genomes.
-    std::vector<Individual> population;
-    {
-        Individual seeded;
-        Rng seedRng(1);
-        for (int m : present) {
-            const auto ranked = rankSegmentations(
-                db_, m, wa.perModel[m], nodes[m], target_,
-                SegmentationOptions{}, seedRng);
-            std::vector<int> splits;
-            const LayerRange& range = wa.perModel[m];
-            for (std::size_t k = 0;
-                 k + 1 < ranked.front().segments.size(); ++k) {
-                splits.push_back(ranked.front().segments[k].last -
-                                 range.first);
-            }
-            seeded.genome.push_back(std::move(splits));
-        }
-        population.push_back(std::move(seeded));
-    }
+    std::vector<Individual> population(1);
+    population.front().genome = seeded;
     while (static_cast<int>(population.size()) < evo_.population) {
         Individual ind;
         ind.genome = randomGenome(present, wa, nodes, rng);

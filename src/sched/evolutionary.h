@@ -46,19 +46,44 @@ class EvolutionaryWindowSearch
                              WindowSearchOptions schedOpts,
                              EvoOptions evoOpts = EvoOptions{});
 
-    /** Runs the EA for one window; same contract as
-     *  WindowScheduler::search (re-entrant, seed-deterministic,
-     *  optional shared path memo). */
+    /** Per-model split lists (gap indices local to the window range). */
+    using Genome = std::vector<std::vector<int>>;
+
+    /**
+     * The seeded individual of the initial population: each present
+     * model's top Heuristic-1 segmentation under default SEG options,
+     * the models drawing in order from one Rng(1) stream. It reads no
+     * entry chiplets, so Scar::run builds every window's seed genome
+     * in one fan-out before its serial window walk.
+     */
+    Genome seedGenome(const WindowAssignment& wa,
+                      const NodeAllocation& nodes) const;
+
+    /**
+     * Runs the EA for one window from its seed genome; same contract
+     * as WindowScheduler::search (re-entrant, seed-deterministic,
+     * optional shared path memo).
+     * @param seeded seedGenome(wa, nodes)
+     * @param seed the EA's stream (selection, crossover, mutation)
+     */
     WindowScheduler::Result search(const WindowAssignment& wa,
                                    const NodeAllocation& nodes,
+                                   const Genome& seeded,
                                    std::uint64_t seed,
                                    const std::vector<int>& entry = {},
                                    PathCache* sharedPaths = nullptr) const;
 
-  private:
-    /** Per-model split lists (gap indices local to the window range). */
-    using Genome = std::vector<std::vector<int>>;
+    /** The whole EA of one window: seed genome, then search. */
+    WindowScheduler::Result
+    search(const WindowAssignment& wa, const NodeAllocation& nodes,
+           std::uint64_t seed, const std::vector<int>& entry = {},
+           PathCache* sharedPaths = nullptr) const
+    {
+        return search(wa, nodes, seedGenome(wa, nodes), seed, entry,
+                      sharedPaths);
+    }
 
+  private:
     Genome randomGenome(const std::vector<int>& present,
                         const WindowAssignment& wa,
                         const NodeAllocation& nodes, Rng& rng) const;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 
 #include "common/error.h"
 #include "common/logging.h"
@@ -59,23 +60,6 @@ Scar::Scar(Scenario scenario, Mcm mcm, ScarOptions options)
     }
 }
 
-WindowScheduler::Result
-Scar::searchWindow(const WindowAssignment& wa, const NodeAllocation& nodes,
-                   std::uint64_t seed, const std::vector<int>& entry,
-                   PathCache& pathCache) const
-{
-    WindowSearchOptions wopts = options_.window;
-    wopts.pool = pool_;
-    wopts.counters = runCounters_;
-    if (options_.mode == SearchMode::Evolutionary) {
-        EvolutionaryWindowSearch evo(db_, options_.target, wopts,
-                                     options_.evo);
-        return evo.search(wa, nodes, seed, entry, &pathCache);
-    }
-    WindowScheduler scheduler(db_, options_.target, wopts);
-    return scheduler.search(wa, nodes, seed, entry, &pathCache);
-}
-
 ScheduleResult
 Scar::run()
 {
@@ -95,6 +79,7 @@ Scar::run()
     Clock::time_point phaseStart{};
     double packMs = 0.0;
     double provisionMs = 0.0;
+    double rankMs = 0.0;
     double searchMs = 0.0;
     std::int64_t allocationsSearched = 0;
     if (prof) {
@@ -112,6 +97,85 @@ Scar::run()
            plan.windows.size(), " windows, target ",
            optTargetName(options_.target));
 
+    // PROV and SEG's Heuristic-1 ranking read no placement, so every
+    // window is provisioned and ranked before the serial walk below:
+    // one fan-out over all (window, allocation[, model]) ranking jobs.
+    const std::size_t numWindows = plan.windows.size();
+    if (prof)
+        phaseStart = Clock::now();
+    std::vector<std::vector<NodeAllocation>> allocations(numWindows);
+    for (std::size_t w = 0; w < numWindows; ++w) {
+        allocations[w] = provisionNodes(plan.windows[w], db_,
+                                        options_.target, options_.prov);
+        allocationsSearched +=
+            static_cast<std::int64_t>(allocations[w].size());
+    }
+    if (prof) {
+        provisionMs = sinceMs(phaseStart);
+        phaseStart = Clock::now();
+    }
+
+    WindowSearchOptions wopts = options_.window;
+    wopts.pool = pool_;
+    wopts.counters = runCounters_;
+    const WindowScheduler scheduler(db_, options_.target, wopts);
+    std::optional<EvolutionaryWindowSearch> evo;
+    if (options_.mode == SearchMode::Evolutionary)
+        evo.emplace(db_, options_.target, wopts, options_.evo);
+    // Every (window, allocation) search has its own seed stream.
+    const auto allocationSeed = [&](std::size_t w, std::size_t a) {
+        return mixSeed(mixSeed(options_.seed,
+                               static_cast<std::uint64_t>(w)),
+                       static_cast<std::uint64_t>(a));
+    };
+
+    // Brute force ranks one job per (window, allocation, model), each
+    // on its own stream; the EA's seed genome shares one stream across
+    // its models, so it is one job per (window, allocation).
+    struct RankJob
+    {
+        std::size_t window;
+        std::size_t alloc;
+        std::size_t slot; ///< present-model index (brute force)
+    };
+    std::vector<RankJob> jobs;
+    std::vector<std::vector<int>> present(numWindows);
+    std::vector<std::vector<WindowScheduler::Ranking>> rankings(
+        numWindows);
+    std::vector<std::vector<EvolutionaryWindowSearch::Genome>> genomes(
+        numWindows);
+    for (std::size_t w = 0; w < numWindows; ++w) {
+        present[w] = WindowScheduler::presentModels(plan.windows[w]);
+        const std::size_t numAllocs = allocations[w].size();
+        const std::size_t slots = evo ? 1 : present[w].size();
+        if (evo)
+            genomes[w].resize(numAllocs);
+        else
+            rankings[w].assign(numAllocs,
+                               WindowScheduler::Ranking(slots));
+        for (std::size_t a = 0; a < numAllocs; ++a) {
+            for (std::size_t i = 0; i < slots; ++i)
+                jobs.push_back({w, a, i});
+        }
+    }
+    forEachIndex(pool_, jobs.size(), [&](std::size_t j) {
+        const RankJob& job = jobs[j];
+        const WindowAssignment& wa = plan.windows[job.window];
+        const NodeAllocation& nodes = allocations[job.window][job.alloc];
+        if (evo) {
+            genomes[job.window][job.alloc] = evo->seedGenome(wa, nodes);
+        } else {
+            rankings[job.window][job.alloc][job.slot] =
+                scheduler.rankModel(wa, nodes,
+                                    allocationSeed(job.window, job.alloc),
+                                    present[job.window][job.slot]);
+        }
+    });
+    if (prof) {
+        rankMs = sinceMs(phaseStart);
+        searchMs = rankMs;
+    }
+
     // One path memo serves every search of this solve: its values are
     // pure functions of (length, occupancy) on this topology and cap.
     PathCache pathCache;
@@ -122,33 +186,21 @@ Scar::run()
     // Where each model's live data sits as windows progress (-1 = DRAM).
     std::vector<int> entry(scenario_.numModels(), -1);
 
-    // Windows run serially — each window's entry chiplets depend on
-    // the previous window's best placement — but every (window,
-    // allocation) search gets its own seed stream and parallelizes
-    // internally.
-    for (std::size_t w = 0; w < plan.windows.size(); ++w) {
+    // Windows place serially — each window's entry chiplets depend on
+    // the previous window's best placement — and each (window,
+    // allocation) search parallelizes internally.
+    for (std::size_t w = 0; w < numWindows; ++w) {
         const WindowAssignment& wa = plan.windows[w];
         if (prof)
             phaseStart = Clock::now();
-        const auto allocations =
-            provisionNodes(wa, db_, options_.target, options_.prov);
-        if (prof) {
-            provisionMs += sinceMs(phaseStart);
-            allocationsSearched +=
-                static_cast<std::int64_t>(allocations.size());
-            phaseStart = Clock::now();
-        }
-        const std::uint64_t windowSeed =
-            mixSeed(options_.seed, static_cast<std::uint64_t>(w));
-
         WindowScheduler::Result best;
         std::vector<ScoredPlacement> mergedTop;
-        for (std::size_t a = 0; a < allocations.size(); ++a) {
+        for (std::size_t a = 0; a < allocations[w].size(); ++a) {
             const auto found =
-                searchWindow(wa, allocations[a],
-                             mixSeed(windowSeed,
-                                     static_cast<std::uint64_t>(a)),
-                             entry, pathCache);
+                evo ? evo->search(wa, allocations[w][a], genomes[w][a],
+                                  allocationSeed(w, a), entry, &pathCache)
+                    : scheduler.search(wa, rankings[w][a], entry,
+                                       &pathCache);
             if (!found.found)
                 continue;
             mergedTop.insert(mergedTop.end(), found.top.begin(),
@@ -250,6 +302,7 @@ Scar::run()
         prof->packMs = packMs;
         prof->provisionMs = provisionMs;
         prof->searchMs = searchMs;
+        prof->rankMs = rankMs;
         prof->windows = static_cast<std::int64_t>(result.windows.size());
         prof->allocationsSearched = allocationsSearched;
         prof->captureCounters(counters);

@@ -18,8 +18,11 @@
  *   ScheduleResult result = scar.run();
  * @endcode
  *
- * Parallelism: the per-window search (combo fan-out, EA population
- * evaluation) runs on a worker pool selected by ScarOptions::threads.
+ * Parallelism: run() first ranks every window's segmentations in one
+ * fan-out (SEG's Heuristic 1 reads no placement), then walks the
+ * windows serially, each window's search (refinement, combo fan-out,
+ * EA population evaluation) running on the same worker pool, selected
+ * by ScarOptions::threads.
  * Every randomized stage draws from its own mixSeed-derived stream,
  * so run() returns a bit-identical ScheduleResult at any pool size —
  * including fully serial — and is safe to invoke concurrently from
@@ -153,11 +156,6 @@ class Scar
     const ScarOptions& options() const { return options_; }
 
   private:
-    WindowScheduler::Result searchWindow(
-        const WindowAssignment& wa, const NodeAllocation& nodes,
-        std::uint64_t seed, const std::vector<int>& entry,
-        PathCache& pathCache) const;
-
     const Scenario scenario_;
     const Mcm mcm_;
     ScarOptions options_;

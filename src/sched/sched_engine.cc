@@ -84,10 +84,9 @@ WindowScheduler::countTerms(const SoloPricer& pricer) const
 }
 
 std::vector<Segmentation>
-WindowScheduler::refineSegmentations(int model,
-                                     std::vector<Segmentation> pruned,
-                                     int entry,
-                                     PathCache& pathCache) const
+WindowScheduler::refineSegmentations(
+    int model, const std::vector<Segmentation>& pruned, int entry,
+    PathCache& pathCache) const
 {
     const Topology& topo = db_.mcm().topology();
     const std::vector<bool> noneBlocked(topo.numNodes(), false);
@@ -262,27 +261,50 @@ WindowScheduler::placeCombo(const std::vector<int>& present,
     }
 }
 
+WindowScheduler::Ranking
+WindowScheduler::rank(const WindowAssignment& wa,
+                      const NodeAllocation& nodes,
+                      std::uint64_t seed) const
+{
+    const std::vector<int> present = presentModels(wa);
+    SCAR_REQUIRE(!present.empty(), "window has no layers to schedule");
+    Ranking ranking(present.size());
+    forEachIndex(opts_.pool, present.size(), [&](std::size_t i) {
+        ranking[i] = rankModel(wa, nodes, seed, present[i]);
+    });
+    return ranking;
+}
+
+std::vector<Segmentation>
+WindowScheduler::rankModel(const WindowAssignment& wa,
+                           const NodeAllocation& nodes,
+                           std::uint64_t seed, int model) const
+{
+    SCAR_REQUIRE(nodes[model] >= 1, "model ", model,
+                 " present but allocated no nodes");
+    Rng segRng(mixSeed(seed, static_cast<std::uint64_t>(model)));
+    return rankSegmentations(db_, model, wa.perModel[model], nodes[model],
+                             target_, opts_.seg, segRng);
+}
+
 WindowScheduler::Result
 WindowScheduler::search(const WindowAssignment& wa,
-                        const NodeAllocation& nodes, std::uint64_t seed,
+                        const Ranking& ranking,
                         const std::vector<int>& entry,
                         PathCache* sharedPaths) const
 {
     const std::vector<int> present = presentModels(wa);
     SCAR_REQUIRE(!present.empty(), "window has no layers to schedule");
-    for (int m : present) {
-        SCAR_REQUIRE(nodes[m] >= 1, "model ", m,
-                     " present but allocated no nodes");
-    }
+    SCAR_REQUIRE(ranking.size() == present.size(),
+                 "ranking does not match the window's present models");
     auto entryOf = [&](int model) {
         return model < static_cast<int>(entry.size()) ? entry[model] : -1;
     };
 
-    // SEG (Heuristic 1): quick prune per model, then placement-aware
-    // refinement keeping the top-k per model. Models are independent
-    // and each draws from its own seed stream, so one model's
-    // capped-enumeration sampling never shifts another's; the
-    // per-model passes fan out and collect by model index.
+    // SEG refinement: re-score each model's Heuristic-1 survivors by
+    // their best placement from its entry and keep the top-k. Models
+    // are independent; the per-model passes fan out and collect by
+    // model index.
     PathCache localPaths;
     localPaths.setCounters(opts_.counters);
     PathCache& pathCache =
@@ -290,11 +312,8 @@ WindowScheduler::search(const WindowAssignment& wa,
     std::vector<std::vector<Segmentation>> segLists(present.size());
     forEachIndex(opts_.pool, present.size(), [&](std::size_t i) {
         const int m = present[i];
-        Rng segRng(mixSeed(seed, static_cast<std::uint64_t>(m)));
-        auto pruned = rankSegmentations(db_, m, wa.perModel[m], nodes[m],
-                                        target_, opts_.seg, segRng);
-        segLists[i] = refineSegmentations(m, std::move(pruned),
-                                          entryOf(m), pathCache);
+        segLists[i] = refineSegmentations(m, ranking[i], entryOf(m),
+                                          pathCache);
         SCAR_ASSERT(!segLists[i].empty(),
                     "no segmentation candidates for model ", m);
     });

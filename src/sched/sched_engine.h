@@ -9,21 +9,27 @@
  * through unoccupied chiplets (constrained DFS). Later models are
  * constrained by earlier models' visited nodes.
  *
- * Search organization:
- *  1. Heuristic-1 recombination — the cross product of each model's
+ * Search organization, in two halves — rank() is placement-free,
+ * search() starts from its ranking:
+ *  1. rank(): each model's Heuristic-1 quick ranking; search() then
+ *     re-scores the survivors by their best single-model placement
+ *     from the model's entry chiplet and keeps the top-k;
+ *  2. Heuristic-1 recombination — the cross product of each model's
  *     top-k segmentations forms the combo list;
- *  2. for each combo, models place in decreasing node-count order via
+ *  3. for each combo, models place in decreasing node-count order via
  *     beam search: path candidates from every free root are scored
  *     with a contention-free single-model cost (a SoloPricer per
  *     model step, cost/window_evaluator.h), and the best `beamWidth`
  *     partial placements survive;
- *  3. complete placements are re-scored with the full window evaluator
+ *  4. complete placements are re-scored with the full window evaluator
  *     (contention + DRAM roofline) and ranked.
  *
- * Parallelism and determinism: search() is re-entrant. Randomness
- * comes from a seed value, not a shared generator — each model's
- * segmentation pass draws from its own mixSeed(seed, model) stream.
- * The per-model rank+refine pass, the refinement's candidate scoring
+ * Parallelism and determinism: rank() and search() are re-entrant.
+ * Randomness comes from a seed value, not a shared generator — each
+ * model's Heuristic-1 ranking draws from its own mixSeed(seed, model)
+ * stream, and the ranking reads no entry chiplets, so Scar::run ranks
+ * every window of a solve in one fan-out before its serial window
+ * walk. The per-model refinement, the refinement's candidate scoring
  * and the combo loop fan out across the optional worker pool; results
  * are collected by model, candidate and combo index and ranked with
  * stable sorts, so the returned Result is bit-identical at any pool
@@ -97,13 +103,43 @@ class WindowScheduler
                     WindowSearchOptions opts = WindowSearchOptions{});
 
     /**
-     * Runs the SEG+SCHED search for one window. Re-entrant: safe to
-     * call concurrently on the same instance.
+     * Heuristic-1 rankings of one (window, allocation), one list per
+     * present model in present-model order: the entry-free half of
+     * SEG, which Scar::run computes for every window of a solve
+     * before it walks the windows.
+     */
+    using Ranking = std::vector<std::vector<Segmentation>>;
+
+    /**
+     * Ranks every present model of a window, fanning out across the
+     * pool. Re-entrant and seed-deterministic: each model draws from
+     * its own mixSeed(seed, model) stream (see rankModel).
      * @param wa layers per model in this window
      * @param nodes PROV allocation (max segments per model)
-     * @param seed randomness for capped enumerations; each model's
-     *        segmentation pass uses its own mixSeed(seed, model)
-     *        stream, so results are reproducible from the seed alone
+     * @param seed randomness for capped enumerations
+     */
+    Ranking rank(const WindowAssignment& wa, const NodeAllocation& nodes,
+                 std::uint64_t seed) const;
+
+    /**
+     * The ranking of one present model, drawn from its
+     * mixSeed(seed, model) stream, so one model's capped-enumeration
+     * sampling never shifts another's: rank() is this for every
+     * present model, and Scar::run runs it as one job per (window,
+     * allocation, model).
+     */
+    std::vector<Segmentation> rankModel(const WindowAssignment& wa,
+                                        const NodeAllocation& nodes,
+                                        std::uint64_t seed,
+                                        int model) const;
+
+    /**
+     * Runs the placement half of the window search from a ranking:
+     * the placement-aware refinement, the combo recombination and the
+     * beam placements. Re-entrant: safe to call concurrently on the
+     * same instance.
+     * @param wa layers per model in this window
+     * @param ranking rank(wa, nodes, seed) for the window's allocation
      * @param entry per-model entry chiplets (-1/empty = DRAM input);
      *        models continuing from a previous window receive their
      *        live data over the NoP from these chiplets
@@ -111,9 +147,18 @@ class WindowScheduler
      *        searches (Scar::run shares one per solve); nullptr uses
      *        a private cache
      */
-    Result search(const WindowAssignment& wa, const NodeAllocation& nodes,
-                  std::uint64_t seed, const std::vector<int>& entry = {},
+    Result search(const WindowAssignment& wa, const Ranking& ranking,
+                  const std::vector<int>& entry = {},
                   PathCache* sharedPaths = nullptr) const;
+
+    /** The whole SEG+SCHED search of one window: rank, then search. */
+    Result
+    search(const WindowAssignment& wa, const NodeAllocation& nodes,
+           std::uint64_t seed, const std::vector<int>& entry = {},
+           PathCache* sharedPaths = nullptr) const
+    {
+        return search(wa, rank(wa, nodes, seed), entry, sharedPaths);
+    }
 
     /**
      * Evaluates a fixed per-model segmentation choice (used by the
@@ -161,7 +206,7 @@ class WindowScheduler
      * out across the pool, one SoloPricer per candidate.
      */
     std::vector<Segmentation> refineSegmentations(
-        int model, std::vector<Segmentation> pruned, int entry,
+        int model, const std::vector<Segmentation>& pruned, int entry,
         PathCache& paths) const;
 
     const CostDb& db_;

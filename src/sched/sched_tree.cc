@@ -1,6 +1,7 @@
 #include "sched/sched_tree.h"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "common/error.h"
 
@@ -10,27 +11,96 @@ namespace scar
 namespace
 {
 
-void
-dfs(const Topology& topo, int node, int remaining,
-    std::vector<bool>& visited, std::vector<int>& path, int maxPaths,
-    std::vector<std::vector<int>>& out)
+/**
+ * The constrained DFS of one (topology, blocked mask): the visited
+ * mask and path are restored after every root, so one walker serves
+ * every root of an enumeratePathsAllRoots call.
+ *
+ * Before it expands a node with `remaining` nodes still to place, the
+ * walk checks that at least remaining - 1 unvisited nodes are
+ * reachable from it through unvisited nodes. Every completion of the
+ * path lies in that set, so the check only cuts subtrees that yield
+ * no path: the output is that of the plain DFS, path for path and in
+ * order, without its exponential dead-end search on long paths.
+ */
+class PathWalker
 {
-    if (static_cast<int>(out.size()) >= maxPaths)
-        return;
-    path.push_back(node);
-    visited[node] = true;
-    if (remaining == 1) {
-        out.push_back(path);
-    } else {
-        for (int next : topo.neighbors(node)) {
-            if (!visited[next])
-                dfs(topo, next, remaining - 1, visited, path, maxPaths,
-                    out);
-        }
+  public:
+    PathWalker(const Topology& topo, const std::vector<bool>& blocked)
+        : topo_(topo), visited_(blocked.begin(), blocked.end()),
+          stamp_(blocked.size(), 0)
+    {
     }
-    visited[node] = false;
-    path.pop_back();
-}
+
+    /** Appends up to maxPaths paths of `length` nodes from `root`. */
+    void
+    walk(int root, int length, int maxPaths,
+         std::vector<std::vector<int>>& out)
+    {
+        out_ = &out;
+        base_ = out.size();
+        maxPaths_ = maxPaths;
+        dfs(root, length);
+    }
+
+  private:
+    void
+    dfs(int node, int remaining)
+    {
+        if (static_cast<int>(out_->size() - base_) >= maxPaths_)
+            return;
+        path_.push_back(node);
+        visited_[node] = true;
+        if (remaining == 1) {
+            out_->push_back(path_);
+        } else if (remaining == 2 || reaches(node, remaining - 1)) {
+            for (int next : topo_.neighbors(node)) {
+                if (!visited_[next])
+                    dfs(next, remaining - 1);
+            }
+        }
+        visited_[node] = false;
+        path_.pop_back();
+    }
+
+    /**
+     * True when at least `need` unvisited nodes are reachable from
+     * `from` through unvisited nodes: a flood fill that stops as
+     * soon as it has found them.
+     */
+    bool
+    reaches(int from, int need)
+    {
+        ++epoch_;
+        stack_.clear();
+        stack_.push_back(from);
+        stamp_[from] = epoch_;
+        int found = 0;
+        while (!stack_.empty()) {
+            const int node = stack_.back();
+            stack_.pop_back();
+            for (int next : topo_.neighbors(node)) {
+                if (visited_[next] || stamp_[next] == epoch_)
+                    continue;
+                if (++found >= need)
+                    return true;
+                stamp_[next] = epoch_;
+                stack_.push_back(next);
+            }
+        }
+        return false;
+    }
+
+    const Topology& topo_;
+    std::vector<char> visited_; ///< blocked or on the current path
+    std::vector<int> path_;
+    std::vector<std::uint64_t> stamp_; ///< flood-fill marks, by epoch
+    std::uint64_t epoch_ = 0;
+    std::vector<int> stack_;           ///< flood-fill frontier
+    std::vector<std::vector<int>>* out_ = nullptr;
+    std::size_t base_ = 0;     ///< out_->size() when the root started
+    int maxPaths_ = 0;         ///< paths wanted from this root
+};
 
 } // namespace
 
@@ -44,9 +114,7 @@ enumeratePaths(const Topology& topo, int root, int length,
     std::vector<std::vector<int>> out;
     if (blocked[root])
         return out;
-    std::vector<bool> visited = blocked;
-    std::vector<int> path;
-    dfs(topo, root, length, visited, path, maxPaths, out);
+    PathWalker(topo, blocked).walk(root, length, maxPaths, out);
     return out;
 }
 
@@ -54,6 +122,8 @@ std::vector<std::vector<int>>
 enumeratePathsAllRoots(const Topology& topo, int length,
                        const std::vector<bool>& blocked, int maxTotal)
 {
+    SCAR_REQUIRE(static_cast<int>(blocked.size()) == topo.numNodes(),
+                 "blocked mask arity mismatch");
     std::vector<int> roots;
     for (int n = 0; n < topo.numNodes(); ++n) {
         if (!blocked[n])
@@ -62,15 +132,16 @@ enumeratePathsAllRoots(const Topology& topo, int length,
     std::vector<std::vector<int>> out;
     if (roots.empty())
         return out;
+    SCAR_REQUIRE(length >= 1, "path length must be >= 1");
     const int perRoot =
         std::max(1, maxTotal / static_cast<int>(roots.size()));
+    PathWalker walker(topo, blocked);
     for (int root : roots) {
         if (static_cast<int>(out.size()) >= maxTotal)
             break;
         const int budget = std::min(
             perRoot, maxTotal - static_cast<int>(out.size()));
-        auto paths = enumeratePaths(topo, root, length, blocked, budget);
-        out.insert(out.end(), paths.begin(), paths.end());
+        walker.walk(root, length, budget, out);
     }
     return out;
 }

@@ -1,6 +1,7 @@
 #include "sched/segmentation.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "common/flat_hash.h"
 #include "common/logging.h"
@@ -83,6 +84,73 @@ gapsOf(const GapBitmap& bitmap, std::vector<int>& splits)
 }
 
 /**
+ * The distinct gap bitmaps sampled for one segment count: their words
+ * side by side in one arena, found through an open-addressing table
+ * of arena slots. Sized once for the cap, so neither an accepted
+ * sample nor a new segment count allocates.
+ */
+class SampleSet
+{
+  public:
+    SampleSet(std::size_t words, int cap) : words_(words)
+    {
+        // The balanced candidate is kept even under a cap below one.
+        const std::size_t entries =
+            static_cast<std::size_t>(std::max(cap, 1));
+        std::size_t slots = 2;
+        while (slots < 2 * entries)
+            slots *= 2;
+        table_.assign(slots, kEmpty);
+        arena_.reserve(words_ * entries);
+    }
+
+    std::size_t size() const { return size_; }
+
+    /** Empties the set for the next segment count. */
+    void
+    clear()
+    {
+        std::fill(table_.begin(), table_.end(), kEmpty);
+        arena_.clear();
+        size_ = 0;
+    }
+
+    /** Adds `bitmap`; false when it is already in the set. */
+    bool
+    insert(const GapBitmap& bitmap)
+    {
+        const std::size_t mask = table_.size() - 1;
+        for (std::size_t i = hashOf(bitmap) & mask;; i = (i + 1) & mask) {
+            if (table_[i] == kEmpty) {
+                table_[i] = size_++;
+                arena_.insert(arena_.end(), bitmap.begin(), bitmap.end());
+                return true;
+            }
+            if (std::equal(bitmap.begin(), bitmap.end(),
+                           arena_.begin() + table_[i] * words_))
+                return false;
+        }
+    }
+
+  private:
+    static constexpr std::size_t kEmpty = ~std::size_t{0};
+
+    static std::uint64_t
+    hashOf(const GapBitmap& bitmap)
+    {
+        std::uint64_t h = 0;
+        for (const std::uint64_t word : bitmap)
+            h = mixBits(h ^ word);
+        return h;
+    }
+
+    std::size_t words_;
+    std::size_t size_ = 0;
+    std::vector<std::size_t> table_;   ///< arena slot per entry or kEmpty
+    std::vector<std::uint64_t> arena_; ///< size_ bitmaps of words_ each
+};
+
+/**
  * The one candidate generator: calls visit(splits) for every
  * segmentation of `range` into 1..maxSegs parts, as sorted local
  * split gaps, in enumeration order. Counts whose combination count
@@ -100,6 +168,11 @@ walkSplits(const LayerRange& range, int maxSegs, int capPerCount, Rng& rng,
     const int segLimit = std::min(maxSegs, layers);
 
     std::vector<int> splits;
+    // Sampling state of the capped counts, built on the first one.
+    const std::size_t words =
+        (static_cast<std::size_t>(layers) - 1 + 63) / 64;
+    GapBitmap picks;
+    std::optional<SampleSet> seen;
     for (int numSegs = 1; numSegs <= segLimit; ++numSegs) {
         const int splitsNeeded = numSegs - 1;
         const int gaps = layers - 1;
@@ -125,16 +198,18 @@ walkSplits(const LayerRange& range, int maxSegs, int capPerCount, Rng& rng,
         } else {
             debug("segmentation enumeration capped: C(", gaps, ",",
                   splitsNeeded, ") > ", capPerCount);
-            GapBitmap picks((static_cast<std::size_t>(gaps) + 63) / 64);
-            FlatHashMap<GapBitmap, char, IntSequenceHash> seen;
+            picks.assign(words, 0);
+            if (!seen)
+                seen.emplace(words, capPerCount);
+            seen->clear();
             // Always include the balanced candidate.
             splits = balancedSplits(layers, numSegs);
             for (int gap : splits)
                 setGap(picks, gap);
-            seen.insert(picks, 0);
+            seen->insert(picks);
             visit(splits);
             int attempts = 0;
-            while (static_cast<int>(seen.size()) < capPerCount &&
+            while (static_cast<int>(seen->size()) < capPerCount &&
                    attempts < capPerCount * 4) {
                 ++attempts;
                 // Distinct picks: the draws of filling an ordered set,
@@ -144,9 +219,8 @@ walkSplits(const LayerRange& range, int maxSegs, int capPerCount, Rng& rng,
                     if (setGap(picks, rng.uniformInt(0, gaps - 1)))
                         ++picked;
                 }
-                if (seen.find(picks) != nullptr)
+                if (!seen->insert(picks))
                     continue;
-                seen.insert(picks, 0);
                 gapsOf(picks, splits);
                 visit(splits);
             }

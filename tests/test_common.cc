@@ -172,6 +172,20 @@ TEST(Csv, RejectsWrongArity)
 
 // ---- FlatHashMap (the PathCache backing store) --------------------
 
+/** Hash for std::vector<int> keys. */
+struct IntSequenceHash
+{
+    std::uint64_t
+    operator()(const std::vector<int>& seq) const
+    {
+        std::uint64_t h = mixBits(static_cast<std::uint64_t>(seq.size()));
+        for (const int v : seq)
+            h = mixBits(h ^ static_cast<std::uint64_t>(
+                                static_cast<std::int64_t>(v)));
+        return h;
+    }
+};
+
 TEST(FlatHashMap, FindInsertAndGrowth)
 {
     FlatHashMap<std::vector<int>, int, IntSequenceHash> map;

@@ -360,6 +360,9 @@ TEST(ObsSolveProfile, ProfilesDatacenterSolvePhasesAndCaches)
     EXPECT_GE(profile.totalMs,
               profile.packMs + profile.provisionMs +
                   profile.searchMs - 1.0);
+    // The ranking fan-out is timed inside the window search.
+    EXPECT_GT(profile.rankMs, 0.0);
+    EXPECT_LE(profile.rankMs, profile.searchMs);
     EXPECT_GT(profile.allocationsSearched, 0);
     EXPECT_GT(profile.windowEvals, 0);
     EXPECT_GT(profile.combosPlaced, 0);
@@ -375,6 +378,7 @@ TEST(ObsSolveProfile, ProfilesDatacenterSolvePhasesAndCaches)
     const std::string summary = profile.summary();
     EXPECT_NE(summary.find("pack"), std::string::npos);
     EXPECT_NE(summary.find("search"), std::string::npos);
+    EXPECT_NE(summary.find("of which ranking"), std::string::npos);
     EXPECT_NE(summary.find("SoloPricer terms"), std::string::npos);
     EXPECT_NE(summary.find("PathCache"), std::string::npos);
     EXPECT_NE(summary.find("CostDb"), std::string::npos);
@@ -402,6 +406,12 @@ TEST(ObsSolveProfile, ProfiledCountersAreExactAtAnyThreadCount)
     // size (wall timings are the only run-to-run variant fields).
     // Every SoloPricer is local to one task, so even the split of its
     // term lookups into hits and fills is pool-size independent.
+    for (const obs::SolveProfile* profile : {&at1, &at4}) {
+        EXPECT_GT(profile->rankMs, 0.0);
+        EXPECT_LE(profile->rankMs, profile->searchMs);
+    }
+    EXPECT_EQ(at1.windows, at4.windows);
+    EXPECT_EQ(at1.allocationsSearched, at4.allocationsSearched);
     EXPECT_EQ(at1.windowEvals, at4.windowEvals);
     EXPECT_EQ(at1.combosPlaced, at4.combosPlaced);
     EXPECT_EQ(at1.segCandidates, at4.segCandidates);

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <set>
 
 #include "arch/mcm_templates.h"
@@ -153,7 +155,7 @@ TEST(Scar, ByteIdenticalAcrossPoolSizes)
     serial.threads = 1;
     const ScheduleResult baseline = Scar(sc, mcm, serial).run();
 
-    for (int threads : {4, 8}) {
+    for (int threads : {2, 4, 8}) {
         ScarOptions opts;
         opts.seed = 2024;
         opts.threads = threads;
@@ -174,7 +176,7 @@ TEST(Scar, ByteIdenticalAcrossPoolSizesEvolutionary)
     serial.nsplits = 2;
     const ScheduleResult baseline = Scar(sc, mcm, serial).run();
 
-    for (int threads : {4, 8}) {
+    for (int threads : {2, 4, 8}) {
         ScarOptions opts = serial;
         opts.threads = threads;
         const ScheduleResult result = Scar(sc, mcm, opts).run();
@@ -301,6 +303,50 @@ TEST(Scar, SingleModelScenarioWorks)
                                         templates::kArvrPes);
     Scar scar(sc, mcm, ScarOptions{});
     expectValidSchedule(sc, scar.run());
+}
+
+/**
+ * The end-to-end EDPs of the paper solve suite, pinned bit for bit:
+ * Sc1-10 on Het-Sides 3x3 by brute force (Sc1-5 at the datacenter PE
+ * count, Sc6-10 at the AR/VR one) and Sc4 on Het-Cross 6x6 by the
+ * evolutionary search. A search optimization must leave every one of
+ * them unchanged, at any pool size.
+ */
+TEST(Scar, PaperSuiteEdpsArePinned)
+{
+    const std::uint64_t pinned[11] = {
+        0x3fa059375c4b5874uLL, 0x3fa0a5e31575a718uLL,
+        0x3fa7010013082535uLL, 0x3ff7227b672a7545uLL,
+        0x3ffaa5f130b11a60uLL, 0x403e41a192d283e2uLL,
+        0x4037b518b0059167uLL, 0x3f7c03e80eb4ef36uLL,
+        0x3fd27795dea5bd07uLL, 0x3fda6c53db2c1bc2uLL,
+        0x3ff6cbda60cbf66cuLL,
+    };
+    for (int threads : {1, 4}) {
+        for (int c = 0; c < 11; ++c) {
+            const bool evo = c == 10;
+            ScarOptions opts;
+            opts.threads = threads;
+            if (evo) {
+                opts.mode = SearchMode::Evolutionary;
+                opts.nsplits = 2;
+            }
+            const int pes = c < 5 ? templates::kDatacenterPes
+                                  : templates::kArvrPes;
+            const Mcm mcm =
+                evo ? templates::hetCross6x6(templates::kDatacenterPes)
+                    : templates::hetSides3x3(pes);
+            const double edp =
+                Scar(suite::byIndex(evo ? 4 : c + 1), mcm, opts)
+                    .run()
+                    .metrics.edp();
+            std::uint64_t bits = 0;
+            std::memcpy(&bits, &edp, sizeof bits);
+            SCOPED_TRACE("case " + std::to_string(c) + ", threads " +
+                         std::to_string(threads));
+            EXPECT_EQ(bits, pinned[c]) << "EDP " << edp;
+        }
+    }
 }
 
 TEST(Scar, ZeroTopCandidatesIsRejectedNotACrash)

@@ -254,6 +254,22 @@ TEST_F(SchedEngineTest, MoreModelsThanFitFailsGracefully)
     // Allocation vector with a zero for a present model throws.
     const WindowScheduler sched(*db_, OptTarget::Edp);
     EXPECT_THROW(sched.search(wa_, {0, 3}, 1), FatalError);
+    EXPECT_THROW(sched.rank(wa_, {0, 3}, 1), FatalError);
+}
+
+TEST_F(SchedEngineTest, RejectsRankingOfAnotherWindow)
+{
+    // A precomputed ranking or seed genome must hold one entry per
+    // present model of the window it is searched with.
+    const WindowScheduler sched(*db_, OptTarget::Edp);
+    WindowScheduler::Ranking ranking = sched.rank(wa_, nodes_, 1);
+    ranking.pop_back();
+    EXPECT_THROW(sched.search(wa_, ranking), FatalError);
+    const EvolutionaryWindowSearch evo(*db_, OptTarget::Edp,
+                                       WindowSearchOptions{});
+    EvolutionaryWindowSearch::Genome genome = evo.seedGenome(wa_, nodes_);
+    genome.pop_back();
+    EXPECT_THROW(evo.search(wa_, nodes_, genome, 1), FatalError);
 }
 
 TEST_F(SchedEngineTest, RejectsDegenerateOptions)

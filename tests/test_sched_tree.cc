@@ -6,14 +6,139 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <string>
+#include <utility>
 
+#include "arch/mcm_templates.h"
+#include "common/rng.h"
 #include "sched/sched_tree.h"
 
 namespace scar
 {
 namespace
 {
+
+// The unpruned constrained DFS the enumeration used before it bounded
+// dead ends, kept verbatim as the oracle: the bounded walk must return
+// exactly its paths, in its order.
+namespace reference
+{
+
+void
+dfs(const Topology& topo, int node, int remaining,
+    std::vector<bool>& visited, std::vector<int>& path, int maxPaths,
+    std::vector<std::vector<int>>& out)
+{
+    if (static_cast<int>(out.size()) >= maxPaths)
+        return;
+    path.push_back(node);
+    visited[node] = true;
+    if (remaining == 1) {
+        out.push_back(path);
+    } else {
+        for (int next : topo.neighbors(node)) {
+            if (!visited[next])
+                dfs(topo, next, remaining - 1, visited, path, maxPaths,
+                    out);
+        }
+    }
+    visited[node] = false;
+    path.pop_back();
+}
+
+std::vector<std::vector<int>>
+enumeratePaths(const Topology& topo, int root, int length,
+               const std::vector<bool>& blocked, int maxPaths)
+{
+    std::vector<std::vector<int>> out;
+    if (blocked[root])
+        return out;
+    std::vector<bool> visited = blocked;
+    std::vector<int> path;
+    dfs(topo, root, length, visited, path, maxPaths, out);
+    return out;
+}
+
+std::vector<std::vector<int>>
+enumeratePathsAllRoots(const Topology& topo, int length,
+                       const std::vector<bool>& blocked, int maxTotal)
+{
+    std::vector<int> roots;
+    for (int n = 0; n < topo.numNodes(); ++n) {
+        if (!blocked[n])
+            roots.push_back(n);
+    }
+    std::vector<std::vector<int>> out;
+    if (roots.empty())
+        return out;
+    const int perRoot =
+        std::max(1, maxTotal / static_cast<int>(roots.size()));
+    for (int root : roots) {
+        if (static_cast<int>(out.size()) >= maxTotal)
+            break;
+        const int budget = std::min(
+            perRoot, maxTotal - static_cast<int>(out.size()));
+        auto paths = reference::enumeratePaths(topo, root, length,
+                                               blocked, budget);
+        out.insert(out.end(), paths.begin(), paths.end());
+    }
+    return out;
+}
+
+} // namespace reference
+
+/**
+ * Differential check of both enumeration entry points against the
+ * reference on every length 1..N and caps {1, 2, 96}, from the empty
+ * package and from seeded random occupancies of rising density.
+ * enumeratePaths is checked from every root of packages up to 3x3
+ * and from four seeded roots of larger ones (enumeratePathsAllRoots
+ * already walks every root).
+ */
+void
+expectMatchesReference(const std::string& name, const Topology& topo)
+{
+    const int n = topo.numNodes();
+    std::vector<std::vector<bool>> masks{std::vector<bool>(n, false)};
+    Rng rng(mixSeed(0x7EEuLL, static_cast<std::uint64_t>(n)));
+    std::vector<int> roots;
+    for (int root = 0; root < n; ++root)
+        roots.push_back(root);
+    if (n > 9) {
+        for (std::size_t i = 0; i < 4; ++i)
+            std::swap(roots[i], roots[i + rng.index(roots.size() - i)]);
+        roots.resize(4);
+    }
+    for (double density : {0.1, 0.25, 0.4}) {
+        std::vector<bool> blocked(n);
+        for (int node = 0; node < n; ++node)
+            blocked[node] = rng.chance(density);
+        masks.push_back(std::move(blocked));
+    }
+    for (std::size_t mi = 0; mi < masks.size(); ++mi) {
+        const std::vector<bool>& blocked = masks[mi];
+        for (int length = 1; length <= n; ++length) {
+            for (int cap : {1, 2, 96}) {
+                SCOPED_TRACE(name + ": mask " + std::to_string(mi) +
+                             ", length " + std::to_string(length) +
+                             ", cap " + std::to_string(cap));
+                ASSERT_EQ(scar::enumeratePathsAllRoots(topo, length,
+                                                       blocked, cap),
+                          reference::enumeratePathsAllRoots(
+                              topo, length, blocked, cap));
+                for (int root : roots) {
+                    ASSERT_EQ(scar::enumeratePaths(topo, root, length,
+                                                   blocked, cap),
+                              reference::enumeratePaths(
+                                  topo, root, length, blocked, cap))
+                        << "root " << root;
+                }
+            }
+        }
+    }
+}
 
 TEST(SchedTree, LengthOnePathsAreRoots)
 {
@@ -113,6 +238,26 @@ TEST(SchedTree, TriangularTopologyWorks)
     EXPECT_FALSE(paths.empty());
     for (const auto& path : paths)
         EXPECT_EQ(path.size(), 4u);
+}
+
+TEST(SchedTreeOracle, BoundedDfsMatchesReferenceOnMeshes)
+{
+    expectMatchesReference("mesh 3x3", Topology::mesh(3, 3));
+    expectMatchesReference("mesh 6x6", Topology::mesh(6, 6));
+}
+
+TEST(SchedTreeOracle, BoundedDfsMatchesReferenceOnPackageTopologies)
+{
+    expectMatchesReference("torus",
+                           templates::hetSidesTorus3x3().topology());
+    expectMatchesReference("express",
+                           templates::hetSidesExpress3x3().topology());
+    expectMatchesReference("broadcast",
+                           templates::hetSidesBroadcast3x3().topology());
+    expectMatchesReference("triangular",
+                           templates::hetTriangular().topology());
+    expectMatchesReference("het-cross 6x6",
+                           templates::hetCross6x6().topology());
 }
 
 } // namespace

@@ -8,9 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -66,6 +68,34 @@ TEST(ThreadPool, ParallelForPropagatesException)
                                           throw std::runtime_error("57");
                                   }),
                  std::runtime_error);
+}
+
+TEST(ThreadPool, ParallelForRethrowsTheLowestFailingIndex)
+{
+    // Index 3 fails late and index 60 at once, so on a parallel pool
+    // the higher index usually fails first in wall-clock order; the
+    // lower index's error must still be the one reported.
+    for (int concurrency : {1, 4}) {
+        ThreadPool pool(concurrency);
+        for (int run = 0; run < 20; ++run) {
+            std::string message;
+            try {
+                pool.parallelFor(64, [](std::size_t i) {
+                    if (i == 3) {
+                        std::this_thread::sleep_for(
+                            std::chrono::milliseconds(2));
+                        throw std::runtime_error("index 3");
+                    }
+                    if (i == 60)
+                        throw std::runtime_error("index 60");
+                });
+            } catch (const std::runtime_error& e) {
+                message = e.what();
+            }
+            EXPECT_EQ(message, "index 3")
+                << "concurrency " << concurrency << ", run " << run;
+        }
+    }
 }
 
 TEST(ThreadPool, SubmitReturnsFutureResult)
