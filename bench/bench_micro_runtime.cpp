@@ -193,10 +193,11 @@ BENCHMARK(BM_FleetEngineCommitBatched);
 /**
  * The preemptive path on a warm cache, which the benches above never
  * reach: frame-deadline traffic with boundary preemption and
- * speculative solves on (modeledSolveSec > 0). A preemptive fleet
- * routes on the flat BestFit scan, and every event with a ready batch
- * but no free shard runs the speculation-target scan, both pricing
- * all shards against their pod's schedule-cache probe. The argument
+ * speculative solves on (modeledSolveSec > 0). Urgent dispatches
+ * route through the pod index plus the idle shards owing a resume,
+ * and every event with a ready batch but no free shard runs the
+ * speculation-target scan, which prices all shards against their
+ * pod's schedule-cache probe. The argument
  * is the shard count (one shared cache: a single pod); the stream
  * scales with it, and the regime is sustained (SLO miss ~0).
  */

@@ -185,8 +185,7 @@ FleetSimulator::FleetSimulator(std::vector<ServedModel> catalog,
     }
     idx_.resize(shards_.size());
 
-    debug("fleet: ", shards_.size(), " shards, indexedRouting=",
-          options_.indexedRouting ? "on" : "off",
+    debug("fleet: ", shards_.size(), " shards",
           llmEnabled_ ? ", llm bound terms armed" : "",
           options_.serving.preemption.enabled
               ? ", urgency bound term armed"
@@ -416,135 +415,143 @@ FleetSimulator::routeDispatch(const std::string& mixSig,
                               const Scenario& mix, double nowSec,
                               bool allowDefer, bool urgent)
 {
-    // The indexed cluster -> pod -> shard path covers every policy
-    // when preemption is off (then no shard is ever suspended and no
-    // dispatch urgent — the two things the flat scan below handles
-    // specially). Preemptive fleets stay on the flat scan;
-    // indexedRouting = false forces it for A/B validation.
-    if (options_.indexedRouting &&
-        !options_.serving.preemption.enabled)
-        return routeIndexed(mixSig, mix, nowSec, allowDefer);
-
-    const std::size_t n = shards_.size();
     // A shard parking a suspended replay is reserved for its resume:
     // only urgent dispatches (the reason it was preempted at all) may
     // claim it first — otherwise arbitrary ready batches could starve
-    // the preempted requests indefinitely.
-    auto isCandidate = [&](std::size_t s) {
-        return !shards_[s].executor.busy() &&
-               !shards_[s].hasPending &&
-               (urgent || !shards_[s].hasSuspended);
+    // the preempted requests indefinitely. Few shards owe a resume at
+    // once, so the idle ones are scanned from suspendedIdle_ rather
+    // than indexed by cost.
+    auto isCandidate = [&](int s) {
+        return idx_[s].inFree || (urgent && idx_[s].suspendedIdle);
     };
-    // Per-shard completion costs, computed at most once per routing
-    // decision and shared between BestFit's pick and the
-    // routing-quality accounting below; each pod's cache is probed
-    // once for all of its shards.
+    const std::size_t nCand =
+        freeShards_.size() + (urgent ? suspendedIdle_.size() : 0);
+    // Completion costs, computed at most once per shard and decision
+    // and shared between BestFit's pick and the routing-quality
+    // accounting; each pod's cache is probed once for all its shards.
     RoutingProbes probes = newProbes(mixSig, mix);
-    std::vector<double> costSec;
-    auto costs = [&]() -> const std::vector<double>& {
-        if (costSec.empty()) {
-            costSec.reserve(n);
-            for (std::size_t s = 0; s < n; ++s)
-                costSec.push_back(dispatchCostSec(
-                    s, probePod(probes, s, true), nowSec, urgent));
-        }
-        return costSec;
+    std::map<int, double> costMemo;
+    auto costOf = [&](int s) {
+        const auto it = costMemo.find(s);
+        if (it != costMemo.end())
+            return it->second;
+        const auto shard = static_cast<std::size_t>(s);
+        const double c = dispatchCostSec(
+            shard, probePod(probes, shard, true), nowSec, urgent);
+        costMemo.emplace(s, c);
+        return c;
     };
+    std::vector<int> reps;
+    auto ensureReps = [&]() {
+        if (reps.empty())
+            reps = candidateReps(probes);
+    };
+    // Lowest (busySec, shard) among the candidates.
     auto leastLoaded = [&]() {
-        int best = -1;
-        for (std::size_t s = 0; s < n; ++s) {
-            if (!isCandidate(s))
-                continue;
-            if (best < 0 || shards_[s].busySec < shards_[best].busySec)
-                best = static_cast<int>(s);
+        int best = freeByBusy_.empty() ? -1 : freeByBusy_.begin()->second;
+        if (urgent) {
+            for (const int s : suspendedIdle_) {
+                if (best < 0 ||
+                    std::make_pair(shards_[s].busySec, s) <
+                        std::make_pair(shards_[best].busySec, best))
+                    best = s;
+            }
         }
         return best;
     };
-    auto bestFit = [&]() {
-        // Lowest estimated completion cost; with allowDefer the
-        // occupied shards compete too, charged their backlog. Ties
-        // go to the idle shard, then the least-loaded, then the
-        // lowest index — the homogeneous-fleet degeneration of
-        // BestFit. When the cheapest shard is occupied, return -1:
-        // the dispatch defers until that shard frees rather than
-        // starting sooner on a package that would finish later.
-        // Deferral is myopic about the queue behind this dispatch,
-        // so the caller disables it under overflow — otherwise a
-        // saturated preferred shard would starve the rest of the
-        // fleet while the backlog compounds.
+    // Lowest candidate index at or after `from`, or -1.
+    auto firstFrom = [&](int from) {
+        const auto it = freeShards_.lower_bound(from);
+        int first = it == freeShards_.end() ? -1 : *it;
+        if (urgent) {
+            const auto sit = suspendedIdle_.lower_bound(from);
+            if (sit != suspendedIdle_.end() && (first < 0 || *sit < first))
+                first = *sit;
+        }
+        return first;
+    };
+    // The BestFit fold over the given shards, sorted by index so the
+    // iteration-order tie-breaks match a scan over every shard: lowest
+    // estimated completion cost; ties go to a candidate over an
+    // occupied shard, then the least-loaded, then the lowest index —
+    // the homogeneous-fleet degeneration of BestFit.
+    auto fold = [&](const std::vector<int>& pool, bool candidatesOnly) {
         int best = -1;
         double bestCost = kInf;
-        for (std::size_t s = 0; s < n; ++s) {
-            if (!allowDefer && !isCandidate(s))
+        for (const int s : pool) {
+            const bool candidate = isCandidate(s);
+            if (candidatesOnly && !candidate)
                 continue;
-            const double cost = costs()[s];
+            const double cost = costOf(s);
             bool better = best < 0 || cost < bestCost - kCostTieEps;
             if (!better && cost < bestCost + kCostTieEps) {
-                const bool candidate = isCandidate(s);
                 const bool bestCandidate = isCandidate(best);
-                better = (candidate && !bestCandidate) ||
-                         (candidate == bestCandidate &&
-                          shards_[s].busySec < shards_[best].busySec);
+                better =
+                    (candidate && !bestCandidate) ||
+                    (candidate == bestCandidate &&
+                     shards_[s].busySec < shards_[best].busySec);
             }
             if (better) {
-                best = static_cast<int>(s);
+                best = s;
                 bestCost = cost;
             }
         }
-        if (best < 0)
-            return -1;
-        if (isCandidate(best))
-            return best;
-        // An occupied shard won: defer only while its backlog fits
-        // the deferral horizon (next boundary / solve-ready plus one
-        // makespan of this mix); past it, the batch takes the best
-        // idle candidate instead of waiting out a long replay.
-        if (deferralWithinHorizon(static_cast<std::size_t>(best),
-                                  probes, nowSec))
-            return -1;
-        int cbest = -1;
-        double cbestCost = kInf;
-        for (std::size_t s = 0; s < n; ++s) {
-            if (!isCandidate(s))
-                continue;
-            const double cost = costs()[s];
-            bool better =
-                cbest < 0 || cost < cbestCost - kCostTieEps;
-            if (!better && cost < cbestCost + kCostTieEps)
-                better = shards_[s].busySec <
-                         shards_[cbest].busySec;
-            if (better) {
-                cbest = static_cast<int>(s);
-                cbestCost = cost;
-            }
-        }
-        return cbest;
+        return best;
     };
 
     int chosen = -1;
     switch (options_.routing) {
       case RoutingPolicy::RoundRobin:
-        for (std::size_t k = 0; k < n; ++k) {
-            const std::size_t s = (rrNext_ + k) % n;
-            if (isCandidate(s)) {
-                rrNext_ = s + 1;
-                chosen = static_cast<int>(s);
-                break;
-            }
-        }
+        chosen = firstFrom(static_cast<int>(rrNext_));
+        if (chosen < 0)
+            chosen = firstFrom(0);
+        if (chosen >= 0)
+            rrNext_ = static_cast<std::size_t>(chosen) + 1;
         break;
       case RoutingPolicy::LeastLoaded:
         chosen = leastLoaded();
         break;
       case RoutingPolicy::MixAffinity: {
-        const std::size_t target = fnv1a(mixSig) % n;
-        chosen = isCandidate(target) ? static_cast<int>(target)
-                                     : leastLoaded();
+        const int target =
+            static_cast<int>(fnv1a(mixSig) % shards_.size());
+        chosen = isCandidate(target) ? target : leastLoaded();
         break;
       }
-      case RoutingPolicy::BestFit:
-        chosen = bestFit();
+      case RoutingPolicy::BestFit: {
+        // Every pod's cheapest candidates, plus — with allowDefer —
+        // its earliest-available occupied shards, charged their
+        // backlog. A shard owing a resume is priced one by one: for
+        // an urgent dispatch the idle ones are candidates, and for
+        // deferral each carries its suspended tail, which the
+        // occupied index cannot order. Deferral is myopic about the
+        // queue behind this dispatch, so the caller disables it
+        // under overflow (and for urgent dispatches) — otherwise a
+        // saturated preferred shard would starve the rest of the
+        // fleet while the backlog compounds.
+        ensureReps();
+        std::vector<int> pool = reps;
+        if (allowDefer) {
+            const std::vector<int> occ = occupiedReps(probes);
+            pool.insert(pool.end(), occ.begin(), occ.end());
+            pool.insert(pool.end(), suspended_.begin(), suspended_.end());
+        } else if (urgent) {
+            pool.insert(pool.end(), suspendedIdle_.begin(),
+                        suspendedIdle_.end());
+        }
+        std::sort(pool.begin(), pool.end());
+        const int best = fold(pool, false);
+        if (best < 0 || isCandidate(best)) {
+            chosen = best;
+        } else if (!deferralWithinHorizon(
+                       static_cast<std::size_t>(best), probes,
+                       nowSec)) {
+            // An occupied shard won, but its backlog outlasts the
+            // deferral horizon: best idle candidate instead.
+            chosen = fold(pool, true);
+        }
+        // Otherwise chosen stays -1: defer, the shard frees in time.
         break;
+      }
     }
     if (chosen < 0)
         return -1;
@@ -553,17 +560,18 @@ FleetSimulator::routeDispatch(const std::string& mixSig,
     // choice, did it pick a candidate the cost model also ranks
     // cheapest? (BestFit is cost-optimal by construction; the others
     // reveal how much completion time their heuristic leaves behind.)
-    std::size_t candidates = 0;
-    for (std::size_t s = 0; s < n; ++s)
-        candidates += isCandidate(s) ? 1 : 0;
-    if (candidates >= 2) {
+    // The pod representatives cover every pod's cheapest candidate,
+    // so with the idle suspended shards they give the minimum.
+    if (nCand >= 2) {
         ++contestedRoutes_;
+        ensureReps();
         double minCost = kInf;
-        for (std::size_t s = 0; s < n; ++s) {
-            if (isCandidate(s))
-                minCost = std::min(minCost, costs()[s]);
-        }
-        if (costs()[chosen] <= minCost + kCostTieEps)
+        for (const int s : reps)
+            minCost = std::min(minCost, costOf(s));
+        if (urgent)
+            for (const int s : suspendedIdle_)
+                minCost = std::min(minCost, costOf(s));
+        if (costOf(chosen) <= minCost + kCostTieEps)
             ++costOptimalRoutes_;
     }
     return chosen;
@@ -671,6 +679,57 @@ FleetSimulator::resumeSuspended(Shard& shard, double nowSec)
 }
 
 void
+FleetSimulator::parkDispatch(int target, const std::string& sig,
+                             Dispatch dispatch, double nowSec,
+                             const ScheduleCache::ComputeFn& compute,
+                             const char* counter)
+{
+    Shard& shard = shards_[target];
+    const std::string key =
+        cacheKey(sig, static_cast<std::size_t>(target));
+    const AsyncLookup found = shard.cache->lookup(
+        key, dispatch.mix, compute, nowSec,
+        options_.serving.modeledSolveSec);
+    double endSec = found.readySec;
+    if (!shard.lastKey.empty() && shard.lastKey != key)
+        endSec += options_.serving.switchOverheadSec;
+    // A decode round replays its one-step makespan llmDecodeSteps
+    // times (0 on other dispatches, where the factor 1 is exact).
+    endSec += (found.schedule != nullptr
+                   ? found.schedule->makespanSec
+                   : estimateMakespanKeyed(
+                         key, static_cast<std::size_t>(target),
+                         dispatch.mix)) *
+              std::max(1, dispatch.llmDecodeSteps);
+    shard.hasPending = true;
+    shard.pending = std::move(dispatch);
+    shard.pendingKey = key;
+    shard.pendingReadySec = found.readySec;
+    shard.pendingEndSec = endSec;
+    shard.pendingSchedule = found.schedule;
+    syncShard(static_cast<std::size_t>(target));
+    shard.solveStallSec += std::max(0.0, found.readySec - nowSec);
+    if (obs::FlightRecorder* const rec = options_.recorder) {
+        const int tid = target + 1;
+        // lookup() counts joining an in-flight solve as a hit; only a
+        // lookup that launched the solve is a miss (matches
+        // ScheduleCacheStats).
+        const bool hit = !found.startedSolve;
+        rec->trace().instantVirtual(tid, hit ? "cache-hit" : "cache-miss",
+                                    "cache", nowSec,
+                                    {obs::argText("mix", sig)});
+        rec->metrics()
+            .counter(hit ? "cache.hits" : "cache.misses")
+            .inc();
+        rec->metrics().counter(counter).inc();
+        if (found.readySec > nowSec)
+            rec->trace().completeVirtual(tid, "solve-stall", "stall",
+                                         nowSec, found.readySec - nowSec,
+                                         {obs::argText("mix", sig)});
+    }
+}
+
+void
 FleetSimulator::syncShard(std::size_t s)
 {
     Shard& sh = shards_[s];
@@ -697,9 +756,9 @@ FleetSimulator::syncShard(std::size_t s)
         eraseClassed(pod.occByClass, pod.occHeads, k.occClass,
                      {k.occAvailSec, si});
     if (k.suspendedAny)
-        --suspendedCount_;
+        suspended_.erase(si);
     if (k.suspendedIdle)
-        --suspendedIdleCount_;
+        suspendedIdle_.erase(si);
 
     // Re-derive from the shard's current state.
     const bool busy = sh.executor.busy();
@@ -722,10 +781,10 @@ FleetSimulator::syncShard(std::size_t s)
     }
     k.suspendedAny = sh.hasSuspended;
     if (k.suspendedAny)
-        ++suspendedCount_;
+        suspended_.insert(si);
     k.suspendedIdle = sh.hasSuspended && !busy && !sh.hasPending;
     if (k.suspendedIdle)
-        ++suspendedIdleCount_;
+        suspendedIdle_.insert(si);
 
     // Candidate rule of routeDispatch's non-urgent path.
     const bool candidate = !busy && !sh.hasPending && !sh.hasSuspended;
@@ -742,8 +801,11 @@ FleetSimulator::syncShard(std::size_t s)
     // parked dispatch's projected end) — the dispatchCostSec wait is
     // monotone in it, so the earliest-available shard of a class is
     // its cheapest. prevKey follows dispatchCostSec: the running
-    // replay's key when busy, the parked dispatch's otherwise.
-    const bool occupied = busy || sh.hasPending;
+    // replay's key when busy, the parked dispatch's otherwise. A
+    // shard owing a resume is left out: its cost adds the suspended
+    // tail, which breaks that order, so BestFit prices it from
+    // suspended_ instead.
+    const bool occupied = (busy || sh.hasPending) && !sh.hasSuspended;
     k.inOcc = occupied;
     if (occupied) {
         k.occClass = busy ? sh.lastKey : sh.pendingKey;
@@ -761,8 +823,8 @@ FleetSimulator::rebuildCalendar()
     busyEndQueue_.clear();
     freeShards_.clear();
     freeByBusy_.clear();
-    suspendedCount_ = 0;
-    suspendedIdleCount_ = 0;
+    suspended_.clear();
+    suspendedIdle_.clear();
     for (Pod& pod : pods_) {
         pod.freeByClass.clear();
         pod.freeHeads.clear();
@@ -864,126 +926,6 @@ FleetSimulator::deferralWithinHorizon(std::size_t s,
     return occWaitSec <= horizonSec + kCostTieEps;
 }
 
-int
-FleetSimulator::routeIndexed(const std::string& mixSig,
-                             const Scenario& mix, double nowSec,
-                             bool allowDefer)
-{
-    // Preemption is off on this path, so the candidate set is
-    // exactly freeShards_ (no shard ever parks a suspended replay).
-    const std::size_t nCand = freeShards_.size();
-    RoutingProbes probes = newProbes(mixSig, mix);
-    std::map<int, double> costMemo;
-    auto costOf = [&](int s) {
-        const auto it = costMemo.find(s);
-        if (it != costMemo.end())
-            return it->second;
-        const auto shard = static_cast<std::size_t>(s);
-        const double c = dispatchCostSec(
-            shard, probePod(probes, shard, true), nowSec, false);
-        costMemo.emplace(s, c);
-        return c;
-    };
-    std::vector<int> reps;
-    auto ensureReps = [&]() {
-        if (reps.empty())
-            reps = candidateReps(probes);
-    };
-    auto leastLoaded = [&]() {
-        return freeByBusy_.empty() ? -1 : freeByBusy_.begin()->second;
-    };
-    // Folds the serial BestFit scan over the given shards (sorted by
-    // index, so the iteration-order tie-breaks match the flat loop).
-    auto fold = [&](const std::vector<int>& pool,
-                    bool candidatesOnly) {
-        int best = -1;
-        double bestCost = kInf;
-        for (const int s : pool) {
-            const bool candidate = idx_[s].inFree;
-            if (candidatesOnly && !candidate)
-                continue;
-            const double cost = costOf(s);
-            bool better = best < 0 || cost < bestCost - kCostTieEps;
-            if (!better && cost < bestCost + kCostTieEps) {
-                const bool bestCandidate = idx_[best].inFree;
-                better =
-                    (candidate && !bestCandidate) ||
-                    (candidate == bestCandidate &&
-                     shards_[s].busySec < shards_[best].busySec);
-            }
-            if (better) {
-                best = s;
-                bestCost = cost;
-            }
-        }
-        return best;
-    };
-
-    int chosen = -1;
-    switch (options_.routing) {
-      case RoutingPolicy::RoundRobin: {
-        if (!freeShards_.empty()) {
-            auto it = freeShards_.lower_bound(
-                static_cast<int>(rrNext_));
-            if (it == freeShards_.end())
-                it = freeShards_.begin();
-            chosen = *it;
-            rrNext_ = static_cast<std::size_t>(chosen) + 1;
-        }
-        break;
-      }
-      case RoutingPolicy::LeastLoaded:
-        chosen = leastLoaded();
-        break;
-      case RoutingPolicy::MixAffinity: {
-        const int target =
-            static_cast<int>(fnv1a(mixSig) % shards_.size());
-        chosen = freeShards_.count(target) > 0 ? target
-                                               : leastLoaded();
-        break;
-      }
-      case RoutingPolicy::BestFit: {
-        ensureReps();
-        std::vector<int> pool = reps;
-        if (allowDefer) {
-            const std::vector<int> occ = occupiedReps(probes);
-            pool.insert(pool.end(), occ.begin(), occ.end());
-            std::sort(pool.begin(), pool.end());
-        }
-        const int best = fold(pool, false);
-        if (best < 0) {
-            chosen = -1;
-        } else if (idx_[best].inFree) {
-            chosen = best;
-        } else if (deferralWithinHorizon(
-                       static_cast<std::size_t>(best), probes,
-                       nowSec)) {
-            chosen = -1; // defer: the occupied shard frees in time
-        } else {
-            // Past the deferral horizon: best idle candidate instead.
-            chosen = fold(pool, true);
-        }
-        break;
-      }
-    }
-    if (chosen < 0)
-        return -1;
-
-    // Routing-quality accounting, identical to the flat scan: the
-    // pod representatives cover every pod's cheapest candidate, so
-    // their minimum is the fleet-wide minimum candidate cost.
-    if (nCand >= 2) {
-        ++contestedRoutes_;
-        ensureReps();
-        double minCost = kInf;
-        for (const int s : reps)
-            minCost = std::min(minCost, costOf(s));
-        if (costOf(chosen) <= minCost + kCostTieEps)
-            ++costOptimalRoutes_;
-    }
-    return chosen;
-}
-
 ServingReport
 FleetSimulator::run(const std::vector<Request>& trace)
 {
@@ -1073,13 +1015,13 @@ FleetSimulator::run(const std::vector<Request>& trace)
 
     auto anyBusyOrPending = [&]() {
         return !boundaryQueue_.empty() || !pendingQueue_.empty() ||
-               suspendedCount_ > 0;
+               !suspended_.empty();
     };
     // Mirrors routeDispatch's candidate rule: a shard parking a
     // suspended replay only counts for urgent dispatches.
     auto anyCandidate = [&](bool urgent) {
         return !freeShards_.empty() ||
-               (urgent && suspendedIdleCount_ > 0);
+               (urgent && !suspendedIdle_.empty());
     };
     const PreemptionOptions& preemption =
         options_.serving.preemption;
@@ -1293,20 +1235,16 @@ FleetSimulator::run(const std::vector<Request>& trace)
         // urgent batch before resuming avoids a pointless
         // resume/re-preempt cycle); the moment urgency clears, the
         // preempted replay continues from its cursor.
-        bool resumed = false;
-        if (suspendedCount_ > 0) {
-            for (Shard& shard : shards_) {
-                if (!shard.hasSuspended || shard.executor.busy() ||
-                    shard.hasPending || urgent)
-                    continue;
-                resumeSuspended(shard, nowSec);
-                syncShard(static_cast<std::size_t>(&shard -
-                                                   shards_.data()));
-                resumed = true;
+        if (!urgent && !suspendedIdle_.empty()) {
+            // A copy: syncShard retracts each resumed shard.
+            const std::vector<int> idle(suspendedIdle_.begin(),
+                                        suspendedIdle_.end());
+            for (const int si : idle) {
+                resumeSuspended(shards_[si], nowSec);
+                syncShard(static_cast<std::size_t>(si));
             }
-        }
-        if (resumed)
             continue;
+        }
 
         // 1. Start parked dispatches whose schedule is usable now.
         // The pending queue holds exactly the parked-idle shards
@@ -1433,49 +1371,8 @@ FleetSimulator::run(const std::vector<Request>& trace)
                 ++llmDecodeRounds_;
                 llmBoardedSum_ += static_cast<long>(
                     dispatch.groups.front().requests.size());
-                Shard& shard = shards_[target];
-                const std::string key =
-                    cacheKey(sig, static_cast<std::size_t>(target));
-                const AsyncLookup found = shard.cache->lookup(
-                    key, dispatch.mix, computes[target], nowSec,
-                    options_.serving.modeledSolveSec);
-                double endSec = found.readySec;
-                if (!shard.lastKey.empty() && shard.lastKey != key)
-                    endSec += options_.serving.switchOverheadSec;
-                // One-step makespan times the round's step count.
-                endSec +=
-                    (found.schedule != nullptr
-                         ? found.schedule->makespanSec
-                         : estimateMakespanKeyed(
-                               key,
-                               static_cast<std::size_t>(target),
-                               dispatch.mix)) *
-                    dispatch.llmDecodeSteps;
-                shard.hasPending = true;
-                shard.pending = std::move(dispatch);
-                shard.pendingKey = key;
-                shard.pendingReadySec = found.readySec;
-                shard.pendingEndSec = endSec;
-                shard.pendingSchedule = found.schedule;
-                syncShard(static_cast<std::size_t>(target));
-                shard.solveStallSec +=
-                    std::max(0.0, found.readySec - nowSec);
-                if (rec) {
-                    const int tid = target + 1;
-                    const bool hit = !found.startedSolve;
-                    rec->trace().instantVirtual(
-                        tid, hit ? "cache-hit" : "cache-miss",
-                        "cache", nowSec, {obs::argText("mix", sig)});
-                    rec->metrics()
-                        .counter(hit ? "cache.hits" : "cache.misses")
-                        .inc();
-                    rec->metrics().counter("dispatches.decode").inc();
-                    if (found.readySec > nowSec)
-                        rec->trace().completeVirtual(
-                            tid, "solve-stall", "stall", nowSec,
-                            found.readySec - nowSec,
-                            {obs::argText("mix", sig)});
-                }
+                parkDispatch(target, sig, std::move(dispatch), nowSec,
+                             computes[target], "dispatches.decode");
                 continue;
             }
         }
@@ -1530,52 +1427,10 @@ FleetSimulator::run(const std::vector<Request>& trace)
                             "routed peek");
                 for (const BatchGroup& group : dispatch.groups)
                     paddedSlots += group.batch;
-                Shard& shard = shards_[target];
-                const std::string key =
-                    cacheKey(sig, static_cast<std::size_t>(target));
-                const AsyncLookup found = shard.cache->lookup(
-                    key, dispatch.mix, computes[target], nowSec,
-                    options_.serving.modeledSolveSec);
-                double endSec = found.readySec;
-                if (!shard.lastKey.empty() && shard.lastKey != key)
-                    endSec += options_.serving.switchOverheadSec;
-                endSec +=
-                    found.schedule != nullptr
-                        ? found.schedule->makespanSec
-                        : estimateMakespanKeyed(
-                              key, static_cast<std::size_t>(target),
-                              dispatch.mix);
-                shard.hasPending = true;
-                shard.pending = std::move(dispatch);
-                shard.pendingKey = key;
-                shard.pendingReadySec = found.readySec;
-                shard.pendingEndSec = endSec;
-                shard.pendingSchedule = found.schedule;
-                syncShard(static_cast<std::size_t>(target));
-                shard.solveStallSec +=
-                    std::max(0.0, found.readySec - nowSec);
-                if (rec) {
-                    const int tid = target + 1;
-                    // lookup() counts joining an in-flight solve as a
-                    // hit; only a lookup that launched the solve is a
-                    // miss (matches ScheduleCacheStats).
-                    const bool hit = !found.startedSolve;
-                    rec->trace().instantVirtual(
-                        tid, hit ? "cache-hit" : "cache-miss",
-                        "cache", nowSec, {obs::argText("mix", sig)});
-                    rec->metrics()
-                        .counter(hit ? "cache.hits" : "cache.misses")
-                        .inc();
-                    rec->metrics()
-                        .counter(urgent ? "dispatches.urgent"
-                                        : "dispatches.regular")
-                        .inc();
-                    if (found.readySec > nowSec)
-                        rec->trace().completeVirtual(
-                            tid, "solve-stall", "stall", nowSec,
-                            found.readySec - nowSec,
-                            {obs::argText("mix", sig)});
-                }
+                parkDispatch(target, sig, std::move(dispatch), nowSec,
+                             computes[target],
+                             urgent ? "dispatches.urgent"
+                                    : "dispatches.regular");
                 continue;
             }
         }
@@ -1727,7 +1582,7 @@ FleetSimulator::run(const std::vector<Request>& trace)
             double bound = tBoundary;
             if (!deferred &&
                 (!preemption.enabled ||
-                 (suspendedCount_ == 0 && !urgent))) {
+                 (suspended_.empty() && !urgent))) {
                 bound = kInf;
                 if (!busyEndQueue_.empty())
                     bound = busyEndQueue_.begin()->first;

@@ -88,19 +88,21 @@
  * shard changes state (the fast-forward alone re-keys a boundary
  * queue entry in place), so picking the next event is O(log shards).
  *
- * Hierarchical routing: shards are grouped into pods of identical
- * (package template, schedule cache) pairs — the cluster -> pod ->
- * shard hierarchy. Within a pod, every idle shard with the same
+ * Hierarchical routing: every dispatch, urgent or not, routes through
+ * one index that groups shards into pods of identical (package
+ * template, schedule cache) pairs — the cluster -> pod -> shard
+ * hierarchy. Within a pod, every idle shard with the same
  * previous-mix class (same last replayed key, or never dispatched)
  * has the *same* BestFit cost for a given mix, and the occupied cost
  * is monotone in the shard's availability instant, so each pod is
  * represented by O(1) cheapest-in-class heads and BestFit folds over
  * O(pods) representatives instead of all N shards — O(log N)
- * maintenance per state change. The fold replays the serial
- * tie-break rules over the representatives, so the chosen shard and
- * the routing-quality counters match the flat scan (the one
- * documented exception: chains of distinct costs spaced closer than
- * the 1e-12 tie epsilon can tie-break differently).
+ * maintenance per state change. Shards owing a resume (preemptive
+ * fleets) carry a suspended tail in their cost and are priced one by
+ * one. The fold applies the tie-breaks of an index-order scan over
+ * every shard (lowest cost, idle over occupied, least-loaded, lowest
+ * index); only chains of distinct costs spaced closer than the 1e-12
+ * tie epsilon could make the two differ.
  */
 
 #ifndef SCAR_RUNTIME_FLEET_H
@@ -265,19 +267,6 @@ struct FleetOptions
      * candidate instead.
      */
     bool bestFitDefer = true;
-    /**
-     * Route through the hierarchical cluster -> pod -> shard index
-     * (O(log N) candidates per dispatch) instead of the flat O(N)
-     * shard scan. The indexed path reproduces the flat scan's
-     * choices — same cost model, same tie-breaks — so the flat scan
-     * is kept only as the validation reference the routing tests
-     * compare against; preemptive fleets always use the flat scan
-     * (suspension states change candidates mid-replay). Equality can
-     * diverge only on exact cost ties closer than the routing
-     * epsilon, which real (heterogeneous, staggered) traffic does
-     * not produce.
-     */
-    bool indexedRouting = true;
     /**
      * One schedule cache shared by every shard (each (mix, package)
      * pair solved once fleet-wide) versus a private cache per shard
@@ -477,15 +466,17 @@ class FleetSimulator
     /**
      * Picks the target among idle pending-free shards (for urgent
      * dispatches, shards parking a suspended replay qualify too —
-     * they are reserved *against non-urgent* claims only). Returns -1
-     * when there is no idle candidate — or, under BestFit with
-     * allowDefer, when an occupied shard's projected completion
-     * beats every idle candidate and the dispatch should wait for it
-     * (the caller defers: the queue is left intact and re-routed on
-     * the next event). Deferral is a latency play and only sound
-     * while the queue fits in this one dispatch; under overflow the
-     * caller passes allowDefer = false so every package keeps
-     * contributing throughput.
+     * they are reserved *against non-urgent* claims only), through
+     * the pod index: O(pods + suspended shards) candidates per
+     * decision. Returns -1 when there is no idle candidate — or,
+     * under BestFit with allowDefer, when an occupied shard's
+     * projected completion beats every idle candidate and the
+     * dispatch should wait for it (the caller defers: the queue is
+     * left intact and re-routed on the next event). Deferral is a
+     * latency play and only sound while the queue fits in this one
+     * dispatch; under overflow (and for urgent dispatches) the caller
+     * passes allowDefer = false so every package keeps contributing
+     * throughput.
      */
     int routeDispatch(const std::string& mixSig, const Scenario& mix,
                       double nowSec, bool allowDefer, bool urgent);
@@ -529,10 +520,10 @@ class FleetSimulator
      * the head of its (busySec, shard) set — represents every shard
      * of that class in the BestFit fold. Occupied shards are indexed
      * by availability instant: their cost is monotone in it, so the
-     * earliest-available shard of a class is its cheapest. The same
-     * sharing makes the pod the unit of cache probing: a routing
-     * decision reads each pod's cache once (PodProbe), on the flat
-     * scan as on the indexed fold.
+     * earliest-available shard of a class is its cheapest (shards
+     * owing a resume are left out; see syncShard). The same sharing
+     * makes the pod the unit of cache probing: a routing decision
+     * reads each pod's cache once (PodProbe).
      */
     struct Pod
     {
@@ -581,8 +572,9 @@ class FleetSimulator
      * cheapest idle shard of the matching / never-dispatched classes
      * and the cheapest idle shard that would pay a switch — at most
      * two per pod, covering the pod's full candidate cost range —
-     * sorted by shard index so a fold over them replays the serial
-     * scan's tie-breaks. The matching class is the pod probe's key.
+     * sorted by shard index so a fold over them applies the
+     * index-order tie-breaks. The matching class is the pod probe's
+     * key.
      */
     std::vector<int> candidateReps(RoutingProbes& probes);
 
@@ -592,24 +584,26 @@ class FleetSimulator
     std::vector<int> occupiedReps(RoutingProbes& probes);
 
     /**
-     * The satellite deferral-horizon rule shared by the flat and
-     * indexed BestFit paths: deferring to occupied shard s is only
-     * allowed while the wait for it (its backlog end) stays within
-     * the preemption-style horizon — the shard's next free event
-     * (window boundary when replaying, solve-ready when parked) plus
-     * one makespan of the deferred mix (from s's pod probe).
+     * BestFit's deferral-horizon rule: deferring to occupied shard s
+     * is only allowed while the wait for it (its backlog end) stays
+     * within the preemption-style horizon — the shard's next free
+     * event (window boundary when replaying, solve-ready when parked)
+     * plus one makespan of the deferred mix (from s's pod probe).
      */
     bool deferralWithinHorizon(std::size_t s, RoutingProbes& probes,
                                double nowSec);
 
     /**
-     * The O(pods) BestFit pick over class representatives; same
-     * contract as the flat fold in routeDispatch (returns -1 to
-     * defer). Only used when preemption is off — urgent traffic and
-     * suspended-shard reservations stay on the flat scan.
+     * Parks a formed dispatch on shard `target` until its schedule's
+     * virtual ready instant: looks the (mix, package) key up in the
+     * shard's cache (starting a background solve on a miss), records
+     * the projected replay end BestFit charges for the parked shard,
+     * and books the solve stall and the cache/`counter` metrics.
      */
-    int routeIndexed(const std::string& mixSig, const Scenario& mix,
-                     double nowSec, bool allowDefer);
+    void parkDispatch(int target, const std::string& sig,
+                      Dispatch dispatch, double nowSec,
+                      const ScheduleCache::ComputeFn& compute,
+                      const char* counter);
 
     std::vector<ServedModel> catalog_;
     FleetOptions options_;
@@ -627,8 +621,8 @@ class FleetSimulator
     std::set<std::pair<double, int>> busyEndQueue_;  ///< replay ends
     std::set<int> freeShards_; ///< idle, unparked, not suspended
     std::set<std::pair<double, int>> freeByBusy_; ///< (busySec, shard)
-    int suspendedCount_ = 0;     ///< shards owing a resume
-    int suspendedIdleCount_ = 0; ///< ... of which currently idle
+    std::set<int> suspended_;     ///< shards owing a resume
+    std::set<int> suspendedIdle_; ///< ... of which currently idle
 
     // --- Hierarchical routing (cluster -> pod -> shard) ---
     std::vector<Pod> pods_;

@@ -87,6 +87,21 @@ captureMode()
 }
 
 /**
+ * False only when checkGolden would skip for a foreign toolchain, so
+ * a golden test whose output is expensive to compute can skip first.
+ */
+inline bool
+goldensComparable()
+{
+    std::ifstream sigIn(goldenDir() + "/toolchain.txt");
+    std::string storedSig;
+    // Capture mode writes; a missing signature is checkGolden's error.
+    if (captureMode() || !std::getline(sigIn, storedSig))
+        return true;
+    return storedSig == toolchainSignature();
+}
+
+/**
  * Compares `produced` against the stored golden `name`, or (re)writes
  * the golden in capture mode. Skips when the stored toolchain
  * signature does not match this build.
