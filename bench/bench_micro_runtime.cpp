@@ -196,8 +196,9 @@ BENCHMARK(BM_FleetEngineCommitBatched);
  * speculative solves on (modeledSolveSec > 0). Urgent dispatches
  * route through the pod index plus the idle shards owing a resume,
  * and every event with a ready batch but no free shard runs the
- * speculation-target scan, which prices all shards against their
- * pod's schedule-cache probe. The argument
+ * speculation-target check: one schedule-cache probe per pod, and a
+ * scan pricing every shard only when some pod lacks the schedule
+ * (on this warm cache none does). The argument
  * is the shard count (one shared cache: a single pod); the stream
  * scales with it, and the regime is sustained (SLO miss ~0).
  */

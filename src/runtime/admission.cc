@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "common/error.h"
 
@@ -69,12 +70,47 @@ planDecodeRound(const ServedModel& sm, const std::deque<Request>& q,
     return round;
 }
 
+/** A variant with its signature prefix (Scenario::signature's
+ *  "name#layers=" part; the batch is appended per peek). */
+MixVariant
+makeVariant(Model model)
+{
+    MixVariant variant;
+    variant.sigPrefix = model.name + "#" +
+                        std::to_string(model.numLayers()) + "=";
+    variant.model = std::move(model);
+    return variant;
+}
+
+/** The variant interned at `bucket`, built by `build` on first use. */
+template <typename Build>
+const MixVariant&
+intern(std::map<std::int64_t, MixVariant>& variants, std::int64_t bucket,
+       Build build)
+{
+    auto it = variants.find(bucket);
+    if (it == variants.end())
+        it = variants.emplace(bucket, makeVariant(build())).first;
+    return it->second;
+}
+
+/** The decoder config of an autoregressive entry, named after it. */
+TransformerConfig
+decoderConfig(const ServedModel& sm)
+{
+    TransformerConfig cfg = sm.llm.decoder;
+    cfg.name = sm.model.name;
+    return cfg;
+}
+
 } // namespace
 
 AdmissionController::AdmissionController(
     const std::vector<ServedModel>& catalog, AdmissionOptions options)
     : catalog_(catalog), options_(options), queues_(catalog.size()),
-      decodeQueues_(catalog.size())
+      earliestDeadline_(catalog.size(), kInf),
+      maxPrompt_(catalog.size(), 1), decodeQueues_(catalog.size()),
+      prefill_(catalog.size()), decode_(catalog.size())
 {
     SCAR_REQUIRE(!catalog_.empty(), "admission: empty catalog");
     for (const ServedModel& sm : catalog_) {
@@ -95,6 +131,9 @@ AdmissionController::AdmissionController(
     }
     SCAR_REQUIRE(options_.maxQueueDelaySec >= 0.0,
                  "admission: negative maxQueueDelaySec");
+    plainVariants_.reserve(catalog_.size());
+    for (const ServedModel& sm : catalog_)
+        plainVariants_.push_back(makeVariant(sm.model));
 }
 
 void
@@ -105,7 +144,26 @@ AdmissionController::enqueue(const Request& request)
                          static_cast<int>(catalog_.size()),
                  "admission: request model ", request.modelIdx,
                  " outside catalog");
-    queues_[request.modelIdx].push_back(request);
+    const auto m = static_cast<std::size_t>(request.modelIdx);
+    queues_[m].push_back(request);
+    earliestDeadline_[m] =
+        std::min(earliestDeadline_[m], request.deadlineSec);
+    maxPrompt_[m] = std::max(
+        maxPrompt_[m], static_cast<std::int64_t>(request.promptTokens));
+}
+
+void
+AdmissionController::refreshQueueStats(std::size_t model)
+{
+    double earliest = kInf;
+    std::int64_t maxPrompt = 1;
+    for (const Request& req : queues_[model]) {
+        earliest = std::min(earliest, req.deadlineSec);
+        maxPrompt = std::max(
+            maxPrompt, static_cast<std::int64_t>(req.promptTokens));
+    }
+    earliestDeadline_[model] = earliest;
+    maxPrompt_[model] = maxPrompt;
 }
 
 int
@@ -181,10 +239,10 @@ AdmissionController::formFrom(double nowSec,
         BatchGroup group;
         group.catalogIdx = static_cast<int>(m);
         group.batch = dispatchBatch(m);
-        // Derive the scheduled model before draining the queue: the
-        // prefill variant's bucket scans the queued prompts, and the
+        // Derive the scheduled variant before draining the queue: the
+        // prefill variant's bucket covers the queued prompts, and the
         // peeked signature the fleet routed on saw the full queue.
-        Model scheduled = scheduledModel(m);
+        const MixVariant& variant = scheduledModel(m);
         const int boardCount =
             std::min(static_cast<int>(q.size()), group.batch);
         if (options_.order == QueueOrder::EarliestDeadline &&
@@ -239,9 +297,11 @@ AdmissionController::formFrom(double nowSec,
                 q.pop_front();
             }
         }
+        refreshQueueStats(m);
         // The scheduled model carries the dispatched batch size: the
         // mix signature (and so the schedule-cache key) reflects the
         // padded batch, not the raw queue depth.
+        Model scheduled = variant.model;
         scheduled.batch = group.batch;
         dispatch.mix.models.push_back(std::move(scheduled));
         dispatch.catalogIdx.push_back(static_cast<int>(m));
@@ -250,71 +310,96 @@ AdmissionController::formFrom(double nowSec,
     return dispatch;
 }
 
-Scenario
+MixPeek
 AdmissionController::peekMix() const
 {
-    return peekFrom(std::vector<bool>(queues_.size(), true));
+    return peekWhere(std::vector<bool>(queues_.size(), true));
 }
 
-Scenario
-AdmissionController::peekFrom(const std::vector<bool>& take) const
+MixPeek
+AdmissionController::peekWhere(const std::vector<bool>& take) const
 {
-    Scenario mix;
-    mix.name = "mix";
+    MixPeek peek;
+    peek.parts.reserve(queues_.size());
     for (std::size_t m = 0; m < queues_.size(); ++m) {
         if (queues_[m].empty() || !take[m])
             continue;
-        Model scheduled = scheduledModel(m);
-        scheduled.batch = dispatchBatch(m);
-        mix.models.push_back(std::move(scheduled));
+        peek.parts.push_back({static_cast<int>(m), &scheduledModel(m),
+                              dispatchBatch(m)});
+    }
+    finishPeek(peek);
+    return peek;
+}
+
+void
+AdmissionController::finishPeek(MixPeek& peek)
+{
+    // Scenario::signature() of the materialized mix, built from the
+    // interned prefixes.
+    std::vector<std::string> parts;
+    parts.reserve(peek.parts.size());
+    for (const MixPart& part : peek.parts) {
+        parts.push_back(part.variant->sigPrefix +
+                        std::to_string(part.batch));
+        peek.batchSlots += part.batch;
+    }
+    std::sort(parts.begin(), parts.end());
+    for (std::size_t i = 0; i < parts.size(); ++i) {
+        if (i > 0)
+            peek.signature += '+';
+        peek.signature += parts[i];
+    }
+}
+
+Scenario
+AdmissionController::materialize(const MixPeek& peek) const
+{
+    ++materializedMixes_;
+    Scenario mix;
+    mix.name = "mix";
+    mix.models.reserve(peek.parts.size());
+    for (const MixPart& part : peek.parts) {
+        mix.models.push_back(part.variant->model);
+        mix.models.back().batch = part.batch;
     }
     return mix;
 }
 
-Model
+const MixVariant&
 AdmissionController::scheduledModel(std::size_t model) const
 {
     const ServedModel& sm = catalog_[model];
     if (!sm.llm.autoregressive)
-        return sm.model;
+        return plainVariants_[model];
     // Prefill variant at the queue's max prompt, bucket-rounded. The
     // max ranges over the whole queue — not just the boarders — so
     // peekMix and formDispatch trivially agree on the signature the
     // fleet's routing handshake asserts; the cost is mild over-padding
     // when a long-prompt request waits behind the batch cap.
-    std::int64_t maxPrompt = 1;
-    for (const Request& req : queues_[model])
-        maxPrompt = std::max(
-            maxPrompt, static_cast<std::int64_t>(req.promptTokens));
-    TransformerConfig cfg = sm.llm.decoder;
-    cfg.name = sm.model.name;
-    return buildPrefillModel(
-        cfg, llmLengthBucket(maxPrompt, sm.llm.promptBucket));
+    const std::int64_t bucket =
+        llmLengthBucket(maxPrompt_[model], sm.llm.promptBucket);
+    return intern(prefill_[model], bucket, [&]() {
+        return buildPrefillModel(decoderConfig(sm), bucket);
+    });
 }
 
 bool
 AdmissionController::modelUrgent(std::size_t model, double nowSec,
                                  double slackSec) const
 {
-    for (const Request& req : queues_[model]) {
-        // Same expression as the fleet's urgency timer
-        // (earliestDeadlineSec() - slackSec) so the two agree
-        // bit-for-bit at the crossing instant.
-        if (nowSec >= req.deadlineSec - slackSec)
-            return true;
-    }
-    return false;
+    // Same expression as the fleet's urgency timer
+    // (earliestDeadlineSec() - slackSec) so the two agree bit-for-bit
+    // at the crossing instant. fl(d - s) is monotone in d, so testing
+    // the queue's earliest deadline is exactly testing every request.
+    return !queues_[model].empty() &&
+           nowSec >= earliestDeadline_[model] - slackSec;
 }
 
 double
 AdmissionController::earliestDeadlineSec() const
 {
-    double earliest = kInf;
-    for (const auto& q : queues_) {
-        for (const Request& req : q)
-            earliest = std::min(earliest, req.deadlineSec);
-    }
-    return earliest;
+    return *std::min_element(earliestDeadline_.begin(),
+                             earliestDeadline_.end());
 }
 
 bool
@@ -327,14 +412,20 @@ AdmissionController::urgentQueued(double nowSec, double slackSec) const
     return false;
 }
 
-Scenario
-AdmissionController::peekUrgentMix(double nowSec,
-                                   double slackSec) const
+std::vector<bool>
+AdmissionController::urgentModels(double nowSec, double slackSec) const
 {
     std::vector<bool> take(queues_.size());
     for (std::size_t m = 0; m < queues_.size(); ++m)
         take[m] = modelUrgent(m, nowSec, slackSec);
-    return peekFrom(take);
+    return take;
+}
+
+MixPeek
+AdmissionController::peekUrgentMix(double nowSec,
+                                   double slackSec) const
+{
+    return peekWhere(urgentModels(nowSec, slackSec));
 }
 
 Dispatch
@@ -343,10 +434,7 @@ AdmissionController::formUrgentDispatch(double nowSec, double slackSec)
     SCAR_REQUIRE(urgentQueued(nowSec, slackSec),
                  "admission: formUrgentDispatch without an urgent "
                  "request queued");
-    std::vector<bool> take(queues_.size());
-    for (std::size_t m = 0; m < queues_.size(); ++m)
-        take[m] = modelUrgent(m, nowSec, slackSec);
-    return formFrom(nowSec, take);
+    return formFrom(nowSec, urgentModels(nowSec, slackSec));
 }
 
 void
@@ -415,7 +503,17 @@ AdmissionController::decodeBoarders(std::size_t model) const
     return boarders;
 }
 
-Scenario
+const MixVariant&
+AdmissionController::decodeVariant(std::size_t model,
+                                   std::int64_t ctxBucket) const
+{
+    return intern(decode_[model], ctxBucket, [&]() {
+        return buildDecodeStepModel(decoderConfig(catalog_[model]),
+                                    ctxBucket);
+    });
+}
+
+MixPeek
 AdmissionController::peekDecodeMix(int model) const
 {
     SCAR_REQUIRE(decodeQueuedCount(model) > 0,
@@ -425,16 +523,13 @@ AdmissionController::peekDecodeMix(int model) const
     const std::vector<std::size_t> boarders = decodeBoarders(m);
     const DecodeRound round =
         planDecodeRound(sm, decodeQueues_[m], boarders);
-    TransformerConfig cfg = sm.llm.decoder;
-    cfg.name = sm.model.name;
-    Model scheduled = buildDecodeStepModel(cfg, round.ctxBucket);
-    scheduled.batch =
-        decodeRoundBatch(static_cast<int>(boarders.size()),
-                         sm.model.batch, options_.quantizeBatches);
-    Scenario mix;
-    mix.name = "mix";
-    mix.models.push_back(std::move(scheduled));
-    return mix;
+    MixPeek peek;
+    peek.parts.push_back(
+        {model, &decodeVariant(m, round.ctxBucket),
+         decodeRoundBatch(static_cast<int>(boarders.size()),
+                          sm.model.batch, options_.quantizeBatches)});
+    finishPeek(peek);
+    return peek;
 }
 
 Dispatch
@@ -475,9 +570,7 @@ AdmissionController::formDecodeDispatch(int model)
     }
     q = std::move(remaining);
 
-    TransformerConfig cfg = sm.llm.decoder;
-    cfg.name = sm.model.name;
-    Model scheduled = buildDecodeStepModel(cfg, round.ctxBucket);
+    Model scheduled = decodeVariant(m, round.ctxBucket).model;
     scheduled.batch = group.batch;
 
     Dispatch dispatch;

@@ -29,7 +29,22 @@
  * `nowSec >= deadlineSec - slackSec` so the fleet's urgency timer and
  * the eligibility test agree bit-for-bit at the crossing instant
  * (the same FP-symmetry rule ready() and nextForcedDispatchSec()
- * follow).
+ * follow). Each queue keeps its earliest deadline incrementally
+ * (updated on enqueue, recomputed after a drain), so the urgency
+ * tests are O(models): fl(d - s) is monotone in d, so
+ * `nowSec >= min(d) - slackSec` holds exactly when some request's
+ * `nowSec >= d - slackSec` does.
+ *
+ * Mix peeks: the fleet routes (and speculates) on the mix the next
+ * dispatch would form before forming it. A peek is a MixPeek — the
+ * boarded (catalog index, interned variant, batch) triples, the mix
+ * signature and the batch-slot sum — not a Scenario: every scheduled
+ * variant of a catalog model (the plain model, and for autoregressive
+ * entries one prefill / decode-step variant per length bucket) is
+ * built once and interned with its signature prefix `name#layers=`,
+ * so a peek copies no Model. materialize() builds the Scenario a
+ * solve needs (catalog order, name "mix", padded batches) — exactly
+ * the mix the matching form*Dispatch call will carry.
  */
 
 #ifndef SCAR_RUNTIME_ADMISSION_H
@@ -37,6 +52,8 @@
 
 #include <cstdint>
 #include <deque>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "runtime/request.h"
@@ -140,6 +157,41 @@ struct Dispatch
     int llmDecodeSteps = 0;
 };
 
+/**
+ * One scheduled variant of a catalog model, built once and interned
+ * by the AdmissionController: the model the scheduler sees (its batch
+ * is set per dispatch) and its signature prefix `name#layers=`.
+ */
+struct MixVariant
+{
+    Model model;
+    std::string sigPrefix;
+};
+
+/** One boarded model of a peeked mix. */
+struct MixPart
+{
+    int catalogIdx = -1;
+    const MixVariant* variant = nullptr; ///< owned by the controller
+    int batch = 0;                       ///< dispatched (padded) batch
+};
+
+/**
+ * The mix the next dispatch would form, named without materializing
+ * it: parts in catalog order, the signature Scenario::signature()
+ * would render for the materialized mix, and the sum of the padded
+ * batches. Valid while its controller lives (variants are interned
+ * for the controller's lifetime).
+ */
+struct MixPeek
+{
+    std::vector<MixPart> parts;
+    std::string signature;
+    int batchSlots = 0;
+
+    int numModels() const { return static_cast<int>(parts.size()); }
+};
+
 /** Per-model queues plus the dispatch-forming policy. */
 class AdmissionController
 {
@@ -173,11 +225,22 @@ class AdmissionController
 
     /**
      * The mix formDispatch would build right now, without consuming
-     * any queue. The serving loop uses this to begin a speculative
-     * background schedule solve while every shard is still busy; the
-     * actual dispatch later re-checks the (possibly grown) mix.
+     * any queue. The serving loop routes on it before forming the
+     * dispatch, and uses it to begin a speculative background
+     * schedule solve while every shard is still busy; the actual
+     * dispatch later re-checks the (possibly grown) mix.
      */
-    Scenario peekMix() const;
+    MixPeek peekMix() const;
+
+    /**
+     * The Scenario a peek names: the interned variants at the peeked
+     * batches, in catalog order, named "mix" — the mix the matching
+     * form*Dispatch call would carry. Counted by materializedMixes().
+     */
+    Scenario materialize(const MixPeek& peek) const;
+
+    /** Scenarios built by materialize() over this controller's life. */
+    long materializedMixes() const { return materializedMixes_; }
 
     /**
      * Earliest future instant at which a queued request's age crosses
@@ -207,7 +270,7 @@ class AdmissionController
      * models holding an urgent request, at their dispatched batch
      * sizes. Requires urgentQueued(nowSec, slackSec).
      */
-    Scenario peekUrgentMix(double nowSec, double slackSec) const;
+    MixPeek peekUrgentMix(double nowSec, double slackSec) const;
 
     /**
      * Forms a dispatch draining only the urgent models' queues
@@ -237,7 +300,7 @@ class AdmissionController
      * model right now: the one-step decode variant at the boarders'
      * context bucket and quantized batch. Requires waiters.
      */
-    Scenario peekDecodeMix(int model) const;
+    MixPeek peekDecodeMix(int model) const;
 
     /**
      * Forms a decode round for one model, consuming the boarding
@@ -259,28 +322,54 @@ class AdmissionController
     /** Queue positions boarding the next decode round of `model`. */
     std::vector<std::size_t> decodeBoarders(std::size_t model) const;
     /**
-     * The scheduled model for queue `m`: the catalog model, or for
+     * The scheduled variant for queue `m`: the catalog model, or for
      * autoregressive entries the prefill variant at the queue's max
      * prompt bucket (identical in peek and form, so the mix-signature
      * handshake with the fleet holds).
      */
-    Model scheduledModel(std::size_t model) const;
+    const MixVariant& scheduledModel(std::size_t model) const;
+    /** The interned one-step decode variant of `model` at a context
+     *  bucket. */
+    const MixVariant& decodeVariant(std::size_t model,
+                                    std::int64_t ctxBucket) const;
     /** True when queue `model` holds a request urgent at nowSec. */
     bool modelUrgent(std::size_t model, double nowSec,
                      double slackSec) const;
-    /** The shared mix-building path of peekMix / peekUrgentMix. */
-    Scenario peekFrom(const std::vector<bool>& take) const;
+    /** The urgent models at (nowSec, slackSec), one flag per queue. */
+    std::vector<bool> urgentModels(double nowSec, double slackSec) const;
+    /** The shared peek path of peekMix / peekUrgentMix: the
+     *  non-empty queues flagged in `take`. */
+    MixPeek peekWhere(const std::vector<bool>& take) const;
+    /** Fills the signature and batch-slot sum of peek.parts. */
+    static void finishPeek(MixPeek& peek);
     /** The shared queue-draining path of formDispatch /
      *  formUrgentDispatch. */
     Dispatch formFrom(double nowSec, const std::vector<bool>& take);
+    /** Re-derives queue m's earliest deadline and max prompt after
+     *  a drain. */
+    void refreshQueueStats(std::size_t model);
 
     std::vector<ServedModel> catalog_;
     AdmissionOptions options_;
     std::vector<std::deque<Request>> queues_; ///< per model, FIFO
+    /** Earliest deadline per queue (infinity when empty). */
+    std::vector<double> earliestDeadline_;
+    /** Longest prompt per queue (prefill bucket of LLM entries). */
+    std::vector<std::int64_t> maxPrompt_;
     /** Per-model decode-round waiting rooms (LLM entries only). */
     std::vector<std::deque<Request>> decodeQueues_;
     /** Next Static-mode locked-batch id (monotone, deterministic). */
     std::int64_t nextLlmBatchId_ = 0;
+
+    // Interned scheduled variants: the plain ones at construction,
+    // the LLM ones on first use (from const peeks, hence mutable).
+    // Map nodes never move, so MixPart pointers stay valid.
+    std::vector<MixVariant> plainVariants_; ///< per catalog model
+    /** Prefill variants per catalog model, by prompt bucket. */
+    mutable std::vector<std::map<std::int64_t, MixVariant>> prefill_;
+    /** Decode-step variants per catalog model, by context bucket. */
+    mutable std::vector<std::map<std::int64_t, MixVariant>> decode_;
+    mutable long materializedMixes_ = 0;
 };
 
 } // namespace runtime

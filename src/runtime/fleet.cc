@@ -227,22 +227,23 @@ FleetSimulator::estimateMakespanSec(int shard, const Scenario& mix)
                  "fleet: estimate shard ", shard, " out of range");
     return estimateMakespanKeyed(
         cacheKey(mix.signature(), static_cast<std::size_t>(shard)),
-        static_cast<std::size_t>(shard), mix);
+        static_cast<std::size_t>(shard), mix.numModels(),
+        [&]() -> const Scenario& { return mix; });
 }
 
 double
-FleetSimulator::estimateMakespanKeyed(const std::string& key,
-                                      std::size_t shard,
-                                      const Scenario& mix)
+FleetSimulator::estimateMakespanKeyed(
+    const std::string& key, std::size_t shard, int numModels,
+    const std::function<const Scenario&()>& lazyMix)
 {
-    SCAR_REQUIRE(mix.numModels() <=
-                     templates_[shard].numChiplets(),
+    SCAR_REQUIRE(numModels <= templates_[shard].numChiplets(),
                  "fleet: estimate needs one chiplet per model (",
-                 mix.numModels(), " models on ",
+                 numModels, " models on ",
                  templates_[shard].numChiplets(), " chiplets)");
     auto it = makespanEstimates_.find(key);
     if (it != makespanEstimates_.end())
         return it->second;
+    const Scenario& mix = lazyMix();
 
     // One single-window pass over a crude but composition-aware
     // placement: each model as one whole-model segment on the unused
@@ -334,7 +335,7 @@ FleetSimulator::probePod(RoutingProbes& probes, std::size_t shard,
         probes.pods[static_cast<std::size_t>(podOf_[shard])];
     if (!probe.probed) {
         probe.probed = true;
-        probe.key = cacheKey(probes.mixSig, shard);
+        probe.key = cacheKey(probes.peek.signature, shard);
         const CachePeek peek = shards_[shard].cache->peek(probe.key);
         probe.stored = peek.schedule != nullptr;
         probe.inFlight = peek.inFlight;
@@ -346,8 +347,9 @@ FleetSimulator::probePod(RoutingProbes& probes, std::size_t shard,
     }
     if (priced && !probe.priced) {
         probe.priced = true;
-        probe.makespanSec =
-            estimateMakespanKeyed(probe.key, shard, probes.mix);
+        probe.makespanSec = estimateMakespanKeyed(
+            probe.key, shard, probes.peek.numModels(),
+            [&]() -> const Scenario& { return probes.mix(); });
     }
     return probe;
 }
@@ -411,8 +413,7 @@ FleetSimulator::dispatchCostSec(std::size_t shard,
 }
 
 int
-FleetSimulator::routeDispatch(const std::string& mixSig,
-                              const Scenario& mix, double nowSec,
+FleetSimulator::routeDispatch(RoutingProbes& probes, double nowSec,
                               bool allowDefer, bool urgent)
 {
     // A shard parking a suspended replay is reserved for its resume:
@@ -429,7 +430,6 @@ FleetSimulator::routeDispatch(const std::string& mixSig,
     // Completion costs, computed at most once per shard and decision
     // and shared between BestFit's pick and the routing-quality
     // accounting; each pod's cache is probed once for all its shards.
-    RoutingProbes probes = newProbes(mixSig, mix);
     std::map<int, double> costMemo;
     auto costOf = [&](int s) {
         const auto it = costMemo.find(s);
@@ -513,7 +513,8 @@ FleetSimulator::routeDispatch(const std::string& mixSig,
         break;
       case RoutingPolicy::MixAffinity: {
         const int target =
-            static_cast<int>(fnv1a(mixSig) % shards_.size());
+            static_cast<int>(fnv1a(probes.peek.signature) %
+                             shards_.size());
         chosen = isCandidate(target) ? target : leastLoaded();
         break;
       }
@@ -578,16 +579,30 @@ FleetSimulator::routeDispatch(const std::string& mixSig,
 }
 
 int
-FleetSimulator::speculationTarget(const std::string& mixSig,
-                                  const Scenario& mix, double nowSec,
+FleetSimulator::speculationTarget(RoutingProbes& probes, double nowSec,
                                   bool urgent)
 {
+    // Every pod's cache already holds or is solving the schedule: the
+    // final check below would reject whichever shard a policy picks,
+    // so skip the prediction (and its per-shard pricing) entirely.
+    bool allKnown = true;
+    for (const Pod& pod : pods_) {
+        if (!probePod(probes,
+                      static_cast<std::size_t>(pod.shards.front()),
+                      false)
+                 .known()) {
+            allKnown = false;
+            break;
+        }
+    }
+    if (allKnown)
+        return -1;
+
     const std::size_t n = shards_.size();
-    RoutingProbes probes = newProbes(mixSig, mix);
     int target = -1;
     switch (options_.routing) {
       case RoutingPolicy::MixAffinity:
-        target = static_cast<int>(fnv1a(mixSig) % n);
+        target = static_cast<int>(fnv1a(probes.peek.signature) % n);
         break;
       case RoutingPolicy::BestFit: {
         // Predict with the dispatch cost model itself, availability
@@ -699,7 +714,10 @@ FleetSimulator::parkDispatch(int target, const std::string& sig,
                    ? found.schedule->makespanSec
                    : estimateMakespanKeyed(
                          key, static_cast<std::size_t>(target),
-                         dispatch.mix)) *
+                         dispatch.mix.numModels(),
+                         [&]() -> const Scenario& {
+                             return dispatch.mix;
+                         })) *
               std::max(1, dispatch.llmDecodeSteps);
     shard.hasPending = true;
     shard.pending = std::move(dispatch);
@@ -1038,7 +1056,8 @@ FleetSimulator::run(const std::vector<Request>& trace)
     std::size_t next = 0; // next arrival to admit
     double nowSec = 0.0;
     // The speculative peek only changes when the queues do; skip the
-    // Scenario/signature rebuild on the (frequent) other events.
+    // peek (its signature build and cache probes) on the (frequent)
+    // other events.
     long queueEpoch = 0;
     long lastSpeculativeEpoch = -1;
     // Fixed-interval sampling on the virtual clock. The fleet state
@@ -1348,11 +1367,12 @@ FleetSimulator::run(const std::vector<Request>& trace)
                 break;
             }
             if (decodeModel >= 0) {
-                const Scenario peeked =
+                const MixPeek peeked =
                     admission.peekDecodeMix(decodeModel);
-                const std::string sig = peeked.signature();
+                const std::string& sig = peeked.signature;
+                RoutingProbes probes = newProbes(peeked, admission);
                 const int target = routeDispatch(
-                    sig, peeked, nowSec, /*allowDefer=*/false,
+                    probes, nowSec, /*allowDefer=*/false,
                     /*urgent=*/false);
                 SCAR_ASSERT(target >= 0,
                             "fleet: decode round found no shard with "
@@ -1395,25 +1415,23 @@ FleetSimulator::run(const std::vector<Request>& trace)
             // An urgent batch boards only the models holding an
             // urgent request (shortest possible fast lane) and is
             // dispatchable regardless of batch-fill / aging state.
-            const Scenario peeked =
+            const MixPeek peeked =
                 urgent ? admission.peekUrgentMix(
                              nowSec, preemption.slackThresholdSec)
                        : admission.peekMix();
-            const std::string sig = peeked.signature();
+            const std::string& sig = peeked.signature;
             // Overflow check: padded dispatch batches cover every
             // queued request unless some queue exceeded its cap, in
             // which case requests stay behind and deferral would
-            // starve the fleet's throughput.
-            int batchSlots = 0;
-            for (const Model& model : peeked.models)
-                batchSlots += model.batch;
-            // Never defer an urgent dispatch: it exists because some
-            // request cannot afford to wait for a better package.
+            // starve the fleet's throughput. Never defer an urgent
+            // dispatch: it exists because some request cannot afford
+            // to wait for a better package.
             const bool allowDefer =
                 options_.bestFitDefer && !urgent &&
-                admission.queuedCount() <= batchSlots;
+                admission.queuedCount() <= peeked.batchSlots;
+            RoutingProbes probes = newProbes(peeked, admission);
             const int target =
-                routeDispatch(sig, peeked, nowSec, allowDefer, urgent);
+                routeDispatch(probes, nowSec, allowDefer, urgent);
             if (target < 0) {
                 deferred = true;
             } else {
@@ -1450,18 +1468,19 @@ FleetSimulator::run(const std::vector<Request>& trace)
             lastSpeculativeEpoch = queueEpoch;
             // Under urgency the next dispatch out is the urgent mix,
             // so that is the schedule worth warming.
-            const Scenario peeked =
+            const MixPeek peeked =
                 urgent ? admission.peekUrgentMix(
                              nowSec, preemption.slackThresholdSec)
                        : admission.peekMix();
-            const std::string peekedSig = peeked.signature();
+            const std::string& peekedSig = peeked.signature;
+            RoutingProbes probes = newProbes(peeked, admission);
             const int target =
-                speculationTarget(peekedSig, peeked, nowSec, urgent);
+                speculationTarget(probes, nowSec, urgent);
             if (target >= 0) {
                 shards_[target].cache->prefetch(
                     cacheKey(peekedSig,
                              static_cast<std::size_t>(target)),
-                    peeked, computes[target],
+                    probes.mix(), computes[target],
                     nowSec + options_.serving.modeledSolveSec);
                 if (rec) {
                     rec->trace().instantVirtual(
@@ -1827,6 +1846,8 @@ FleetSimulator::run(const std::vector<Request>& trace)
         // beyond advancing the clock: the loop head fires next
         // iteration.
     }
+
+    materializedMixes_ = admission.materializedMixes();
 
     // Promote stray speculative solves so stats and cache sizes are
     // settled (and no background work bleeds past the run).

@@ -103,13 +103,20 @@
  * every shard (lowest cost, idle over occupied, least-loaded, lowest
  * index); only chains of distinct costs spaced closer than the 1e-12
  * tie epsilon could make the two differ.
+ *
+ * Routing and speculation name the would-be mix by the admission
+ * controller's MixPeek (interned variants + signature), not by a
+ * Scenario: one is materialized only for a makespan-estimate memo
+ * miss or a speculative prefetch, so warm serving builds none.
  */
 
 #ifndef SCAR_RUNTIME_FLEET_H
 #define SCAR_RUNTIME_FLEET_H
 
+#include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <tuple>
@@ -317,6 +324,14 @@ class FleetSimulator
     /** Per-request completion records of the most recent run. */
     const std::vector<Request>& records() const { return records_; }
 
+    /**
+     * Scenarios the most recent run() materialized from admission
+     * peeks (AdmissionController::materializedMixes): makespan-
+     * estimate memo misses and speculative prefetches only, so 0 on
+     * a pass whose routing found every schedule resident.
+     */
+    long materializedMixes() const { return materializedMixes_; }
+
     /** The schedule cache of a shard (all shards share cache 0 when
      *  sharedCache is set). */
     const AsyncScheduleCache& cache(int shard = 0) const;
@@ -392,12 +407,17 @@ class FleetSimulator
     std::string cacheKey(const std::string& mixSig,
                          std::size_t shard) const;
 
-    /** estimateMakespanSec with the (mix, package) memo key already
-     *  derived — the internal fast path: every runtime caller holds
-     *  the key it just used against the schedule cache. */
-    double estimateMakespanKeyed(const std::string& key,
-                                 std::size_t shard,
-                                 const Scenario& mix);
+    /**
+     * estimateMakespanSec with the (mix, package) memo key already
+     * derived — the internal fast path: every runtime caller holds
+     * the key it just used against the schedule cache. `lazyMix`
+     * yields the Scenario and is called only on a memo miss, so a
+     * routing probe materializes its peek only when the estimate is
+     * new.
+     */
+    double estimateMakespanKeyed(
+        const std::string& key, std::size_t shard, int numModels,
+        const std::function<const Scenario&()>& lazyMix);
 
     /**
      * One pod's schedule-cache state for the mix being routed, read
@@ -421,19 +441,35 @@ class FleetSimulator
         bool known() const { return stored || inFlight; }
     };
 
-    /** The pod probes of one routing decision for one mix, one slot
-     *  per pod, filled lazily by probePod. */
+    /**
+     * The pod probes of one routing decision for one peeked mix, one
+     * slot per pod, filled lazily by probePod. The mix is named by
+     * its MixPeek; the Scenario is materialized at most once per
+     * decision, and only for a makespan-estimate memo miss or a
+     * speculative prefetch — a routing decision against resident
+     * schedules builds none.
+     */
     struct RoutingProbes
     {
-        const std::string& mixSig;
-        const Scenario& mix;
+        const MixPeek& peek;
+        const AdmissionController& admission;
         std::vector<PodProbe> pods;
+        std::optional<Scenario> materialized;
+
+        /** The peeked mix as a Scenario, materialized on first use. */
+        const Scenario& mix()
+        {
+            if (!materialized)
+                materialized = admission.materialize(peek);
+            return *materialized;
+        }
     };
 
-    RoutingProbes newProbes(const std::string& mixSig,
-                            const Scenario& mix) const
+    RoutingProbes newProbes(const MixPeek& peek,
+                            const AdmissionController& admission) const
     {
-        return {mixSig, mix, std::vector<PodProbe>(pods_.size())};
+        return {peek, admission, std::vector<PodProbe>(pods_.size()),
+                std::nullopt};
     }
 
     /**
@@ -464,39 +500,43 @@ class FleetSimulator
                            double nowSec, bool urgent) const;
 
     /**
-     * Picks the target among idle pending-free shards (for urgent
-     * dispatches, shards parking a suspended replay qualify too —
-     * they are reserved *against non-urgent* claims only), through
-     * the pod index: O(pods + suspended shards) candidates per
-     * decision. Returns -1 when there is no idle candidate — or,
-     * under BestFit with allowDefer, when an occupied shard's
-     * projected completion beats every idle candidate and the
-     * dispatch should wait for it (the caller defers: the queue is
-     * left intact and re-routed on the next event). Deferral is a
-     * latency play and only sound while the queue fits in this one
-     * dispatch; under overflow (and for urgent dispatches) the caller
-     * passes allowDefer = false so every package keeps contributing
-     * throughput.
+     * Picks the target for the probed mix among idle pending-free
+     * shards (for urgent dispatches, shards parking a suspended
+     * replay qualify too — they are reserved *against non-urgent*
+     * claims only), through the pod index: O(pods + suspended
+     * shards) candidates per decision. Returns -1 when there is no
+     * idle candidate — or, under BestFit with allowDefer, when an
+     * occupied shard's projected completion beats every idle
+     * candidate and the dispatch should wait for it (the caller
+     * defers: the queue is left intact and re-routed on the next
+     * event). Deferral is a latency play and only sound while the
+     * queue fits in this one dispatch; under overflow (and for
+     * urgent dispatches) the caller passes allowDefer = false so
+     * every package keeps contributing throughput.
      */
-    int routeDispatch(const std::string& mixSig, const Scenario& mix,
-                      double nowSec, bool allowDefer, bool urgent);
+    int routeDispatch(RoutingProbes& probes, double nowSec,
+                      bool allowDefer, bool urgent);
 
     /**
-     * The shard a speculative solve for this mix should warm: the
-     * affinity shard (MixAffinity), the cost-cheapest shard counting
-     * availability waits (BestFit), or the busy shard that frees up
-     * first — the likeliest dispatch target — otherwise. For an
-     * urgent mix the cost model sees boundary-preemption waits, so
-     * the predicted target is the replay the preemptor will actually
-     * suspend. Returns -1 when the predicted target's cache already
-     * holds or is already solving the (mix, package) schedule, so no
-     * background solve is wasted re-deriving a resident schedule
-     * (previously only the shared-cache configuration was protected
-     * against this). The BestFit scan and that final check share one
-     * probe per pod, so a shared-cache fleet probes its cache once.
+     * The shard a speculative solve for the probed mix should warm:
+     * the affinity shard (MixAffinity), the cost-cheapest shard
+     * counting availability waits (BestFit), or the busy shard that
+     * frees up first — the likeliest dispatch target — otherwise.
+     * For an urgent mix the cost model sees boundary-preemption
+     * waits, so the predicted target is the replay the preemptor
+     * will actually suspend. Returns -1 when the predicted target's
+     * cache already holds or is already solving the (mix, package)
+     * schedule, so no background solve is wasted re-deriving a
+     * resident schedule (previously only the shared-cache
+     * configuration was protected against this). The BestFit scan
+     * and that final check share one probe per pod, so a
+     * shared-cache fleet probes its cache once.
+     * When every pod's cache already holds or is solving the schedule
+     * — the warm steady state — it returns -1 before pricing any
+     * shard: whichever shard a policy predicts, its pod's probe is
+     * known, and probes have no side effects.
      */
-    int speculationTarget(const std::string& mixSig,
-                          const Scenario& mix, double nowSec,
+    int speculationTarget(RoutingProbes& probes, double nowSec,
                           bool urgent);
 
     /**
@@ -634,6 +674,7 @@ class FleetSimulator
     // Per-run routing-quality accounting (reset by run()).
     long contestedRoutes_ = 0;   ///< dispatches with >= 2 candidates
     long costOptimalRoutes_ = 0; ///< contested picks matching BestFit
+    long materializedMixes_ = 0; ///< of the most recent run
 
     // --- Autoregressive serving (continuous batching) ---
     /** Any catalog entry has LlmProfile::autoregressive set. Gates

@@ -158,10 +158,16 @@ TEST(Admission, DecodeQueueBoardsAndPlansRounds)
 
     // Context bucket: max context = 30 + 1 -> 256; partial batch of 3
     // quantizes up to 4.
-    const Scenario mix = admission.peekDecodeMix(0);
+    const MixPeek peek = admission.peekDecodeMix(0);
+    ASSERT_EQ(peek.numModels(), 1);
+    EXPECT_EQ(peek.parts[0].catalogIdx, 0);
+    EXPECT_EQ(peek.parts[0].batch, 4);
+    EXPECT_EQ(peek.batchSlots, 4);
+    const Scenario mix = admission.materialize(peek);
     ASSERT_EQ(mix.numModels(), 1);
     EXPECT_EQ(mix.models[0].name, "chat.decode256");
     EXPECT_EQ(mix.models[0].batch, 4);
+    EXPECT_EQ(peek.signature, mix.signature());
 
     Dispatch dispatch = admission.formDecodeDispatch(0);
     EXPECT_EQ(dispatch.mix.signature(), mix.signature());

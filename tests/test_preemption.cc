@@ -170,13 +170,18 @@ TEST(Admission, UrgentDispatchBoardsOnlyUrgentModels)
     EXPECT_FALSE(admission.urgentQueued(0.029, 0.02));
     EXPECT_TRUE(admission.urgentQueued(0.031, 0.02));
 
-    const Scenario urgentMix = admission.peekUrgentMix(0.031, 0.02);
+    const MixPeek urgentPeek = admission.peekUrgentMix(0.031, 0.02);
+    ASSERT_EQ(urgentPeek.numModels(), 1);
+    EXPECT_EQ(urgentPeek.parts[0].catalogIdx, 1);
+    const Scenario urgentMix = admission.materialize(urgentPeek);
     ASSERT_EQ(urgentMix.numModels(), 1);
     EXPECT_EQ(urgentMix.models[0].name, catalog[1].model.name);
+    EXPECT_EQ(urgentPeek.signature, urgentMix.signature());
 
     Dispatch dispatch = admission.formUrgentDispatch(0.031, 0.02);
     ASSERT_EQ(dispatch.groups.size(), 1u);
     EXPECT_EQ(dispatch.catalogIdx[0], 1);
+    EXPECT_EQ(dispatch.mix.signature(), urgentPeek.signature);
     // The datacenter request stays queued, still aging toward its
     // normal forced-dispatch timer.
     EXPECT_EQ(admission.queuedCount(), 1);
@@ -457,6 +462,57 @@ TEST(Preemption, ComposesWithBestFitRouting)
             ++xrViolations;
     }
     EXPECT_EQ(xrViolations, 0);
+}
+
+/**
+ * Routing names a mix by its MixPeek and materializes a Scenario only
+ * for a makespan-estimate memo miss or a speculative prefetch. A cold
+ * preemptive BestFit pass needs some; a warm pass over the same trace
+ * — every schedule resident, every estimate memoized — routes,
+ * speculates and preempts without building a single one.
+ */
+TEST(Preemption, WarmPassMaterializesNoMix)
+{
+    constexpr int kShards = 8;
+    std::vector<ServedModel> catalog(3);
+    catalog[0].model = zoo::bertLarge(8);
+    catalog[0].rateRps = 64.0 * kShards;
+    catalog[0].sloSec = 0.5;
+    catalog[1].model = zoo::googleNet(4);
+    catalog[1].rateRps = 200.0 * kShards;
+    catalog[1].sloSec = frameDeadlineSec(20.0);
+    catalog[2].model = zoo::eyeCod(4);
+    catalog[2].rateRps = 100.0 * kShards;
+    catalog[2].sloSec = frameDeadlineSec(20.0);
+    const auto trace = poissonTrace(catalog, 1500, 3);
+
+    FleetOptions options;
+    options.shards = kShards;
+    options.routing = RoutingPolicy::BestFit;
+    options.serving.scar.threads = 1;
+    options.serving.modeledSolveSec = 0.01;
+    options.serving.switchOverheadSec = 0.002;
+    options.serving.admission.maxQueueDelaySec = 0.02;
+    options.serving.preemption.enabled = true;
+    options.serving.preemption.slackThresholdSec = 0.02;
+    FleetSimulator fleet(
+        catalog, templates::hetSides3x3(templates::kDatacenterPes),
+        options);
+
+    const ServingReport cold = fleet.run(trace);
+    EXPECT_GT(cold.cache.misses, 0);
+    EXPECT_GT(fleet.materializedMixes(), 0);
+
+    // A warm pass can still route a mix differently than the cold one
+    // (resident schedules price differently from in-flight solves)
+    // and solve it; rerun until a pass solves nothing.
+    ServingReport warm = fleet.run(trace);
+    for (int pass = 0; pass < 4 && warm.cache.misses > 0; ++pass)
+        warm = fleet.run(trace);
+    ASSERT_EQ(warm.cache.misses, 0);
+    EXPECT_GT(warm.preemptions, 0);
+    EXPECT_EQ(warm.completed, 1500);
+    EXPECT_EQ(fleet.materializedMixes(), 0);
 }
 
 } // namespace
