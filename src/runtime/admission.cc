@@ -230,19 +230,17 @@ Dispatch
 AdmissionController::formFrom(double nowSec,
                               const std::vector<bool>& take)
 {
+    // Peek before draining any queue: the prefill variant's bucket
+    // covers the queued prompts, the batch is the padded queue depth,
+    // and the fleet routed on this very peek of the full queues.
     Dispatch dispatch;
-    dispatch.mix.name = "mix";
-    for (std::size_t m = 0; m < queues_.size(); ++m) {
+    dispatch.mix = peekWhere(take);
+    for (const MixPart& part : dispatch.mix.parts) {
+        const auto m = static_cast<std::size_t>(part.catalogIdx);
         auto& q = queues_[m];
-        if (q.empty() || !take[m])
-            continue;
         BatchGroup group;
-        group.catalogIdx = static_cast<int>(m);
-        group.batch = dispatchBatch(m);
-        // Derive the scheduled variant before draining the queue: the
-        // prefill variant's bucket covers the queued prompts, and the
-        // peeked signature the fleet routed on saw the full queue.
-        const MixVariant& variant = scheduledModel(m);
+        group.catalogIdx = part.catalogIdx;
+        group.batch = part.batch;
         const int boardCount =
             std::min(static_cast<int>(q.size()), group.batch);
         if (options_.order == QueueOrder::EarliestDeadline &&
@@ -298,13 +296,6 @@ AdmissionController::formFrom(double nowSec,
             }
         }
         refreshQueueStats(m);
-        // The scheduled model carries the dispatched batch size: the
-        // mix signature (and so the schedule-cache key) reflects the
-        // padded batch, not the raw queue depth.
-        Model scheduled = variant.model;
-        scheduled.batch = group.batch;
-        dispatch.mix.models.push_back(std::move(scheduled));
-        dispatch.catalogIdx.push_back(static_cast<int>(m));
         dispatch.groups.push_back(std::move(group));
     }
     return dispatch;
@@ -519,15 +510,23 @@ AdmissionController::peekDecodeMix(int model) const
     SCAR_REQUIRE(decodeQueuedCount(model) > 0,
                  "admission: peekDecodeMix on empty decode queue");
     const std::size_t m = static_cast<std::size_t>(model);
-    const ServedModel& sm = catalog_[m];
     const std::vector<std::size_t> boarders = decodeBoarders(m);
     const DecodeRound round =
-        planDecodeRound(sm, decodeQueues_[m], boarders);
+        planDecodeRound(catalog_[m], decodeQueues_[m], boarders);
+    return decodePeek(m, round.ctxBucket, boarders.size());
+}
+
+MixPeek
+AdmissionController::decodePeek(std::size_t model,
+                                std::int64_t ctxBucket,
+                                std::size_t boarded) const
+{
     MixPeek peek;
     peek.parts.push_back(
-        {model, &decodeVariant(m, round.ctxBucket),
-         decodeRoundBatch(static_cast<int>(boarders.size()),
-                          sm.model.batch, options_.quantizeBatches)});
+        {static_cast<int>(model), &decodeVariant(model, ctxBucket),
+         decodeRoundBatch(static_cast<int>(boarded),
+                          catalog_[model].model.batch,
+                          options_.quantizeBatches)});
     finishPeek(peek);
     return peek;
 }
@@ -544,11 +543,12 @@ AdmissionController::formDecodeDispatch(int model)
     const std::vector<std::size_t> boarders = decodeBoarders(m);
     const DecodeRound round = planDecodeRound(sm, q, boarders);
 
+    Dispatch dispatch;
+    dispatch.mix = decodePeek(m, round.ctxBucket, boarders.size());
+    dispatch.llmDecodeSteps = round.steps;
     BatchGroup group;
     group.catalogIdx = model;
-    group.batch =
-        decodeRoundBatch(static_cast<int>(boarders.size()),
-                         sm.model.batch, options_.quantizeBatches);
+    group.batch = dispatch.mix.parts.front().batch;
     std::vector<bool> boarded(q.size(), false);
     for (const std::size_t i : boarders) {
         boarded[i] = true;
@@ -569,16 +569,7 @@ AdmissionController::formDecodeDispatch(int model)
             remaining.push_back(q[i]);
     }
     q = std::move(remaining);
-
-    Model scheduled = decodeVariant(m, round.ctxBucket).model;
-    scheduled.batch = group.batch;
-
-    Dispatch dispatch;
-    dispatch.mix.name = "mix";
-    dispatch.mix.models.push_back(std::move(scheduled));
-    dispatch.catalogIdx.push_back(model);
     dispatch.groups.push_back(std::move(group));
-    dispatch.llmDecodeSteps = round.steps;
     return dispatch;
 }
 

@@ -42,9 +42,12 @@
  * variant of a catalog model (the plain model, and for autoregressive
  * entries one prefill / decode-step variant per length bucket) is
  * built once and interned with its signature prefix `name#layers=`,
- * so a peek copies no Model. materialize() builds the Scenario a
- * solve needs (catalog order, name "mix", padded batches) — exactly
- * the mix the matching form*Dispatch call will carry.
+ * so a peek copies no Model. A formed Dispatch carries the same
+ * MixPeek, built by the same routine before the queues drain, so the
+ * fleet's routing handshake compares two signatures and no dispatch
+ * copies a Model either. materialize() is the one place the runtime
+ * builds a Scenario (catalog order, name "mix", padded batches): for
+ * a schedule solve or a makespan estimate, never for replay.
  */
 
 #ifndef SCAR_RUNTIME_ADMISSION_H
@@ -141,22 +144,6 @@ struct BatchGroup
     std::vector<Request> requests;
 };
 
-/** A co-scheduled batch of requests: the unit the executor replays. */
-struct Dispatch
-{
-    Scenario mix;                 ///< scenario handed to the scheduler
-    std::vector<int> catalogIdx;  ///< mix.models[i] -> catalog index
-    std::vector<BatchGroup> groups; ///< aligned with mix.models
-    /**
-     * Decode steps this dispatch advances each rider by (0 = not a
-     * decode round). A decode round replays the one-step schedule
-     * this many times (schedule_cache.h repeatSchedule), so the
-     * schedule-cache key — the one-step mix signature — is shared by
-     * every round of the same (context bucket, batch).
-     */
-    int llmDecodeSteps = 0;
-};
-
 /**
  * One scheduled variant of a catalog model, built once and interned
  * by the AdmissionController: the model the scheduler sees (its batch
@@ -190,6 +177,26 @@ struct MixPeek
     int batchSlots = 0;
 
     int numModels() const { return static_cast<int>(parts.size()); }
+};
+
+/** A co-scheduled batch of requests: the unit the executor replays. */
+struct Dispatch
+{
+    /**
+     * The boarded mix, as the peek the fleet routed on: parts in
+     * catalog order, aligned with groups. materialize() turns it into
+     * the Scenario a solve needs; replay never does.
+     */
+    MixPeek mix;
+    std::vector<BatchGroup> groups; ///< aligned with mix.parts
+    /**
+     * Decode steps this dispatch advances each rider by (0 = not a
+     * decode round). A decode round replays the one-step schedule
+     * this many times back to back (ReplayExecutor tiles it), so the
+     * schedule-cache key — the one-step mix signature — is shared by
+     * every round of the same (context bucket, batch).
+     */
+    int llmDecodeSteps = 0;
 };
 
 /** Per-model queues plus the dispatch-forming policy. */
@@ -234,8 +241,8 @@ class AdmissionController
 
     /**
      * The Scenario a peek names: the interned variants at the peeked
-     * batches, in catalog order, named "mix" — the mix the matching
-     * form*Dispatch call would carry. Counted by materializedMixes().
+     * batches, in catalog order, named "mix" — the mix a solve of the
+     * matching dispatch searches. Counted by materializedMixes().
      */
     Scenario materialize(const MixPeek& peek) const;
 
@@ -332,6 +339,11 @@ class AdmissionController
      *  bucket. */
     const MixVariant& decodeVariant(std::size_t model,
                                     std::int64_t ctxBucket) const;
+    /** The shared peek path of peekDecodeMix / formDecodeDispatch:
+     *  `model`'s decode variant at the round's bucket, batched for
+     *  `boarded` riders. */
+    MixPeek decodePeek(std::size_t model, std::int64_t ctxBucket,
+                       std::size_t boarded) const;
     /** True when queue `model` holds a request urgent at nowSec. */
     bool modelUrgent(std::size_t model, double nowSec,
                      double slackSec) const;

@@ -33,149 +33,56 @@ AsyncScheduleCache::~AsyncScheduleCache()
     }
 }
 
-std::function<void()>
-AsyncScheduleCache::launchLocked(const std::string& signature,
-                                 const Scenario& mix,
-                                 const ComputeFn& compute,
-                                 double readySec)
+std::shared_ptr<AsyncScheduleCache::Promise>
+AsyncScheduleCache::registerLocked(const std::string& key, double readySec)
 {
     ++stats_.misses;
-    debug("async schedule cache: solve for mix ", signature);
-    auto promise = std::make_shared<
-        std::promise<std::shared_ptr<const CachedSchedule>>>();
-    inflight_.emplace(signature,
+    debug("async schedule cache: solve for mix ", key);
+    auto promise = std::make_shared<Promise>();
+    inflight_.emplace(key,
                       Inflight{promise->get_future().share(), readySec});
+    return promise;
+}
+
+void
+AsyncScheduleCache::launch(std::shared_ptr<Promise> promise,
+                           const MixFn& mix, const ComputeFn& compute)
+{
     // The worker only fulfills the promise; promotion into the LRU
     // store happens at join() on the (virtual-time) event loop, so
-    // store contents never depend on wall-clock solve speed. Copy mix
-    // and compute: the caller's references may die before the worker
-    // runs. The task is returned rather than submitted here because
-    // a zero-worker pool runs submissions inline — the solve must
-    // not execute under the cache lock.
-    return [promise, mix, compute] {
+    // store contents never depend on wall-clock solve speed. The task
+    // owns a copy of the mix and compute: the caller's references may
+    // die before the worker runs.
+    pool_.submit([promise = std::move(promise), scenario = mix(), compute] {
         try {
-            promise->set_value(makeCachedSchedule(mix, compute));
+            promise->set_value(makeCachedSchedule(scenario, compute));
         } catch (...) {
             promise->set_exception(std::current_exception());
         }
-    };
-}
-
-std::shared_ptr<const CachedSchedule>
-AsyncScheduleCache::getOrCompute(const Scenario& mix,
-                                 const ComputeFn& compute)
-{
-    return getOrCompute(mix.signature(), mix, compute);
-}
-
-std::shared_ptr<const CachedSchedule>
-AsyncScheduleCache::getOrCompute(const std::string& key,
-                                 const Scenario& mix,
-                                 const ComputeFn& compute)
-{
-    Future pending;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (auto hit = store_.find(key)) {
-            ++stats_.hits;
-            return hit;
-        }
-        auto it = inflight_.find(key);
-        if (it != inflight_.end()) {
-            ++stats_.hits;
-            pending = it->second.future;
-        }
-    }
-    if (pending.valid())
-        return pending.get();
-
-    // First caller for this signature: register the in-flight entry,
-    // then compute on this thread (the caller would block anyway, and
-    // computing here cannot starve the pool of workers).
-    auto promise = std::make_shared<
-        std::promise<std::shared_ptr<const CachedSchedule>>>();
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        // Double-check: another thread may have won the race between
-        // the two critical sections.
-        if (auto hit = store_.find(key)) {
-            ++stats_.hits;
-            return hit;
-        }
-        auto it = inflight_.find(key);
-        if (it != inflight_.end()) {
-            ++stats_.hits;
-            pending = it->second.future;
-        } else {
-            ++stats_.misses;
-            inflight_.emplace(
-                key, Inflight{promise->get_future().share(), 0.0});
-        }
-    }
-    if (pending.valid())
-        return pending.get();
-
-    std::shared_ptr<const CachedSchedule> entry;
-    try {
-        entry = makeCachedSchedule(mix, compute);
-    } catch (...) {
-        promise->set_exception(std::current_exception());
-        {
-            // Drop the poisoned in-flight entry so a later caller can
-            // retry the solve instead of rejoining the dead future.
-            std::lock_guard<std::mutex> lock(mu_);
-            inflight_.erase(key);
-        }
-        throw;
-    }
-    promise->set_value(entry);
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        store_.insert(key, entry);
-        inflight_.erase(key);
-    }
-    return entry;
+    });
 }
 
 void
-AsyncScheduleCache::prefetch(const Scenario& mix,
+AsyncScheduleCache::prefetch(const std::string& key, const MixFn& mix,
                              const ComputeFn& compute, double readySec)
 {
-    prefetch(mix.signature(), mix, compute, readySec);
-}
-
-void
-AsyncScheduleCache::prefetch(const std::string& key,
-                             const Scenario& mix,
-                             const ComputeFn& compute, double readySec)
-{
-    std::function<void()> solve;
+    std::shared_ptr<Promise> promise;
     {
         std::lock_guard<std::mutex> lock(mu_);
-        if (store_.find(key) != nullptr ||
-            inflight_.count(key) > 0)
+        if (store_.find(key) != nullptr || inflight_.count(key) > 0)
             return;
-        solve = launchLocked(key, mix, compute, readySec);
+        promise = registerLocked(key, readySec);
     }
-    pool_.submit(std::move(solve));
+    launch(std::move(promise), mix, compute);
 }
 
 AsyncLookup
-AsyncScheduleCache::lookup(const Scenario& mix,
-                           const ComputeFn& compute, double nowSec,
-                           double modeledSolveSec)
-{
-    return lookup(mix.signature(), mix, compute, nowSec,
-                  modeledSolveSec);
-}
-
-AsyncLookup
-AsyncScheduleCache::lookup(const std::string& key, const Scenario& mix,
+AsyncScheduleCache::lookup(const std::string& key, const MixFn& mix,
                            const ComputeFn& compute, double nowSec,
                            double modeledSolveSec)
 {
     AsyncLookup result;
-    std::function<void()> solve;
+    std::shared_ptr<Promise> promise;
     {
         std::lock_guard<std::mutex> lock(mu_);
         if (auto hit = store_.find(key)) {
@@ -191,10 +98,9 @@ AsyncScheduleCache::lookup(const std::string& key, const Scenario& mix,
             result.readySec = std::max(nowSec, it->second.readySec);
             return result;
         }
-        solve = launchLocked(key, mix, compute,
-                             nowSec + modeledSolveSec);
+        promise = registerLocked(key, nowSec + modeledSolveSec);
     }
-    pool_.submit(std::move(solve));
+    launch(std::move(promise), mix, compute);
     result.readySec = nowSec + modeledSolveSec;
     result.startedSolve = true;
     return result;
@@ -217,34 +123,33 @@ AsyncScheduleCache::peek(const std::string& key) const
 }
 
 std::shared_ptr<const CachedSchedule>
-AsyncScheduleCache::join(const std::string& signature)
+AsyncScheduleCache::join(const std::string& key)
 {
     Future pending;
     {
         std::lock_guard<std::mutex> lock(mu_);
-        if (auto hit = store_.find(signature))
+        if (auto hit = store_.find(key))
             return hit;
-        auto it = inflight_.find(signature);
+        auto it = inflight_.find(key);
         SCAR_REQUIRE(it != inflight_.end(),
-                     "async schedule cache: join of unknown mix ",
-                     signature);
+                     "async schedule cache: join of unknown mix ", key);
         pending = it->second.future;
     }
     // Wall-clock wait outside the lock. A failed solve is erased
-    // before rethrowing so the signature can be retried rather than
+    // before rethrowing so the key can be retried rather than
     // pinning a dead future in the in-flight map forever.
     std::shared_ptr<const CachedSchedule> entry;
     try {
         entry = pending.get();
     } catch (...) {
         std::lock_guard<std::mutex> lock(mu_);
-        inflight_.erase(signature);
+        inflight_.erase(key);
         throw;
     }
     {
         std::lock_guard<std::mutex> lock(mu_);
-        if (inflight_.erase(signature) > 0)
-            store_.insert(signature, entry);
+        if (inflight_.erase(key) > 0)
+            store_.insert(key, entry);
     }
     return entry;
 }
@@ -269,7 +174,7 @@ AsyncScheduleCache::stats() const
 {
     std::lock_guard<std::mutex> lock(mu_);
     ScheduleCacheStats stats = stats_;
-    stats.evictions = store_.stats().evictions;
+    stats.evictions = store_.evictions();
     return stats;
 }
 

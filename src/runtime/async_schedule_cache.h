@@ -15,7 +15,7 @@
  *    results bit-identical regardless of how fast the wall-clock
  *    solve happens to finish.
  *
- * Lifecycle of a signature:
+ * Lifecycle of a key:
  *   absent --prefetch/lookup--> in flight (future + virtual readySec)
  *          --join (at virtual readySec)--> stored (ScheduleCache LRU)
  *
@@ -24,9 +24,10 @@
  * the background worker, so the store's contents — and therefore LRU
  * eviction order — depend only on virtual time.
  *
- * getOrCompute() is the blocking convenience path (and the
- * concurrency contract: racing callers on one signature run the solve
- * exactly once); the serving loop uses prefetch/lookup/join.
+ * The mix is handed in lazily (a callback yielding the Scenario):
+ * it is called on the caller's thread, and only when a solve is
+ * actually launched, so a probe or dispatch whose key is stored or in
+ * flight builds no Scenario.
  *
  * Counters: misses = solves launched (speculative prefetches
  * included), hits = dispatch-time lookups served without launching a
@@ -80,6 +81,8 @@ class AsyncScheduleCache
 {
   public:
     using ComputeFn = ScheduleCache::ComputeFn;
+    /** Yields the mix to solve; called only when a solve launches. */
+    using MixFn = std::function<const Scenario&()>;
 
     /**
      * @param pool workers for background solves (not owned); with
@@ -99,39 +102,22 @@ class AsyncScheduleCache
     ~AsyncScheduleCache();
 
     /**
-     * Blocking path: returns the schedule for the mix, solving at
-     * most once per key even under concurrent callers — the first
-     * caller computes (on its own thread), the rest wait on the
-     * shared future. Keys by the mix signature; the explicit-key
-     * variant lets the fleet key by (mix, package) instead.
-     */
-    std::shared_ptr<const CachedSchedule>
-    getOrCompute(const Scenario& mix, const ComputeFn& compute);
-    std::shared_ptr<const CachedSchedule>
-    getOrCompute(const std::string& key, const Scenario& mix,
-                 const ComputeFn& compute);
-
-    /**
-     * Begins a background solve for the mix unless its key is
-     * already stored or in flight (idempotent — the serving loop
-     * calls this speculatively whenever a batch is ready but every
-     * shard is busy).
+     * Begins a background solve for the key unless it is already
+     * stored or in flight (idempotent — the serving loop calls this
+     * speculatively whenever a batch is ready but every shard is
+     * busy). `mix` is called only when the solve launches.
      * @param readySec virtual instant the result becomes usable
      */
-    void prefetch(const Scenario& mix, const ComputeFn& compute,
-                  double readySec);
-    void prefetch(const std::string& key, const Scenario& mix,
+    void prefetch(const std::string& key, const MixFn& mix,
                   const ComputeFn& compute, double readySec);
 
     /**
      * Dispatch-time consultation: a usable schedule counts a hit; an
      * in-flight solve counts a hit and reports when it lands; an
-     * unknown key counts a miss and launches the solve with
-     * readySec = nowSec + modeledSolveSec.
+     * unknown key counts a miss and launches the solve (calling
+     * `mix`) with readySec = nowSec + modeledSolveSec.
      */
-    AsyncLookup lookup(const Scenario& mix, const ComputeFn& compute,
-                       double nowSec, double modeledSolveSec);
-    AsyncLookup lookup(const std::string& key, const Scenario& mix,
+    AsyncLookup lookup(const std::string& key, const MixFn& mix,
                        const ComputeFn& compute, double nowSec,
                        double modeledSolveSec);
 
@@ -145,12 +131,11 @@ class AsyncScheduleCache
     CachePeek peek(const std::string& key) const;
 
     /**
-     * Waits (wall clock) for the signature's solve and promotes it
-     * into the store. The signature must be stored or in flight —
-     * i.e. join() only follows a prefetch/lookup/getOrCompute.
+     * Waits (wall clock) for the key's solve and promotes it into
+     * the store. The key must be stored or in flight — i.e. join()
+     * only follows a prefetch/lookup.
      */
-    std::shared_ptr<const CachedSchedule>
-    join(const std::string& signature);
+    std::shared_ptr<const CachedSchedule> join(const std::string& key);
 
     /**
      * Joins every in-flight solve (end of a serving run), so
@@ -178,17 +163,24 @@ class AsyncScheduleCache
         double readySec = 0.0;
     };
 
+    using Promise = std::promise<std::shared_ptr<const CachedSchedule>>;
+
     /**
-     * Registers the signature as in flight and returns the solve task
-     * for the caller to submit *after releasing the lock* (a
-     * zero-worker pool runs submissions inline, and the solve must
-     * never execute under the cache lock). Caller must hold mu_ and
-     * have checked absence.
+     * Registers the key as in flight, counts the miss, and returns the
+     * promise its solve fulfils. Caller must hold mu_ and have checked
+     * absence.
      */
-    std::function<void()> launchLocked(const std::string& signature,
-                                       const Scenario& mix,
-                                       const ComputeFn& compute,
-                                       double readySec);
+    std::shared_ptr<Promise> registerLocked(const std::string& key,
+                                            double readySec);
+
+    /**
+     * Builds the mix and submits the solve of a registered key. Called
+     * without mu_: `mix` is the caller's code, and a zero-worker pool
+     * runs the submitted solve inline. Should `mix` throw, the dropped
+     * promise breaks, so join() rethrows and erases the key.
+     */
+    void launch(std::shared_ptr<Promise> promise, const MixFn& mix,
+                const ComputeFn& compute);
 
     ThreadPool& pool_;
     mutable std::mutex mu_;

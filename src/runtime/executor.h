@@ -13,6 +13,16 @@
  * determine each boundary's instant). Requests in later windows keep
  * running until their own boundary.
  *
+ * Decode rounds: an autoregressive decode dispatch advances its
+ * riders by llmDecodeSteps tokens, and the cache holds only the
+ * one-step schedule (every round of the same context bucket and batch
+ * shares it). The executor tiles that schedule max(1, steps) times
+ * back to back: windows are numbered across the tiling, every
+ * boundary instant and the replay makespan are accumulated window by
+ * window in replay order, and a multi-step round completes every
+ * group at its final tiled window. Each step's last window is a step
+ * boundary — where a continuous-batching join may cut the round.
+ *
  * Boundary preemption: window ends are the only instants where the
  * package holds no in-flight layer work (sched/scar.h's
  * WindowBoundary metadata), so a replay can be suspend()ed exactly
@@ -57,16 +67,17 @@ struct WindowTick
  *
  * Holds everything resume() needs to continue the dispatch from its
  * saved boundary cursor: the schedule reference (eviction-safe), the
- * dispatch with its still-riding requests, the index of the next
- * window to replay, and the total duration of the remaining windows
- * (the backlog cost-aware routing charges for a suspended shard).
+ * dispatch with its still-riding requests (and decode step count),
+ * the tiled index of the next window to replay, and the total
+ * duration of the remaining windows (the backlog cost-aware routing
+ * charges for a suspended shard).
  */
 struct SuspendedReplay
 {
     std::shared_ptr<const CachedSchedule> schedule;
     Dispatch dispatch;
-    std::size_t window = 0;     ///< next window to replay on resume
-    double remainingSec = 0.0;  ///< sum of windowSec[window..end]
+    std::size_t window = 0;     ///< next tiled window on resume
+    double remainingSec = 0.0;  ///< durations of windows [window, end)
 };
 
 /** Replays cached schedules for one dispatch at a time. */
@@ -77,14 +88,30 @@ class ReplayExecutor
     bool busy() const { return busy_; }
 
     /**
-     * Begins replaying the cached schedule of a dispatch at startSec.
-     * The schedule must have been computed for the dispatch's mix
-     * (same model count and order); the executor holds a reference,
-     * so an LRU-evicted schedule stays valid until the replay ends.
+     * Begins replaying the cached schedule of a dispatch at startSec,
+     * tiled max(1, dispatch.llmDecodeSteps) times. The schedule must
+     * have been computed for the dispatch's mix (one lastWindow entry
+     * per group, same order); the executor holds a reference, so an
+     * LRU-evicted schedule stays valid until the replay ends.
      * Requires !busy().
      */
     void start(std::shared_ptr<const CachedSchedule> schedule,
                Dispatch dispatch, double startSec);
+
+    /**
+     * Back-to-back duration of the started dispatch's whole (tiled)
+     * replay, summed window by window from 0.0 in replay order — the
+     * busy time the fleet books for it at start(); resume() leaves it
+     * unchanged. Requires busy().
+     */
+    double makespanSec() const;
+
+    /**
+     * Windows per decode step: the one-step schedule's window count.
+     * Tiled window w ends a step when (w + 1) % windowsPerStep() == 0.
+     * Requires busy().
+     */
+    std::size_t windowsPerStep() const;
 
     /**
      * Absolute time of the next window boundary. Requires busy().
@@ -113,7 +140,7 @@ class ReplayExecutor
      * Fast-forward-bound probe for continuous-batching joins: the absolute
      * instant of the next *step-aligned, non-final* window boundary —
      * the earliest place the fleet's join-cut rule
-     * ((windowIdx + 1) % windowsPerStep == 0 on a non-dispatchDone
+     * ((windowIdx + 1) % windowsPerStep() == 0 on a non-dispatchDone
      * tick) could cut this decode round to merge fresh waiters.
      * Accumulated forward from the next boundary in advance()'s exact
      * rounding order, so the returned instant equals the matching
@@ -121,7 +148,7 @@ class ReplayExecutor
      * stops strictly before the cut. Returns +infinity when no such
      * boundary remains. Requires busy().
      */
-    double nextStepBoundarySec(int windowsPerStep) const;
+    double nextStepBoundarySec() const;
 
     /**
      * Fast-forward-bound probe for mid-replay completions: the earliest
@@ -140,16 +167,15 @@ class ReplayExecutor
                      "executor: earliestGroupEndSec while idle");
         // Window durations are non-negative, so the earliest ending
         // window index is also the earliest ending instant.
-        int firstEnd = std::numeric_limits<int>::max();
+        std::size_t firstEnd = windows_;
         for (std::size_t m = 0; m < dispatch_.groups.size(); ++m) {
-            const int last = schedule_->lastWindow[m];
-            if (last >= static_cast<int>(window_) && last < firstEnd &&
-                pred(m))
+            const std::size_t last = lastWindow(m);
+            if (last >= window_ && last < firstEnd && pred(m))
                 firstEnd = last;
         }
-        if (firstEnd == std::numeric_limits<int>::max())
+        if (firstEnd == windows_)
             return std::numeric_limits<double>::infinity();
-        return boundaryInstantSec(static_cast<std::size_t>(firstEnd));
+        return boundaryInstantSec(firstEnd);
     }
 
     /**
@@ -189,11 +215,36 @@ class ReplayExecutor
 
     /**
      * The in-flight dispatch (the fleet inspects decode-round
-     * metadata at window boundaries). Requires busy().
+     * metadata at window boundaries). Requires busy(); a finished
+     * dispatch is released at its last tick.
      */
     const Dispatch& dispatch() const;
 
   private:
+    /** Binds schedule, dispatch and cursor, and derives the tiling
+     *  and the final boundary (shared by start and resume). */
+    void begin(std::shared_ptr<const CachedSchedule> schedule,
+               Dispatch dispatch, std::size_t window, double startSec);
+
+    /** Duration of tiled window w. */
+    double windowSec(std::size_t w) const
+    {
+        return schedule_->windowSec[w % schedule_->windowSec.size()];
+    }
+
+    /**
+     * Tiled index of group m's last window: the schedule's own for a
+     * single replay, the final tiled window for a multi-step decode
+     * round (its riders complete, or rejoin the decode queue,
+     * together at the round's end).
+     */
+    std::size_t lastWindow(std::size_t m) const
+    {
+        return windows_ > schedule_->windowSec.size()
+                   ? windows_ - 1
+                   : static_cast<std::size_t>(schedule_->lastWindow[m]);
+    }
+
     /**
      * Exact boundary instant of window j >= window_: windowEndSec_
      * plus the durations of windows (window_, j], accumulated left to
@@ -205,9 +256,11 @@ class ReplayExecutor
     bool busy_ = false;
     std::shared_ptr<const CachedSchedule> schedule_;
     Dispatch dispatch_;
+    std::size_t windows_ = 0;  ///< tiled window count of the replay
     std::size_t window_ = 0;   ///< next boundary to cross
     double windowEndSec_ = 0.0; ///< absolute end of that window
     double finalBoundarySec_ = 0.0; ///< accumulated last-window end
+    double makespanSec_ = 0.0; ///< whole replay, summed from 0.0
     long dispatches_ = 0;
 };
 

@@ -234,7 +234,7 @@ FleetSimulator::estimateMakespanSec(int shard, const Scenario& mix)
 double
 FleetSimulator::estimateMakespanKeyed(
     const std::string& key, std::size_t shard, int numModels,
-    const std::function<const Scenario&()>& lazyMix)
+    const AsyncScheduleCache::MixFn& lazyMix)
 {
     SCAR_REQUIRE(numModels <= templates_[shard].numChiplets(),
                  "fleet: estimate needs one chiplet per model (",
@@ -694,17 +694,20 @@ FleetSimulator::resumeSuspended(Shard& shard, double nowSec)
 }
 
 void
-FleetSimulator::parkDispatch(int target, const std::string& sig,
+FleetSimulator::parkDispatch(int target, RoutingProbes& probes,
                              Dispatch dispatch, double nowSec,
                              const ScheduleCache::ComputeFn& compute,
                              const char* counter)
 {
     Shard& shard = shards_[target];
+    const std::string& sig = probes.peek.signature;
     const std::string key =
         cacheKey(sig, static_cast<std::size_t>(target));
+    // The Scenario is materialized only if the lookup launches a
+    // solve or the makespan estimate is new.
+    const auto mix = [&]() -> const Scenario& { return probes.mix(); };
     const AsyncLookup found = shard.cache->lookup(
-        key, dispatch.mix, compute, nowSec,
-        options_.serving.modeledSolveSec);
+        key, mix, compute, nowSec, options_.serving.modeledSolveSec);
     double endSec = found.readySec;
     if (!shard.lastKey.empty() && shard.lastKey != key)
         endSec += options_.serving.switchOverheadSec;
@@ -714,10 +717,7 @@ FleetSimulator::parkDispatch(int target, const std::string& sig,
                    ? found.schedule->makespanSec
                    : estimateMakespanKeyed(
                          key, static_cast<std::size_t>(target),
-                         dispatch.mix.numModels(),
-                         [&]() -> const Scenario& {
-                             return dispatch.mix;
-                         })) *
+                         dispatch.mix.numModels(), mix)) *
               std::max(1, dispatch.llmDecodeSteps);
     shard.hasPending = true;
     shard.pending = std::move(dispatch);
@@ -970,7 +970,6 @@ FleetSimulator::run(const std::vector<Request>& trace)
         shard.preemptions = 0;
         shard.resumeOverheadSec = 0.0;
         shard.lastKey.clear();
-        shard.llmWindowsPerStep = 1;
     }
     contestedRoutes_ = 0;
     costOptimalRoutes_ = 0;
@@ -1288,20 +1287,6 @@ FleetSimulator::run(const std::vector<Request>& trace)
                 shard.pendingSchedule != nullptr
                     ? std::move(shard.pendingSchedule)
                     : shard.cache->join(shard.pendingKey);
-            // A decode round replays the cached *one-step* schedule
-            // llmDecodeSteps times; the cache key stays the one-step
-            // signature so every round of the same (context bucket,
-            // batch) shares one cached solve. llmWindowsPerStep marks
-            // the step-aligned boundaries for the join cut.
-            if (shard.pending.llmDecodeSteps > 0) {
-                shard.llmWindowsPerStep =
-                    static_cast<int>(schedule->windowSec.size());
-                if (shard.pending.llmDecodeSteps > 1)
-                    schedule = repeatSchedule(
-                        schedule, shard.pending.llmDecodeSteps);
-            } else {
-                shard.llmWindowsPerStep = 1;
-            }
             double startSec = nowSec;
             if (!shard.lastKey.empty() &&
                 shard.lastKey != shard.pendingKey &&
@@ -1322,12 +1307,16 @@ FleetSimulator::run(const std::vector<Request>& trace)
                             static_cast<std::uint64_t>(req.id),
                             "dispatch", "request", startSec);
             }
-            shard.busySec += schedule->makespanSec;
-            shard.busyUntilSec = startSec + schedule->makespanSec;
-            shard.traceWindowStartSec = startSec;
-            shard.lastKey = shard.pendingKey;
+            // A decode round replays the cached one-step schedule
+            // llmDecodeSteps times (the executor tiles it), so every
+            // round of the same (context bucket, batch) shares one
+            // cached solve.
             shard.executor.start(std::move(schedule),
                                  std::move(shard.pending), startSec);
+            shard.busySec += shard.executor.makespanSec();
+            shard.busyUntilSec = startSec + shard.executor.makespanSec();
+            shard.traceWindowStartSec = startSec;
+            shard.lastKey = shard.pendingKey;
             shard.hasPending = false;
             shard.pendingKey.clear();
             shard.pendingSchedule.reset();
@@ -1380,7 +1369,7 @@ FleetSimulator::run(const std::vector<Request>& trace)
                 ++queueEpoch;
                 Dispatch dispatch =
                     admission.formDecodeDispatch(decodeModel);
-                SCAR_ASSERT(dispatch.mix.signature() == sig,
+                SCAR_ASSERT(dispatch.mix.signature == sig,
                             "fleet: decode dispatch mix diverged "
                             "from the routed peek");
                 // Decode rounds do not add padded slots: occupancy
@@ -1391,8 +1380,9 @@ FleetSimulator::run(const std::vector<Request>& trace)
                 ++llmDecodeRounds_;
                 llmBoardedSum_ += static_cast<long>(
                     dispatch.groups.front().requests.size());
-                parkDispatch(target, sig, std::move(dispatch), nowSec,
-                             computes[target], "dispatches.decode");
+                parkDispatch(target, probes, std::move(dispatch),
+                             nowSec, computes[target],
+                             "dispatches.decode");
                 continue;
             }
         }
@@ -1440,13 +1430,13 @@ FleetSimulator::run(const std::vector<Request>& trace)
                     urgent ? admission.formUrgentDispatch(
                                  nowSec, preemption.slackThresholdSec)
                            : admission.formDispatch(nowSec);
-                SCAR_ASSERT(dispatch.mix.signature() == sig,
+                SCAR_ASSERT(dispatch.mix.signature == sig,
                             "fleet: dispatch mix diverged from the "
                             "routed peek");
                 for (const BatchGroup& group : dispatch.groups)
                     paddedSlots += group.batch;
-                parkDispatch(target, sig, std::move(dispatch), nowSec,
-                             computes[target],
+                parkDispatch(target, probes, std::move(dispatch),
+                             nowSec, computes[target],
                              urgent ? "dispatches.urgent"
                                     : "dispatches.regular");
                 continue;
@@ -1480,7 +1470,8 @@ FleetSimulator::run(const std::vector<Request>& trace)
                 shards_[target].cache->prefetch(
                     cacheKey(peekedSig,
                              static_cast<std::size_t>(target)),
-                    probes.mix(), computes[target],
+                    [&]() -> const Scenario& { return probes.mix(); },
+                    computes[target],
                     nowSec + options_.serving.modeledSolveSec);
                 if (rec) {
                     rec->trace().instantVirtual(
@@ -1643,11 +1634,11 @@ FleetSimulator::run(const std::vector<Request>& trace)
                             // queued for the round's model.
                             if (continuous &&
                                 admission.decodeQueuedCount(
-                                    running.catalogIdx.front()) > 0)
+                                    running.groups.front().catalogIdx) >
+                                    0)
                                 bound = std::min(
                                     bound,
-                                    sh.executor.nextStepBoundarySec(
-                                        sh.llmWindowsPerStep));
+                                    sh.executor.nextStepBoundarySec());
                         } else {
                             // Prefill/mixed replay: an autoregressive
                             // group completing mid-replay enqueues
@@ -1661,7 +1652,7 @@ FleetSimulator::run(const std::vector<Request>& trace)
                                 sh.executor.earliestGroupEndSec(
                                     [&](std::size_t m) {
                                         return catalog_
-                                            [running.catalogIdx[m]]
+                                            [running.groups[m].catalogIdx]
                                                 .llm.autoregressive;
                                     }));
                         }
@@ -1795,16 +1786,17 @@ FleetSimulator::run(const std::vector<Request>& trace)
                     options_.serving.admission.llmBatching ==
                         LlmBatchingMode::Continuous) {
                     const Dispatch& running = sh.executor.dispatch();
-                    const int model = running.llmDecodeSteps > 0
-                                          ? running.catalogIdx.front()
-                                          : -1;
+                    const int model =
+                        running.llmDecodeSteps > 0
+                            ? running.groups.front().catalogIdx
+                            : -1;
+                    const int perStep =
+                        static_cast<int>(sh.executor.windowsPerStep());
                     if (model >= 0 &&
                         admission.decodeQueuedCount(model) > 0 &&
-                        (tick.windowIdx + 1) % sh.llmWindowsPerStep ==
-                            0) {
+                        (tick.windowIdx + 1) % perStep == 0) {
                         const int stepsDone =
-                            (tick.windowIdx + 1) /
-                            sh.llmWindowsPerStep;
+                            (tick.windowIdx + 1) / perStep;
                         SuspendedReplay cut =
                             sh.executor.suspend(false);
                         sh.busySec -= cut.remainingSec;

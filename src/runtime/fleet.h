@@ -104,16 +104,17 @@
  * index); only chains of distinct costs spaced closer than the 1e-12
  * tie epsilon could make the two differ.
  *
- * Routing and speculation name the would-be mix by the admission
- * controller's MixPeek (interned variants + signature), not by a
- * Scenario: one is materialized only for a makespan-estimate memo
- * miss or a speculative prefetch, so warm serving builds none.
+ * Routing, speculation and the formed dispatch name the mix by the
+ * admission controller's MixPeek (interned variants + signature), not
+ * by a Scenario: one is materialized only for a makespan-estimate
+ * memo miss, a speculative prefetch, or a dispatch-time lookup that
+ * launches a solve, so warm serving builds none. Replay reads only
+ * the cached window timings (schedule_cache.h CachedSchedule).
  */
 
 #ifndef SCAR_RUNTIME_FLEET_H
 #define SCAR_RUNTIME_FLEET_H
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -327,8 +328,9 @@ class FleetSimulator
     /**
      * Scenarios the most recent run() materialized from admission
      * peeks (AdmissionController::materializedMixes): makespan-
-     * estimate memo misses and speculative prefetches only, so 0 on
-     * a pass whose routing found every schedule resident.
+     * estimate memo misses, speculative prefetches and dispatch-time
+     * solves only, so 0 on a pass whose routing found every schedule
+     * resident.
      */
     long materializedMixes() const { return materializedMixes_; }
 
@@ -394,13 +396,6 @@ class FleetSimulator
         /** Trace bookkeeping: start instant of the window currently
          *  replaying (the span start when the next boundary ticks). */
         double traceWindowStartSec = 0.0;
-        /** Windows per decode step of the replaying dispatch (1 for
-         *  non-decode dispatches). A decode round replays the cached
-         *  one-step schedule llmDecodeSteps times, so only every
-         *  llmWindowsPerStep-th boundary is a step boundary — the
-         *  instants where a continuous-batching join may cut the
-         *  replay. */
-        int llmWindowsPerStep = 1;
     };
 
     /** The (mix signature, package signature) key of shard s. */
@@ -417,7 +412,7 @@ class FleetSimulator
      */
     double estimateMakespanKeyed(
         const std::string& key, std::size_t shard, int numModels,
-        const std::function<const Scenario&()>& lazyMix);
+        const AsyncScheduleCache::MixFn& lazyMix);
 
     /**
      * One pod's schedule-cache state for the mix being routed, read
@@ -445,9 +440,9 @@ class FleetSimulator
      * The pod probes of one routing decision for one peeked mix, one
      * slot per pod, filled lazily by probePod. The mix is named by
      * its MixPeek; the Scenario is materialized at most once per
-     * decision, and only for a makespan-estimate memo miss or a
-     * speculative prefetch — a routing decision against resident
-     * schedules builds none.
+     * decision, and only for a makespan-estimate memo miss, a
+     * speculative prefetch or a dispatch-time solve — a routing
+     * decision against resident schedules builds none.
      */
     struct RoutingProbes
     {
@@ -634,13 +629,14 @@ class FleetSimulator
                                double nowSec);
 
     /**
-     * Parks a formed dispatch on shard `target` until its schedule's
-     * virtual ready instant: looks the (mix, package) key up in the
-     * shard's cache (starting a background solve on a miss), records
-     * the projected replay end BestFit charges for the parked shard,
-     * and books the solve stall and the cache/`counter` metrics.
+     * Parks a dispatch formed from the probed mix on shard `target`
+     * until its schedule's virtual ready instant: looks the
+     * (mix, package) key up in the shard's cache (starting a
+     * background solve on a miss), records the projected replay end
+     * BestFit charges for the parked shard, and books the solve stall
+     * and the cache/`counter` metrics.
      */
-    void parkDispatch(int target, const std::string& sig,
+    void parkDispatch(int target, RoutingProbes& probes,
                       Dispatch dispatch, double nowSec,
                       const ScheduleCache::ComputeFn& compute,
                       const char* counter);

@@ -9,75 +9,44 @@ namespace scar
 namespace runtime
 {
 
-void
-buildReplayView(CachedSchedule& entry)
+CachedSchedule
+buildReplayView(const Scenario& mix, const ScheduleResult& result)
 {
-    entry.windowSec.clear();
-    entry.lastWindow.assign(entry.mix.numModels(), -1);
-    entry.makespanSec = 0.0;
+    CachedSchedule view;
+    view.lastWindow.assign(mix.numModels(), -1);
     // The per-window durations come from the schedule's stable
     // boundary metadata — the same cut points the boundary preemptor
     // suspends and resumes at.
-    for (const WindowBoundary& boundary : windowBoundaries(entry.result)) {
+    for (const WindowBoundary& boundary : windowBoundaries(result)) {
         // windowCycles (not endCycles - startCycles): the replay
         // durations must stay bit-identical to the pre-metadata code,
         // and a difference of cumulative sums is not.
         const double sec = cyclesToSeconds(boundary.windowCycles);
-        entry.windowSec.push_back(sec);
-        entry.makespanSec += sec;
-        const ScheduledWindow& sw =
-            entry.result.windows[boundary.windowIdx];
+        view.windowSec.push_back(sec);
+        view.makespanSec += sec;
+        const ScheduledWindow& sw = result.windows[boundary.windowIdx];
         for (const ModelPlacement& mp : sw.placement.models) {
             if (!mp.segments.empty())
-                entry.lastWindow[mp.modelIdx] = boundary.windowIdx;
+                view.lastWindow[mp.modelIdx] = boundary.windowIdx;
         }
     }
-    for (int m = 0; m < entry.mix.numModels(); ++m)
-        SCAR_REQUIRE(entry.lastWindow[m] >= 0,
-                     "schedule for mix ", entry.mix.signature(),
-                     " never places model ", entry.mix.models[m].name);
+    for (int m = 0; m < mix.numModels(); ++m)
+        SCAR_REQUIRE(view.lastWindow[m] >= 0,
+                     "schedule for mix ", mix.signature(),
+                     " never places model ", mix.models[m].name);
+    return view;
 }
 
 std::shared_ptr<const CachedSchedule>
 makeCachedSchedule(const Scenario& mix,
                    const ScheduleCache::ComputeFn& compute)
 {
-    auto entry = std::make_shared<CachedSchedule>();
-    entry->mix = mix;
-    entry->result = compute(mix);
-    SCAR_REQUIRE(!entry->result.windows.empty(),
+    const ScheduleResult result = compute(mix);
+    SCAR_REQUIRE(!result.windows.empty(),
                  "schedule cache: compute returned an empty schedule ",
                  "for mix ", mix.signature());
-    buildReplayView(*entry);
-    return entry;
-}
-
-std::shared_ptr<const CachedSchedule>
-repeatSchedule(const std::shared_ptr<const CachedSchedule>& step,
-               int times)
-{
-    SCAR_REQUIRE(step != nullptr, "repeatSchedule: null step schedule");
-    SCAR_REQUIRE(times >= 1, "repeatSchedule: times must be >= 1");
-    if (times == 1)
-        return step;
-    auto entry = std::make_shared<CachedSchedule>();
-    entry->mix = step->mix;
-    entry->result = step->result;
-    const std::size_t perStep = step->windowSec.size();
-    entry->windowSec.reserve(perStep * static_cast<std::size_t>(times));
-    // Sequential summation, matching both buildReplayView and the
-    // executor's boundary walk bit-for-bit.
-    entry->makespanSec = 0.0;
-    for (int t = 0; t < times; ++t) {
-        for (const double sec : step->windowSec) {
-            entry->windowSec.push_back(sec);
-            entry->makespanSec += sec;
-        }
-    }
-    entry->lastWindow.assign(
-        step->lastWindow.size(),
-        static_cast<int>(perStep) * times - 1);
-    return entry;
+    return std::make_shared<const CachedSchedule>(
+        buildReplayView(mix, result));
 }
 
 ScheduleCache::ScheduleCache(ScheduleCacheOptions options)
@@ -92,9 +61,9 @@ ScheduleCache::touch(Entry& entry)
 }
 
 std::shared_ptr<const CachedSchedule>
-ScheduleCache::find(const std::string& signature)
+ScheduleCache::find(const std::string& key)
 {
-    auto it = entries_.find(signature);
+    auto it = entries_.find(key);
     if (it == entries_.end())
         return nullptr;
     touch(it->second);
@@ -102,59 +71,34 @@ ScheduleCache::find(const std::string& signature)
 }
 
 void
-ScheduleCache::insert(const std::string& signature,
+ScheduleCache::insert(const std::string& key,
                       std::shared_ptr<const CachedSchedule> schedule)
 {
     SCAR_REQUIRE(schedule != nullptr,
-                 "schedule cache: inserting null schedule for ",
-                 signature);
-    auto it = entries_.find(signature);
+                 "schedule cache: inserting null schedule for ", key);
+    auto it = entries_.find(key);
     if (it != entries_.end()) {
         it->second.schedule = std::move(schedule);
         touch(it->second);
         return;
     }
-    lru_.push_front(signature);
-    entries_.emplace(signature,
+    lru_.push_front(key);
+    entries_.emplace(key,
                      Entry{std::move(schedule), lru_.begin()});
     if (options_.capacity > 0 && entries_.size() > options_.capacity) {
         const std::string& victim = lru_.back();
         debug("schedule cache: evicting LRU mix ", victim);
         entries_.erase(victim);
         lru_.pop_back();
-        ++stats_.evictions;
+        ++evictions_;
     }
 }
 
 std::shared_ptr<const CachedSchedule>
-ScheduleCache::peek(const std::string& signature) const
+ScheduleCache::peek(const std::string& key) const
 {
-    auto it = entries_.find(signature);
+    auto it = entries_.find(key);
     return it == entries_.end() ? nullptr : it->second.schedule;
-}
-
-std::shared_ptr<const CachedSchedule>
-ScheduleCache::getOrCompute(const Scenario& mix,
-                            const ComputeFn& compute)
-{
-    return getOrCompute(mix.signature(), mix, compute);
-}
-
-std::shared_ptr<const CachedSchedule>
-ScheduleCache::getOrCompute(const std::string& key,
-                            const Scenario& mix,
-                            const ComputeFn& compute)
-{
-    if (auto hit = find(key)) {
-        ++stats_.hits;
-        return hit;
-    }
-    ++stats_.misses;
-    debug("schedule cache miss #", stats_.misses, ": scheduling mix ",
-          key);
-    auto entry = makeCachedSchedule(mix, compute);
-    insert(key, entry);
-    return entry;
 }
 
 } // namespace runtime

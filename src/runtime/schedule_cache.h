@@ -6,25 +6,28 @@
  * The offline search (Scar::run) depends only on the scheduled mix —
  * which models at which batch sizes — and on the fixed MCM, never on
  * request identities or arrival times. The serving runtime therefore
- * keys cached ScheduleResults by Scenario::signature(): the first
- * dispatch of a mix pays the search (a miss), every later dispatch of
- * the same mix replays the cached schedule (a hit). Hit/miss counts
- * are exposed so serving reports can show how much search the cache
- * avoided.
+ * keys cached schedules by mix signature: the first dispatch of a mix
+ * pays the search, every later dispatch of the same mix replays the
+ * cached schedule. The fleet keys by (mix signature, package
+ * signature), so shards with different MCM templates never share a
+ * schedule.
+ *
+ * An entry is the schedule's replay view, not the solved
+ * ScheduleResult: per-window durations in seconds and, per model, the
+ * index of the last window holding its layers (a model's requests
+ * complete when that window's end boundary is crossed). That is all
+ * the discrete-event executor reads; makeCachedSchedule derives it
+ * from the solve and drops the result.
  *
  * Entries are handed out as shared_ptr<const CachedSchedule>: the
  * cache may be bounded by an LRU capacity, and eviction must not
  * invalidate a schedule an executor is still replaying — the replay
  * keeps its own reference alive.
  *
- * Each entry also precomputes the replay view the discrete-event
- * executor needs: per-window durations in seconds and, per model, the
- * index of the last window holding its layers (a model's requests
- * complete when that window's end boundary is crossed).
- *
- * This class is single-threaded; the serving runtime wraps it in
- * AsyncScheduleCache (runtime/async_schedule_cache.h) for concurrent
- * background solves.
+ * This class is a single-threaded LRU store; the serving runtime
+ * wraps it in AsyncScheduleCache (runtime/async_schedule_cache.h),
+ * which solves misses in the background and keeps the hit/miss
+ * counters.
  */
 
 #ifndef SCAR_RUNTIME_SCHEDULE_CACHE_H
@@ -45,12 +48,9 @@ namespace scar
 namespace runtime
 {
 
-/** A memoized schedule plus its replay view. */
+/** A memoized schedule's replay view: what a replay reads. */
 struct CachedSchedule
 {
-    Scenario mix;               ///< the scenario that was scheduled
-    ScheduleResult result;
-
     /** Duration of each schedule window in seconds, replay order. */
     std::vector<double> windowSec;
     /** Per mix-model index of its last populated window. */
@@ -89,7 +89,7 @@ struct ScheduleCacheOptions
     std::size_t capacity = 0;
 };
 
-/** Signature-keyed LRU store of scheduling results. */
+/** Key-indexed LRU store of replay views. */
 class ScheduleCache
 {
   public:
@@ -100,46 +100,27 @@ class ScheduleCache
         ScheduleCacheOptions options = ScheduleCacheOptions{});
 
     /**
-     * Returns the cached schedule for the mix, invoking compute only
-     * when the mix signature is absent. The returned shared_ptr stays
-     * valid after eviction.
+     * The cached schedule for a key, or nullptr. Touches the LRU
+     * order.
      */
-    std::shared_ptr<const CachedSchedule>
-    getOrCompute(const Scenario& mix, const ComputeFn& compute);
-
-    /**
-     * Explicit-key variant: the fleet runtime keys entries by
-     * (mix signature, package signature) so shards with different MCM
-     * templates never share a schedule, while identical shards still
-     * deduplicate through one shared cache.
-     */
-    std::shared_ptr<const CachedSchedule>
-    getOrCompute(const std::string& key, const Scenario& mix,
-                 const ComputeFn& compute);
-
-    /**
-     * The cached schedule for a signature, or nullptr. Touches the
-     * LRU order but not the hit/miss counters (the async layer keeps
-     * its own).
-     */
-    std::shared_ptr<const CachedSchedule>
-    find(const std::string& signature);
+    std::shared_ptr<const CachedSchedule> find(const std::string& key);
 
     /**
      * Non-mutating probe: the cached schedule without touching the
-     * LRU order or any counter. Routing cost estimation peeks at
-     * candidate shards' caches and must not perturb eviction order.
+     * LRU order. Routing cost estimation peeks at candidate shards'
+     * caches and must not perturb eviction order.
      */
     std::shared_ptr<const CachedSchedule>
-    peek(const std::string& signature) const;
+    peek(const std::string& key) const;
 
     /** Inserts a computed schedule, evicting LRU beyond capacity. */
-    void insert(const std::string& signature,
+    void insert(const std::string& key,
                 std::shared_ptr<const CachedSchedule> schedule);
 
-    const ScheduleCacheStats& stats() const { return stats_; }
+    /** LRU entries dropped at capacity so far. */
+    long evictions() const { return evictions_; }
 
-    /** Number of distinct mixes currently cached. */
+    /** Number of distinct keys currently cached. */
     std::size_t size() const { return entries_.size(); }
 
     std::size_t capacity() const { return options_.capacity; }
@@ -156,32 +137,24 @@ class ScheduleCache
     ScheduleCacheOptions options_;
     std::map<std::string, Entry> entries_;
     std::list<std::string> lru_; ///< most recently used at the front
-    ScheduleCacheStats stats_;
+    long evictions_ = 0;
 };
 
 /**
  * Computes, validates, and replay-views a schedule for a mix: the
- * shared miss path of the sync and async caches.
+ * miss path of the async cache. Only the replay view is kept.
  */
 std::shared_ptr<const CachedSchedule>
 makeCachedSchedule(const Scenario& mix,
                    const ScheduleCache::ComputeFn& compute);
 
-/** Builds the replay view of a schedule (exposed for testing). */
-void buildReplayView(CachedSchedule& entry);
-
 /**
- * Tiles a one-step schedule `times` back to back: the replay view of
- * an autoregressive decode round that advances every rider by `times`
- * tokens. The cache keeps only the one-step entry (so every round of
- * the same context bucket and batch shares one solved schedule); the
- * fleet wraps it per dispatch. Every model's lastWindow moves to the
- * final tiled window — decode riders complete, or rejoin the decode
- * queue, together at the round's end.
+ * The replay view of a schedule solved for `mix` (exposed for
+ * testing). Requires every model of the mix to be placed in some
+ * window.
  */
-std::shared_ptr<const CachedSchedule>
-repeatSchedule(const std::shared_ptr<const CachedSchedule>& step,
-               int times);
+CachedSchedule buildReplayView(const Scenario& mix,
+                               const ScheduleResult& result);
 
 } // namespace runtime
 } // namespace scar

@@ -38,15 +38,6 @@ percentileSec(std::vector<double> latencies, double p)
 ServingReport
 summarizeServing(const std::vector<Request>& requests, long offered,
                  long dispatches, long paddedSlots,
-                 const ScheduleCacheStats& cacheStats, long uniqueMixes)
-{
-    return summarizeServing(requests, offered, dispatches, paddedSlots,
-                            cacheStats, uniqueMixes, {});
-}
-
-ServingReport
-summarizeServing(const std::vector<Request>& requests, long offered,
-                 long dispatches, long paddedSlots,
                  const ScheduleCacheStats& cacheStats, long uniqueMixes,
                  const std::vector<std::string>& modelNames)
 {

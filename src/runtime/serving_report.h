@@ -97,9 +97,9 @@ struct ServingReport
     /** Mean dispatched-batch occupancy: requests / padded slots. */
     double batchOccupancy = 0.0;
 
-    /** Per-model queue-wait vs execution latency split. Filled only
-     *  by the model-aware summarizeServing overload; empty keeps the
-     *  rendered report byte-identical to the pre-breakdown format. */
+    /** Per-model queue-wait vs execution latency split. Filled when
+     *  summarizeServing gets model names; empty keeps the rendered
+     *  report byte-identical to the pre-breakdown format. */
     std::vector<ModelServingBreakdown> perModel;
 
     /** Per-shard accounting (one entry per MCM package). */
@@ -163,24 +163,16 @@ double percentileSec(std::vector<double> latencies, double p);
 
 /**
  * Builds the report from completed per-request records and the run's
- * cache statistics.
+ * cache statistics, with one queue-wait vs execution latency
+ * breakdown per catalog model in ServingReport::perModel.
  * @param requests completed requests (records with completionSec set)
  * @param offered size of the input stream
  * @param dispatches number of executed dispatches
  * @param paddedSlots total dispatched batch slots (incl. padding)
  * @param cacheStats schedule-cache counters after the run
  * @param uniqueMixes distinct mixes scheduled
- */
-ServingReport summarizeServing(const std::vector<Request>& requests,
-                               long offered, long dispatches,
-                               long paddedSlots,
-                               const ScheduleCacheStats& cacheStats,
-                               long uniqueMixes);
-
-/**
- * As above, and additionally fills ServingReport::perModel — one
- * queue-wait vs execution latency breakdown per catalog model.
  * @param modelNames catalog model names; modelIdx indexes this list
+ *        (empty leaves perModel empty)
  */
 ServingReport summarizeServing(const std::vector<Request>& requests,
                                long offered, long dispatches,

@@ -346,6 +346,25 @@ runOracle(std::uint64_t seed)
             ASSERT_EQ(mix.models[i].batch, reference.models[i].batch);
         }
     };
+    // A formed dispatch carries the peek it was routed on: same parts
+    // (interned variant, batch) and signature, and one batch group per
+    // part in the same order.
+    auto checkFormed = [&](const Dispatch& dispatch, const MixPeek& peek) {
+        ASSERT_EQ(dispatch.mix.signature, peek.signature);
+        ASSERT_EQ(dispatch.mix.batchSlots, peek.batchSlots);
+        ASSERT_EQ(dispatch.mix.numModels(), peek.numModels());
+        ASSERT_EQ(dispatch.groups.size(), peek.parts.size());
+        for (std::size_t i = 0; i < peek.parts.size(); ++i) {
+            ASSERT_EQ(dispatch.mix.parts[i].catalogIdx,
+                      peek.parts[i].catalogIdx);
+            ASSERT_EQ(dispatch.mix.parts[i].variant,
+                      peek.parts[i].variant);
+            ASSERT_EQ(dispatch.mix.parts[i].batch, peek.parts[i].batch);
+            ASSERT_EQ(dispatch.groups[i].catalogIdx,
+                      peek.parts[i].catalogIdx);
+            ASSERT_EQ(dispatch.groups[i].batch, peek.parts[i].batch);
+        }
+    };
 
     for (int step = 0; step < 400; ++step) {
         nowSec += uniform(0.0, 0.004);
@@ -387,7 +406,7 @@ runOracle(std::uint64_t seed)
             checkPeek(peek, naive.peekFrom(
                                 std::vector<bool>(catalog.size(), true)));
             const Dispatch dispatch = admission.formDispatch(nowSec);
-            ASSERT_EQ(dispatch.mix.signature(), peek.signature);
+            checkFormed(dispatch, peek);
             naive.drain(dispatch, false);
             ++forms;
         } else if (op == 7) {
@@ -400,7 +419,7 @@ runOracle(std::uint64_t seed)
                       naive.peekFrom(naive.urgentTake(nowSec, slackSec)));
             const Dispatch dispatch =
                 admission.formUrgentDispatch(nowSec, slackSec);
-            ASSERT_EQ(dispatch.mix.signature(), peek.signature);
+            checkFormed(dispatch, peek);
             naive.drain(dispatch, false);
             ++urgentForms;
         } else if (op == 8) {
@@ -411,7 +430,7 @@ runOracle(std::uint64_t seed)
             checkPeek(peek, naive.peekDecodeMix(llm));
             const Dispatch dispatch =
                 admission.formDecodeDispatch(static_cast<int>(llm));
-            ASSERT_EQ(dispatch.mix.signature(), peek.signature);
+            checkFormed(dispatch, peek);
             naive.drain(dispatch, true);
             ++decodeForms;
             // Replay the round: credit the steps and send riders back

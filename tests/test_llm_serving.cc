@@ -2,7 +2,8 @@
  * @file
  * Tests for autoregressive (LLM) serving: the prefill/decode workload
  * builders and their KV-cache footprint, the admission decode queue
- * (boarding, buckets, round planning), one-step schedule tiling,
+ * (boarding, buckets, round planning), decode-round tiling in the
+ * executor (differential against the former tiled-schedule path),
  * continuous-batching joins and per-sequence retirement at the fleet
  * level, the byte-identical disabled path, determinism across worker
  * pools, and the speculative partial-dispatch admission flag.
@@ -10,8 +11,13 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <random>
+#include <string>
+
 #include "arch/mcm_templates.h"
 #include "common/error.h"
+#include "common/units.h"
 #include "eval/reporter.h"
 #include "runtime/arrival.h"
 #include "runtime/fleet.h"
@@ -115,34 +121,191 @@ TEST(TransformerBuilder, DecodeStepKvFootprintGrowsWithContext)
         << "KV bytes must scale linearly in context length";
 }
 
-TEST(ScheduleCache, RepeatScheduleTilesWindows)
+/**
+ * Reference for decode-round tiling: the runtime's former
+ * repeatSchedule, kept verbatim (less the Scenario / ScheduleResult
+ * copies the replay view no longer carries). It materialized a tiled
+ * schedule per decode round; ReplayExecutor now tiles the one-step
+ * schedule itself and must replay exactly what a plain replay of this
+ * tiled entry replays.
+ */
+std::shared_ptr<const CachedSchedule>
+repeatSchedule(const std::shared_ptr<const CachedSchedule>& step,
+               int times)
 {
-    Scenario mix;
-    mix.name = "mix";
-    mix.models = {buildDecodeStepModel(tinyDecoder(), 256)};
-    const auto step = makeCachedSchedule(mix, [](const Scenario& m) {
-        ScheduleResult result;
-        for (int w = 0; w < 2; ++w) {
-            ScheduledWindow sw;
-            sw.cost.latencyCycles = 500.0;
-            ModelPlacement mp;
-            mp.modelIdx = 0;
-            mp.segments.push_back(
-                {LayerRange{0, m.models[0].numLayers() - 1}, 0});
-            sw.placement.models.push_back(mp);
-            result.windows.push_back(sw);
+    SCAR_REQUIRE(step != nullptr, "repeatSchedule: null step schedule");
+    SCAR_REQUIRE(times >= 1, "repeatSchedule: times must be >= 1");
+    if (times == 1)
+        return step;
+    auto entry = std::make_shared<CachedSchedule>();
+    const std::size_t perStep = step->windowSec.size();
+    entry->windowSec.reserve(perStep * static_cast<std::size_t>(times));
+    // Sequential summation, matching both buildReplayView and the
+    // executor's boundary walk bit-for-bit.
+    entry->makespanSec = 0.0;
+    for (int t = 0; t < times; ++t) {
+        for (const double sec : step->windowSec) {
+            entry->windowSec.push_back(sec);
+            entry->makespanSec += sec;
         }
-        return result;
-    });
-    EXPECT_EQ(repeatSchedule(step, 1), step);
-    const auto tiled = repeatSchedule(step, 3);
-    ASSERT_EQ(tiled->windowSec.size(), 6u);
-    for (const double sec : tiled->windowSec)
-        EXPECT_DOUBLE_EQ(sec, step->windowSec[0]);
-    EXPECT_DOUBLE_EQ(tiled->makespanSec, 3.0 * step->makespanSec);
-    // Riders complete only at the very last tiled boundary.
-    ASSERT_EQ(tiled->lastWindow.size(), 1u);
-    EXPECT_EQ(tiled->lastWindow[0], 5);
+    }
+    entry->lastWindow.assign(
+        step->lastWindow.size(),
+        static_cast<int>(perStep) * times - 1);
+    return entry;
+}
+
+/**
+ * Reference for the join-cut probe: the former
+ * ReplayExecutor::nextStepBoundarySec(windowsPerStep), verbatim, over
+ * a plain replay of the tiled entry at cursor `window`.
+ */
+double
+referenceNextStepBoundarySec(const CachedSchedule& tiled,
+                             int windowsPerStep, double nextBoundarySec,
+                             std::size_t window)
+{
+    const std::size_t step = static_cast<std::size_t>(windowsPerStep);
+    const std::size_t n = tiled.windowSec.size();
+    double t = nextBoundarySec;
+    for (std::size_t w = window; w + 1 < n; ++w) {
+        if ((w + 1) % step == 0)
+            return t;
+        t += tiled.windowSec[w + 1];
+    }
+    return std::numeric_limits<double>::infinity();
+}
+
+void
+expectSameTick(const WindowTick& got, const WindowTick& want)
+{
+    ASSERT_EQ(got.timeSec, want.timeSec);
+    ASSERT_EQ(got.windowIdx, want.windowIdx);
+    ASSERT_EQ(got.dispatchDone, want.dispatchDone);
+    ASSERT_EQ(got.completed.size(), want.completed.size());
+    for (std::size_t i = 0; i < want.completed.size(); ++i) {
+        ASSERT_EQ(got.completed[i].id, want.completed[i].id);
+        ASSERT_EQ(got.completed[i].completionSec,
+                  want.completed[i].completionSec);
+        ASSERT_EQ(got.completed[i].preempted,
+                  want.completed[i].preempted);
+    }
+}
+
+/**
+ * Differential test of decode-round tiling: seeded one-step schedules
+ * of 1-4 windows (cycle counts whose sums round) replayed for 1-9
+ * steps, with suspend/resume and join cuts at random step-aligned
+ * boundaries. The executor's own tiling must bit-match a plain replay
+ * of the reference repeatSchedule entry on every tick, probe, cut and
+ * on the busy makespan the fleet books.
+ */
+TEST(Executor, DecodeTilingMatchesRepeatScheduleReference)
+{
+    int joins = 0;
+    int resumes = 0;
+    for (unsigned seed = 1; seed <= 300; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        std::mt19937_64 rng(seed);
+        const auto pick = [&](int n) {
+            return static_cast<int>(rng() % static_cast<unsigned>(n));
+        };
+        const auto uniform = [&](double lo, double hi) {
+            return std::uniform_real_distribution<double>(lo, hi)(rng);
+        };
+
+        const int perStep = 1 + pick(4);
+        const int steps = 1 + pick(9);
+        const int groups = 1 + pick(3);
+        auto step = std::make_shared<CachedSchedule>();
+        for (int w = 0; w < perStep; ++w) {
+            step->windowSec.push_back(
+                cyclesToSeconds(uniform(1.0e5, 5.0e7)));
+            step->makespanSec += step->windowSec.back();
+        }
+        for (int m = 0; m < groups; ++m)
+            step->lastWindow.push_back(pick(perStep));
+        const auto tiled = repeatSchedule(step, steps);
+
+        Dispatch dispatch;
+        for (int m = 0; m < groups; ++m) {
+            BatchGroup group;
+            group.catalogIdx = m;
+            group.batch = 1 + pick(2);
+            for (int r = 0; r < group.batch; ++r) {
+                Request req;
+                req.id = 10 * m + r;
+                req.modelIdx = m;
+                group.requests.push_back(req);
+            }
+            dispatch.groups.push_back(std::move(group));
+        }
+        Dispatch plain = dispatch; // replays the tiled entry as is
+        dispatch.llmDecodeSteps = steps;
+
+        ReplayExecutor got;
+        ReplayExecutor want;
+        const double startSec = uniform(0.0, 1.0);
+        got.start(step, dispatch, startSec);
+        want.start(tiled, plain, startSec);
+        ASSERT_EQ(got.makespanSec(), tiled->makespanSec);
+        ASSERT_EQ(got.windowsPerStep(),
+                  static_cast<std::size_t>(perStep));
+
+        while (want.busy()) {
+            ASSERT_TRUE(got.busy());
+            const std::size_t remaining = want.windowsRemaining();
+            ASSERT_EQ(got.windowsRemaining(), remaining);
+            ASSERT_EQ(got.nextBoundarySec(), want.nextBoundarySec());
+            ASSERT_EQ(got.finalBoundarySec(), want.finalBoundarySec());
+            ASSERT_EQ(got.nextStepBoundarySec(),
+                      referenceNextStepBoundarySec(
+                          *tiled, perStep, want.nextBoundarySec(),
+                          tiled->windowSec.size() - remaining));
+            const int mask = pick(1 << groups);
+            const auto selected = [mask](std::size_t m) {
+                return ((mask >> m) & 1) != 0;
+            };
+            ASSERT_EQ(got.earliestGroupEndSec(selected),
+                      want.earliestGroupEndSec(selected));
+
+            const WindowTick wantTick = want.advance();
+            const WindowTick gotTick = got.advance();
+            expectSameTick(gotTick, wantTick);
+            if (wantTick.dispatchDone)
+                break;
+            // Step-aligned cut points only, as the fleet cuts.
+            if ((wantTick.windowIdx + 1) % perStep != 0 || pick(3) != 0)
+                continue;
+            const bool join = pick(2) == 0;
+            // A join cut detaches without the preemption mark.
+            SuspendedReplay gotCut = got.suspend(!join);
+            SuspendedReplay wantCut = want.suspend(!join);
+            ASSERT_FALSE(got.busy());
+            ASSERT_EQ(gotCut.window, wantCut.window);
+            ASSERT_EQ(gotCut.remainingSec, wantCut.remainingSec);
+            for (std::size_t m = 0; m < wantCut.dispatch.groups.size();
+                 ++m)
+                for (std::size_t r = 0;
+                     r < wantCut.dispatch.groups[m].requests.size(); ++r)
+                    ASSERT_EQ(
+                        gotCut.dispatch.groups[m].requests[r].preempted,
+                        wantCut.dispatch.groups[m].requests[r].preempted);
+            if (join) {
+                // The riders re-queue; the round ends here.
+                ++joins;
+                break;
+            }
+            const double resumeSec = wantTick.timeSec + uniform(0.0, 0.1);
+            got.resume(std::move(gotCut), resumeSec);
+            want.resume(std::move(wantCut), resumeSec);
+            ++resumes;
+        }
+        EXPECT_FALSE(got.busy());
+    }
+    // The seeds must exercise both kinds of cut.
+    EXPECT_GT(joins, 20);
+    EXPECT_GT(resumes, 20);
 }
 
 TEST(Admission, DecodeQueueBoardsAndPlansRounds)
@@ -170,7 +333,8 @@ TEST(Admission, DecodeQueueBoardsAndPlansRounds)
     EXPECT_EQ(peek.signature, mix.signature());
 
     Dispatch dispatch = admission.formDecodeDispatch(0);
-    EXPECT_EQ(dispatch.mix.signature(), mix.signature());
+    EXPECT_EQ(dispatch.mix.signature, mix.signature());
+    EXPECT_EQ(dispatch.mix.parts[0].variant, peek.parts[0].variant);
     // Steps: min over riders' remaining tokens (5-1 = 4), under the
     // 32-step cap and far from the 256 bucket edge.
     EXPECT_EQ(dispatch.llmDecodeSteps, 4);
@@ -359,6 +523,50 @@ TEST(LlmServing, DeterministicAcrossThreadCounts)
     EXPECT_EQ(serial, renderWith(8));
     EXPECT_NE(serial.find("Continuous-batching joins"),
               std::string::npos);
+}
+
+/**
+ * Dispatches carry the MixPeek they were routed on, and materialize()
+ * is the runtime's only Scenario builder: a warm continuous-batching
+ * pass — every prefill and decode-step schedule resident, every
+ * estimate memoized — forms and replays its prefill and decode rounds
+ * without copying a single Model.
+ */
+TEST(LlmServing, WarmPassMaterializesNoMix)
+{
+    auto catalog = llmCatalog(/*batchCap=*/4);
+    catalog[0].rateRps = 3000.0;
+    catalog[0].llm.meanOutputTokens = 24.0;
+    catalog[0].llm.maxOutputTokens = 96;
+    catalog[0].llm.maxPromptTokens = 128;
+    const auto trace = llmPoissonTrace(catalog, 200, 5);
+
+    FleetOptions options;
+    options.shards = 2;
+    options.serving.scar.threads = 1;
+    options.serving.modeledSolveSec = 0.002;
+    options.serving.admission.maxQueueDelaySec = 0.001;
+    options.serving.admission.llmBatching = LlmBatchingMode::Continuous;
+    FleetSimulator fleet(catalog,
+                         templates::hetSides3x3(templates::kArvrPes),
+                         options);
+
+    const ServingReport cold = fleet.run(trace);
+    EXPECT_GT(cold.cache.misses, 0);
+    EXPECT_GT(fleet.materializedMixes(), 0);
+
+    // Rerun until a pass solves nothing (a warm pass may still meet a
+    // mix the cold one never formed).
+    ServingReport warm = fleet.run(trace);
+    for (int pass = 0; pass < 4 && warm.cache.misses > 0; ++pass)
+        warm = fleet.run(trace);
+    ASSERT_EQ(warm.cache.misses, 0);
+    EXPECT_GT(warm.llmDecodeRounds, 0);
+    EXPECT_GT(warm.dispatches - warm.llmDecodeRounds, 0)
+        << "the pass must form prefill dispatches too";
+    EXPECT_GT(warm.llmJoins, 0);
+    EXPECT_EQ(warm.completed, 200);
+    EXPECT_EQ(fleet.materializedMixes(), 0);
 }
 
 /**

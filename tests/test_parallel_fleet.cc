@@ -28,6 +28,7 @@
 
 #include "arch/mcm_templates.h"
 #include "common/thread_pool.h"
+#include "common/units.h"
 #include "eval/reporter.h"
 #include "obs/flight_recorder.h"
 #include "runtime/arrival.h"
@@ -130,6 +131,14 @@ goldenRecord(const RunArtifacts& run)
            "\nmetrics.json: " + digest(run.metricsJson) + "\n";
 }
 
+/** Skips a golden test before it computes any fleet when its goldens
+ *  were captured under another toolchain (checkGolden would only skip
+ *  after the work). A macro because GTEST_SKIP returns from the
+ *  calling test. */
+#define SKIP_UNLESS_GOLDENS_COMPARABLE()                                  \
+    if (!golden::goldensComparable())                                     \
+    GTEST_SKIP() << "goldens captured under a different toolchain"
+
 /** A 4-shard heterogeneous BestFit fleet exercising every calendar
  *  hazard at once: deferral, speculation, solve stalls, switches. */
 FleetOptions
@@ -150,6 +159,7 @@ hetFleetOptions()
 
 TEST(FleetGolden, HeterogeneousBestFitFleet)
 {
+    SKIP_UNLESS_GOLDENS_COMPARABLE();
     // Without speculative solves a saturated fleet absorbs arrivals
     // into the fast-forward (they can only enqueue), so the blocking
     // variant pins the arrival/tick interleaving too.
@@ -166,6 +176,7 @@ TEST(FleetGolden, HeterogeneousBestFitFleet)
 
 TEST(FleetGolden, PreemptiveFleet)
 {
+    SKIP_UNLESS_GOLDENS_COMPARABLE();
     // Preemption arms the urgency bound term: the fast-forward stops
     // strictly before the next deadline-slack crossing and never runs
     // while a replay is suspended. The trace must actually preempt —
@@ -193,6 +204,7 @@ TEST(FleetGolden, PreemptiveFleet)
 
 TEST(FleetGolden, TightSloUrgencyCrossing)
 {
+    SKIP_UNLESS_GOLDENS_COMPARABLE();
     // A tight SLO puts the urgency crossing in front of the next
     // replay end and the batching timer, so the urgency term is the
     // binding one: a crossing swallowed into a longer fast-forward
@@ -211,6 +223,7 @@ TEST(FleetGolden, TightSloUrgencyCrossing)
 
 TEST(FleetGolden, HomogeneousPreemptiveSpeculativeFleet)
 {
+    SKIP_UNLESS_GOLDENS_COMPARABLE();
     // Many identical shards on the flat preemptive BestFit scan, with
     // speculative solves: every routing decision and speculation
     // target prices all shards against their caches. One shared cache
@@ -267,6 +280,7 @@ llmChatCatalog(int batchCap)
 
 TEST(FleetGolden, LlmContinuousAndStaticFleets)
 {
+    SKIP_UNLESS_GOLDENS_COMPARABLE();
     // The join term stops the fast-forward before the next
     // step-aligned cut while decode waiters exist, and the release
     // term before the earliest mid-replay autoregressive completion.
@@ -292,6 +306,7 @@ TEST(FleetGolden, LlmContinuousAndStaticFleets)
 
 TEST(FleetGolden, JoinLandsExactlyOnTheStepCut)
 {
+    SKIP_UNLESS_GOLDENS_COMPARABLE();
     // B's prefill finishes while A decodes a long stream, so the join
     // must land on a step-aligned boundary of A's in-flight round. An
     // off-by-one-ulp join probe would either fast-forward past the
@@ -324,27 +339,18 @@ TEST(FleetCalendar, BoundaryProbesAreUlpExact)
     // the join. Awkward window durations make naive
     // start-plus-prefix-sum arithmetic diverge from the executor's
     // left-to-right accumulation.
-    CachedSchedule entry;
-    Scenario mix;
-    mix.name = "mix";
-    mix.models = {zoo::eyeCod(1)};
-    entry.mix = mix;
-    ModelPlacement mp;
-    mp.modelIdx = 0;
-    mp.segments.push_back(
-        {LayerRange{0, mix.models[0].numLayers() - 1}, 0});
-    for (const double cycles :
-         {333.3e6, 77.7e6, 123.456e6, 98.7e6, 55.5e6, 222.2e6}) {
-        ScheduledWindow w;
-        w.placement.models = {mp};
-        w.cost.latencyCycles = cycles;
-        entry.result.windows.push_back(w);
+    //
+    // A 3-step decode round over a 2-window step schedule: the
+    // executor tiles the step, so its tiled windows 1 and 3 end steps.
+    CachedSchedule step;
+    step.lastWindow = {1};
+    for (const double cycles : {333.3e6, 77.7e6}) {
+        step.windowSec.push_back(cyclesToSeconds(cycles));
+        step.makespanSec += step.windowSec.back();
     }
-    buildReplayView(entry);
 
     Dispatch dispatch;
-    dispatch.mix = entry.mix;
-    dispatch.catalogIdx = {0};
+    dispatch.llmDecodeSteps = 3;
     BatchGroup g;
     g.catalogIdx = 0;
     g.batch = 1;
@@ -356,8 +362,10 @@ TEST(FleetCalendar, BoundaryProbesAreUlpExact)
     dispatch.groups = {g};
 
     ReplayExecutor executor;
-    executor.start(std::make_shared<CachedSchedule>(entry), dispatch,
+    executor.start(std::make_shared<CachedSchedule>(step), dispatch,
                    0.1234567);
+    ASSERT_EQ(executor.windowsRemaining(), 6u);
+    ASSERT_EQ(executor.windowsPerStep(), 2u);
 
     // Crosses every boundary strictly before `bound` — what the
     // fleet's fast-forward does — and returns how many it crossed.
@@ -370,7 +378,7 @@ TEST(FleetCalendar, BoundaryProbesAreUlpExact)
 
     // With 2 windows per step, the step-aligned cuts follow windows 1
     // and 3; window 5 is the final boundary and must never be a cut.
-    const double cut1 = executor.nextStepBoundarySec(2);
+    const double cut1 = executor.nextStepBoundarySec();
     EXPECT_EQ(advanceBefore(cut1), 1)
         << "the cut tick itself must stay outside the fast-forward";
     WindowTick tick = executor.advance();
@@ -378,7 +386,7 @@ TEST(FleetCalendar, BoundaryProbesAreUlpExact)
     EXPECT_EQ(tick.timeSec, cut1)
         << "join probe must match the tick instant bit for bit";
 
-    const double cut2 = executor.nextStepBoundarySec(2);
+    const double cut2 = executor.nextStepBoundarySec();
     EXPECT_GT(cut2, cut1);
     EXPECT_EQ(advanceBefore(cut2), 1);
     tick = executor.advance();
@@ -387,7 +395,7 @@ TEST(FleetCalendar, BoundaryProbesAreUlpExact)
 
     // Past the last step-aligned cut only the final (dispatch-done)
     // boundary remains, which the replay-end term already covers.
-    EXPECT_EQ(executor.nextStepBoundarySec(2),
+    EXPECT_EQ(executor.nextStepBoundarySec(),
               std::numeric_limits<double>::infinity());
 
     // The release probe lands on the group's last-window boundary on
@@ -434,8 +442,7 @@ TEST(FleetRouting, RoutingMatrixIsPinned)
     // suspended shards, deferral past shards owing a resume, the
     // routing-quality counters — must stay byte-identical. ~5 s in
     // Release, minutes under the sanitizers, whose builds skip goldens.
-    if (!golden::goldensComparable())
-        GTEST_SKIP() << "goldens captured under a different toolchain";
+    SKIP_UNLESS_GOLDENS_COMPARABLE();
     std::string matrix;
     const auto addRow = [&](const std::string& label,
                             const FleetOptions& options,
@@ -566,9 +573,10 @@ TEST(AsyncScheduleCache, SolvesExactlyOncePerKeyUnderConcurrency)
         return stubSchedule(mix);
     };
 
-    // 8 distinct keys, 4 racing getOrCompute callers per key: each
-    // key must solve exactly once (the solve runs outside the cache
-    // lock) and every caller must see the same entry.
+    // 8 distinct keys, 4 racing callers per key, each a dispatch-time
+    // lookup then a join: each key must solve exactly once (the solve
+    // runs outside the cache lock) and every caller must see the same
+    // entry.
     constexpr int kKeys = 8;
     constexpr int kCallers = 4;
     std::vector<std::shared_ptr<const CachedSchedule>> seen(
@@ -578,9 +586,12 @@ TEST(AsyncScheduleCache, SolvesExactlyOncePerKeyUnderConcurrency)
         static_cast<std::size_t>(kKeys * kCallers),
         [&](std::size_t i) {
             const int key = static_cast<int>(i) % kKeys;
-            seen[i] = cache.getOrCompute(
-                mixNamed("mix" + std::to_string(key), key + 1),
-                compute);
+            const Scenario mix =
+                mixNamed("mix" + std::to_string(key), key + 1);
+            const std::string sig = mix.signature();
+            cache.lookup(sig, [&]() -> const Scenario& { return mix; },
+                         compute, 0.0, 0.5);
+            seen[i] = cache.join(sig);
         });
     EXPECT_EQ(solves.load(), kKeys);
     EXPECT_EQ(cache.size(), static_cast<std::size_t>(kKeys));
@@ -604,23 +615,26 @@ TEST(AsyncScheduleCache, PrefetchLookupJoinAcrossKeys)
         ++solves;
         return stubSchedule(mix);
     };
+    std::vector<Scenario> mixes;
+    for (int k = 0; k < 6; ++k)
+        mixes.push_back(mixNamed("pf" + std::to_string(k), k + 1));
+    const auto lazy = [&](int k) {
+        return [&mixes, k]() -> const Scenario& { return mixes[k]; };
+    };
 
     for (int k = 0; k < 6; ++k)
-        cache.prefetch(mixNamed("pf" + std::to_string(k), k + 1),
-                       compute, 0.5);
+        cache.prefetch(mixes[k].signature(), lazy(k), compute, 0.5);
     // Idempotent per key: a stored or in-flight key never re-solves.
     for (int k = 0; k < 6; ++k)
-        cache.prefetch(mixNamed("pf" + std::to_string(k), k + 1),
-                       compute, 0.5);
+        cache.prefetch(mixes[k].signature(), lazy(k), compute, 0.5);
     cache.drainInFlight();
     EXPECT_EQ(solves.load(), 6);
     EXPECT_EQ(cache.size(), 6u);
 
     // lookup() serves the drained entries as hits.
     for (int k = 0; k < 6; ++k) {
-        const Scenario mix = mixNamed("pf" + std::to_string(k), k + 1);
-        const AsyncLookup found =
-            cache.lookup(mix, compute, 1.0, 0.25);
+        const AsyncLookup found = cache.lookup(
+            mixes[k].signature(), lazy(k), compute, 1.0, 0.25);
         EXPECT_NE(found.schedule, nullptr);
         EXPECT_FALSE(found.startedSolve);
         EXPECT_DOUBLE_EQ(found.readySec, 1.0);

@@ -39,31 +39,34 @@ mixOf(std::vector<Model> models)
  * completes in window 0, model 1 in window 2. Small enough to reason
  * about every boundary instant exactly.
  */
+ScheduleResult
+threeWindowResult(const Scenario& mix)
+{
+    ScheduleResult result;
+    for (int w = 0; w < 3; ++w) {
+        ScheduledWindow sw;
+        sw.cost.latencyCycles = 1000.0;
+        const int model = w == 0 ? 0 : 1;
+        ModelPlacement mp;
+        mp.modelIdx = model;
+        mp.segments.push_back(
+            {LayerRange{0, mix.models[model].numLayers() - 1}, 0});
+        sw.placement.models.push_back(mp);
+        result.windows.push_back(sw);
+    }
+    return result;
+}
+
 std::shared_ptr<const CachedSchedule>
 threeWindowSchedule(const Scenario& mix)
 {
-    return makeCachedSchedule(mix, [](const Scenario& m) {
-        ScheduleResult result;
-        for (int w = 0; w < 3; ++w) {
-            ScheduledWindow sw;
-            sw.cost.latencyCycles = 1000.0;
-            const int model = w == 0 ? 0 : 1;
-            ModelPlacement mp;
-            mp.modelIdx = model;
-            mp.segments.push_back(
-                {LayerRange{0, m.models[model].numLayers() - 1}, 0});
-            sw.placement.models.push_back(mp);
-            result.windows.push_back(sw);
-        }
-        return result;
-    });
+    return makeCachedSchedule(mix, threeWindowResult);
 }
 
 Dispatch
 twoModelDispatch(const Scenario& mix)
 {
     Dispatch dispatch;
-    dispatch.mix = mix;
     for (int m = 0; m < mix.numModels(); ++m) {
         Request req;
         req.id = m;
@@ -73,7 +76,6 @@ twoModelDispatch(const Scenario& mix)
         group.catalogIdx = m;
         group.batch = 1;
         group.requests.push_back(req);
-        dispatch.catalogIdx.push_back(m);
         dispatch.groups.push_back(std::move(group));
     }
     return dispatch;
@@ -82,8 +84,7 @@ twoModelDispatch(const Scenario& mix)
 TEST(Executor, WindowBoundariesExposeStableCutPoints)
 {
     const Scenario mix = mixOf({zoo::eyeCod(2), zoo::handSP(2)});
-    const auto schedule = threeWindowSchedule(mix);
-    const auto boundaries = windowBoundaries(schedule->result);
+    const auto boundaries = windowBoundaries(threeWindowResult(mix));
     ASSERT_EQ(boundaries.size(), 3u);
     for (int w = 0; w < 3; ++w) {
         EXPECT_EQ(boundaries[w].windowIdx, w);
@@ -94,6 +95,7 @@ TEST(Executor, WindowBoundariesExposeStableCutPoints)
         EXPECT_EQ(boundaries[w].last, w == 2);
     }
     // The replay view derives its timings from the same metadata.
+    const auto schedule = threeWindowSchedule(mix);
     ASSERT_EQ(schedule->windowSec.size(), 3u);
     for (int w = 0; w < 3; ++w)
         EXPECT_DOUBLE_EQ(schedule->windowSec[w],
@@ -180,8 +182,8 @@ TEST(Admission, UrgentDispatchBoardsOnlyUrgentModels)
 
     Dispatch dispatch = admission.formUrgentDispatch(0.031, 0.02);
     ASSERT_EQ(dispatch.groups.size(), 1u);
-    EXPECT_EQ(dispatch.catalogIdx[0], 1);
-    EXPECT_EQ(dispatch.mix.signature(), urgentPeek.signature);
+    EXPECT_EQ(dispatch.groups[0].catalogIdx, 1);
+    EXPECT_EQ(dispatch.mix.signature, urgentPeek.signature);
     // The datacenter request stays queued, still aging toward its
     // normal forced-dispatch timer.
     EXPECT_EQ(admission.queuedCount(), 1);
@@ -466,10 +468,11 @@ TEST(Preemption, ComposesWithBestFitRouting)
 
 /**
  * Routing names a mix by its MixPeek and materializes a Scenario only
- * for a makespan-estimate memo miss or a speculative prefetch. A cold
- * preemptive BestFit pass needs some; a warm pass over the same trace
- * — every schedule resident, every estimate memoized — routes,
- * speculates and preempts without building a single one.
+ * for a makespan-estimate memo miss, a speculative prefetch or a
+ * dispatch-time solve. A cold preemptive BestFit pass needs some; a
+ * warm pass over the same trace — every schedule resident, every
+ * estimate memoized — routes, speculates and preempts without
+ * building a single one.
  */
 TEST(Preemption, WarmPassMaterializesNoMix)
 {

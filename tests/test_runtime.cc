@@ -154,9 +154,23 @@ mixOf(std::vector<Model> models)
     return sc;
 }
 
+/** The dispatch-time path: look the mix up by its signature, and
+ *  join the solve when the lookup launched one. */
+std::shared_ptr<const CachedSchedule>
+lookupAndJoin(AsyncScheduleCache& cache, const Scenario& mix,
+              const ScheduleCache::ComputeFn& compute)
+{
+    const AsyncLookup found = cache.lookup(
+        mix.signature(), [&]() -> const Scenario& { return mix; },
+        compute, /*nowSec=*/0.0, /*modeledSolveSec=*/0.0);
+    return found.schedule != nullptr ? found.schedule
+                                     : cache.join(mix.signature());
+}
+
 TEST(ScheduleCache, MissThenHitOnRepeatedMix)
 {
-    ScheduleCache cache;
+    ThreadPool pool(1); // inline solves
+    AsyncScheduleCache cache(pool);
     CountingCompute counter;
     const auto compute = [&](const Scenario& mix) {
         return counter(mix);
@@ -164,13 +178,13 @@ TEST(ScheduleCache, MissThenHitOnRepeatedMix)
     const Scenario mix = mixOf({zoo::eyeCod(4), zoo::handSP(2)});
 
     const std::shared_ptr<const CachedSchedule> first =
-        cache.getOrCompute(mix, compute);
+        lookupAndJoin(cache, mix, compute);
     EXPECT_EQ(counter.calls, 1);
     EXPECT_EQ(cache.stats().misses, 1);
     EXPECT_EQ(cache.stats().hits, 0);
 
     const std::shared_ptr<const CachedSchedule> second =
-        cache.getOrCompute(mix, compute);
+        lookupAndJoin(cache, mix, compute);
     EXPECT_EQ(counter.calls, 1) << "repeated mix must not recompute";
     EXPECT_EQ(cache.stats().hits, 1);
     EXPECT_EQ(first.get(), second.get());
@@ -179,30 +193,33 @@ TEST(ScheduleCache, MissThenHitOnRepeatedMix)
 
 TEST(ScheduleCache, ChangedMixMisses)
 {
-    ScheduleCache cache;
+    ThreadPool pool(1); // inline solves
+    AsyncScheduleCache cache(pool);
     CountingCompute counter;
     const auto compute = [&](const Scenario& mix) {
         return counter(mix);
     };
-    cache.getOrCompute(mixOf({zoo::eyeCod(4), zoo::handSP(2)}), compute);
+    lookupAndJoin(cache, mixOf({zoo::eyeCod(4), zoo::handSP(2)}),
+                  compute);
     // Different batch -> different signature.
-    cache.getOrCompute(mixOf({zoo::eyeCod(2), zoo::handSP(2)}), compute);
+    lookupAndJoin(cache, mixOf({zoo::eyeCod(2), zoo::handSP(2)}),
+                  compute);
     // Different subset -> different signature.
-    cache.getOrCompute(mixOf({zoo::handSP(2)}), compute);
+    lookupAndJoin(cache, mixOf({zoo::handSP(2)}), compute);
     EXPECT_EQ(counter.calls, 3);
     EXPECT_EQ(cache.size(), 3u);
     // Model order does not matter.
-    cache.getOrCompute(mixOf({zoo::handSP(2), zoo::eyeCod(4)}), compute);
+    lookupAndJoin(cache, mixOf({zoo::handSP(2), zoo::eyeCod(4)}),
+                  compute);
     EXPECT_EQ(counter.calls, 3);
     EXPECT_EQ(cache.stats().hits, 1);
 }
 
-TEST(ScheduleCache, ReplayViewTracksLastWindows)
+/** Two windows: window 0 holds both models (1 s at the 500 MHz
+ *  clock), window 1 only model 1 (`secondWindowCycles`). */
+ScheduleResult
+twoWindowResult(double secondWindowCycles)
 {
-    CachedSchedule entry;
-    entry.mix = mixOf({zoo::eyeCod(4), zoo::handSP(2)});
-
-    // Window 0 holds both models, window 1 only model 1.
     ScheduledWindow w0;
     ModelPlacement mp0;
     mp0.modelIdx = 0;
@@ -211,22 +228,38 @@ TEST(ScheduleCache, ReplayViewTracksLastWindows)
     mp1.modelIdx = 1;
     mp1.segments.push_back({LayerRange{0, 0}, 1});
     w0.placement.models = {mp0, mp1};
-    w0.cost.latencyCycles = 500.0e6; // 1 s at the 500 MHz clock
+    w0.cost.latencyCycles = 500.0e6;
     ScheduledWindow w1;
     ModelPlacement mp1b;
     mp1b.modelIdx = 1;
     mp1b.segments.push_back({LayerRange{1, 1}, 2});
     w1.placement.models = {mp1b};
-    w1.cost.latencyCycles = 250.0e6; // 0.5 s
-    entry.result.windows = {w0, w1};
+    w1.cost.latencyCycles = secondWindowCycles;
+    ScheduleResult result;
+    result.windows = {w0, w1};
+    return result;
+}
 
-    buildReplayView(entry);
+TEST(ScheduleCache, ReplayViewTracksLastWindows)
+{
+    const CachedSchedule entry =
+        buildReplayView(mixOf({zoo::eyeCod(4), zoo::handSP(2)}),
+                        twoWindowResult(250.0e6)); // 0.5 s
     ASSERT_EQ(entry.windowSec.size(), 2u);
     EXPECT_NEAR(entry.windowSec[0], 1.0, 1e-12);
     EXPECT_NEAR(entry.windowSec[1], 0.5, 1e-12);
     EXPECT_NEAR(entry.makespanSec, 1.5, 1e-12);
     EXPECT_EQ(entry.lastWindow[0], 0);
     EXPECT_EQ(entry.lastWindow[1], 1);
+}
+
+TEST(ScheduleCache, ReplayViewRejectsUnplacedModel)
+{
+    // A third model the schedule never places cannot be replayed.
+    EXPECT_THROW(buildReplayView(mixOf({zoo::eyeCod(4), zoo::handSP(2),
+                                        zoo::handSP(1)}),
+                                 twoWindowResult(250.0e6)),
+                 FatalError);
 }
 
 TEST(Admission, FullBatchTriggersDispatch)
@@ -250,7 +283,7 @@ TEST(Admission, FullBatchTriggersDispatch)
     ASSERT_EQ(dispatch.groups.size(), 1u);
     EXPECT_EQ(dispatch.groups[0].batch, 4);
     EXPECT_EQ(dispatch.groups[0].requests.size(), 4u);
-    EXPECT_EQ(dispatch.mix.models[0].batch, 4);
+    EXPECT_EQ(dispatch.mix.parts[0].batch, 4);
     EXPECT_EQ(admission.queuedCount(), 0);
 }
 
@@ -283,37 +316,18 @@ TEST(Admission, TimeoutForcesQuantizedPartialBatch)
     ASSERT_EQ(dispatch.groups.size(), 2u);
     EXPECT_EQ(dispatch.groups[0].batch, 2); // 2 queued -> pow2 = 2
     EXPECT_EQ(dispatch.groups[1].batch, 1);
-    EXPECT_EQ(dispatch.mix.models[0].batch, 2);
+    EXPECT_EQ(dispatch.mix.parts[0].batch, 2);
     EXPECT_EQ(admission.queuedCount(), 0);
 }
 
 TEST(Executor, CompletesModelsAtTheirLastWindow)
 {
-    // Build the two-window cached schedule of the replay-view test.
-    CachedSchedule entry;
-    entry.mix = mixOf({zoo::eyeCod(1), zoo::handSP(1)});
-
-    ScheduledWindow w0;
-    ModelPlacement mp0;
-    mp0.modelIdx = 0;
-    mp0.segments.push_back({LayerRange{0, 0}, 0});
-    ModelPlacement mp1;
-    mp1.modelIdx = 1;
-    mp1.segments.push_back({LayerRange{0, 0}, 1});
-    w0.placement.models = {mp0, mp1};
-    w0.cost.latencyCycles = 500.0e6; // 1 s
-    ScheduledWindow w1;
-    ModelPlacement mp1b;
-    mp1b.modelIdx = 1;
-    mp1b.segments.push_back({LayerRange{1, 1}, 2});
-    w1.placement.models = {mp1b};
-    w1.cost.latencyCycles = 500.0e6; // 1 s
-    entry.result.windows = {w0, w1};
-    buildReplayView(entry);
+    // The two-window schedule of the replay-view test, 1 s windows.
+    const CachedSchedule entry =
+        buildReplayView(mixOf({zoo::eyeCod(1), zoo::handSP(1)}),
+                        twoWindowResult(500.0e6));
 
     Dispatch dispatch;
-    dispatch.mix = entry.mix;
-    dispatch.catalogIdx = {0, 1};
     BatchGroup g0;
     g0.catalogIdx = 0;
     g0.batch = 1;
