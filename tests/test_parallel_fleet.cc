@@ -8,8 +8,10 @@
  * join/release terms land exactly on their cuts), the hierarchical
  * cluster -> pod -> shard routing index that routes every dispatch
  * (a routing-matrix golden over fleet kinds, policies, preemption,
- * and deferral pins its decisions and routing-quality counters), and
- * the AsyncScheduleCache behind it (exactly one solve per key under
+ * and deferral pins its decisions and routing-quality counters), an
+ * event-loop matrix golden over LLM batching, preemption, speculation
+ * and partial dispatch on an LLM + CNN catalog, and the
+ * AsyncScheduleCache behind it (exactly one solve per key under
  * concurrent callers, idempotent prefetch).
  */
 
@@ -65,6 +67,9 @@ struct RunArtifacts
     std::string metricsJson;
     std::string metricsCsv;
     std::string samplesCsv;
+    /** The run's routing.deferrals counter (not part of equality:
+     *  the metrics export already carries it). */
+    long long deferrals = 0;
 
     bool operator==(const RunArtifacts& o) const
     {
@@ -94,6 +99,8 @@ runFleet(FleetOptions options, const std::vector<ServedModel>& catalog,
     out.metricsJson = rec.metrics().toJson();
     out.metricsCsv = rec.metrics().toCsv();
     out.samplesCsv = rec.samples().toCsv();
+    // Read after the exports: counter() registers a missing name.
+    out.deferrals = rec.metrics().counter("routing.deferrals").value();
     return out;
 }
 
@@ -517,6 +524,92 @@ TEST(FleetRouting, RoutingMatrixIsPinned)
                options, catalog, 300, 23);
     }
     golden::checkGolden("fleet_routing_matrix", matrix);
+}
+
+/** The chat decoder next to a deadline-carrying CNN: prefill, decode
+ *  and CNN batches compete for the same shards, and both models have
+ *  SLOs, so urgency and preemption reach LLM replays too. */
+std::vector<ServedModel>
+llmCnnCatalog()
+{
+    std::vector<ServedModel> catalog = llmChatCatalog(/*batchCap=*/4);
+    catalog[0].rateRps = 300.0;
+    catalog[0].sloSec = 0.08;
+    ServedModel cnn;
+    cnn.model = zoo::eyeCod(4);
+    cnn.rateRps = 400.0;
+    cnn.sloSec = 0.012;
+    catalog.push_back(std::move(cnn));
+    return catalog;
+}
+
+TEST(FleetLoop, EventLoopMatrixIsPinned)
+{
+    // One digest line (report, trace, samples, metrics) per
+    // combination of the event loop's handlers no other golden pins
+    // together: LLM continuous / static batching x preemption off /
+    // on x speculative solves on / off x speculative partial dispatch
+    // off / on, on an LLM + CNN catalog with deadlines, plus a
+    // one-entry schedule cache that evicts on every mix change. The
+    // handler counters print on each row so a handler no row
+    // exercises shows up as a column of zeros.
+    SKIP_UNLESS_GOLDENS_COMPARABLE();
+    const auto catalog = llmCnnCatalog();
+    const auto trace = llmPoissonTrace(catalog, 150, 13);
+    std::string matrix;
+    const auto addRow = [&](const std::string& label,
+                            const FleetOptions& options) {
+        ServingReport report;
+        const RunArtifacts run =
+            runFleet(options, catalog, trace, &report);
+        matrix += label +
+                  " preemptions=" + std::to_string(report.preemptions) +
+                  " joins=" + std::to_string(report.llmJoins) +
+                  " decodeRounds=" +
+                  std::to_string(report.llmDecodeRounds) +
+                  " deferrals=" + std::to_string(run.deferrals) + ": " +
+                  digest(goldenRecord(run)) + "\n";
+    };
+    const auto baseOptions = []() {
+        FleetOptions options;
+        options.shards = 2;
+        options.routing = RoutingPolicy::BestFit;
+        options.serving.modeledSolveSec = 0.003;
+        options.serving.switchOverheadSec = 0.001;
+        options.serving.admission.maxQueueDelaySec = 0.002;
+        options.serving.preemption.slackThresholdSec = 0.01;
+        options.serving.preemption.resumeOverheadSec = 0.0005;
+        return options;
+    };
+    for (const LlmBatchingMode mode :
+         {LlmBatchingMode::Continuous, LlmBatchingMode::Static}) {
+        for (const bool preempt : {false, true}) {
+            for (const bool speculative : {true, false}) {
+                for (const bool partial : {false, true}) {
+                    FleetOptions options = baseOptions();
+                    options.serving.admission.llmBatching = mode;
+                    options.serving.preemption.enabled = preempt;
+                    options.speculativeSolve = speculative;
+                    options.serving.admission
+                        .speculativePartialDispatch = partial;
+                    addRow(std::string(mode == LlmBatchingMode::Continuous
+                                           ? "continuous"
+                                           : "static") +
+                               " preempt=" + std::to_string(preempt) +
+                               " speculative=" +
+                               std::to_string(speculative) +
+                               " partial=" + std::to_string(partial),
+                           options);
+                }
+            }
+        }
+    }
+    FleetOptions options = baseOptions();
+    options.serving.cacheCapacity = 1;
+    options.serving.preemption.enabled = true;
+    addRow("continuous preempt=1 speculative=1 partial=0 cache=1",
+           options);
+    golden::checkGolden("fleet_event_loop_matrix", matrix);
 }
 
 TEST(FleetRouting, BestFitKeepsCostOptimalityCounters)
