@@ -125,7 +125,11 @@ microBenchArgs(const std::string& name, int argc, char** argv)
         }
         return false;
     };
-    if (!hasFlag("--benchmark_out")) {
+    // Listing runs nothing, so it must not create or truncate the
+    // JSON a run would write (the committed gate baselines live at
+    // that path when run from the repository root).
+    if (!hasFlag("--benchmark_out") &&
+        !hasFlag("--benchmark_list_tests")) {
         args.push_back("--benchmark_out=" + jsonPath(name));
         if (!hasFlag("--benchmark_out_format"))
             args.push_back("--benchmark_out_format=json");

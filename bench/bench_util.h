@@ -76,8 +76,9 @@ std::string jsonPath(const std::string& name);
 
 /**
  * Argv for a Google-Benchmark micro bench: the caller's argv plus,
- * unless already given, `--benchmark_out=<jsonPath(name)>` (JSON
- * format) so every run leaves a machine-readable artifact for
+ * unless already given (or `--benchmark_list_tests` is, which runs
+ * nothing), `--benchmark_out=<jsonPath(name)>` (JSON format) so every
+ * run leaves a machine-readable artifact for
  * scripts/check_bench_regression.py, and `--benchmark_min_time` from
  * the SCAR_BENCH_MIN_TIME_S env knob (the CI smoke job shrinks run
  * time through it). The returned strings own the storage; pass

@@ -40,51 +40,6 @@ fnv1a(const std::string& s)
     return static_cast<std::size_t>(h);
 }
 
-using ClassIndex =
-    std::map<std::string, std::set<std::pair<double, int>>>;
-using ClassHeads = std::set<std::tuple<double, int, std::string>>;
-
-/** Inserts (key, shard) under cls, keeping `heads` = the minimum of
- *  every non-empty class set. */
-void
-insertClassed(ClassIndex& byClass, ClassHeads& heads,
-              const std::string& cls, std::pair<double, int> entry)
-{
-    auto& bucket = byClass[cls];
-    if (bucket.empty()) {
-        bucket.insert(entry);
-        heads.insert({entry.first, entry.second, cls});
-        return;
-    }
-    const std::pair<double, int> head = *bucket.begin();
-    bucket.insert(entry);
-    if (entry < head) {
-        heads.erase({head.first, head.second, cls});
-        heads.insert({entry.first, entry.second, cls});
-    }
-}
-
-/** Removes (key, shard) from cls, keeping `heads` consistent. */
-void
-eraseClassed(ClassIndex& byClass, ClassHeads& heads,
-             const std::string& cls, std::pair<double, int> entry)
-{
-    const auto it = byClass.find(cls);
-    SCAR_ASSERT(it != byClass.end(),
-                "fleet: routing index class missing on erase");
-    auto& bucket = it->second;
-    const bool wasHead = *bucket.begin() == entry;
-    bucket.erase(entry);
-    if (wasHead) {
-        heads.erase({entry.first, entry.second, cls});
-        if (!bucket.empty())
-            heads.insert({bucket.begin()->first,
-                          bucket.begin()->second, cls});
-    }
-    if (bucket.empty())
-        byClass.erase(it);
-}
-
 } // namespace
 
 const char*
@@ -129,7 +84,6 @@ FleetSimulator::FleetSimulator(std::vector<ServedModel> catalog,
         if (sm.llm.autoregressive)
             llmEnabled_ = true;
     }
-    llmStreams_.assign(catalog_.size(), 0);
 
     // Heterogeneous fleets: one shard per listed template; otherwise
     // `shards` homogeneous copies of the constructor template.
@@ -394,9 +348,7 @@ FleetSimulator::dispatchCostSec(std::size_t shard,
     // current one when busy, the parked one when a dispatch waits for
     // its solve, and the last finished one otherwise.
     const std::string& prevKey =
-        sh.executor.busy()
-            ? sh.lastKey
-            : (sh.hasPending ? sh.pendingKey : sh.lastKey);
+        !sh.executor.busy() && sh.hasPending ? sh.pendingKey : sh.lastKey;
     double switchSec = 0.0;
     if (!prevKey.empty() && prevKey != probe.key)
         switchSec = options_.serving.switchOverheadSec;
@@ -444,7 +396,7 @@ FleetSimulator::routeDispatch(RoutingProbes& probes, double nowSec,
     std::vector<int> reps;
     auto ensureReps = [&]() {
         if (reps.empty())
-            reps = candidateReps(probes);
+            reps = classReps(probes, &Pod::idle);
     };
     // Lowest (busySec, shard) among the candidates.
     auto leastLoaded = [&]() {
@@ -532,7 +484,7 @@ FleetSimulator::routeDispatch(RoutingProbes& probes, double nowSec,
         ensureReps();
         std::vector<int> pool = reps;
         if (allowDefer) {
-            const std::vector<int> occ = occupiedReps(probes);
+            const std::vector<int> occ = classReps(probes, &Pod::occupied);
             pool.insert(pool.end(), occ.begin(), occ.end());
             pool.insert(pool.end(), suspended_.begin(), suspended_.end());
         } else if (urgent) {
@@ -656,95 +608,41 @@ FleetSimulator::speculationTarget(RoutingProbes& probes, double nowSec,
 }
 
 void
-FleetSimulator::resumeSuspended(Shard& shard, double nowSec)
+FleetSimulator::ClassedIndex::insert(const std::string& cls,
+                                     std::pair<double, int> entry)
 {
-    SCAR_REQUIRE(shard.hasSuspended && !shard.executor.busy() &&
-                     !shard.hasPending,
-                 "fleet: resume on a shard not parking a suspended "
-                 "replay");
-    const double overheadSec =
-        options_.serving.preemption.resumeOverheadSec;
-    const double startSec = nowSec + overheadSec;
-    shard.resumeOverheadSec += overheadSec;
-    if (obs::FlightRecorder* const rec = options_.recorder) {
-        const int tid =
-            static_cast<int>(&shard - shards_.data()) + 1;
-        rec->trace().instantVirtual(
-            tid, "resume", "preemption", nowSec,
-            {obs::argNum("remaining_sec",
-                         shard.suspended.remainingSec)});
-        if (overheadSec > 0.0)
-            rec->trace().completeVirtual(tid, "resume-overhead",
-                                         "overhead", nowSec,
-                                         overheadSec);
-        rec->metrics().counter("preemption.resumes").inc();
+    auto& bucket = byClass[cls];
+    if (bucket.empty()) {
+        bucket.insert(entry);
+        heads.insert({entry.first, entry.second, cls});
+        return;
     }
-    // Add back the remainder that suspension subtracted; the replay
-    // continues from its saved cursor, never re-solved (the
-    // SuspendedReplay pins the schedule, so even an LRU-evicted
-    // cache entry stays valid).
-    shard.busySec += shard.suspended.remainingSec;
-    shard.busyUntilSec = startSec + shard.suspended.remainingSec;
-    shard.traceWindowStartSec = startSec;
-    shard.lastKey = shard.suspendedKey;
-    shard.hasSuspended = false;
-    shard.executor.resume(std::move(shard.suspended), startSec);
-    shard.suspended = SuspendedReplay{};
-    shard.suspendedKey.clear();
+    const std::pair<double, int> head = *bucket.begin();
+    bucket.insert(entry);
+    if (entry < head) {
+        heads.erase({head.first, head.second, cls});
+        heads.insert({entry.first, entry.second, cls});
+    }
 }
 
 void
-FleetSimulator::parkDispatch(int target, RoutingProbes& probes,
-                             Dispatch dispatch, double nowSec,
-                             const ScheduleCache::ComputeFn& compute,
-                             const char* counter)
+FleetSimulator::ClassedIndex::erase(const std::string& cls,
+                                    std::pair<double, int> entry)
 {
-    Shard& shard = shards_[target];
-    const std::string& sig = probes.peek.signature;
-    const std::string key =
-        cacheKey(sig, static_cast<std::size_t>(target));
-    // The Scenario is materialized only if the lookup launches a
-    // solve or the makespan estimate is new.
-    const auto mix = [&]() -> const Scenario& { return probes.mix(); };
-    const AsyncLookup found = shard.cache->lookup(
-        key, mix, compute, nowSec, options_.serving.modeledSolveSec);
-    double endSec = found.readySec;
-    if (!shard.lastKey.empty() && shard.lastKey != key)
-        endSec += options_.serving.switchOverheadSec;
-    // A decode round replays its one-step makespan llmDecodeSteps
-    // times (0 on other dispatches, where the factor 1 is exact).
-    endSec += (found.schedule != nullptr
-                   ? found.schedule->makespanSec
-                   : estimateMakespanKeyed(
-                         key, static_cast<std::size_t>(target),
-                         dispatch.mix.numModels(), mix)) *
-              std::max(1, dispatch.llmDecodeSteps);
-    shard.hasPending = true;
-    shard.pending = std::move(dispatch);
-    shard.pendingKey = key;
-    shard.pendingReadySec = found.readySec;
-    shard.pendingEndSec = endSec;
-    shard.pendingSchedule = found.schedule;
-    syncShard(static_cast<std::size_t>(target));
-    shard.solveStallSec += std::max(0.0, found.readySec - nowSec);
-    if (obs::FlightRecorder* const rec = options_.recorder) {
-        const int tid = target + 1;
-        // lookup() counts joining an in-flight solve as a hit; only a
-        // lookup that launched the solve is a miss (matches
-        // ScheduleCacheStats).
-        const bool hit = !found.startedSolve;
-        rec->trace().instantVirtual(tid, hit ? "cache-hit" : "cache-miss",
-                                    "cache", nowSec,
-                                    {obs::argText("mix", sig)});
-        rec->metrics()
-            .counter(hit ? "cache.hits" : "cache.misses")
-            .inc();
-        rec->metrics().counter(counter).inc();
-        if (found.readySec > nowSec)
-            rec->trace().completeVirtual(tid, "solve-stall", "stall",
-                                         nowSec, found.readySec - nowSec,
-                                         {obs::argText("mix", sig)});
+    const auto it = byClass.find(cls);
+    SCAR_ASSERT(it != byClass.end(),
+                "fleet: routing index class missing on erase");
+    auto& bucket = it->second;
+    const bool wasHead = *bucket.begin() == entry;
+    bucket.erase(entry);
+    if (wasHead) {
+        heads.erase({entry.first, entry.second, cls});
+        if (!bucket.empty())
+            heads.insert({bucket.begin()->first, bucket.begin()->second,
+                          cls});
     }
+    if (bucket.empty())
+        byClass.erase(it);
 }
 
 void
@@ -767,12 +665,10 @@ FleetSimulator::syncShard(std::size_t s)
     if (k.inFree) {
         freeShards_.erase(si);
         freeByBusy_.erase({k.freeBusySec, si});
-        eraseClassed(pod.freeByClass, pod.freeHeads, k.freeClass,
-                     {k.freeBusySec, si});
+        pod.idle.erase(k.freeClass, {k.freeBusySec, si});
     }
     if (k.inOcc)
-        eraseClassed(pod.occByClass, pod.occHeads, k.occClass,
-                     {k.occAvailSec, si});
+        pod.occupied.erase(k.occClass, {k.occAvailSec, si});
     if (k.suspendedAny)
         suspended_.erase(si);
     if (k.suspendedIdle)
@@ -812,8 +708,7 @@ FleetSimulator::syncShard(std::size_t s)
         k.freeClass = sh.lastKey;
         freeShards_.insert(si);
         freeByBusy_.insert({k.freeBusySec, si});
-        insertClassed(pod.freeByClass, pod.freeHeads, k.freeClass,
-                      {k.freeBusySec, si});
+        pod.idle.insert(k.freeClass, {k.freeBusySec, si});
     }
     // Occupied shards index by availability instant (replay end or
     // parked dispatch's projected end) — the dispatchCostSec wait is
@@ -828,8 +723,7 @@ FleetSimulator::syncShard(std::size_t s)
     if (occupied) {
         k.occClass = busy ? sh.lastKey : sh.pendingKey;
         k.occAvailSec = busy ? sh.busyUntilSec : sh.pendingEndSec;
-        insertClassed(pod.occByClass, pod.occHeads, k.occClass,
-                      {k.occAvailSec, si});
+        pod.occupied.insert(k.occClass, {k.occAvailSec, si});
     }
 }
 
@@ -843,24 +737,21 @@ FleetSimulator::rebuildCalendar()
     freeByBusy_.clear();
     suspended_.clear();
     suspendedIdle_.clear();
-    for (Pod& pod : pods_) {
-        pod.freeByClass.clear();
-        pod.freeHeads.clear();
-        pod.occByClass.clear();
-        pod.occHeads.clear();
-    }
+    for (Pod& pod : pods_)
+        pod.idle = pod.occupied = ClassedIndex{};
     idx_.assign(shards_.size(), ShardIndexKeys{});
     for (std::size_t s = 0; s < shards_.size(); ++s)
         syncShard(s);
 }
 
 std::vector<int>
-FleetSimulator::candidateReps(RoutingProbes& probes)
+FleetSimulator::classReps(RoutingProbes& probes, ClassedIndex Pod::*index)
 {
     static const std::string kNeverDispatched;
     std::vector<int> reps;
     for (const Pod& pod : pods_) {
-        if (pod.freeByClass.empty())
+        const ClassedIndex& classes = pod.*index;
+        if (classes.byClass.empty())
             continue;
         const std::string& match =
             probePod(probes,
@@ -869,11 +760,11 @@ FleetSimulator::candidateReps(RoutingProbes& probes)
                 .key;
         // No-switch candidates: the matching class and the
         // never-dispatched class cost the same, so their joint
-        // cheapest — min by (busySec, shard) — represents both.
+        // cheapest — min by (cost key, shard) — represents both.
         const std::pair<double, int>* noSwitch = nullptr;
         for (const std::string* cls : {&match, &kNeverDispatched}) {
-            const auto it = pod.freeByClass.find(*cls);
-            if (it == pod.freeByClass.end())
+            const auto it = classes.byClass.find(*cls);
+            if (it == classes.byClass.end())
                 continue;
             const std::pair<double, int>& head = *it->second.begin();
             if (noSwitch == nullptr || head < *noSwitch)
@@ -884,37 +775,9 @@ FleetSimulator::candidateReps(RoutingProbes& probes)
         // Switching candidates all pay the same overhead, so the
         // first class head outside the two no-switch classes — at
         // most two skips — is the cheapest of them all.
-        for (const auto& head : pod.freeHeads) {
+        for (const auto& head : classes.heads) {
             const std::string& cls = std::get<2>(head);
             if (cls == match || cls.empty())
-                continue;
-            reps.push_back(std::get<1>(head));
-            break;
-        }
-    }
-    std::sort(reps.begin(), reps.end());
-    return reps;
-}
-
-std::vector<int>
-FleetSimulator::occupiedReps(RoutingProbes& probes)
-{
-    std::vector<int> reps;
-    for (const Pod& pod : pods_) {
-        if (pod.occByClass.empty())
-            continue;
-        const std::string& match =
-            probePod(probes,
-                     static_cast<std::size_t>(pod.shards.front()),
-                     false)
-                .key;
-        const auto it = pod.occByClass.find(match);
-        if (it != pod.occByClass.end())
-            reps.push_back(it->second.begin()->second);
-        // An occupied shard always has a non-empty class (it holds
-        // or parks a dispatch), so only the match class is skipped.
-        for (const auto& head : pod.occHeads) {
-            if (std::get<2>(head) == match)
                 continue;
             reps.push_back(std::get<1>(head));
             break;
@@ -944,178 +807,869 @@ FleetSimulator::deferralWithinHorizon(std::size_t s,
     return occWaitSec <= horizonSec + kCostTieEps;
 }
 
-ServingReport
-FleetSimulator::run(const std::vector<Request>& trace)
+/**
+ * One run() of the event loop; fleet.h's file comment lists its
+ * handlers. It owns the per-run state — the admission queues, the
+ * trace cursor, the virtual clock, the queue epochs, one solve closure
+ * per shard, and the LLM stream counters — so none of it is reset by
+ * hand between runs.
+ */
+class FleetSimulator::Loop
 {
-    for (std::size_t i = 1; i < trace.size(); ++i)
-        SCAR_REQUIRE(trace[i - 1].arrivalSec <= trace[i].arrivalSec,
-                     "fleet: trace not sorted by arrival time");
-
-    // Per-run accounting reset; caches persist across runs.
-    ScheduleCacheStats before;
-    for (const auto& cache : caches_) {
-        const ScheduleCacheStats s = cache->stats();
-        before.hits += s.hits;
-        before.misses += s.misses;
-        before.evictions += s.evictions;
-    }
-    for (Shard& shard : shards_) {
-        SCAR_REQUIRE(!shard.executor.busy() && !shard.hasPending &&
-                         !shard.hasSuspended,
-                     "fleet: run() while a shard is mid-dispatch");
-        shard.dispatchesBefore = shard.executor.dispatchCount();
-        shard.busySec = 0.0;
-        shard.solveStallSec = 0.0;
-        shard.switchOverheadSec = 0.0;
-        shard.preemptions = 0;
-        shard.resumeOverheadSec = 0.0;
-        shard.lastKey.clear();
-    }
-    contestedRoutes_ = 0;
-    costOptimalRoutes_ = 0;
-    llmDecodeRounds_ = 0;
-    llmJoins_ = 0;
-    llmBoardedSum_ = 0;
-    std::fill(llmStreams_.begin(), llmStreams_.end(), 0);
-    // Flight recorder: rec == nullptr is the disabled state, and every
-    // hook below sits behind that check — a disabled run does no
-    // observability work and stays byte-identical to an uninstrumented
-    // build. All recorded events carry virtual timestamps and are
-    // emitted from this single-threaded loop, so an enabled trace is
-    // deterministic at any solver thread count.
-    obs::FlightRecorder* const rec = options_.recorder;
-    if (rec) {
-        rec->trace().setThreadName(0, "fleet");
-        for (std::size_t s = 0; s < shards_.size(); ++s)
-            rec->trace().setThreadName(
-                static_cast<int>(s) + 1,
-                "shard " + std::to_string(s) + " (" +
-                    templates_[s].name() + ")");
-        std::vector<std::string> columns{"queue_depth", "busy_shards",
-                                         "cache_hit_rate"};
-        for (std::size_t s = 0; s < shards_.size(); ++s)
-            columns.push_back("shard" + std::to_string(s) + "_busy");
-        for (const ServedModel& sm : catalog_)
-            columns.push_back("queue_" + sm.model.name);
-        rec->samples().reset();
-        rec->samples().setColumns(std::move(columns));
-    }
-    AdmissionController admission(catalog_,
-                                  options_.serving.admission);
-    records_.clear();
-    records_.reserve(trace.size());
-    long paddedSlots = 0;
-
-    // One compute closure per shard: a schedule is only meaningful
-    // for the package it was searched on.
-    std::vector<ScheduleCache::ComputeFn> computes;
-    computes.reserve(shards_.size());
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-        const Mcm* tpl = &templates_[s];
-        computes.push_back([this, tpl](const Scenario& mix) {
-            ScarOptions so = options_.serving.scar;
-            // Default the search onto the fleet's pool, but let an
-            // explicit scar.pool or scar.threads setting win — the
-            // ScarOptions contract (threads = 1 forces a serial
-            // search) must keep working inside the serving runtime.
-            if (so.pool == nullptr && so.threads == 0)
-                so.pool = pool_;
-            Scar scar(mix, *tpl, so);
-            return scar.run();
-        });
+  public:
+    Loop(FleetSimulator& fleet, const std::vector<Request>& trace)
+        : fleet_(fleet), shards_(fleet.shards_), options_(fleet.options_),
+          trace_(trace), rec_(options_.recorder),
+          preemption_(options_.serving.preemption),
+          continuous_(options_.serving.admission.llmBatching ==
+                      LlmBatchingMode::Continuous),
+          speculating_(options_.speculativeSolve &&
+                       options_.serving.modeledSolveSec > 0.0),
+          admission_(fleet.catalog_, options_.serving.admission),
+          llmStreams_(fleet.catalog_.size(), 0)
+    {
+        beginRun();
     }
 
-    // The per-run reset above cleared lastKey (the routing class)
-    // and the accounting the calendar keys snapshot, so re-derive
-    // every index entry before the loop reads them.
-    rebuildCalendar();
+    /** One event iteration; false, doing nothing, once no work
+     *  remains (no arrival to admit, no queued request, no shard
+     *  replaying, parked, or owing a resume). */
+    bool step()
+    {
+        if (next_ == trace_.size() && admission_.queuedCount() == 0 &&
+            (!fleet_.llmEnabled_ || admission_.decodeQueuedCount() == 0) &&
+            fleet_.boundaryQueue_.empty() && fleet_.pendingQueue_.empty() &&
+            fleet_.suspended_.empty())
+            return false;
+        fireSamples();
+        // Urgency is loop-invariant within one event iteration
+        // (nothing below changes the queues before the next event),
+        // so the O(queued) deadline scan runs once per iteration.
+        const bool urgent = urgentQueued();
+        if (resumeIdle(urgent) || startDue() || dispatchDecode())
+            return true;
+        const Routed routed = dispatchReady(urgent);
+        if (routed == Routed::Parked)
+            return true;
+        speculate(urgent);
+        nextEvent(urgent, routed == Routed::Deferred);
+        return true;
+    }
 
-    auto anyBusyOrPending = [&]() {
-        return !boundaryQueue_.empty() || !pendingQueue_.empty() ||
-               !suspended_.empty();
-    };
-    // Mirrors routeDispatch's candidate rule: a shard parking a
-    // suspended replay only counts for urgent dispatches.
-    auto anyCandidate = [&](bool urgent) {
-        return !freeShards_.empty() ||
-               (urgent && !suspendedIdle_.empty());
-    };
-    const PreemptionOptions& preemption =
-        options_.serving.preemption;
-    // Preemption-eligibility: some queued request's slack has shrunk
-    // to the threshold. Gated on `enabled` first so a disabled run
-    // never evaluates the urgency predicates (bit-identical to the
-    // non-preemptive runtime).
-    auto urgentQueued = [&](double nowSec) {
-        return preemption.enabled &&
-               admission.urgentQueued(nowSec,
-                                      preemption.slackThresholdSec);
-    };
+    ServingReport finishReport()
+    {
+        auditRun();
+        fleet_.materializedMixes_ = admission_.materializedMixes();
 
-    std::size_t next = 0; // next arrival to admit
-    double nowSec = 0.0;
-    // The speculative peek only changes when the queues do; skip the
-    // peek (its signature build and cache probes) on the (frequent)
-    // other events.
-    long queueEpoch = 0;
-    long lastSpeculativeEpoch = -1;
-    // Fixed-interval sampling on the virtual clock. The fleet state
-    // is piecewise-constant between events (sample-and-hold), so the
-    // value at each scheduled instant is the value now; rows are
-    // stamped with the scheduled time, and the headline series double
-    // as ph = C counter tracks in the trace. Fired at the loop head
-    // and after each fast-forwarded tick (the serial loop fires a
-    // tick's due samples at the head of the following iteration, so
-    // the fast-forward replays the same interleaving).
-    auto fireSamples = [&]() {
-        while (rec && rec->samples().due(nowSec)) {
-            const double atSec = rec->samples().nextSampleSec();
-            const double queueDepth = admission.queuedCount();
-            int busyShards = 0;
-            for (const Shard& shard : shards_)
-                busyShards += shard.executor.busy() ? 1 : 0;
-            const long long cacheHits =
-                rec->metrics().counter("cache.hits").value();
-            const long long cacheMisses =
-                rec->metrics().counter("cache.misses").value();
-            const double hitRate =
-                cacheHits + cacheMisses > 0
-                    ? static_cast<double>(cacheHits) /
-                          static_cast<double>(cacheHits + cacheMisses)
-                    : 0.0;
-            std::vector<double> row;
-            row.reserve(3 + shards_.size() + catalog_.size());
-            row.push_back(queueDepth);
-            row.push_back(busyShards);
-            row.push_back(hitRate);
-            for (const Shard& shard : shards_)
-                row.push_back(shard.executor.busy() ? 1.0 : 0.0);
-            for (std::size_t m = 0; m < catalog_.size(); ++m)
-                row.push_back(admission.queuedCount(
-                    static_cast<int>(m)));
-            rec->samples().push(row);
-            rec->trace().counterVirtual("queue_depth", atSec,
-                                        queueDepth);
-            rec->trace().counterVirtual("busy_shards", atSec,
-                                        busyShards);
-            rec->trace().counterVirtual("cache_hit_rate", atSec,
-                                        hitRate);
+        // Promote stray speculative solves so stats and cache sizes
+        // are settled (and no background work bleeds past the run).
+        for (const auto& cache : fleet_.caches_)
+            cache->drainInFlight();
+
+        long cachedMixes = 0;
+        ScheduleCacheStats delta = cacheTotals(fleet_.caches_, &cachedMixes);
+        delta.hits -= before_.hits;
+        delta.misses -= before_.misses;
+        delta.evictions -= before_.evictions;
+
+        long dispatches = 0;
+        for (const Shard& shard : shards_)
+            dispatches +=
+                shard.executor.dispatchCount() - shard.dispatchesBefore;
+
+        std::vector<std::string> modelNames;
+        modelNames.reserve(fleet_.catalog_.size());
+        for (const ServedModel& sm : fleet_.catalog_)
+            modelNames.push_back(sm.model.name);
+        ServingReport report = summarizeServing(
+            fleet_.records_, static_cast<long>(trace_.size()), dispatches,
+            paddedSlots_, delta, cachedMixes, modelNames);
+        for (std::size_t s = 0; s < shards_.size(); ++s) {
+            const Shard& shard = shards_[s];
+            ShardReport sr;
+            sr.shardIdx = static_cast<int>(s);
+            sr.mcmName = fleet_.templates_[s].name();
+            sr.dispatches =
+                shard.executor.dispatchCount() - shard.dispatchesBefore;
+            sr.busySec = shard.busySec;
+            sr.utilization = report.horizonSec > 0.0
+                                 ? shard.busySec / report.horizonSec
+                                 : 0.0;
+            sr.solveStallSec = shard.solveStallSec;
+            sr.switchOverheadSec = shard.switchOverheadSec;
+            sr.preemptions = shard.preemptions;
+            report.solveStallSec += shard.solveStallSec;
+            report.switchOverheadSec += shard.switchOverheadSec;
+            report.preemptions += shard.preemptions;
+            report.resumeOverheadSec += shard.resumeOverheadSec;
+            report.shards.push_back(sr);
         }
+        report.preemptionEnabled = preemption_.enabled;
+        report.llmEnabled = fleet_.llmEnabled_;
+        if (fleet_.llmEnabled_) {
+            report.llmDecodeRounds = llmDecodeRounds_;
+            report.llmJoins = llmJoins_;
+            report.llmMeanDecodeBatch =
+                llmDecodeRounds_ > 0
+                    ? static_cast<double>(llmBoardedSum_) /
+                          static_cast<double>(llmDecodeRounds_)
+                    : 0.0;
+        }
+        if (rec_) {
+            obs::MetricsRegistry& metrics = rec_->metrics();
+            metrics.gauge("horizon_sec").set(report.horizonSec);
+            metrics.gauge("throughput_rps").set(report.throughputRps);
+            metrics.gauge("slo_violation_rate")
+                .set(report.sloViolationRate);
+            metrics.gauge("batch_occupancy").set(report.batchOccupancy);
+        }
+        const long contested = fleet_.contestedRoutes_;
+        report.contestedRoutes = contested;
+        report.costOptimalRoutes = fleet_.costOptimalRoutes_;
+        report.costOptimalRouteFrac =
+            contested > 0 ? static_cast<double>(report.costOptimalRoutes) /
+                                static_cast<double>(contested)
+                          : 1.0;
+        inform("fleet: ", report.completed, "/", report.offered,
+               " requests over ", shards_.size(), " shard(s) (",
+               routingPolicyName(options_.routing), ") in ",
+               report.dispatches, " dispatches, ", delta.misses,
+               " schedule solves (", cachedMixes, " mixes cached)");
+        if (preemption_.enabled)
+            inform("fleet: ", report.preemptions,
+                   " boundary preemptions, ", report.preemptedRequests,
+                   " preempted requests resumed");
+        if (fleet_.llmEnabled_)
+            inform("fleet: ", report.llmDecodeRounds, " decode rounds, ",
+                   report.llmJoins, " continuous-batching joins");
+        return report;
+    }
+
+  private:
+    /** Which admission routine forms a routed dispatch. */
+    enum class Form { Regular, Urgent, Decode };
+    /** What dispatchReady did with a ready batch. */
+    enum class Routed { Nothing, Parked, Deferred };
+    /** The next instant of every event class nextEvent picks among. */
+    struct EventTimes
+    {
+        double arrival = kInf;
+        double boundary = kInf;
+        int boundaryShard = -1;
+        double pending = kInf;
+        double timer = kInf;
+        double urgency = kInf;
     };
-    // One crossed window boundary: the replay span, the completed
-    // requests' records and lifecycle events. Shared verbatim by the
-    // single-tick path and the fast-forward so both emit the exact
-    // same byte stream.
-    auto commitTick = [&](int shardIdx, WindowTick& tick) {
-        Shard& sh = shards_[shardIdx];
-        if (rec)
-            rec->trace().completeVirtual(
-                shardIdx + 1,
-                "w" + std::to_string(tick.windowIdx), "replay",
+
+    void beginRun()
+    {
+        for (std::size_t i = 1; i < trace_.size(); ++i)
+            SCAR_REQUIRE(trace_[i - 1].arrivalSec <= trace_[i].arrivalSec,
+                         "fleet: trace not sorted by arrival time");
+
+        // Per-run accounting reset; caches persist across runs.
+        before_ = cacheTotals(fleet_.caches_);
+        for (Shard& shard : shards_) {
+            SCAR_REQUIRE(!shard.executor.busy() && !shard.hasPending &&
+                             !shard.hasSuspended,
+                         "fleet: run() while a shard is mid-dispatch");
+            shard.dispatchesBefore = shard.executor.dispatchCount();
+            shard.busySec = 0.0;
+            shard.solveStallSec = 0.0;
+            shard.switchOverheadSec = 0.0;
+            shard.preemptions = 0;
+            shard.resumeOverheadSec = 0.0;
+            shard.lastKey.clear();
+        }
+        fleet_.contestedRoutes_ = 0;
+        fleet_.costOptimalRoutes_ = 0;
+        if (rec_) {
+            rec_->trace().setThreadName(0, "fleet");
+            std::vector<std::string> columns{"queue_depth", "busy_shards",
+                                             "cache_hit_rate"};
+            for (std::size_t s = 0; s < shards_.size(); ++s) {
+                rec_->trace().setThreadName(
+                    static_cast<int>(s) + 1,
+                    "shard " + std::to_string(s) + " (" +
+                        fleet_.templates_[s].name() + ")");
+                columns.push_back("shard" + std::to_string(s) + "_busy");
+            }
+            for (const ServedModel& sm : fleet_.catalog_)
+                columns.push_back("queue_" + sm.model.name);
+            rec_->samples().reset();
+            rec_->samples().setColumns(std::move(columns));
+        }
+        fleet_.records_.clear();
+        fleet_.records_.reserve(trace_.size());
+
+        for (const Mcm& tpl : fleet_.templates_) {
+            computes_.push_back([fleet = &fleet_, tpl = &tpl](
+                                    const Scenario& mix) {
+                ScarOptions so = fleet->options_.serving.scar;
+                // Default the search onto the fleet's pool, but let an
+                // explicit scar.pool or scar.threads setting win — the
+                // ScarOptions contract (threads = 1 forces a serial
+                // search) must keep working inside the serving
+                // runtime.
+                if (so.pool == nullptr && so.threads == 0)
+                    so.pool = fleet->pool_;
+                Scar scar(mix, *tpl, so);
+                return scar.run();
+            });
+        }
+
+        // The per-run reset above cleared lastKey (the routing class)
+        // and the accounting the calendar keys snapshot, so re-derive
+        // every index entry before the loop reads them.
+        fleet_.rebuildCalendar();
+    }
+
+    /** Resumes suspended replays on idle shards. While an urgent request
+     *  is queued the shard stays reserved for it (that is what it was
+     *  preempted for — and serving a back-to-back urgent batch before
+     *  resuming avoids a pointless resume/re-preempt cycle); the moment
+     *  urgency clears, the preempted replay continues from its cursor,
+     *  charged the modeled re-staging overhead. */
+    bool resumeIdle(bool urgent)
+    {
+        if (urgent || fleet_.suspendedIdle_.empty())
+            return false;
+        // A copy: syncShard retracts each resumed shard.
+        const std::vector<int> idle(fleet_.suspendedIdle_.begin(),
+                                    fleet_.suspendedIdle_.end());
+        for (const int si : idle) {
+            Shard& shard = shards_[si];
+            const double overheadSec = preemption_.resumeOverheadSec;
+            const double startSec = nowSec_ + overheadSec;
+            shard.resumeOverheadSec += overheadSec;
+            if (rec_) {
+                rec_->trace().instantVirtual(
+                    si + 1, "resume", "preemption", nowSec_,
+                    {obs::argNum("remaining_sec",
+                                 shard.suspended.remainingSec)});
+                if (overheadSec > 0.0)
+                    rec_->trace().completeVirtual(
+                        si + 1, "resume-overhead", "overhead", nowSec_,
+                        overheadSec);
+                rec_->metrics().counter("preemption.resumes").inc();
+            }
+            // Add back the remainder that suspension subtracted; the
+            // replay continues from its saved cursor, never re-solved
+            // (the SuspendedReplay pins the schedule, so even an
+            // LRU-evicted cache entry stays valid).
+            beginReplay(shard, startSec, shard.suspended.remainingSec,
+                        std::move(shard.suspendedKey));
+            shard.hasSuspended = false;
+            shard.executor.resume(std::move(shard.suspended), startSec);
+            shard.suspended = SuspendedReplay{};
+            shard.suspendedKey.clear();
+            fleet_.syncShard(static_cast<std::size_t>(si));
+        }
+        return true;
+    }
+
+    /** Books a replay (fresh or resumed) starting at startSec for
+     *  replaySec: busy time, replay end, the trace's window start,
+     *  and the routing class. */
+    void beginReplay(Shard& sh, double startSec, double replaySec,
+                     std::string key)
+    {
+        sh.busySec += replaySec;
+        sh.busyUntilSec = startSec + replaySec;
+        sh.traceWindowStartSec = startSec;
+        sh.lastKey = std::move(key);
+    }
+
+    /** Starts parked dispatches whose schedule is usable now. The pending
+     *  queue holds exactly the parked-idle shards keyed by ready instant,
+     *  so the due set is its prefix; the serial loop visited shards in
+     *  index order, so the due indices are sorted before starting them
+     *  (start order fixes the trace event order and the switch-overhead
+     *  charging instant). */
+    bool startDue()
+    {
+        std::vector<int> dueIdx;
+        for (const auto& [readySec, si] : fleet_.pendingQueue_) {
+            if (readySec > nowSec_)
+                break;
+            dueIdx.push_back(si);
+        }
+        std::sort(dueIdx.begin(), dueIdx.end());
+        const double switchSec = options_.serving.switchOverheadSec;
+        for (const int si : dueIdx) {
+            Shard& shard = shards_[si];
+            // Wall-clock join: blocks only if the background solve is
+            // still running; the virtual clock is unaffected. Cache
+            // hits parked their schedule at lookup time.
+            auto schedule = shard.pendingSchedule != nullptr
+                                ? std::move(shard.pendingSchedule)
+                                : shard.cache->join(shard.pendingKey);
+            double startSec = nowSec_;
+            if (!shard.lastKey.empty() &&
+                shard.lastKey != shard.pendingKey && switchSec > 0.0) {
+                startSec += switchSec;
+                shard.switchOverheadSec += switchSec;
+                if (rec_)
+                    rec_->trace().completeVirtual(
+                        si + 1, "switch", "overhead", nowSec_, switchSec);
+            }
+            if (rec_) {
+                for (const BatchGroup& group : shard.pending.groups)
+                    for (const Request& req : group.requests)
+                        rec_->trace().asyncInstantVirtual(
+                            static_cast<std::uint64_t>(req.id),
+                            "dispatch", "request", startSec);
+            }
+            // A decode round replays the cached one-step schedule
+            // llmDecodeSteps times (the executor tiles it), so every
+            // round of the same (context bucket, batch) shares one
+            // cached solve.
+            shard.executor.start(std::move(schedule),
+                                 std::move(shard.pending), startSec);
+            beginReplay(shard, startSec, shard.executor.makespanSec(),
+                        std::move(shard.pendingKey));
+            shard.hasPending = false;
+            shard.pendingKey.clear();
+            shard.pendingSchedule.reset();
+            fleet_.syncShard(static_cast<std::size_t>(si));
+        }
+        return !dueIdx.empty();
+    }
+
+    /** Decode rounds: a free shard and decode-queue waiters form a
+     *  single-model decode dispatch with no batching timer (generation
+     *  cadence dominates; a waiting sequence is never better off idle).
+     *  Runs before dispatchReady so decode streams keep their cadence
+     *  against competing prefill batches. Waiters appear only at
+     *  commitTick (prefill completion, round end or join cut), so the
+     *  very next iteration sees them here — the event calendar needs no
+     *  extra timer for decode work. */
+    bool dispatchDecode()
+    {
+        if (!fleet_.llmEnabled_ || fleet_.freeShards_.empty() ||
+            admission_.decodeQueuedCount() == 0)
+            return false;
+        for (std::size_t m = 0; m < fleet_.catalog_.size(); ++m) {
+            const int model = static_cast<int>(m);
+            const int waiters = admission_.decodeQueuedCount(model);
+            if (waiters == 0)
+                continue;
+            // Continuous batching holds waiters for the running
+            // stream's next step boundary (join cut) instead of
+            // opening a rival round — unless a full batch is already
+            // waiting, which earns its own stream.
+            if (continuous_ && llmStreams_[m] > 0 &&
+                waiters < fleet_.catalog_[m].model.batch)
+                continue;
+            const bool parked = routeFormPark(
+                admission_.peekDecodeMix(model), Form::Decode,
+                /*allowDefer=*/false, model);
+            SCAR_ASSERT(parked, "fleet: decode round found no shard "
+                                "with free shards available");
+            return true;
+        }
+        return false;
+    }
+
+    /** Free shard + ready batch: route, then form and park a dispatch.
+     *  Routing happens on the peeked mix *before* the queues are consumed
+     *  so BestFit can defer: when an occupied shard's projected
+     *  completion beats every idle candidate, the batch stays queued and
+     *  is re-routed at the next event (typically when the preferred shard
+     *  frees up). Speculative partial dispatch: with the flag set, a
+     *  shard that would otherwise idle claims whatever is queued right
+     *  now instead of waiting out the batching timer. An urgent batch is
+     *  dispatchable regardless of batch-fill / aging state. */
+    Routed dispatchReady(bool urgent)
+    {
+        const bool partialReady =
+            options_.serving.admission.speculativePartialDispatch &&
+            admission_.queuedCount() > 0 && !fleet_.freeShards_.empty();
+        if (!(admission_.ready(nowSec_) || urgent || partialReady) ||
+            !anyCandidate(urgent))
+            return Routed::Nothing;
+        const MixPeek peeked = peekNext(urgent);
+        // Overflow check: padded dispatch batches cover every queued
+        // request unless some queue exceeded its cap, in which case
+        // requests stay behind and deferral would starve the fleet's
+        // throughput. Never defer an urgent dispatch: it exists
+        // because some request cannot afford to wait for a better
+        // package.
+        const bool allowDefer =
+            options_.bestFitDefer && !urgent &&
+            admission_.queuedCount() <= peeked.batchSlots;
+        if (routeFormPark(peeked, urgent ? Form::Urgent : Form::Regular,
+                          allowDefer))
+            return Routed::Parked;
+        if (rec_)
+            rec_->metrics().counter("routing.deferrals").inc();
+        return Routed::Deferred;
+    }
+
+    /** Routes the peeked mix, forms its dispatch, and parks it on the
+     *  target until its schedule's virtual ready instant: looks the (mix,
+     *  package) key up in the shard's cache (starting a background solve
+     *  on a miss), records the projected replay end BestFit charges for
+     *  the parked shard, and books the solve stall and the cache /
+     *  dispatch metrics. Returns false, consuming nothing, when routing
+     *  defers. */
+    bool routeFormPark(const MixPeek& peeked, Form form, bool allowDefer,
+                       int decodeModel = -1)
+    {
+        const bool urgent = form == Form::Urgent;
+        RoutingProbes probes = fleet_.newProbes(peeked, admission_);
+        const int target =
+            fleet_.routeDispatch(probes, nowSec_, allowDefer, urgent);
+        if (target < 0)
+            return false;
+        ++queueEpoch_;
+        Dispatch dispatch =
+            form == Form::Decode
+                ? admission_.formDecodeDispatch(decodeModel)
+                : (urgent ? admission_.formUrgentDispatch(
+                                nowSec_, preemption_.slackThresholdSec)
+                          : admission_.formDispatch(nowSec_));
+        const std::string& sig = peeked.signature;
+        SCAR_ASSERT(dispatch.mix.signature == sig,
+                    "fleet: dispatch mix diverged from the routed peek");
+        if (form == Form::Decode) {
+            // Decode rounds do not add padded slots: occupancy stays a
+            // prefill-batching metric, and each request would
+            // otherwise be charged once per round. Decode batch fill
+            // is reported as llmMeanDecodeBatch.
+            ++llmStreams_[decodeModel];
+            ++llmDecodeRounds_;
+            llmBoardedSum_ += static_cast<long>(
+                dispatch.groups.front().requests.size());
+        } else {
+            for (const BatchGroup& group : dispatch.groups)
+                paddedSlots_ += group.batch;
+        }
+
+        const auto shardIdx = static_cast<std::size_t>(target);
+        Shard& shard = shards_[shardIdx];
+        const std::string key = fleet_.cacheKey(sig, shardIdx);
+        // The Scenario is materialized only if the lookup launches a
+        // solve or the makespan estimate is new.
+        const auto mix = [&]() -> const Scenario& { return probes.mix(); };
+        const AsyncLookup found = shard.cache->lookup(
+            key, mix, computes_[shardIdx], nowSec_,
+            options_.serving.modeledSolveSec);
+        double endSec = found.readySec;
+        if (!shard.lastKey.empty() && shard.lastKey != key)
+            endSec += options_.serving.switchOverheadSec;
+        // A decode round replays its one-step makespan llmDecodeSteps
+        // times (0 on other dispatches, where the factor 1 is exact).
+        endSec += (found.schedule != nullptr
+                       ? found.schedule->makespanSec
+                       : fleet_.estimateMakespanKeyed(
+                             key, shardIdx, dispatch.mix.numModels(),
+                             mix)) *
+                  std::max(1, dispatch.llmDecodeSteps);
+        shard.hasPending = true;
+        shard.pending = std::move(dispatch);
+        shard.pendingKey = key;
+        shard.pendingReadySec = found.readySec;
+        shard.pendingEndSec = endSec;
+        shard.pendingSchedule = found.schedule;
+        fleet_.syncShard(shardIdx);
+        shard.solveStallSec += std::max(0.0, found.readySec - nowSec_);
+        if (!rec_)
+            return true;
+        static constexpr std::array<const char*, 3> kCounters{
+            "dispatches.regular", "dispatches.urgent",
+            "dispatches.decode"};
+        // lookup() counts joining an in-flight solve as a hit; only a
+        // lookup that launched the solve is a miss (matches
+        // ScheduleCacheStats).
+        const bool hit = !found.startedSolve;
+        rec_->trace().instantVirtual(
+            target + 1, hit ? "cache-hit" : "cache-miss", "cache",
+            nowSec_, {obs::argText("mix", sig)});
+        rec_->metrics().counter(hit ? "cache.hits" : "cache.misses").inc();
+        rec_->metrics()
+            .counter(kCounters[static_cast<std::size_t>(form)])
+            .inc();
+        if (found.readySec > nowSec_)
+            rec_->trace().completeVirtual(
+                target + 1, "solve-stall", "stall", nowSec_,
+                found.readySec - nowSec_, {obs::argText("mix", sig)});
+        return true;
+    }
+
+    /** Ready batch but every shard occupied: solves the would-be mix in
+     *  the background so the search overlaps the replays. Only worthwhile
+     *  when solves cost virtual time — with a free (modeledSolveSec = 0)
+     *  solve there is no stall to hide, and speculating on transient peek
+     *  mixes would just burn extra searches and distort the hit-rate
+     *  counters. Under urgency the next dispatch out is the urgent mix,
+     *  so that is the schedule worth warming. */
+    void speculate(bool urgent)
+    {
+        if (!speculating_ || !(admission_.ready(nowSec_) || urgent) ||
+            queueEpoch_ == lastSpeculativeEpoch_)
+            return;
+        lastSpeculativeEpoch_ = queueEpoch_;
+        const MixPeek peeked = peekNext(urgent);
+        RoutingProbes probes = fleet_.newProbes(peeked, admission_);
+        const int target =
+            fleet_.speculationTarget(probes, nowSec_, urgent);
+        if (target < 0)
+            return;
+        const auto shardIdx = static_cast<std::size_t>(target);
+        shards_[shardIdx].cache->prefetch(
+            fleet_.cacheKey(peeked.signature, shardIdx),
+            [&]() -> const Scenario& { return probes.mix(); },
+            computes_[shardIdx],
+            nowSec_ + options_.serving.modeledSolveSec);
+        if (rec_) {
+            rec_->trace().instantVirtual(
+                target + 1, "speculative-solve", "cache", nowSec_,
+                {obs::argText("mix", peeked.signature)});
+            rec_->metrics().counter("solves.speculative").inc();
+        }
+    }
+
+    /** Advances the virtual clock to the next event and commits it. The
+     *  calendar's ordered sets hand over each next-event time in O(log
+     *  N); the boundary head ties exactly like the old scan (strict <, so
+     *  the lowest shard index wins equal times — set order is (time,
+     *  idx)). Pending-ready, timer, and urgency events need no action
+     *  beyond advancing the clock: the loop head fires next iteration. */
+    void nextEvent(bool urgent, bool deferred)
+    {
+        EventTimes t;
+        if (next_ < trace_.size())
+            t.arrival = trace_[next_].arrivalSec;
+        if (!fleet_.boundaryQueue_.empty())
+            std::tie(t.boundary, t.boundaryShard) =
+                *fleet_.boundaryQueue_.begin();
+        if (!fleet_.pendingQueue_.empty())
+            t.pending = fleet_.pendingQueue_.begin()->first;
+        // The batching timer only matters while a shard can accept a
+        // dispatch: busy shards dispatch as soon as they free up. A
+        // deferred batch is already past its timer — its next chance
+        // is a state change (boundary / solve-ready / arrival), and
+        // re-arming the elapsed timer would spin the loop in place.
+        if (!deferred && anyCandidate(false) &&
+            admission_.queuedCount() > 0)
+            t.timer = admission_.nextForcedDispatchSec();
+        // Urgency timer: the instant the next queued request's slack
+        // crosses the preemption threshold, an urgent dispatch can
+        // claim an idle shard without waiting for batch fill or the
+        // forced-dispatch timer. Only armed while a candidate exists
+        // (with none, the urgent batch's next chance is a window
+        // boundary — where the preemptor acts — so boundary events
+        // already cover it) and while not already urgent
+        // (dispatchReady either dispatched or, with no candidate,
+        // boundaries drive progress; re-arming an elapsed instant
+        // would spin).
+        if (preemption_.enabled && !urgent &&
+            admission_.queuedCount() > 0 && anyCandidate(true))
+            t.urgency = urgencyCrossingSec();
+
+        const double tNext = std::min(
+            {t.arrival, t.boundary, t.pending, t.timer, t.urgency});
+        SCAR_REQUIRE(tNext < kInf, "fleet: event loop stalled with ",
+                     admission_.queuedCount(), " queued requests");
+        advanceTo(std::max(nowSec_, tNext));
+
+        if (t.arrival <= t.boundary && t.arrival <= t.pending &&
+            t.arrival <= t.timer && t.arrival <= t.urgency) {
+            commitArrival();
+        } else if (t.boundary <= t.pending && t.boundary <= t.timer &&
+                   t.boundary <= t.urgency) {
+            // With no free shard (and none freeing before the bound),
+            // no urgency, and speculation off, an arrival before the
+            // bound can only enqueue — every routing decision needs a
+            // candidate shard, and none appears until the bound — so
+            // arrivals are absorbed into the fast-forward instead of
+            // capping it. This is what lets a saturated fleet
+            // fast-forward whole replay windows rather than one
+            // inter-arrival gap. Preemption disables absorption: an
+            // absorbed arrival could carry an earlier deadline and
+            // move the urgency crossing into the past.
+            const bool absorbArrivals = fleet_.freeShards_.empty() &&
+                                        !options_.speculativeSolve &&
+                                        !preemption_.enabled;
+            const double bound =
+                forwardBound(t, urgent, deferred, absorbArrivals);
+            if (t.boundary < bound)
+                fastForward(bound, absorbArrivals);
+            else
+                tickOnce(t.boundaryShard);
+        }
+    }
+
+    /**
+     * The fast-forward bound B. The handlers before nextEvent are
+     * provably no-ops strictly before it — B is the min over every
+     * next-possible-routing-decision term (docs/ARCHITECTURE.md
+     * tabulates each with its proof sketch):
+     *  - no suspension is parked (the gate below), so resumeIdle
+     *    never fires;
+     *  - no parked schedule comes due before t.pending >= B;
+     *  - no shard frees before B (a dispatch-done tick lands at its
+     *    final boundary >= B), so the candidate set is frozen and
+     *    dispatchDecode / dispatchReady cannot dispatch before the
+     *    timer or an arrival, both >= B;
+     *  - speculate already ran on the current queue epoch, or the
+     *    guard caps B at the forced-dispatch instant where ready()
+     *    could newly turn true;
+     *  - under preemption, B <= the next urgency crossing U: for
+     *    every tick t < U the per-tick urgency predicate
+     *    (t >= deadline - slack, the same FP expression as U) is
+     *    false bit-for-bit, so preemptAt after each committed tick is
+     *    a no-op — and the queued deadlines cannot change before B
+     *    because arrivals are never absorbed under preemption;
+     *  - on LLM fleets, B stops strictly before the earliest
+     *    step-aligned boundary where a decode round with
+     *    already-queued waiters could take a join cut, and before the
+     *    earliest mid-replay autoregressive completion (it enqueues
+     *    decode waiters, moving the decode queues / queue epoch) — so
+     *    decode queues, llmStreams_, and the join-cut predicate stay
+     *    frozen across every committed tick, and joinCut is a
+     *    provable no-op.
+     * So every window tick strictly before B commits without
+     * re-entering the loop head. A deferred dispatch re-routes after
+     * every tick, and a preemptive fleet with a parked suspension
+     * (resumeIdle re-checks per tick) or an already-urgent queue (the
+     * very next boundary suspends) stays on the single-tick path:
+     * B = the head boundary.
+     */
+    double forwardBound(const EventTimes& t, bool urgent, bool deferred,
+                        bool absorbArrivals) const
+    {
+        if (deferred || (preemption_.enabled &&
+                         (!fleet_.suspended_.empty() || urgent)))
+            return t.boundary;
+        const auto& busyEnds = fleet_.busyEndQueue_;
+        double bound = busyEnds.empty() ? kInf : busyEnds.begin()->first;
+        bound = std::min(bound, t.pending);
+        if (!absorbArrivals)
+            bound = std::min(bound, t.arrival);
+        bound = std::min(bound, t.timer);
+        if (speculating_ && admission_.queuedCount() > 0 &&
+            queueEpoch_ != lastSpeculativeEpoch_)
+            bound = std::min(bound, admission_.nextForcedDispatchSec());
+        // Preemption-aware term: the next urgency crossing, on the
+        // same FP expression as the urgency timer — unconditioned on
+        // candidate availability, because a crossing is a routing
+        // decision either way (with a candidate dispatchReady sends
+        // the urgent batch; with none the next boundary tick suspends
+        // a replay).
+        if (preemption_.enabled && admission_.queuedCount() > 0)
+            bound = std::min(bound, urgencyCrossingSec());
+        if (!fleet_.llmEnabled_)
+            return bound;
+        // Join-aware LLM terms, per busy shard.
+        for (const auto& [tb, si] : fleet_.boundaryQueue_) {
+            (void)tb;
+            const ReplayExecutor& executor = shards_[si].executor;
+            const Dispatch& running = executor.dispatch();
+            if (running.llmDecodeSteps > 0) {
+                // Decode round: riders retire only at the round's
+                // final boundary — the replay-end term already covers
+                // that slot release — so the hazard is a join cut at
+                // the next step-aligned boundary once waiters are
+                // queued for the round's model.
+                if (continuous_ &&
+                    admission_.decodeQueuedCount(
+                        running.groups.front().catalogIdx) > 0)
+                    bound =
+                        std::min(bound, executor.nextStepBoundarySec());
+            } else {
+                // Prefill/mixed replay: an autoregressive group
+                // completing mid-replay enqueues decode waiters
+                // (commitTick bumps the decode queue and the queue
+                // epoch — a routing-decision source), so the bound
+                // stops strictly before the earliest such completion.
+                bound = std::min(
+                    bound,
+                    executor.earliestGroupEndSec([&](std::size_t m) {
+                        return fleet_
+                            .catalog_[running.groups[m].catalogIdx]
+                            .llm.autoregressive;
+                    }));
+            }
+        }
+        return bound;
+    }
+
+    /** Crosses every tick before `bound` straight off the boundary queue
+     *  in its (time, shard) order — the order the loop head picks them in
+     *  — one shard's run at a time: the run ends at the first tick >= B,
+     *  after the next other head, or after an absorbable arrival (the
+     *  arrival wins ties, like nextEvent's branch order). The sample
+     *  block fires after each tick exactly like the loop head does (the
+     *  serial loop fires a tick's due samples at the head of the
+     *  following iteration, so the fast-forward replays the same
+     *  interleaving). A tick before B moves only its shard's boundary key
+     *  (it is never dispatch-done, and commitTick touches no indexed
+     *  field), so the queue node is re-keyed in place of a syncShard. */
+    void fastForward(double bound, bool absorbArrivals)
+    {
+        auto& boundaryQueue = fleet_.boundaryQueue_;
+        const auto arrivalDue = [&](double t) {
+            return absorbArrivals && next_ < trace_.size() &&
+                   trace_[next_].arrivalSec < bound &&
+                   trace_[next_].arrivalSec <= t;
+        };
+        for (;;) {
+            const auto head = boundaryQueue.begin();
+            const double tHead =
+                head != boundaryQueue.end() && head->first < bound
+                    ? head->first
+                    : kInf;
+            if (arrivalDue(tHead)) {
+                advanceTo(trace_[next_].arrivalSec);
+                commitArrival();
+                fireSamples();
+                continue;
+            }
+            if (tHead == kInf)
+                break;
+            auto node = boundaryQueue.extract(head);
+            const int si = node.value().second;
+            const std::pair<double, int> other =
+                boundaryQueue.empty()
+                    ? std::make_pair(kInf,
+                                     std::numeric_limits<int>::max())
+                    : *boundaryQueue.begin();
+            ReplayExecutor& executor = shards_[si].executor;
+            double tTick = tHead;
+            do {
+                WindowTick tick = executor.advance();
+                SCAR_ASSERT(!tick.dispatchDone,
+                            "fast-forward crossed shard ", si,
+                            "'s final boundary");
+                advanceTo(tick.timeSec);
+                commitTick(si, tick);
+                fireSamples();
+                tTick = executor.nextBoundarySec();
+            } while (tTick < bound &&
+                     std::make_pair(tTick, si) < other &&
+                     !arrivalDue(tTick));
+            node.value().first = tTick;
+            fleet_.idx_[si].boundarySec = tTick;
+            boundaryQueue.insert(std::move(node));
+        }
+    }
+
+    /** The single-tick path: a pending deferral, a parked suspension
+     *  or already-urgent queue, or a bound at the head boundary (e.g.
+     *  a shard in its final window, a join cut, a mid-replay LLM
+     *  release, an urgency crossing). */
+    void tickOnce(int si)
+    {
+        WindowTick tick = shards_[si].executor.advance();
+        commitTick(si, tick);
+        preemptAt(si, tick);
+        joinCut(si, tick);
+        fleet_.syncShard(static_cast<std::size_t>(si));
+    }
+
+    /** Boundary preemption: an urgent request is waiting, no shard can
+     *  take it, and this replay just reached a cut point with windows
+     *  still ahead — suspend it here; the next iteration dispatches the
+     *  urgent batch onto the freed shard. When the tick ended the
+     *  dispatch the shard frees naturally (preempting at the last window
+     *  is the degenerate no-op), and a shard already parking a suspended
+     *  replay is never preempted again (depth 1). */
+    void preemptAt(int si, const WindowTick& tick)
+    {
+        Shard& sh = shards_[si];
+        if (tick.dispatchDone || sh.hasSuspended || !urgentQueued() ||
+            anyCandidate(true))
+            return;
+        sh.suspended = sh.executor.suspend();
+        sh.hasSuspended = true;
+        sh.suspendedKey = sh.lastKey;
+        // The remaining windows will be re-charged at resume.
+        sh.busySec -= sh.suspended.remainingSec;
+        ++sh.preemptions;
+        if (!rec_)
+            return;
+        rec_->trace().instantVirtual(
+            si + 1, "preempt", "preemption", tick.timeSec,
+            {obs::argInt("next_window",
+                         static_cast<long long>(sh.suspended.window)),
+             obs::argNum("remaining_sec", sh.suspended.remainingSec)});
+        // suspend() just marked every still-riding request preempted;
+        // tag their lifecycle tracks.
+        for (const BatchGroup& group : sh.suspended.dispatch.groups)
+            for (const Request& req : group.requests)
+                if (req.preempted)
+                    rec_->trace().asyncInstantVirtual(
+                        static_cast<std::uint64_t>(req.id), "preempted",
+                        "request", tick.timeSec);
+        rec_->metrics().counter("preemption.suspends").inc();
+    }
+
+    /** Continuous-batching join cut: waiters queued for the model
+     *  decoding on this shard, and the replay just reached a step-aligned
+     *  boundary with steps still ahead — cut the round here (suspend
+     *  without the preemption mark), credit the riders with the steps
+     *  already replayed, and send everyone back to the decode queue. The
+     *  next iteration's dispatchDecode forms the merged round on the
+     *  freed shard. Riders cannot finish mid-round (the round's step
+     *  count never exceeds any rider's remaining tokens), so all of them
+     *  re-queue. */
+    void joinCut(int si, const WindowTick& tick)
+    {
+        Shard& sh = shards_[si];
+        if (!fleet_.llmEnabled_ || tick.dispatchDone || sh.hasSuspended ||
+            !sh.executor.busy() || !continuous_)
+            return;
+        const Dispatch& running = sh.executor.dispatch();
+        const int model = running.llmDecodeSteps > 0
+                              ? running.groups.front().catalogIdx
+                              : -1;
+        const int perStep = static_cast<int>(sh.executor.windowsPerStep());
+        if (model < 0 || admission_.decodeQueuedCount(model) == 0 ||
+            (tick.windowIdx + 1) % perStep != 0)
+            return;
+        const int stepsDone = (tick.windowIdx + 1) / perStep;
+        SuspendedReplay cut = sh.executor.suspend(false);
+        sh.busySec -= cut.remainingSec;
+        --llmStreams_[model];
+        ++llmJoins_;
+        int riders = 0;
+        for (BatchGroup& group : cut.dispatch.groups) {
+            for (Request& req : group.requests) {
+                if (req.ridingDecodeSteps > 0)
+                    req.generatedTokens += stepsDone;
+                req.ridingDecodeSteps = 0;
+                req.completionSec = -1.0;
+                admission_.enqueueDecode(req);
+                ++riders;
+            }
+        }
+        ++queueEpoch_;
+        if (rec_) {
+            rec_->trace().instantVirtual(
+                si + 1, "decode-join", "llm", tick.timeSec,
+                {obs::argInt("riders", static_cast<long long>(riders)),
+                 obs::argInt("steps_done",
+                             static_cast<long long>(stepsDone))});
+            rec_->metrics().counter("llm.joins").inc();
+        }
+    }
+
+    /** One crossed window boundary: the replay span, the completed
+     *  requests' records and lifecycle events. Shared verbatim by
+     *  tickOnce and fastForward so both emit the exact same byte stream. */
+    void commitTick(int si, WindowTick& tick)
+    {
+        Shard& sh = shards_[si];
+        if (rec_)
+            rec_->trace().completeVirtual(
+                si + 1, "w" + std::to_string(tick.windowIdx), "replay",
                 sh.traceWindowStartSec,
                 tick.timeSec - sh.traceWindowStartSec,
                 {obs::argInt("window", tick.windowIdx)});
         sh.traceWindowStartSec = tick.timeSec;
+        const std::vector<ServedModel>& catalog = fleet_.catalog_;
         // Autoregressive transition. For an LLM request a "completion"
         // at a window boundary is the end of one prefill or one decode
         // round, not necessarily the end of the request: unfinished
@@ -1123,17 +1677,13 @@ FleetSimulator::run(const std::vector<Request>& trace)
         // filtered down to the truly retiring requests before the
         // generic record loop below. Empty for non-LLM catalogs, so a
         // run without LLM entries takes the pre-LLM path bit-for-bit.
-        if (llmEnabled_ && !tick.completed.empty()) {
+        if (fleet_.llmEnabled_ && !tick.completed.empty()) {
             // A decode round carries riders stamped by
             // formDecodeDispatch; at least one is unfinished (a fully
             // finished group retired at its previous round).
-            bool decodeRound = false;
-            for (const Request& req : tick.completed) {
-                if (req.ridingDecodeSteps > 0) {
-                    decodeRound = true;
-                    break;
-                }
-            }
+            const bool decodeRound = std::any_of(
+                tick.completed.begin(), tick.completed.end(),
+                [](const Request& r) { return r.ridingDecodeSteps > 0; });
             bool allFinished = true;
             if (decodeRound) {
                 for (Request& req : tick.completed) {
@@ -1145,13 +1695,10 @@ FleetSimulator::run(const std::vector<Request>& trace)
                 if (tick.dispatchDone)
                     --llmStreams_[tick.completed.front().modelIdx];
             }
-            const bool lockstep =
-                options_.serving.admission.llmBatching ==
-                LlmBatchingMode::Static;
             std::vector<Request> retiring;
             retiring.reserve(tick.completed.size());
             for (Request& req : tick.completed) {
-                if (!catalog_[req.modelIdx].llm.autoregressive) {
+                if (!catalog[req.modelIdx].llm.autoregressive) {
                     retiring.push_back(std::move(req));
                     continue;
                 }
@@ -1159,8 +1706,8 @@ FleetSimulator::run(const std::vector<Request>& trace)
                     // Prefill completion = the first output token.
                     req.firstTokenSec = tick.timeSec;
                     req.generatedTokens = 1;
-                    if (rec)
-                        rec->trace().asyncInstantVirtual(
+                    if (rec_)
+                        rec_->trace().asyncInstantVirtual(
                             static_cast<std::uint64_t>(req.id),
                             "first-token", "request", tick.timeSec);
                 }
@@ -1170,770 +1717,238 @@ FleetSimulator::run(const std::vector<Request>& trace)
                 // members ride as padding until the whole batch is
                 // done.
                 if (finished &&
-                    (!decodeRound || !lockstep || allFinished)) {
+                    (!decodeRound || continuous_ || allFinished)) {
                     retiring.push_back(std::move(req));
                     continue;
                 }
                 req.completionSec = -1.0;
-                admission.enqueueDecode(req);
-                ++queueEpoch;
+                admission_.enqueueDecode(req);
+                ++queueEpoch_;
             }
             tick.completed = std::move(retiring);
         }
         for (Request& req : tick.completed) {
-            records_.push_back(req);
-            if (rec) {
-                const std::string& model =
-                    catalog_[req.modelIdx].model.name;
-                const double queueSec =
-                    req.dispatchSec - req.arrivalSec;
-                const double execSec =
-                    req.completionSec - req.dispatchSec;
-                rec->trace().asyncEndVirtual(
-                    static_cast<std::uint64_t>(req.id),
-                    "req " + model, "request", tick.timeSec,
-                    {obs::argNum("latency_sec", req.latencySec()),
-                     obs::argNum("queue_sec", queueSec),
-                     obs::argNum("exec_sec", execSec),
-                     obs::argBool("slo_violated", req.sloViolated()),
-                     obs::argBool("preempted", req.preempted)});
-                rec->metrics().counter("requests.completed").inc();
-                if (req.sloViolated())
-                    rec->metrics()
-                        .counter("requests.slo_violations")
-                        .inc();
-                rec->metrics()
-                    .histogram("latency_sec")
-                    .record(req.latencySec());
-                rec->metrics()
-                    .histogram("queue_wait_sec")
-                    .record(queueSec);
-                rec->metrics()
-                    .histogram("exec_sec")
-                    .record(execSec);
-            }
+            fleet_.records_.push_back(req);
+            if (!rec_)
+                continue;
+            const std::string& model = catalog[req.modelIdx].model.name;
+            rec_->trace().asyncEndVirtual(
+                static_cast<std::uint64_t>(req.id), "req " + model,
+                "request", tick.timeSec,
+                {obs::argNum("latency_sec", req.latencySec()),
+                 obs::argNum("queue_sec", req.queueSec()),
+                 obs::argNum("exec_sec", req.execSec()),
+                 obs::argBool("slo_violated", req.sloViolated()),
+                 obs::argBool("preempted", req.preempted)});
+            obs::MetricsRegistry& metrics = rec_->metrics();
+            metrics.counter("requests.completed").inc();
+            if (req.sloViolated())
+                metrics.counter("requests.slo_violations").inc();
+            metrics.histogram("latency_sec").record(req.latencySec());
+            metrics.histogram("queue_wait_sec").record(req.queueSec());
+            metrics.histogram("exec_sec").record(req.execSec());
         }
-    };
-    // Admits the next trace arrival: shared by the serial arrival
-    // branch and the fast-forward (which absorbs arrivals that can
-    // only enqueue). Timestamps come from the request itself, so the
-    // rendered trace is identical on either path.
-    auto commitArrival = [&]() {
-        admission.enqueue(trace[next]);
-        if (rec) {
-            const Request& req = trace[next];
+    }
+
+    /** Admits the next trace arrival: shared by nextEvent and the
+     *  fast-forward (which absorbs arrivals that can only enqueue).
+     *  Timestamps come from the request itself, so the rendered trace
+     *  is identical on either path. */
+    void commitArrival()
+    {
+        const Request& req = trace_[next_];
+        admission_.enqueue(req);
+        if (rec_) {
             const std::string& model =
-                catalog_[req.modelIdx].model.name;
-            std::vector<obs::TraceArg> args{
-                obs::argText("model", model)};
+                fleet_.catalog_[req.modelIdx].model.name;
+            std::vector<obs::TraceArg> args{obs::argText("model", model)};
             if (req.deadlineSec < kInf)
                 args.push_back(
                     obs::argNum("deadline_sec", req.deadlineSec));
-            rec->trace().asyncBeginVirtual(
+            rec_->trace().asyncBeginVirtual(
                 static_cast<std::uint64_t>(req.id), "req " + model,
                 "request", req.arrivalSec, std::move(args));
-            rec->metrics().counter("requests.arrived").inc();
+            rec_->metrics().counter("requests.arrived").inc();
         }
-        ++next;
-        ++queueEpoch;
-    };
-    while (next < trace.size() || admission.queuedCount() > 0 ||
-           (llmEnabled_ && admission.decodeQueuedCount() > 0) ||
-           anyBusyOrPending()) {
-        fireSamples();
-
-        // Urgency is loop-invariant within one event iteration
-        // (nothing below changes the queues before the next event),
-        // so the O(queued) deadline scan runs once per iteration.
-        const bool urgent = urgentQueued(nowSec);
-
-        // 0. Resume suspended replays on idle shards. While an urgent
-        // request is queued the shard stays reserved for it (that is
-        // what it was preempted for — and serving a back-to-back
-        // urgent batch before resuming avoids a pointless
-        // resume/re-preempt cycle); the moment urgency clears, the
-        // preempted replay continues from its cursor.
-        if (!urgent && !suspendedIdle_.empty()) {
-            // A copy: syncShard retracts each resumed shard.
-            const std::vector<int> idle(suspendedIdle_.begin(),
-                                        suspendedIdle_.end());
-            for (const int si : idle) {
-                resumeSuspended(shards_[si], nowSec);
-                syncShard(static_cast<std::size_t>(si));
-            }
-            continue;
-        }
-
-        // 1. Start parked dispatches whose schedule is usable now.
-        // The pending queue holds exactly the parked-idle shards
-        // keyed by ready instant, so the due set is its prefix; the
-        // serial loop visited shards in index order, so sort the due
-        // indices before starting them (start order fixes the trace
-        // event order and the switch-overhead charging instant).
-        bool started = false;
-        std::vector<int> dueIdx;
-        for (const auto& [readySec, si] : pendingQueue_) {
-            if (readySec > nowSec)
-                break;
-            dueIdx.push_back(si);
-        }
-        std::sort(dueIdx.begin(), dueIdx.end());
-        for (const int si : dueIdx) {
-            Shard& shard = shards_[si];
-            // Wall-clock join: blocks only if the background solve is
-            // still running; the virtual clock is unaffected. Cache
-            // hits parked their schedule at lookup time.
-            auto schedule =
-                shard.pendingSchedule != nullptr
-                    ? std::move(shard.pendingSchedule)
-                    : shard.cache->join(shard.pendingKey);
-            double startSec = nowSec;
-            if (!shard.lastKey.empty() &&
-                shard.lastKey != shard.pendingKey &&
-                options_.serving.switchOverheadSec > 0.0) {
-                startSec += options_.serving.switchOverheadSec;
-                shard.switchOverheadSec +=
-                    options_.serving.switchOverheadSec;
-                if (rec)
-                    rec->trace().completeVirtual(
-                        static_cast<int>(&shard - shards_.data()) + 1,
-                        "switch", "overhead", nowSec,
-                        options_.serving.switchOverheadSec);
-            }
-            if (rec) {
-                for (const BatchGroup& group : shard.pending.groups)
-                    for (const Request& req : group.requests)
-                        rec->trace().asyncInstantVirtual(
-                            static_cast<std::uint64_t>(req.id),
-                            "dispatch", "request", startSec);
-            }
-            // A decode round replays the cached one-step schedule
-            // llmDecodeSteps times (the executor tiles it), so every
-            // round of the same (context bucket, batch) shares one
-            // cached solve.
-            shard.executor.start(std::move(schedule),
-                                 std::move(shard.pending), startSec);
-            shard.busySec += shard.executor.makespanSec();
-            shard.busyUntilSec = startSec + shard.executor.makespanSec();
-            shard.traceWindowStartSec = startSec;
-            shard.lastKey = shard.pendingKey;
-            shard.hasPending = false;
-            shard.pendingKey.clear();
-            shard.pendingSchedule.reset();
-            syncShard(static_cast<std::size_t>(si));
-            started = true;
-        }
-        if (started)
-            continue;
-
-        // 1.5 Decode rounds: a free shard and decode-queue waiters
-        // form a single-model decode dispatch with no batching timer
-        // (generation cadence dominates; a waiting sequence is never
-        // better off idle). Runs before step 2 so decode streams keep
-        // their cadence against competing prefill batches. Waiters
-        // appear only at commitTick (prefill completion, round end or
-        // join cut), so the very next loop iteration sees them here —
-        // the event calendar needs no extra timer for decode work.
-        if (llmEnabled_ && !freeShards_.empty() &&
-            admission.decodeQueuedCount() > 0) {
-            const bool continuous =
-                options_.serving.admission.llmBatching ==
-                LlmBatchingMode::Continuous;
-            int decodeModel = -1;
-            for (std::size_t m = 0; m < catalog_.size(); ++m) {
-                const int waiters =
-                    admission.decodeQueuedCount(static_cast<int>(m));
-                if (waiters == 0)
-                    continue;
-                // Continuous batching holds waiters for the running
-                // stream's next step boundary (join cut) instead of
-                // opening a rival round — unless a full batch is
-                // already waiting, which earns its own stream.
-                if (continuous && llmStreams_[m] > 0 &&
-                    waiters < catalog_[m].model.batch)
-                    continue;
-                decodeModel = static_cast<int>(m);
-                break;
-            }
-            if (decodeModel >= 0) {
-                const MixPeek peeked =
-                    admission.peekDecodeMix(decodeModel);
-                const std::string& sig = peeked.signature;
-                RoutingProbes probes = newProbes(peeked, admission);
-                const int target = routeDispatch(
-                    probes, nowSec, /*allowDefer=*/false,
-                    /*urgent=*/false);
-                SCAR_ASSERT(target >= 0,
-                            "fleet: decode round found no shard with "
-                            "free shards available");
-                ++queueEpoch;
-                Dispatch dispatch =
-                    admission.formDecodeDispatch(decodeModel);
-                SCAR_ASSERT(dispatch.mix.signature == sig,
-                            "fleet: decode dispatch mix diverged "
-                            "from the routed peek");
-                // Decode rounds do not add padded slots: occupancy
-                // stays a prefill-batching metric, and each request
-                // would otherwise be charged once per round. Decode
-                // batch fill is reported as llmMeanDecodeBatch.
-                ++llmStreams_[decodeModel];
-                ++llmDecodeRounds_;
-                llmBoardedSum_ += static_cast<long>(
-                    dispatch.groups.front().requests.size());
-                parkDispatch(target, probes, std::move(dispatch),
-                             nowSec, computes[target],
-                             "dispatches.decode");
-                continue;
-            }
-        }
-
-        // 2. Free shard + ready batch: route, then form and park a
-        // dispatch. Routing happens on the peeked mix *before* the
-        // queues are consumed so BestFit can defer: when an occupied
-        // shard's projected completion beats every idle candidate,
-        // the batch stays queued and is re-routed at the next event
-        // (typically when the preferred shard frees up).
-        bool deferred = false;
-        // Speculative partial dispatch: with the flag set, a shard
-        // that would otherwise idle claims whatever is queued right
-        // now instead of waiting out the batching timer.
-        const bool partialReady =
-            options_.serving.admission.speculativePartialDispatch &&
-            admission.queuedCount() > 0 && !freeShards_.empty();
-        if ((admission.ready(nowSec) || urgent || partialReady) &&
-            anyCandidate(urgent)) {
-            // An urgent batch boards only the models holding an
-            // urgent request (shortest possible fast lane) and is
-            // dispatchable regardless of batch-fill / aging state.
-            const MixPeek peeked =
-                urgent ? admission.peekUrgentMix(
-                             nowSec, preemption.slackThresholdSec)
-                       : admission.peekMix();
-            const std::string& sig = peeked.signature;
-            // Overflow check: padded dispatch batches cover every
-            // queued request unless some queue exceeded its cap, in
-            // which case requests stay behind and deferral would
-            // starve the fleet's throughput. Never defer an urgent
-            // dispatch: it exists because some request cannot afford
-            // to wait for a better package.
-            const bool allowDefer =
-                options_.bestFitDefer && !urgent &&
-                admission.queuedCount() <= peeked.batchSlots;
-            RoutingProbes probes = newProbes(peeked, admission);
-            const int target =
-                routeDispatch(probes, nowSec, allowDefer, urgent);
-            if (target < 0) {
-                deferred = true;
-            } else {
-                ++queueEpoch;
-                Dispatch dispatch =
-                    urgent ? admission.formUrgentDispatch(
-                                 nowSec, preemption.slackThresholdSec)
-                           : admission.formDispatch(nowSec);
-                SCAR_ASSERT(dispatch.mix.signature == sig,
-                            "fleet: dispatch mix diverged from the "
-                            "routed peek");
-                for (const BatchGroup& group : dispatch.groups)
-                    paddedSlots += group.batch;
-                parkDispatch(target, probes, std::move(dispatch),
-                             nowSec, computes[target],
-                             urgent ? "dispatches.urgent"
-                                    : "dispatches.regular");
-                continue;
-            }
-        }
-        if (deferred && rec)
-            rec->metrics().counter("routing.deferrals").inc();
-
-        // 3. Ready batch but every shard occupied: solve the would-be
-        // mix in the background so the search overlaps the replays.
-        // Only worthwhile when solves cost virtual time — with a free
-        // (modeledSolveSec = 0) solve there is no stall to hide, and
-        // speculating on transient peek mixes would just burn extra
-        // searches and distort the hit-rate counters.
-        if (options_.speculativeSolve &&
-            options_.serving.modeledSolveSec > 0.0 &&
-            (admission.ready(nowSec) || urgent) &&
-            queueEpoch != lastSpeculativeEpoch) {
-            lastSpeculativeEpoch = queueEpoch;
-            // Under urgency the next dispatch out is the urgent mix,
-            // so that is the schedule worth warming.
-            const MixPeek peeked =
-                urgent ? admission.peekUrgentMix(
-                             nowSec, preemption.slackThresholdSec)
-                       : admission.peekMix();
-            const std::string& peekedSig = peeked.signature;
-            RoutingProbes probes = newProbes(peeked, admission);
-            const int target =
-                speculationTarget(probes, nowSec, urgent);
-            if (target >= 0) {
-                shards_[target].cache->prefetch(
-                    cacheKey(peekedSig,
-                             static_cast<std::size_t>(target)),
-                    [&]() -> const Scenario& { return probes.mix(); },
-                    computes[target],
-                    nowSec + options_.serving.modeledSolveSec);
-                if (rec) {
-                    rec->trace().instantVirtual(
-                        target + 1, "speculative-solve", "cache",
-                        nowSec, {obs::argText("mix", peekedSig)});
-                    rec->metrics()
-                        .counter("solves.speculative")
-                        .inc();
-                }
-            }
-        }
-
-        // 4. Advance the virtual clock to the next event. The
-        // calendar's ordered sets hand over each next-event time in
-        // O(log N); the boundary head ties exactly like the old scan
-        // (strict <, so the lowest shard index wins equal times —
-        // set order is (time, idx)).
-        const double tArrival =
-            next < trace.size() ? trace[next].arrivalSec : kInf;
-        double tBoundary = kInf;
-        int boundaryShard = -1;
-        if (!boundaryQueue_.empty()) {
-            tBoundary = boundaryQueue_.begin()->first;
-            boundaryShard = boundaryQueue_.begin()->second;
-        }
-        const double tPending = !pendingQueue_.empty()
-                                    ? pendingQueue_.begin()->first
-                                    : kInf;
-        // The batching timer only matters while a shard can accept a
-        // dispatch: busy shards dispatch as soon as they free up. A
-        // deferred batch is already past its timer — its next chance
-        // is a state change (boundary / solve-ready / arrival), and
-        // re-arming the elapsed timer would spin the loop in place.
-        const double tTimer =
-            (!deferred && anyCandidate(false) &&
-             admission.queuedCount() > 0)
-                ? admission.nextForcedDispatchSec()
-                : kInf;
-        // Urgency timer: the instant the next queued request's slack
-        // crosses the preemption threshold, an urgent dispatch can
-        // claim an idle shard without waiting for batch fill or the
-        // forced-dispatch timer. Only armed while a candidate exists
-        // (with none, the urgent batch's next chance is a window
-        // boundary — where the preemptor acts — so boundary events
-        // already cover it) and while not already urgent (step 2
-        // either dispatched or, with no candidate, boundaries drive
-        // progress; re-arming an elapsed instant would spin).
-        const double tUrgent =
-            (preemption.enabled && !urgent &&
-             admission.queuedCount() > 0 && anyCandidate(true))
-                ? admission.earliestDeadlineSec() -
-                      preemption.slackThresholdSec
-                : kInf;
-
-        const double tNext = std::min(
-            {tArrival, tBoundary, tPending, tTimer, tUrgent});
-        SCAR_REQUIRE(tNext < kInf,
-                     "fleet: event loop stalled with ",
-                     admission.queuedCount(), " queued requests");
-        nowSec = std::max(nowSec, tNext);
-
-        if (tArrival <= tBoundary && tArrival <= tPending &&
-            tArrival <= tTimer && tArrival <= tUrgent) {
-            commitArrival();
-        } else if (tBoundary <= tPending && tBoundary <= tTimer &&
-                   tBoundary <= tUrgent) {
-            // Calendar fast-forward. The serial loop's steps 0-3 are
-            // provably no-ops strictly before the conservative bound B
-            // — the min over every next-possible-routing-decision term
-            // (docs/ARCHITECTURE.md tabulates each with its proof
-            // sketch):
-            //  - no suspension is parked (the gate below), so step 0
-            //    never fires;
-            //  - no parked schedule comes due before tPending >= B;
-            //  - no shard frees before B (a dispatch-done tick lands
-            //    at its final boundary >= B), so the candidate set is
-            //    frozen and steps 1.5/2 cannot dispatch before the
-            //    timer or an arrival, both >= B;
-            //  - step 3 already speculated on the current queue
-            //    epoch, or the guard caps B at the forced-dispatch
-            //    instant where ready() could newly turn true;
-            //  - under preemption, B <= the next urgency crossing U:
-            //    for every tick t < U the per-tick urgency predicate
-            //    (t >= deadline - slack, the same FP expression as
-            //    U) is false bit-for-bit, so the preempt check after
-            //    each committed tick is a no-op — and the queued
-            //    deadlines cannot change before B because arrivals
-            //    are never absorbed under preemption;
-            //  - on LLM fleets, B stops strictly before the earliest
-            //    step-aligned boundary where a decode round with
-            //    already-queued waiters could take a join cut, and
-            //    before the earliest mid-replay autoregressive
-            //    completion (it enqueues decode waiters, moving the
-            //    decode queues / queue epoch) — so decode queues,
-            //    llmStreams_, and the join-cut predicate stay frozen
-            //    across every committed tick, and the per-tick join
-            //    check is a provable no-op.
-            // So every window tick strictly before B commits without
-            // re-entering the loop head. A deferred dispatch re-routes
-            // after every tick, and a preemptive fleet with a parked
-            // suspension (step 0 re-checks per tick) or an
-            // already-urgent queue (the very next boundary suspends)
-            // stays on the single-tick path: B = the head boundary.
-            //
-            // With no free shard (and none freeing before B), no
-            // urgency, and speculation off, an arrival before B can
-            // only enqueue — every routing decision needs a candidate
-            // shard, and none appears until >= B — so arrivals are
-            // absorbed into the fast-forward instead of capping B.
-            // This is what lets a saturated fleet fast-forward whole
-            // replay windows rather than one inter-arrival gap.
-            // Preemption disables absorption: an absorbed arrival
-            // could carry an earlier deadline and move the urgency
-            // crossing into the past.
-            const bool absorbArrivals = freeShards_.empty() &&
-                                        !options_.speculativeSolve &&
-                                        !preemption.enabled;
-            double bound = tBoundary;
-            if (!deferred &&
-                (!preemption.enabled ||
-                 (suspended_.empty() && !urgent))) {
-                bound = kInf;
-                if (!busyEndQueue_.empty())
-                    bound = busyEndQueue_.begin()->first;
-                bound = std::min(bound, tPending);
-                if (!absorbArrivals)
-                    bound = std::min(bound, tArrival);
-                bound = std::min(bound, tTimer);
-                if (options_.speculativeSolve &&
-                    options_.serving.modeledSolveSec > 0.0 &&
-                    admission.queuedCount() > 0 &&
-                    queueEpoch != lastSpeculativeEpoch)
-                    bound = std::min(bound,
-                                     admission.nextForcedDispatchSec());
-                // Preemption-aware term: the next urgency crossing,
-                // on the same FP expression as the urgency timer —
-                // unconditioned on candidate availability, because a
-                // crossing is a routing decision either way (with a
-                // candidate step 2 dispatches the urgent batch; with
-                // none the next boundary tick suspends a replay).
-                if (preemption.enabled && admission.queuedCount() > 0)
-                    bound = std::min(bound,
-                                     admission.earliestDeadlineSec() -
-                                         preemption.slackThresholdSec);
-                // Join-aware LLM terms, per busy shard.
-                if (llmEnabled_) {
-                    const bool continuous =
-                        options_.serving.admission.llmBatching ==
-                        LlmBatchingMode::Continuous;
-                    for (const auto& [tb, si] : boundaryQueue_) {
-                        (void)tb;
-                        const Shard& sh = shards_[si];
-                        const Dispatch& running = sh.executor.dispatch();
-                        if (running.llmDecodeSteps > 0) {
-                            // Decode round: riders retire only at the
-                            // round's final boundary — the replay-end
-                            // term already covers that slot release —
-                            // so the hazard is a join cut at the next
-                            // step-aligned boundary once waiters are
-                            // queued for the round's model.
-                            if (continuous &&
-                                admission.decodeQueuedCount(
-                                    running.groups.front().catalogIdx) >
-                                    0)
-                                bound = std::min(
-                                    bound,
-                                    sh.executor.nextStepBoundarySec());
-                        } else {
-                            // Prefill/mixed replay: an autoregressive
-                            // group completing mid-replay enqueues
-                            // decode waiters (commitTick bumps the
-                            // decode queue and the queue epoch — a
-                            // routing-decision source), so the bound
-                            // stops strictly before the earliest such
-                            // completion.
-                            bound = std::min(
-                                bound,
-                                sh.executor.earliestGroupEndSec(
-                                    [&](std::size_t m) {
-                                        return catalog_
-                                            [running.groups[m].catalogIdx]
-                                                .llm.autoregressive;
-                                    }));
-                        }
-                    }
-                }
-            }
-            if (tBoundary < bound) {
-                // Cross the ticks straight off the boundary queue in
-                // its (time, shard) order — the order the loop head
-                // picks them in — one shard's run at a time: the run
-                // ends at the first tick >= B, after the next other
-                // head, or after an absorbable arrival (the arrival
-                // wins ties, like the serial branch order). The
-                // sample block fires after each tick exactly like the
-                // loop head does. A tick before B moves only its
-                // shard's boundary key (it is never dispatch-done,
-                // and commitTick touches no indexed field), so the
-                // queue node is re-keyed in place of a syncShard.
-                const auto arrivalDue = [&](double t) {
-                    return absorbArrivals && next < trace.size() &&
-                           trace[next].arrivalSec < bound &&
-                           trace[next].arrivalSec <= t;
-                };
-                for (;;) {
-                    const auto head = boundaryQueue_.begin();
-                    const double tHead =
-                        head != boundaryQueue_.end() &&
-                                head->first < bound
-                            ? head->first
-                            : kInf;
-                    if (arrivalDue(tHead)) {
-                        nowSec = trace[next].arrivalSec;
-                        commitArrival();
-                        fireSamples();
-                        continue;
-                    }
-                    if (tHead == kInf)
-                        break;
-                    auto node = boundaryQueue_.extract(head);
-                    const int si = node.value().second;
-                    const std::pair<double, int> other =
-                        boundaryQueue_.empty()
-                            ? std::make_pair(
-                                  kInf, std::numeric_limits<int>::max())
-                            : *boundaryQueue_.begin();
-                    ReplayExecutor& executor = shards_[si].executor;
-                    double tTick = tHead;
-                    do {
-                        WindowTick tick = executor.advance();
-                        SCAR_ASSERT(!tick.dispatchDone,
-                                    "fast-forward crossed shard ", si,
-                                    "'s final boundary");
-                        nowSec = tick.timeSec;
-                        commitTick(si, tick);
-                        fireSamples();
-                        tTick = executor.nextBoundarySec();
-                    } while (tTick < bound &&
-                             std::make_pair(tTick, si) < other &&
-                             !arrivalDue(tTick));
-                    node.value().first = tTick;
-                    idx_[si].boundarySec = tTick;
-                    boundaryQueue_.insert(std::move(node));
-                }
-            } else {
-                // Single-tick path: a pending deferral, a parked
-                // suspension or already-urgent queue, or a bound at
-                // the head boundary (e.g. a shard in its final window,
-                // a join cut, a mid-replay LLM release, an urgency
-                // crossing).
-                Shard& sh = shards_[boundaryShard];
-                WindowTick tick = sh.executor.advance();
-                commitTick(boundaryShard, tick);
-                // Boundary preemption: an urgent request is waiting,
-                // no shard can take it, and this replay just reached
-                // a cut point with windows still ahead — suspend it
-                // here; the next loop iteration dispatches the urgent
-                // batch onto the freed shard. When the tick ended the
-                // dispatch the shard frees naturally (preempting at
-                // the last window is the degenerate no-op), and a
-                // shard already parking a suspended replay is never
-                // preempted again (depth 1).
-                if (!tick.dispatchDone && !sh.hasSuspended &&
-                    urgentQueued(nowSec) && !anyCandidate(true)) {
-                    sh.suspended = sh.executor.suspend();
-                    sh.hasSuspended = true;
-                    sh.suspendedKey = sh.lastKey;
-                    // The remaining windows will be re-charged at
-                    // resume.
-                    sh.busySec -= sh.suspended.remainingSec;
-                    ++sh.preemptions;
-                    if (rec) {
-                        rec->trace().instantVirtual(
-                            boundaryShard + 1, "preempt",
-                            "preemption", tick.timeSec,
-                            {obs::argInt("next_window",
-                                         static_cast<long long>(
-                                             sh.suspended.window)),
-                             obs::argNum(
-                                 "remaining_sec",
-                                 sh.suspended.remainingSec)});
-                        // suspend() just marked every still-riding
-                        // request preempted; tag their lifecycle
-                        // tracks.
-                        for (const BatchGroup& group :
-                             sh.suspended.dispatch.groups)
-                            for (const Request& req : group.requests)
-                                if (req.preempted)
-                                    rec->trace().asyncInstantVirtual(
-                                        static_cast<std::uint64_t>(
-                                            req.id),
-                                        "preempted", "request",
-                                        tick.timeSec);
-                        rec->metrics()
-                            .counter("preemption.suspends")
-                            .inc();
-                    }
-                }
-                // Continuous-batching join cut: waiters queued for the
-                // model decoding on this shard, and the replay just
-                // reached a step-aligned boundary with steps still
-                // ahead — cut the round here (suspend without the
-                // preemption mark), credit the riders with the steps
-                // already replayed, and send everyone back to the
-                // decode queue. The next iteration's step 1.5 forms
-                // the merged round on the freed shard. Riders cannot
-                // finish mid-round (the round's step count never
-                // exceeds any rider's remaining tokens), so all of
-                // them re-queue.
-                if (llmEnabled_ && !tick.dispatchDone &&
-                    !sh.hasSuspended && sh.executor.busy() &&
-                    options_.serving.admission.llmBatching ==
-                        LlmBatchingMode::Continuous) {
-                    const Dispatch& running = sh.executor.dispatch();
-                    const int model =
-                        running.llmDecodeSteps > 0
-                            ? running.groups.front().catalogIdx
-                            : -1;
-                    const int perStep =
-                        static_cast<int>(sh.executor.windowsPerStep());
-                    if (model >= 0 &&
-                        admission.decodeQueuedCount(model) > 0 &&
-                        (tick.windowIdx + 1) % perStep == 0) {
-                        const int stepsDone =
-                            (tick.windowIdx + 1) / perStep;
-                        SuspendedReplay cut =
-                            sh.executor.suspend(false);
-                        sh.busySec -= cut.remainingSec;
-                        --llmStreams_[model];
-                        ++llmJoins_;
-                        int riders = 0;
-                        for (BatchGroup& group : cut.dispatch.groups) {
-                            for (Request& req : group.requests) {
-                                if (req.ridingDecodeSteps > 0)
-                                    req.generatedTokens += stepsDone;
-                                req.ridingDecodeSteps = 0;
-                                req.completionSec = -1.0;
-                                admission.enqueueDecode(req);
-                                ++riders;
-                            }
-                        }
-                        ++queueEpoch;
-                        if (rec) {
-                            rec->trace().instantVirtual(
-                                boundaryShard + 1, "decode-join",
-                                "llm", tick.timeSec,
-                                {obs::argInt(
-                                     "riders",
-                                     static_cast<long long>(riders)),
-                                 obs::argInt(
-                                     "steps_done",
-                                     static_cast<long long>(
-                                         stepsDone))});
-                            rec->metrics()
-                                .counter("llm.joins")
-                                .inc();
-                        }
-                    }
-                }
-                syncShard(static_cast<std::size_t>(boundaryShard));
-            }
-        }
-        // Pending-ready, timer, and urgency events need no action
-        // beyond advancing the clock: the loop head fires next
-        // iteration.
+        ++next_;
+        ++queueEpoch_;
     }
 
-    materializedMixes_ = admission.materializedMixes();
-
-    // Promote stray speculative solves so stats and cache sizes are
-    // settled (and no background work bleeds past the run).
-    for (const auto& cache : caches_)
-        cache->drainInFlight();
-
-    ScheduleCacheStats delta;
-    long cachedMixes = 0;
-    for (const auto& cache : caches_) {
-        const ScheduleCacheStats s = cache->stats();
-        delta.hits += s.hits;
-        delta.misses += s.misses;
-        delta.evictions += s.evictions;
-        cachedMixes += static_cast<long>(cache->size());
+    /** Fixed-interval sampling on the virtual clock. The fleet state is
+     *  piecewise-constant between events (sample-and-hold), so the value
+     *  at each scheduled instant is the value now; rows are stamped with
+     *  the scheduled time, and the headline series double as ph = C
+     *  counter tracks in the trace. Fired at the loop head and after each
+     *  fast-forwarded tick. */
+    void fireSamples()
+    {
+        while (rec_ && rec_->samples().due(nowSec_)) {
+            const double atSec = rec_->samples().nextSampleSec();
+            const double queueDepth = admission_.queuedCount();
+            int busyShards = 0;
+            for (const Shard& shard : shards_)
+                busyShards += shard.executor.busy() ? 1 : 0;
+            const long long cacheHits =
+                rec_->metrics().counter("cache.hits").value();
+            const long long cacheMisses =
+                rec_->metrics().counter("cache.misses").value();
+            const double hitRate =
+                cacheHits + cacheMisses > 0
+                    ? static_cast<double>(cacheHits) /
+                          static_cast<double>(cacheHits + cacheMisses)
+                    : 0.0;
+            std::vector<double> row{
+                queueDepth, static_cast<double>(busyShards), hitRate};
+            for (const Shard& shard : shards_)
+                row.push_back(shard.executor.busy() ? 1.0 : 0.0);
+            for (std::size_t m = 0; m < fleet_.catalog_.size(); ++m)
+                row.push_back(
+                    admission_.queuedCount(static_cast<int>(m)));
+            rec_->samples().push(row);
+            rec_->trace().counterVirtual("queue_depth", atSec, queueDepth);
+            rec_->trace().counterVirtual("busy_shards", atSec, busyShards);
+            rec_->trace().counterVirtual("cache_hit_rate", atSec, hitRate);
+        }
     }
-    delta.hits -= before.hits;
-    delta.misses -= before.misses;
-    delta.evictions -= before.evictions;
 
-    long dispatches = 0;
-    for (const Shard& shard : shards_)
-        dispatches +=
-            shard.executor.dispatchCount() - shard.dispatchesBefore;
+    /** Debug-build run invariants (Release pays nothing): every trace
+     *  request retires exactly once — compared as id multisets, so a
+     *  trace reusing ids still balances — and every record is stamped
+     *  arrival <= dispatch <= completion. */
+    void auditRun() const
+    {
+#ifndef NDEBUG
+        std::vector<std::int64_t> offered;
+        std::vector<std::int64_t> retired;
+        for (const Request& req : trace_)
+            offered.push_back(req.id);
+        for (const Request& req : fleet_.records_) {
+            SCAR_ASSERT(req.arrivalSec <= req.dispatchSec &&
+                            req.dispatchSec <= req.completionSec,
+                        "fleet: request ", req.id,
+                        " stamped out of order");
+            retired.push_back(req.id);
+        }
+        std::sort(offered.begin(), offered.end());
+        std::sort(retired.begin(), retired.end());
+        SCAR_ASSERT(offered == retired, "fleet: ", trace_.size(),
+                    " trace requests but ", fleet_.records_.size(),
+                    " retirements, or one retired twice");
+#endif
+    }
 
-    std::vector<std::string> modelNames;
-    modelNames.reserve(catalog_.size());
-    for (const ServedModel& sm : catalog_)
-        modelNames.push_back(sm.model.name);
-    ServingReport report = summarizeServing(
-        records_, static_cast<long>(trace.size()), dispatches,
-        paddedSlots, delta, cachedMixes, modelNames);
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-        const Shard& shard = shards_[s];
-        ShardReport sr;
-        sr.shardIdx = static_cast<int>(s);
-        sr.mcmName = templates_[s].name();
-        sr.dispatches =
-            shard.executor.dispatchCount() - shard.dispatchesBefore;
-        sr.busySec = shard.busySec;
-        sr.utilization = report.horizonSec > 0.0
-                             ? shard.busySec / report.horizonSec
-                             : 0.0;
-        sr.solveStallSec = shard.solveStallSec;
-        sr.switchOverheadSec = shard.switchOverheadSec;
-        sr.preemptions = shard.preemptions;
-        report.solveStallSec += shard.solveStallSec;
-        report.switchOverheadSec += shard.switchOverheadSec;
-        report.preemptions += shard.preemptions;
-        report.resumeOverheadSec += shard.resumeOverheadSec;
-        report.shards.push_back(sr);
+    /** Moves the virtual clock, which never runs backwards. */
+    void advanceTo(double tSec)
+    {
+#ifndef NDEBUG
+        SCAR_ASSERT(tSec >= nowSec_, "fleet: virtual time moved back to ",
+                    tSec, " from ", nowSec_);
+#endif
+        nowSec_ = tSec;
     }
-    report.preemptionEnabled = options_.serving.preemption.enabled;
-    report.llmEnabled = llmEnabled_;
-    if (llmEnabled_) {
-        report.llmDecodeRounds = llmDecodeRounds_;
-        report.llmJoins = llmJoins_;
-        report.llmMeanDecodeBatch =
-            llmDecodeRounds_ > 0
-                ? static_cast<double>(llmBoardedSum_) /
-                      static_cast<double>(llmDecodeRounds_)
-                : 0.0;
+
+    /** A candidate shard exists; mirrors routeDispatch's rule that a
+     *  shard parking a suspended replay only counts for urgent
+     *  dispatches. */
+    bool anyCandidate(bool urgent) const
+    {
+        return !fleet_.freeShards_.empty() ||
+               (urgent && !fleet_.suspendedIdle_.empty());
     }
-    if (rec) {
-        rec->metrics().gauge("horizon_sec").set(report.horizonSec);
-        rec->metrics()
-            .gauge("throughput_rps")
-            .set(report.throughputRps);
-        rec->metrics()
-            .gauge("slo_violation_rate")
-            .set(report.sloViolationRate);
-        rec->metrics()
-            .gauge("batch_occupancy")
-            .set(report.batchOccupancy);
+
+    /** Preemption-eligibility: some queued request's slack has shrunk to
+     *  the threshold. Gated on `enabled` first so a disabled run never
+     *  evaluates the urgency predicates (bit-identical to the
+     *  non-preemptive runtime). */
+    bool urgentQueued() const
+    {
+        return preemption_.enabled &&
+               admission_.urgentQueued(nowSec_,
+                                       preemption_.slackThresholdSec);
     }
-    report.contestedRoutes = contestedRoutes_;
-    report.costOptimalRoutes = costOptimalRoutes_;
-    report.costOptimalRouteFrac =
-        contestedRoutes_ > 0
-            ? static_cast<double>(costOptimalRoutes_) /
-                  static_cast<double>(contestedRoutes_)
-            : 1.0;
-    inform("fleet: ", report.completed, "/", report.offered,
-           " requests over ", shards_.size(), " shard(s) (",
-           routingPolicyName(options_.routing), ") in ",
-           report.dispatches, " dispatches, ", delta.misses,
-           " schedule solves (", cachedMixes, " mixes cached)");
-    if (options_.serving.preemption.enabled)
-        inform("fleet: ", report.preemptions,
-               " boundary preemptions, ", report.preemptedRequests,
-               " preempted requests resumed");
-    if (llmEnabled_)
-        inform("fleet: ", report.llmDecodeRounds, " decode rounds, ",
-               report.llmJoins, " continuous-batching joins");
-    return report;
+
+    /** The next urgency crossing: the same FP expression as the
+     *  per-tick urgency predicate, which the fast-forward's urgency
+     *  term relies on. */
+    double urgencyCrossingSec() const
+    {
+        return admission_.earliestDeadlineSec() -
+               preemption_.slackThresholdSec;
+    }
+
+    /** The mix the next dispatch would board. An urgent batch boards
+     *  only the models holding an urgent request (shortest possible
+     *  fast lane). */
+    MixPeek peekNext(bool urgent) const
+    {
+        return urgent ? admission_.peekUrgentMix(
+                            nowSec_, preemption_.slackThresholdSec)
+                      : admission_.peekMix();
+    }
+
+    /** Cache counters summed over the fleet's caches; `entries`
+     *  receives their resident schedule count. */
+    static ScheduleCacheStats
+    cacheTotals(const std::vector<std::unique_ptr<AsyncScheduleCache>>& caches,
+                long* entries = nullptr)
+    {
+        ScheduleCacheStats total;
+        for (const auto& cache : caches) {
+            const ScheduleCacheStats s = cache->stats();
+            total.hits += s.hits;
+            total.misses += s.misses;
+            total.evictions += s.evictions;
+            if (entries != nullptr)
+                *entries += static_cast<long>(cache->size());
+        }
+        return total;
+    }
+
+    FleetSimulator& fleet_;
+    std::vector<Shard>& shards_;
+    const FleetOptions& options_;
+    const std::vector<Request>& trace_;
+    // Flight recorder: nullptr is the disabled state, and every hook
+    // sits behind that check — a disabled run does no observability
+    // work and stays byte-identical to an uninstrumented build. All
+    // recorded events carry virtual timestamps and are emitted from
+    // this single-threaded loop, so an enabled trace is deterministic
+    // at any solver thread count.
+    obs::FlightRecorder* const rec_;
+    const PreemptionOptions& preemption_;
+    const bool continuous_;  ///< LLM continuous batching
+    const bool speculating_; ///< speculative solves hide a modeled cost
+    AdmissionController admission_;
+    /** One compute closure per shard: a schedule is only meaningful
+     *  for the package it was searched on. */
+    std::vector<ScheduleCache::ComputeFn> computes_;
+    ScheduleCacheStats before_; ///< cache counters at run start
+    std::size_t next_ = 0;      ///< next arrival to admit
+    double nowSec_ = 0.0;
+    // The speculative peek only changes when the queues do; skip the
+    // peek (its signature build and cache probes) on the (frequent)
+    // other events.
+    long queueEpoch_ = 0;
+    long lastSpeculativeEpoch_ = -1;
+    long paddedSlots_ = 0;
+    /** In-flight decode rounds (parked or replaying) per catalog
+     *  model. Continuous batching dispatches a second concurrent
+     *  round for a model only when a full batch of waiters exists;
+     *  otherwise waiters join the running stream at its next step
+     *  boundary. */
+    std::vector<int> llmStreams_;
+    long llmDecodeRounds_ = 0;
+    long llmJoins_ = 0;
+    long llmBoardedSum_ = 0; ///< riders across all decode rounds
+};
+
+ServingReport
+FleetSimulator::run(const std::vector<Request>& trace)
+{
+    Loop loop(*this, trace);
+    while (loop.step()) {
+    }
+    return loop.finishReport();
 }
 
 } // namespace runtime

@@ -6,33 +6,38 @@
  * asynchronous (future-backed) schedule solves. The step from one
  * package toward the "millions of users" scale of the roadmap.
  *
- * Event loop (one virtual clock across the fleet):
- *  - arrivals enqueue into the shared admission controller;
- *  - when a batch is ready and a shard is free, the dispatch forms
- *    and consults that shard's AsyncScheduleCache: a ready schedule
- *    starts replaying immediately (plus a modeled weight re-staging
- *    overhead when the shard switches mixes); an unsolved mix starts
- *    a background solve and the shard waits until the solve's
- *    *virtual* ready instant — that wait is the reported solve-stall
- *    time;
- *  - when a batch is ready but every shard is busy, the would-be
- *    mix's solve is started speculatively in the background for the
- *    shard the dispatch is predicted to land on, so the search
- *    overlaps the in-flight replays instead of stalling them (the
- *    PR 1 executor blocked the whole loop here). No solve is
- *    launched when the predicted target already holds the schedule;
- *  - boundary preemption (opt-in, PreemptionOptions): when a queued
- *    request's slack shrinks to the threshold while every shard is
- *    occupied, the first in-flight replay to cross a window boundary
- *    is suspended there (executor.h SuspendedReplay), the urgent
- *    models' batch dispatches onto the freed shard, and the
- *    suspended replay resumes from its saved cursor once the shard
- *    quiets down — charged a modeled re-staging overhead on the
- *    virtual clock, never re-solved. A shard parks at most one
- *    suspended replay (no nested preemption), non-urgent dispatches
- *    cannot claim a shard that owes a resume, and a replay already
- *    in its last window is never suspended (preempting there is a
- *    no-op — the shard frees at that boundary anyway).
+ * Event loop (one virtual clock across the fleet): run() drives a
+ * per-run FleetSimulator::Loop (fleet.cc). Each iteration fires the
+ * due samples and goes to the first of these handlers that acts:
+ *  - resumeIdle: once no urgent request is queued, a replay suspended
+ *    by boundary preemption resumes from its cursor, charged a
+ *    modeled re-staging overhead, never re-solved;
+ *  - startDue: a parked dispatch whose schedule's *virtual* ready
+ *    instant has come starts replaying (plus a weight re-staging
+ *    overhead when the shard switches mixes); the wait up to that
+ *    instant is the reported solve-stall time;
+ *  - dispatchDecode / dispatchReady: LLM decode waiters, or a ready
+ *    (or urgent) batch, are routed, formed and parked on a shard,
+ *    whose AsyncScheduleCache finds the schedule or starts solving it.
+ * When none acts, speculate starts the would-be mix's solve in the
+ * background for the shard the dispatch is predicted to land on
+ * (unless that shard already holds the schedule), so the search
+ * overlaps the in-flight replays instead of stalling them; then
+ * nextEvent moves the clock to the next arrival (commitArrival),
+ * window boundary (fastForward, or tickOnce with its preemptAt and
+ * joinCut checks), solve-ready, batching-timer or urgency instant.
+ *
+ * Boundary preemption (opt-in, PreemptionOptions): when a queued
+ * request's slack shrinks to the threshold while every shard is
+ * occupied, preemptAt suspends the replay crossing a window boundary
+ * (executor.h SuspendedReplay) and the urgent models' batch takes the
+ * freed shard. A shard parks at most one suspended replay (no nested
+ * preemption), non-urgent dispatches cannot claim a shard that owes a
+ * resume, and a replay already in its last window is never suspended
+ * (preempting there is a no-op — the shard frees at that boundary
+ * anyway). joinCut (LLM continuous batching) cuts a decode round with
+ * new waiters at a step-aligned boundary, so the next round boards
+ * old and new sequences together.
  *
  * Heterogeneous fleets: FleetOptions::shardTemplates gives each shard
  * its own McmConfig-style package (e.g. an NVDLA-heavy package for
@@ -62,23 +67,17 @@
  *
  * Calendar fast-forward: between two consecutive *routing-decision*
  * events, the only events in the fleet are window-boundary crossings
- * — pure replay bookkeeping that touches one shard each. run()
- * exploits that: it computes the conservative lookahead bound B as
- * the min over every next-possible-routing-decision term — next
- * arrival, min parked-solve ready, batching timer, speculation
- * instant, earliest busy shard's replay end, plus (LLM fleets) the
- * earliest step-aligned join cut a decode replay with fresh waiters
- * could take and the earliest mid-replay autoregressive completion
- * (it enqueues decode waiters), plus (preemptive fleets) the next
- * urgency crossing on the same FP expression as the urgency timer —
- * and crosses every boundary strictly before B straight off the
- * boundary queue, in the (time, shard index) order the event loop
- * would have picked them, without re-entering the loop head. The
- * report, trace, and sampler rows are exactly those of a one-tick-
- * per-iteration loop. The fast-forward is skipped only around a
- * deferred dispatch and while a preempted replay awaits its resume
- * (both re-inspect the fleet after every tick); docs/ARCHITECTURE.md
- * tabulates every bound term with its conservativeness argument.
+ * — pure replay bookkeeping that touches one shard each. fastForward
+ * exploits that: it crosses every boundary strictly before a
+ * conservative lookahead bound B (forwardBound: the min over every
+ * next-possible-routing-decision term) straight off the boundary
+ * queue, in the (time, shard index) order tickOnce would take them,
+ * without re-entering the loop head. The report, trace, and sampler
+ * rows are exactly those of a one-tick-per-iteration loop. The
+ * fast-forward is skipped only around a deferred dispatch and while a
+ * preempted replay awaits its resume (both re-inspect the fleet after
+ * every tick); docs/ARCHITECTURE.md tabulates every bound term with
+ * its conservativeness argument.
  *
  * Event calendar: the per-event O(shards) scans of the serial loop
  * (next boundary, next parked-ready, candidate checks) are replaced
@@ -360,6 +359,8 @@ class FleetSimulator
     double estimateMakespanSec(int shard, const Scenario& mix);
 
   private:
+    class Loop; ///< one run()'s event loop (fleet.cc)
+
     struct Shard
     {
         ReplayExecutor executor;
@@ -535,17 +536,18 @@ class FleetSimulator
                           bool urgent);
 
     /**
-     * Restarts a shard's suspended replay at nowSec plus the modeled
-     * resume overhead, restoring the busy/accounting state suspension
-     * subtracted. Requires an idle shard with a parked replay.
+     * Shards ordered cheapest-first within each previous-mix class
+     * (byClass), plus the head (cheapest entry) of every non-empty
+     * class, globally ordered (heads).
      */
-    void resumeSuspended(Shard& shard, double nowSec);
+    struct ClassedIndex
+    {
+        std::map<std::string, std::set<std::pair<double, int>>> byClass;
+        std::set<std::tuple<double, int, std::string>> heads;
 
-    /** Ordered (key, shard) indexes: class -> cheapest-first shards. */
-    using ClassIndex =
-        std::map<std::string, std::set<std::pair<double, int>>>;
-    /** The head (cheapest entry) of every class, globally ordered. */
-    using ClassHeads = std::set<std::tuple<double, int, std::string>>;
+        void insert(const std::string& cls, std::pair<double, int> entry);
+        void erase(const std::string& cls, std::pair<double, int> entry);
+    };
 
     /**
      * One routing pod: the shards sharing a (package template,
@@ -563,10 +565,8 @@ class FleetSimulator
     struct Pod
     {
         std::vector<int> shards;
-        ClassIndex freeByClass; ///< (busySec, shard) per class
-        ClassHeads freeHeads;
-        ClassIndex occByClass;  ///< (availEndSec, shard) per class
-        ClassHeads occHeads;
+        ClassedIndex idle;     ///< (busySec, shard) per class
+        ClassedIndex occupied; ///< (availEndSec, shard) per class
     };
 
     /** The calendar/index keys shard s is currently registered
@@ -603,20 +603,20 @@ class FleetSimulator
     void rebuildCalendar();
 
     /**
-     * The candidate representatives for mixSig: for every pod, the
-     * cheapest idle shard of the matching / never-dispatched classes
-     * and the cheapest idle shard that would pay a switch — at most
-     * two per pod, covering the pod's full candidate cost range —
-     * sorted by shard index so a fold over them applies the
-     * index-order tie-breaks. The matching class is the pod probe's
-     * key.
+     * The candidate representatives for the probed mix in one pod
+     * index (Pod::idle or Pod::occupied): for every pod, the cheapest
+     * shard of the matching / never-dispatched classes and the
+     * cheapest shard that would pay a switch — at most two per pod,
+     * covering the pod's full cost range — sorted by shard index so a
+     * fold over them applies the index-order tie-breaks. The matching
+     * class is the pod probe's key. Occupied shards are keyed by
+     * availability instant, and always hold a non-empty class (they
+     * replay or park a dispatch), so there the representatives are
+     * the earliest-available shards of the matching class and of the
+     * cheapest switching class.
      */
-    std::vector<int> candidateReps(RoutingProbes& probes);
-
-    /** As candidateReps, for the occupied (busy or parked) shards:
-     *  the earliest-available shard of the matching class and of the
-     *  cheapest switching class per pod. */
-    std::vector<int> occupiedReps(RoutingProbes& probes);
+    std::vector<int> classReps(RoutingProbes& probes,
+                               ClassedIndex Pod::*index);
 
     /**
      * BestFit's deferral-horizon rule: deferring to occupied shard s
@@ -627,19 +627,6 @@ class FleetSimulator
      */
     bool deferralWithinHorizon(std::size_t s, RoutingProbes& probes,
                                double nowSec);
-
-    /**
-     * Parks a dispatch formed from the probed mix on shard `target`
-     * until its schedule's virtual ready instant: looks the
-     * (mix, package) key up in the shard's cache (starting a
-     * background solve on a miss), records the projected replay end
-     * BestFit charges for the parked shard, and books the solve stall
-     * and the cache/`counter` metrics.
-     */
-    void parkDispatch(int target, RoutingProbes& probes,
-                      Dispatch dispatch, double nowSec,
-                      const ScheduleCache::ComputeFn& compute,
-                      const char* counter);
 
     std::vector<ServedModel> catalog_;
     FleetOptions options_;
@@ -681,16 +668,6 @@ class FleetSimulator
      *  strictly before the first boundary where one could occur and
      *  leaves that tick to the single-tick path. */
     bool llmEnabled_ = false;
-    /** In-flight decode rounds (parked or replaying) per catalog
-     *  model. Continuous batching dispatches a second concurrent
-     *  round for a model only when a full batch of waiters exists;
-     *  otherwise waiters join the running stream at its next step
-     *  boundary. */
-    std::vector<int> llmStreams_;
-    // Per-run LLM accounting (reset by run()).
-    long llmDecodeRounds_ = 0;
-    long llmJoins_ = 0;
-    long llmBoardedSum_ = 0; ///< riders across all decode rounds
 };
 
 } // namespace runtime

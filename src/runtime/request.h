@@ -144,6 +144,12 @@ struct Request
     /** End-to-end latency; only meaningful once completed. */
     double latencySec() const { return completionSec - arrivalSec; }
 
+    /** Admission/batching/routing delay before the replay started. */
+    double queueSec() const { return dispatchSec - arrivalSec; }
+
+    /** Replay time, suspension gaps included; once completed. */
+    double execSec() const { return completionSec - dispatchSec; }
+
     /** True when the request completed past its deadline. */
     bool
     sloViolated() const

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "common/error.h"
 
@@ -13,17 +14,39 @@ namespace runtime
 namespace
 {
 
-/** Nearest-rank percentile of an ascending-sorted sample. */
-double
-sortedPercentile(const std::vector<double>& sorted, double p)
+/** 0-based index of the nearest-rank p-th percentile of n values:
+ *  the ceil(p/100 * n)-th smallest (1-based). */
+std::size_t
+rankIndex(std::size_t n, double p)
 {
     SCAR_REQUIRE(p >= 0.0 && p <= 100.0, "percentile out of range: ", p);
-    if (sorted.empty())
-        return 0.0;
-    // The ceil(p/100 * n)-th smallest value (1-based).
-    const std::size_t rank = static_cast<std::size_t>(
-        std::ceil(p / 100.0 * sorted.size()));
-    return sorted[rank == 0 ? 0 : rank - 1];
+    const std::size_t rank =
+        static_cast<std::size_t>(std::ceil(p / 100.0 * n));
+    return rank == 0 ? 0 : rank - 1;
+}
+
+/**
+ * Mean and nearest-rank p50 / p95 / p99 of a non-empty sample given
+ * in request order, so the mean's sum accumulates in that order. The
+ * sample is then reordered: each selection runs on the part above the
+ * previous rank, which holds every larger order statistic, so the
+ * values equal those of a full sort.
+ */
+void
+summarize(std::vector<double>& values, double& mean, double& p50,
+          double& p95, double& p99)
+{
+    mean = std::accumulate(values.begin(), values.end(), 0.0) /
+           values.size();
+    auto from = values.begin();
+    for (const auto& [p, out] : {std::pair<double, double*>{50.0, &p50},
+                                 {95.0, &p95},
+                                 {99.0, &p99}}) {
+        const auto nth = values.begin() + rankIndex(values.size(), p);
+        std::nth_element(from, nth, values.end());
+        *out = *nth;
+        from = nth;
+    }
 }
 
 } // namespace
@@ -31,8 +54,12 @@ sortedPercentile(const std::vector<double>& sorted, double p)
 double
 percentileSec(std::vector<double> latencies, double p)
 {
-    std::sort(latencies.begin(), latencies.end());
-    return sortedPercentile(latencies, p);
+    const std::size_t idx = rankIndex(latencies.size(), p);
+    if (latencies.empty())
+        return 0.0;
+    std::nth_element(latencies.begin(), latencies.begin() + idx,
+                     latencies.end());
+    return latencies[idx];
 }
 
 ServingReport
@@ -46,18 +73,30 @@ summarizeServing(const std::vector<Request>& requests, long offered,
     report.dispatches = dispatches;
     report.cache = cacheStats;
     report.uniqueMixes = uniqueMixes;
+    report.perModel.resize(modelNames.size());
+    // Per model: its completed requests' indices, in request order.
+    std::vector<std::vector<std::size_t>> members(modelNames.size());
 
+    // One pass, grouped by model. Per model, latency = queue + exec:
+    // (dispatch - arrival) is admission/batching/routing delay,
+    // (completion - dispatch) the replay (suspension gaps included for
+    // preempted requests). Autoregressive requests add TTFT (arrival
+    // -> first token, i.e. the prefill completion) and TPOT (decode
+    // cadence over the remaining outputTokens - 1 tokens).
     std::vector<double> latencies;
     latencies.reserve(requests.size());
     std::vector<double> preemptedLatencies;
-    double sum = 0.0;
-    for (const Request& req : requests) {
+    std::vector<double> ttfts;
+    double tpotSum = 0.0;
+    long tpotCount = 0;
+    std::int64_t genTokens = 0;
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+        const Request& req = requests[i];
         if (!req.completed())
             continue;
         ++report.completed;
         const double lat = req.latencySec();
         latencies.push_back(lat);
-        sum += lat;
         report.maxLatencySec = std::max(report.maxLatencySec, lat);
         report.horizonSec =
             std::max(report.horizonSec, req.completionSec);
@@ -67,110 +106,72 @@ summarizeServing(const std::vector<Request>& requests, long offered,
             ++report.preemptedRequests;
             preemptedLatencies.push_back(lat);
         }
-    }
-    if (!preemptedLatencies.empty()) {
-        std::sort(preemptedLatencies.begin(),
-                  preemptedLatencies.end());
-        report.preemptedP99Sec =
-            sortedPercentile(preemptedLatencies, 99.0);
-    }
-    // Autoregressive token metrics: TTFT (arrival -> first token,
-    // i.e. the prefill completion) and TPOT (decode cadence over the
-    // remaining outputTokens - 1 tokens).
-    {
-        std::vector<double> ttfts;
-        double ttftSum = 0.0;
-        double tpotSum = 0.0;
-        long tpotCount = 0;
-        std::int64_t genTokens = 0;
-        for (const Request& req : requests) {
-            if (!req.completed() || req.outputTokens <= 0)
-                continue;
+        if (req.outputTokens > 0) {
             ++report.llmRequests;
             genTokens += req.outputTokens;
-            const double ttft = req.ttftSec();
-            ttfts.push_back(ttft);
-            ttftSum += ttft;
+            ttfts.push_back(req.ttftSec());
             if (req.outputTokens > 1) {
                 tpotSum += (req.completionSec - req.firstTokenSec) /
                            (req.outputTokens - 1);
                 ++tpotCount;
             }
         }
-        if (report.llmRequests > 0) {
-            report.meanTtftSec = ttftSum / report.llmRequests;
-            std::sort(ttfts.begin(), ttfts.end());
-            report.p99TtftSec = sortedPercentile(ttfts, 99.0);
-        }
-        if (tpotCount > 0)
-            report.meanTpotSec = tpotSum / tpotCount;
-        if (report.horizonSec > 0.0)
-            report.genTokensPerSec = genTokens / report.horizonSec;
+        if (req.modelIdx < 0 ||
+            req.modelIdx >= static_cast<int>(modelNames.size()))
+            continue;
+        ModelServingBreakdown& mb = report.perModel[req.modelIdx];
+        ++mb.completed;
+        if (req.sloViolated())
+            ++mb.sloViolations;
+        members[req.modelIdx].push_back(i);
+    }
+    if (!preemptedLatencies.empty())
+        report.preemptedP99Sec =
+            percentileSec(std::move(preemptedLatencies), 99.0);
+    if (report.llmRequests > 0) {
+        report.meanTtftSec =
+            std::accumulate(ttfts.begin(), ttfts.end(), 0.0) /
+            report.llmRequests;
+        report.p99TtftSec = percentileSec(std::move(ttfts), 99.0);
+    }
+    if (tpotCount > 0)
+        report.meanTpotSec = tpotSum / tpotCount;
+    if (report.horizonSec > 0.0) {
+        report.genTokensPerSec = genTokens / report.horizonSec;
+        report.throughputRps = report.completed / report.horizonSec;
     }
     if (report.completed > 0) {
-        report.meanLatencySec = sum / report.completed;
-        std::sort(latencies.begin(), latencies.end());
-        report.p50LatencySec = sortedPercentile(latencies, 50.0);
-        report.p95LatencySec = sortedPercentile(latencies, 95.0);
-        report.p99LatencySec = sortedPercentile(latencies, 99.0);
+        summarize(latencies, report.meanLatencySec, report.p50LatencySec,
+                  report.p95LatencySec, report.p99LatencySec);
         report.sloViolationRate =
             static_cast<double>(report.sloViolations) / report.completed;
     }
-    if (report.horizonSec > 0.0)
-        report.throughputRps = report.completed / report.horizonSec;
     if (paddedSlots > 0)
         report.batchOccupancy =
             static_cast<double>(report.completed) / paddedSlots;
 
-    // Per-model queue-wait vs execution decomposition. latency =
-    // (dispatch - arrival) + (completion - dispatch): the first term
-    // is admission/batching/routing delay, the second the replay
-    // (suspension gaps included for preempted requests).
-    report.perModel.resize(modelNames.size());
+    // Each model's samples are rebuilt from its member indices into one
+    // scratch buffer, so one sample is held at a time.
+    std::vector<double> sample;
     for (std::size_t m = 0; m < modelNames.size(); ++m) {
         ModelServingBreakdown& mb = report.perModel[m];
         mb.modelIdx = static_cast<int>(m);
         mb.name = modelNames[m];
-        std::vector<double> total;
-        std::vector<double> queue;
-        std::vector<double> exec;
-        double totalSum = 0.0;
-        double queueSum = 0.0;
-        double execSum = 0.0;
-        for (const Request& req : requests) {
-            if (!req.completed() ||
-                req.modelIdx != static_cast<int>(m))
-                continue;
-            ++mb.completed;
-            if (req.sloViolated())
-                ++mb.sloViolations;
-            const double lat = req.latencySec();
-            const double queueSec = req.dispatchSec - req.arrivalSec;
-            const double execSec = req.completionSec - req.dispatchSec;
-            total.push_back(lat);
-            queue.push_back(queueSec);
-            exec.push_back(execSec);
-            totalSum += lat;
-            queueSum += queueSec;
-            execSum += execSec;
-        }
         if (mb.completed == 0)
             continue;
-        std::sort(total.begin(), total.end());
-        std::sort(queue.begin(), queue.end());
-        std::sort(exec.begin(), exec.end());
-        mb.meanLatencySec = totalSum / mb.completed;
-        mb.p50LatencySec = sortedPercentile(total, 50.0);
-        mb.p95LatencySec = sortedPercentile(total, 95.0);
-        mb.p99LatencySec = sortedPercentile(total, 99.0);
-        mb.meanQueueSec = queueSum / mb.completed;
-        mb.p50QueueSec = sortedPercentile(queue, 50.0);
-        mb.p95QueueSec = sortedPercentile(queue, 95.0);
-        mb.p99QueueSec = sortedPercentile(queue, 99.0);
-        mb.meanExecSec = execSum / mb.completed;
-        mb.p50ExecSec = sortedPercentile(exec, 50.0);
-        mb.p95ExecSec = sortedPercentile(exec, 95.0);
-        mb.p99ExecSec = sortedPercentile(exec, 99.0);
+        const auto fill = [&](double (Request::*value)() const)
+            -> std::vector<double>& {
+            sample.clear();
+            for (const std::size_t i : members[m])
+                sample.push_back((requests[i].*value)());
+            return sample;
+        };
+        summarize(fill(&Request::latencySec), mb.meanLatencySec,
+                  mb.p50LatencySec, mb.p95LatencySec, mb.p99LatencySec);
+        summarize(fill(&Request::queueSec), mb.meanQueueSec,
+                  mb.p50QueueSec, mb.p95QueueSec, mb.p99QueueSec);
+        summarize(fill(&Request::execSec), mb.meanExecSec,
+                  mb.p50ExecSec, mb.p95ExecSec, mb.p99ExecSec);
     }
     return report;
 }
