@@ -21,6 +21,19 @@ using namespace scar;
 namespace
 {
 
+/**
+ * Calibration anchor of the window-evaluation gate: the frozen
+ * tile-search kernel every micro suite anchors on (see
+ * bench::frozenWsTileSearch). BM_MaestroLiteGemm, which anchored this
+ * gate before, runs the live tile search and is gated itself.
+ */
+void
+BM_CostModelCalibrationGemm(benchmark::State& state)
+{
+    bench::runCalibrationGemm(state);
+}
+BENCHMARK(BM_CostModelCalibrationGemm);
+
 void
 BM_MaestroLiteConv(benchmark::State& state)
 {

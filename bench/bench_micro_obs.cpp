@@ -9,12 +9,10 @@
 #include <benchmark/benchmark.h>
 
 #include "micro_bench_main.h"
-#include "cost/maestro_lite.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/solve_profile.h"
 #include "obs/trace.h"
-#include "workload/layer.h"
 
 using namespace scar;
 
@@ -22,20 +20,15 @@ namespace
 {
 
 /**
- * Calibration anchor: the same GEMM evaluation the other micro suites
- * anchor on. Untouched by observability work, so its time tracks
- * machine speed and normalizes the gate across runners.
+ * Calibration anchor for scripts/check_bench_regression.py: the frozen
+ * tile-search kernel every micro suite anchors on (see
+ * bench::frozenWsTileSearch). No hot-path work touches it, so its time
+ * tracks machine speed and normalizes the gate across runners.
  */
 void
 BM_ObsCalibrationGemm(benchmark::State& state)
 {
-    const MaestroLite model;
-    ChipletSpec spec;
-    spec.dataflow = Dataflow::NvdlaWS;
-    const Layer gemm = makeGemmLayer(0, "g", 128, 5120, 1280);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(model.evalLayer(gemm, spec));
-    }
+    bench::runCalibrationGemm(state);
 }
 BENCHMARK(BM_ObsCalibrationGemm);
 

@@ -17,9 +17,7 @@
 
 #include "micro_bench_main.h"
 #include "common/thread_pool.h"
-#include "cost/maestro_lite.h"
 #include "runtime/fleet.h"
-#include "workload/layer.h"
 #include "workload/model_zoo.h"
 #include "workload/transformer_builder.h"
 
@@ -30,20 +28,15 @@ namespace
 {
 
 /**
- * Calibration anchor: the same GEMM evaluation the other micro suites
- * anchor on. Untouched by runtime work, so its time tracks machine
- * speed and normalizes the gate across runners.
+ * Calibration anchor for scripts/check_bench_regression.py: the frozen
+ * tile-search kernel every micro suite anchors on (see
+ * bench::frozenWsTileSearch). No hot-path work touches it, so its time
+ * tracks machine speed and normalizes the gate across runners.
  */
 void
 BM_RuntimeCalibrationGemm(benchmark::State& state)
 {
-    const MaestroLite model;
-    ChipletSpec spec;
-    spec.dataflow = Dataflow::NvdlaWS;
-    const Layer gemm = makeGemmLayer(0, "g", 128, 5120, 1280);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(model.evalLayer(gemm, spec));
-    }
+    bench::runCalibrationGemm(state);
 }
 BENCHMARK(BM_RuntimeCalibrationGemm);
 

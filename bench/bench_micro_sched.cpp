@@ -124,21 +124,15 @@ BM_ScarEvolutionary6x6(benchmark::State& state)
 BENCHMARK(BM_ScarEvolutionary6x6)->Unit(benchmark::kMillisecond);
 
 /**
- * Calibration anchor for scripts/check_bench_regression.py: MaestroLite
- * layer evaluation exercises no scheduler or cost-aggregation code, so
- * its time tracks machine speed, not this repo's hot-path work. Keep
- * it untouched by search optimizations.
+ * Calibration anchor for scripts/check_bench_regression.py: the frozen
+ * tile-search kernel every micro suite anchors on (see
+ * bench::frozenWsTileSearch). No hot-path work touches it, so its time
+ * tracks machine speed and normalizes the gate across runners.
  */
 void
 BM_CalibrationGemm(benchmark::State& state)
 {
-    const MaestroLite model;
-    ChipletSpec spec;
-    spec.dataflow = Dataflow::NvdlaWS;
-    const Layer gemm = makeGemmLayer(0, "g", 128, 5120, 1280);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(model.evalLayer(gemm, spec));
-    }
+    bench::runCalibrationGemm(state);
 }
 BENCHMARK(BM_CalibrationGemm);
 

@@ -1,5 +1,7 @@
 #include "bench_util.h"
 
+#include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 
@@ -140,6 +142,46 @@ microBenchArgs(const std::string& name, int argc, char** argv)
         args.push_back(std::string("--benchmark_min_time=") + minTime);
     }
     return args;
+}
+
+double
+frozenWsTileSearch(const Layer& layer, const ChipletSpec& spec)
+{
+    const auto ceilDiv = [](double a, double b) { return std::ceil(a / b); };
+    const auto& d = layer.dims;
+    const double k = static_cast<double>(d.k);
+    // Depthwise layers have no cross-channel reduction to parallelize.
+    const double c = layer.type == OpType::DepthwiseConv
+                         ? 1.0
+                         : static_cast<double>(d.c);
+    const double npes = spec.numPes;
+
+    // Search the K-tile size; the C-tile takes the remaining PEs.
+    // Cost = (#K passes) * (#C passes) * R*S*OY*OX cycles per sample;
+    // ties break toward the tiling with the least L2 traffic (input
+    // re-streams per K pass, partial-sum spills per extra C pass).
+    const int ktMax = static_cast<int>(std::min<double>(k, npes));
+    double bestPasses = 0.0;
+    double bestTraffic = 0.0;
+    double bestKt = 0.0;
+    double bestCt = 0.0;
+    for (int kt = 1; kt <= ktMax; ++kt) {
+        const double ct = std::min(c, std::floor(npes / kt));
+        if (ct < 1.0)
+            break;
+        const double passes = ceilDiv(k, kt) * ceilDiv(c, ct);
+        const double traffic =
+            layer.inputBytes() * ceilDiv(k, kt) +
+            2.0 * layer.outputBytes() * (ceilDiv(c, ct) - 1.0);
+        if (bestKt == 0.0 || passes < bestPasses ||
+            (passes == bestPasses && traffic < bestTraffic)) {
+            bestPasses = passes;
+            bestTraffic = traffic;
+            bestKt = kt;
+            bestCt = ct;
+        }
+    }
+    return bestPasses + bestTraffic + bestKt + bestCt;
 }
 
 int

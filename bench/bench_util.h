@@ -17,11 +17,13 @@
 #include <string>
 #include <vector>
 
+#include "arch/chiplet.h"
 #include "arch/mcm_templates.h"
 #include "baselines/standalone.h"
 #include "eval/pareto.h"
 #include "eval/scenario_suite.h"
 #include "sched/scar.h"
+#include "workload/layer.h"
 
 namespace scar
 {
@@ -86,6 +88,18 @@ std::string jsonPath(const std::string& name);
  */
 std::vector<std::string> microBenchArgs(const std::string& name,
                                         int argc, char** argv);
+
+/**
+ * Calibration kernel of the micro-bench regression gates: MaestroLite's
+ * weight-stationary K-tile search as it stood before the search learnt
+ * to visit only block starts, frozen verbatim — every kt in
+ * 1..min(K, numPes), two double divisions each. No hot-path work
+ * touches it, so its time tracks machine speed alone; on the
+ * calibration case (makeGemmLayer(0, "g", 128, 5120, 1280), 4096 PEs)
+ * it runs the 4096-iteration scan the committed baselines were
+ * recorded against. Returns a digest of the winning tiling.
+ */
+double frozenWsTileSearch(const Layer& layer, const ChipletSpec& spec);
 
 /** Environment knob with a fallback for unset/empty variables — the
  *  bench-smoke CI job shrinks sweep sizes through these. */

@@ -10,6 +10,10 @@
  *   int main(int argc, char** argv)
  *   { return scar::bench::runMicroBench("micro_sched", argc, argv); }
  *
+ * It also holds the iteration loop of the gates' calibration anchor
+ * (runCalibrationGemm), which needs the benchmark API for the same
+ * reason.
+ *
  * Behavior: always leaves bench_results/<name>.json (the
  * regression-gate artifact) and honors the SCAR_BENCH_MIN_TIME_S
  * smoke knob; explicit --benchmark_* flags win over both defaults
@@ -30,6 +34,26 @@ namespace scar
 {
 namespace bench
 {
+
+/**
+ * The regression gates' calibration anchor: frozenWsTileSearch on the
+ * 4096-PE GEMM. Each micro suite registers it under its own name
+ * (BM_CostModelCalibrationGemm, BM_CalibrationGemm, ...). The inputs
+ * pass through DoNotOptimize every iteration, so the scan cannot be
+ * folded or hoisted out of the loop.
+ */
+inline void
+runCalibrationGemm(benchmark::State& state)
+{
+    Layer gemm = makeGemmLayer(0, "g", 128, 5120, 1280);
+    ChipletSpec spec;
+    spec.dataflow = Dataflow::NvdlaWS;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(gemm);
+        benchmark::DoNotOptimize(spec);
+        benchmark::DoNotOptimize(frozenWsTileSearch(gemm, spec));
+    }
+}
 
 inline int
 runMicroBench(const std::string& name, int argc, char** argv)

@@ -9,7 +9,9 @@ Raw ns/op is meaningless across machines (the committed baseline comes
 from the developer container, CI runners differ in clock and core
 count), so the gate normalizes both runs by a calibration benchmark —
 one whose code this repo's hot-path work does not touch (default:
-BM_MaestroLiteGemm/0, the analytical layer model). The check is then
+BM_CostModelCalibrationGemm; every suite's anchor runs the same frozen
+copy of the analytical model's linear tile search,
+bench::frozenWsTileSearch in bench/bench_util.h). The check is then
 
     current[b] / current[cal]  <=  (1 + tol) * baseline[b] / baseline[cal]
 
@@ -23,7 +25,7 @@ Usage:
   check_bench_regression.py --baseline bench_results/micro_sched.json \
       --current build/bench_results/micro_sched.json \
       [--benchmarks BM_WindowSearch,...] [--tolerance 0.2] \
-      [--calibrate BM_MaestroLiteGemm/0 | --no-calibrate]
+      [--calibrate BM_CostModelCalibrationGemm | --no-calibrate]
 
 With --benchmarks unset, every benchmark present in both files (minus
 the calibration one) is checked.
@@ -67,7 +69,7 @@ def main():
                              "(default: all common benchmarks)")
     parser.add_argument("--tolerance", type=float, default=0.2,
                         help="allowed slowdown fraction (default 0.2)")
-    parser.add_argument("--calibrate", default="BM_MaestroLiteGemm/0",
+    parser.add_argument("--calibrate", default="BM_CostModelCalibrationGemm",
                         help="machine-speed normalization benchmark")
     parser.add_argument("--no-calibrate", action="store_true",
                         help="compare raw times (same-machine runs only)")

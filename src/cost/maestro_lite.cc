@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "common/error.h"
 #include "common/units.h"
@@ -16,6 +17,24 @@ double
 ceilDiv(double a, double b)
 {
     return std::ceil(a / b);
+}
+
+/**
+ * The K-tile after `kt`'s block in the tile searches: a tiling's cost
+ * and traffic depend on kt only through ceil(k/kt) and
+ * floor(numPes/kt), so both stay constant up to the returned kt - 1.
+ * The searches compare with a strict <, so only a block's first kt
+ * can win, and visiting block starts alone picks the same tile as
+ * trying every kt. There are O(sqrt(k) + sqrt(numPes)) blocks.
+ */
+int
+nextTileBlock(std::int64_t k, std::int64_t numPes, std::int64_t kt)
+{
+    const std::int64_t kPasses = (k + kt - 1) / kt;
+    std::int64_t last = numPes / (numPes / kt);
+    if (kPasses > 1)
+        last = std::min(last, (k - 1) / (kPasses - 1));
+    return static_cast<int>(last + 1);
 }
 
 } // namespace
@@ -69,7 +88,8 @@ MaestroLite::evalRowStationary(const Layer& layer,
     double bestPasses = 0.0;
     double bestKt = 0.0;
     double bestYt = 0.0;
-    for (int kt = 1; kt <= ktMax; ++kt) {
+    for (int kt = 1; kt <= ktMax;
+         kt = nextTileBlock(d.k, spec.numPes, kt)) {
         const double yt = std::min(rows, std::floor(npes / kt));
         if (yt < 1.0)
             break;
@@ -123,7 +143,8 @@ MaestroLite::evalWeightStationary(const Layer& layer,
     double bestTraffic = 0.0;
     double bestKt = 0.0;
     double bestCt = 0.0;
-    for (int kt = 1; kt <= ktMax; ++kt) {
+    for (int kt = 1; kt <= ktMax;
+         kt = nextTileBlock(d.k, spec.numPes, kt)) {
         const double ct = std::min(c, std::floor(npes / kt));
         if (ct < 1.0)
             break;

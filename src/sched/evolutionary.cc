@@ -12,7 +12,8 @@ namespace scar
 EvolutionaryWindowSearch::EvolutionaryWindowSearch(
     const CostDb& db, OptTarget target, WindowSearchOptions schedOpts,
     EvoOptions evoOpts)
-    : db_(db), target_(target), scheduler_(db, target, schedOpts),
+    : db_(db), target_(target), seg_(schedOpts.seg),
+      scheduler_(db, target, schedOpts),
       evo_(evoOpts), pool_(schedOpts.pool),
       counters_(schedOpts.counters)
 {
@@ -105,7 +106,7 @@ EvolutionaryWindowSearch::seedGenome(const WindowAssignment& wa,
     for (int m : WindowScheduler::presentModels(wa)) {
         const auto ranked =
             rankSegmentations(db_, m, wa.perModel[m], nodes[m], target_,
-                              SegmentationOptions{}, seedRng);
+                              seg_, seedRng);
         std::vector<int> splits;
         const LayerRange& range = wa.perModel[m];
         for (std::size_t k = 0; k + 1 < ranked.front().segments.size();

@@ -51,10 +51,13 @@ class EvolutionaryWindowSearch
 
     /**
      * The seeded individual of the initial population: each present
-     * model's top Heuristic-1 segmentation under default SEG options,
-     * the models drawing in order from one Rng(1) stream. It reads no
-     * entry chiplets, so Scar::run builds every window's seed genome
-     * in one fan-out before its serial window walk.
+     * model's top Heuristic-1 segmentation under the search's SEG
+     * options (WindowSearchOptions::seg), the models drawing in order
+     * from one Rng(1) stream. The stream is fixed, not derived from
+     * the EA seed, so the seed genome is a function of the window
+     * alone (and the pinned EA results stay put). It reads no entry
+     * chiplets, so Scar::run builds every window's seed genome in one
+     * fan-out before its serial window walk.
      */
     Genome seedGenome(const WindowAssignment& wa,
                       const NodeAllocation& nodes) const;
@@ -96,6 +99,7 @@ class EvolutionaryWindowSearch
 
     const CostDb& db_;
     OptTarget target_;
+    SegmentationOptions seg_; ///< from schedOpts; ranks the seed genome
     WindowScheduler scheduler_;
     EvoOptions evo_;
     ThreadPool* pool_;

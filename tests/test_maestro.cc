@@ -11,7 +11,19 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <map>
+#include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
+
+#include "common/rng.h"
+#include "common/units.h"
 #include "cost/maestro_lite.h"
+#include "eval/scenario_suite.h"
 #include "workload/model_zoo.h"
 
 namespace scar
@@ -37,6 +49,266 @@ convLayer(std::int64_t k, std::int64_t c, std::int64_t r, std::int64_t s,
     layer.type = OpType::Conv2D;
     layer.dims = LayerDims{k, c, r, s, y, x, stride, stride};
     return layer;
+}
+
+/**
+ * The linear K-tile searches MaestroLite ran before it visited only
+ * block starts, kept verbatim as the oracle of the block search (plus
+ * the cost finish they feed): every kt in 1..min(K, numPes).
+ */
+namespace reference
+{
+
+double
+ceilDiv(double a, double b)
+{
+    return std::ceil(a / b);
+}
+
+void
+finishCost(const Layer& layer, const ChipletSpec& spec, LayerCost& cost,
+           const EnergyParams& energy_)
+{
+    cost.weightBytes = layer.weightBytes();
+    cost.inputBytes = layer.inputBytes();
+    cost.outputBytes = layer.outputBytes();
+
+    const double feedBw = std::min(spec.bwNocGBps, spec.bwMemGBps);
+    cost.streamCycles = cost.l2AccessBytes / gbpsToBytesPerCycle(feedBw);
+    cost.utilization =
+        cost.macs / (cost.computeCycles * spec.numPes);
+    cost.intraEnergyNj = pjToNj(cost.macs * energy_.macPj +
+                                cost.l2AccessBytes * energy_.l2PjPerByte);
+}
+
+LayerCost
+evalRowStationary(const Layer& layer, const ChipletSpec& spec,
+                  int miniBatch, const EnergyParams& energy)
+{
+    const auto& d = layer.dims;
+    const double k = static_cast<double>(d.k);
+    const double c = layer.type == OpType::DepthwiseConv
+                         ? 1.0
+                         : static_cast<double>(d.c);
+    const double window = static_cast<double>(d.r) * d.s;
+    const double outX = static_cast<double>(layer.outX());
+    const double npes = spec.numPes;
+    const double nb = miniBatch;
+
+    const double rows = static_cast<double>(layer.outY()) * nb;
+    const int ktMax = static_cast<int>(std::min<double>(k, npes));
+    double bestPasses = 0.0;
+    double bestKt = 0.0;
+    double bestYt = 0.0;
+    for (int kt = 1; kt <= ktMax; ++kt) {
+        const double yt = std::min(rows, std::floor(npes / kt));
+        if (yt < 1.0)
+            break;
+        const double passes = ceilDiv(k, kt) * ceilDiv(rows, yt);
+        if (bestKt == 0.0 || passes < bestPasses) {
+            bestPasses = passes;
+            bestKt = kt;
+            bestYt = yt;
+        }
+    }
+
+    LayerCost cost;
+    cost.macs = layer.macs();
+    cost.computeCycles = bestPasses * c * window * outX / nb;
+
+    const double kPasses = ceilDiv(k, bestKt);
+    const double rowPasses = ceilDiv(rows, bestYt);
+    const double inputReads = layer.inputBytes() * kPasses;
+    const double weightReads = layer.weightBytes() * rowPasses / nb;
+    cost.l2AccessBytes =
+        weightReads + inputReads + layer.outputBytes();
+    finishCost(layer, spec, cost, energy);
+    return cost;
+}
+
+LayerCost
+evalWeightStationary(const Layer& layer, const ChipletSpec& spec,
+                     int miniBatch, const EnergyParams& energy)
+{
+    const auto& d = layer.dims;
+    const double k = static_cast<double>(d.k);
+    const double c = layer.type == OpType::DepthwiseConv
+                         ? 1.0
+                         : static_cast<double>(d.c);
+    const double window = static_cast<double>(d.r) * d.s;
+    const double spatialOut = static_cast<double>(layer.outY()) *
+                              layer.outX();
+    const double npes = spec.numPes;
+    const double nb = miniBatch;
+
+    const int ktMax = static_cast<int>(std::min<double>(k, npes));
+    double bestPasses = 0.0;
+    double bestTraffic = 0.0;
+    double bestKt = 0.0;
+    double bestCt = 0.0;
+    for (int kt = 1; kt <= ktMax; ++kt) {
+        const double ct = std::min(c, std::floor(npes / kt));
+        if (ct < 1.0)
+            break;
+        const double passes = ceilDiv(k, kt) * ceilDiv(c, ct);
+        const double traffic =
+            layer.inputBytes() * ceilDiv(k, kt) +
+            2.0 * layer.outputBytes() * (ceilDiv(c, ct) - 1.0);
+        if (bestKt == 0.0 || passes < bestPasses ||
+            (passes == bestPasses && traffic < bestTraffic)) {
+            bestPasses = passes;
+            bestTraffic = traffic;
+            bestKt = kt;
+            bestCt = ct;
+        }
+    }
+
+    LayerCost cost;
+    cost.macs = layer.macs();
+    cost.computeCycles = bestPasses * window * spatialOut;
+
+    const double kPasses = ceilDiv(k, bestKt);
+    const double cPasses = ceilDiv(c, bestCt);
+    const double inputReads = layer.type == OpType::DepthwiseConv
+                                  ? layer.inputBytes()
+                                  : layer.inputBytes() * kPasses;
+    const double psumTraffic =
+        2.0 * layer.outputBytes() * std::max(0.0, cPasses - 1.0);
+    cost.l2AccessBytes = layer.weightBytes() / nb + inputReads +
+                         psumTraffic + layer.outputBytes();
+    finishCost(layer, spec, cost, energy);
+    return cost;
+}
+
+} // namespace reference
+
+/** Bitwise equality of every LayerCost field. */
+void
+expectBitEqual(const LayerCost& got, const LayerCost& want,
+               const std::string& what)
+{
+    const std::pair<const char*, double LayerCost::*> fields[] = {
+        {"macs", &LayerCost::macs},
+        {"computeCycles", &LayerCost::computeCycles},
+        {"streamCycles", &LayerCost::streamCycles},
+        {"utilization", &LayerCost::utilization},
+        {"l2AccessBytes", &LayerCost::l2AccessBytes},
+        {"intraEnergyNj", &LayerCost::intraEnergyNj},
+        {"weightBytes", &LayerCost::weightBytes},
+        {"inputBytes", &LayerCost::inputBytes},
+        {"outputBytes", &LayerCost::outputBytes},
+    };
+    for (const auto& [name, field] : fields) {
+        EXPECT_EQ(std::memcmp(&(got.*field), &(want.*field),
+                              sizeof(double)),
+                  0)
+            << what << ": " << name << " " << got.*field << " vs "
+            << want.*field;
+    }
+}
+
+/**
+ * Checks the block tile search against the linear oracle for one
+ * layer on every PE count and mini-batch of the sweep, both searched
+ * dataflows.
+ */
+void
+checkAgainstLinearScan(const MaestroLite& model, const Layer& layer)
+{
+    static const int kPes[] = {1, 2, 3, 7, 64, 256, 1000, 4096, 5000,
+                               16384};
+    static const int kBatches[] = {1, 2, 3, 8, 32};
+    for (int pes : kPes) {
+        for (int nb : kBatches) {
+            const std::string what =
+                layer.name + " K=" + std::to_string(layer.dims.k) +
+                " C=" + std::to_string(layer.dims.c) +
+                " pes=" + std::to_string(pes) +
+                " nb=" + std::to_string(nb);
+            expectBitEqual(
+                model.evalLayer(layer, spec(Dataflow::NvdlaWS, pes), nb),
+                reference::evalWeightStationary(
+                    layer, spec(Dataflow::NvdlaWS, pes), nb,
+                    model.energyParams()),
+                what + " WS");
+            expectBitEqual(
+                model.evalLayer(layer, spec(Dataflow::EyerissRS, pes), nb),
+                reference::evalRowStationary(
+                    layer, spec(Dataflow::EyerissRS, pes), nb,
+                    model.energyParams()),
+                what + " RS");
+        }
+    }
+}
+
+TEST(TileSearchOracle, ZooAndSuiteLayersMatchLinearScan)
+{
+    std::vector<Model> models = {
+        zoo::gptL(1),      zoo::bertLarge(1), zoo::bertBase(1),
+        zoo::resNet50(1),  zoo::uNet(1),      zoo::googleNet(1),
+        zoo::d2go(1),      zoo::planeRcnn(1), zoo::midas(1),
+        zoo::emformer(1),  zoo::hrvit(1),     zoo::handSP(1),
+        zoo::eyeCod(1),    zoo::sp2Dense(1)};
+    for (int idx = 1; idx <= 10; ++idx) {
+        for (const Model& m : suite::byIndex(idx).models)
+            models.push_back(m);
+    }
+    // Layers repeat across blocks and models; each distinct shape is
+    // checked once.
+    using Shape = std::tuple<int, std::int64_t, std::int64_t, std::int64_t,
+                             std::int64_t, std::int64_t, std::int64_t,
+                             std::int64_t, std::int64_t>;
+    std::map<Shape, const Layer*> shapes;
+    for (const Model& m : models) {
+        for (const Layer& l : m.layers) {
+            // Pooling and element-wise layers search no tile.
+            if (l.type == OpType::Pool || l.type == OpType::Elementwise)
+                continue;
+            const auto& d = l.dims;
+            shapes.emplace(Shape{static_cast<int>(l.type), d.k, d.c, d.r,
+                                 d.s, d.y, d.x, d.strideY, d.strideX},
+                           &l);
+        }
+    }
+    ASSERT_GT(shapes.size(), 50u);
+    const MaestroLite model;
+    for (const auto& [shape, layer] : shapes)
+        checkAgainstLinearScan(model, *layer);
+}
+
+TEST(TileSearchOracle, RandomShapesMatchLinearScan)
+{
+    // K around and across the PE counts (primes included), up to 70k.
+    const std::vector<std::int64_t> edgeKs = {
+        1,    2,    3,    5,    7,     63,    64,    65,   255,
+        256,  257,  997,  999,  1000,  1001,  4093,  4095, 4096,
+        4097, 4999, 5000, 5003, 16381, 16384, 16411, 65521, 70000};
+    Rng rng(24);
+    std::vector<Layer> layers;
+    for (std::int64_t k : edgeKs) {
+        layers.push_back(makeGemmLayer(0, "gemm", rng.uniformInt(1, 512),
+                                       k, rng.uniformInt(1, 8192)));
+    }
+    for (int i = 0; i < 150; ++i) {
+        const std::int64_t k = rng.uniformInt(1, 70000);
+        if (i % 2 == 0) {
+            layers.push_back(makeGemmLayer(0, "gemm",
+                                           rng.uniformInt(1, 512), k,
+                                           rng.uniformInt(1, 20000)));
+        } else {
+            const int r = rng.uniformInt(1, 3) * 2 - 1;
+            const int y = rng.uniformInt(r, 64);
+            Layer conv = convLayer(k, rng.uniformInt(1, 2048), r, r, y,
+                                   rng.uniformInt(r, 64),
+                                   rng.uniformInt(1, 2));
+            if (i % 6 == 1)
+                conv.type = OpType::DepthwiseConv;
+            layers.push_back(conv);
+        }
+    }
+    const MaestroLite model;
+    for (const Layer& layer : layers)
+        checkAgainstLinearScan(model, layer);
 }
 
 TEST(MaestroLite, GemmFavorsWeightStationary)

@@ -138,14 +138,6 @@ goldenRecord(const RunArtifacts& run)
            "\nmetrics.json: " + digest(run.metricsJson) + "\n";
 }
 
-/** Skips a golden test before it computes any fleet when its goldens
- *  were captured under another toolchain (checkGolden would only skip
- *  after the work). A macro because GTEST_SKIP returns from the
- *  calling test. */
-#define SKIP_UNLESS_GOLDENS_COMPARABLE()                                  \
-    if (!golden::goldensComparable())                                     \
-    GTEST_SKIP() << "goldens captured under a different toolchain"
-
 /** A 4-shard heterogeneous BestFit fleet exercising every calendar
  *  hazard at once: deferral, speculation, solve stalls, switches. */
 FleetOptions
@@ -166,7 +158,6 @@ hetFleetOptions()
 
 TEST(FleetGolden, HeterogeneousBestFitFleet)
 {
-    SKIP_UNLESS_GOLDENS_COMPARABLE();
     // Without speculative solves a saturated fleet absorbs arrivals
     // into the fast-forward (they can only enqueue), so the blocking
     // variant pins the arrival/tick interleaving too.
@@ -183,7 +174,6 @@ TEST(FleetGolden, HeterogeneousBestFitFleet)
 
 TEST(FleetGolden, PreemptiveFleet)
 {
-    SKIP_UNLESS_GOLDENS_COMPARABLE();
     // Preemption arms the urgency bound term: the fast-forward stops
     // strictly before the next deadline-slack crossing and never runs
     // while a replay is suspended. The trace must actually preempt —
@@ -211,7 +201,6 @@ TEST(FleetGolden, PreemptiveFleet)
 
 TEST(FleetGolden, TightSloUrgencyCrossing)
 {
-    SKIP_UNLESS_GOLDENS_COMPARABLE();
     // A tight SLO puts the urgency crossing in front of the next
     // replay end and the batching timer, so the urgency term is the
     // binding one: a crossing swallowed into a longer fast-forward
@@ -230,7 +219,6 @@ TEST(FleetGolden, TightSloUrgencyCrossing)
 
 TEST(FleetGolden, HomogeneousPreemptiveSpeculativeFleet)
 {
-    SKIP_UNLESS_GOLDENS_COMPARABLE();
     // Many identical shards on the flat preemptive BestFit scan, with
     // speculative solves: every routing decision and speculation
     // target prices all shards against their caches. One shared cache
@@ -287,7 +275,6 @@ llmChatCatalog(int batchCap)
 
 TEST(FleetGolden, LlmContinuousAndStaticFleets)
 {
-    SKIP_UNLESS_GOLDENS_COMPARABLE();
     // The join term stops the fast-forward before the next
     // step-aligned cut while decode waiters exist, and the release
     // term before the earliest mid-replay autoregressive completion.
@@ -313,7 +300,6 @@ TEST(FleetGolden, LlmContinuousAndStaticFleets)
 
 TEST(FleetGolden, JoinLandsExactlyOnTheStepCut)
 {
-    SKIP_UNLESS_GOLDENS_COMPARABLE();
     // B's prefill finishes while A decodes a long stream, so the join
     // must land on a step-aligned boundary of A's in-flight round. An
     // off-by-one-ulp join probe would either fast-forward past the
@@ -448,8 +434,8 @@ TEST(FleetRouting, RoutingMatrixIsPinned)
     // O(N) shard scan: every routing decision — urgent candidates on
     // suspended shards, deferral past shards owing a resume, the
     // routing-quality counters — must stay byte-identical. ~5 s in
-    // Release, minutes under the sanitizers, whose builds skip goldens.
-    SKIP_UNLESS_GOLDENS_COMPARABLE();
+    // Release, 1-2 minutes under the sanitizers, whose builds run the
+    // fleets (and their run invariants) but skip the comparison.
     std::string matrix;
     const auto addRow = [&](const std::string& label,
                             const FleetOptions& options,
@@ -553,7 +539,6 @@ TEST(FleetLoop, EventLoopMatrixIsPinned)
     // one-entry schedule cache that evicts on every mix change. The
     // handler counters print on each row so a handler no row
     // exercises shows up as a column of zeros.
-    SKIP_UNLESS_GOLDENS_COMPARABLE();
     const auto catalog = llmCnnCatalog();
     const auto trace = llmPoissonTrace(catalog, 150, 13);
     std::string matrix;

@@ -272,6 +272,38 @@ TEST_F(SchedEngineTest, RejectsRankingOfAnotherWindow)
     EXPECT_THROW(evo.search(wa_, nodes_, genome, 1), FatalError);
 }
 
+TEST_F(SchedEngineTest, EaSeedGenomeRanksUnderTheSearchSegOptions)
+{
+    // A tighter enumeration cap samples other split candidates, so a
+    // seed genome that ignored the search's SEG options would not see
+    // the cap.
+    WindowSearchOptions capped;
+    capped.seg.enumCapPerCount = 2;
+    const EvolutionaryWindowSearch plain(*db_, OptTarget::Edp,
+                                         WindowSearchOptions{});
+    const EvolutionaryWindowSearch evo(*db_, OptTarget::Edp, capped);
+    const EvolutionaryWindowSearch::Genome genome =
+        evo.seedGenome(wa_, nodes_);
+    EXPECT_NE(genome, plain.seedGenome(wa_, nodes_));
+
+    // Each model's genes are its top Heuristic-1 segmentation under
+    // those options, the models drawing in order from one Rng(1).
+    Rng rng(1);
+    ASSERT_EQ(genome.size(), wa_.perModel.size());
+    for (std::size_t m = 0; m < genome.size(); ++m) {
+        const LayerRange& range = wa_.perModel[m];
+        const std::vector<Segmentation> ranked = rankSegmentations(
+            *db_, static_cast<int>(m), range, nodes_[m], OptTarget::Edp,
+            capped.seg, rng);
+        std::vector<int> splits;
+        for (std::size_t k = 0; k + 1 < ranked.front().segments.size();
+             ++k)
+            splits.push_back(ranked.front().segments[k].last -
+                             range.first);
+        EXPECT_EQ(genome[m], splits) << "model " << m;
+    }
+}
+
 TEST_F(SchedEngineTest, RejectsDegenerateOptions)
 {
     // maxTopCandidates = 0 used to empty the ranked list and then read
