@@ -143,12 +143,14 @@ BM_FleetEngineEventsLlm(benchmark::State& state)
 BENCHMARK(BM_FleetEngineEventsLlm)->Arg(4);
 
 /**
- * Long fast-forwards in isolation: a deep fleet whose shards all
- * replay multi-window schedules with arrivals absorbed, so almost
- * every fast-forward crosses long same-shard tick runs between
- * re-keyings of the boundary queue — the only bench exercising
- * arrival absorption. The regression gate holds the absolute event
- * rate.
+ * A deep saturated fleet: one model at a large batch cap, so
+ * dispatches carry many requests and every shard replays long
+ * multi-window schedules whose boundary ticks outnumber arrivals.
+ * Each fast-forward crosses the window boundaries queued before the
+ * next arrival. Arrivals are not absorbed: the fast-forward absorbs
+ * them only when speculativeSolve is false, and this fleet keeps the
+ * default. The name is historical (the batched commits it once timed
+ * are gone) and stays because the regression gate keys on it.
  */
 void
 BM_FleetEngineCommitBatched(benchmark::State& state)
@@ -192,7 +194,7 @@ BENCHMARK(BM_FleetEngineCommitBatched);
  * speculation-target check: one schedule-cache probe per pod, and a
  * scan pricing every shard only when some pod lacks the schedule
  * (on this warm cache none does). The argument
- * is the shard count (one shared cache: a single pod); the stream
+ * is the shard count (identical shards: a single pod); the stream
  * scales with it, and the regime is sustained (SLO miss ~0).
  */
 void

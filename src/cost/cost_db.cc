@@ -252,21 +252,14 @@ CostDb::CostDb(const Scenario& scenario, const Mcm& mcm, MaestroLite model,
     const double l2Budget = mcm.chiplets().front().spec.l2Bytes / 2.0;
     tables_.reserve(scenario.models.size());
     for (const Model& mod : scenario.models) {
-        if (options.reuseTables) {
-            bool wasHit = false;
-            tables_.push_back(cachedTables(
-                tableKey(mod, specs, l2Budget, options.fixedMiniBatch,
-                         model),
-                wasHit, [&] {
-                    return buildModelTables(mod, specs, l2Budget,
-                                            options.fixedMiniBatch,
-                                            model);
-                }));
-            ++(wasHit ? tableStats_.hits : tableStats_.misses);
-        } else {
-            tables_.push_back(buildModelTables(
-                mod, specs, l2Budget, options.fixedMiniBatch, model));
-        }
+        bool wasHit = false;
+        tables_.push_back(cachedTables(
+            tableKey(mod, specs, l2Budget, options.fixedMiniBatch, model),
+            wasHit, [&] {
+                return buildModelTables(mod, specs, l2Budget,
+                                        options.fixedMiniBatch, model);
+            }));
+        ++(wasHit ? tableStats_.hits : tableStats_.misses);
     }
 }
 

@@ -45,16 +45,6 @@ struct CostDbOptions
      * weight tiles); a positive value fixes b' for every model.
      */
     int fixedMiniBatch = 0;
-
-    /**
-     * Consult the process-wide model-table cache before building a
-     * model's tables (and publish fresh builds to it). The cached
-     * tables are shared immutably, so reuse is bit-transparent: every
-     * query answers exactly as a fresh build would. Off forces a
-     * private build — used by tests pinning that transparency and by
-     * benchmarks measuring cold construction.
-     */
-    bool reuseTables = true;
 };
 
 /**
@@ -201,7 +191,8 @@ class CostDb
     static TableStats tableCacheTotals();
 
     /**
-     * Drops every cached table set (test isolation; in-flight shared
+     * Drops every cached table set, so the next construction builds
+     * cold (test isolation, cold-build benchmarks; in-flight shared
      * pointers stay valid — the cache holds references, not storage).
      */
     static void clearTableCache();

@@ -1,5 +1,6 @@
 #include "io/config.h"
 
+#include <charconv>
 #include <fstream>
 #include <functional>
 #include <map>
@@ -17,6 +18,25 @@ namespace io
 
 namespace
 {
+
+/**
+ * Parses `token` as a base-10 int: the whole token must be consumed
+ * and the value must fit an int, or FatalError names the line.
+ */
+int
+parseInt(const std::string& token, int line, const std::string& what)
+{
+    int value = 0;
+    const char* end = token.data() + token.size();
+    const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+    if (ec == std::errc::result_out_of_range)
+        fatal("line ", line, ": ", what, " '", token,
+              "' is out of int range");
+    if (ec != std::errc() || ptr != end)
+        fatal("line ", line, ": ", what, " '", token,
+              "' is not an integer");
+    return value;
+}
 
 /** A parsed line: the keyword plus positional and key=value tokens. */
 struct ConfigLine
@@ -37,22 +57,23 @@ struct ConfigLine
         return it->second;
     }
 
-    std::int64_t
+    int
     num(const std::string& key) const
     {
-        const std::string value = str(key);
-        try {
-            return std::stoll(value);
-        } catch (const std::exception&) {
-            fatal("line ", number, ": attribute '", key,
-                  "' is not a number: ", value);
-        }
+        return parseInt(str(key), number, "attribute '" + key + "'");
     }
 
-    std::int64_t
-    numOr(const std::string& key, std::int64_t fallback) const
+    int
+    numOr(const std::string& key, int fallback) const
     {
         return has(key) ? num(key) : fallback;
+    }
+
+    /** Positional token i as an int. */
+    int
+    posNum(std::size_t i, const std::string& what) const
+    {
+        return parseInt(positional[i], number, what);
     }
 };
 
@@ -135,7 +156,7 @@ appendCustomLayer(Model& model, const ConfigLine& line)
     if (line.keyword == "conv" || line.keyword == "dwconv") {
         layer.type = line.keyword == "conv" ? OpType::Conv2D
                                             : OpType::DepthwiseConv;
-        const std::int64_t stride = line.numOr("stride", 1);
+        const int stride = line.numOr("stride", 1);
         layer.dims = LayerDims{line.num("k"),
                                line.keyword == "conv" ? line.num("c")
                                                       : line.num("k"),
@@ -144,8 +165,8 @@ appendCustomLayer(Model& model, const ConfigLine& line)
                                stride};
     } else if (line.keyword == "pool") {
         layer.type = OpType::Pool;
-        const std::int64_t window = line.numOr("window", 2);
-        const std::int64_t stride = line.numOr("stride", window);
+        const int window = line.numOr("window", 2);
+        const int stride = line.numOr("stride", window);
         layer.dims = LayerDims{line.num("c"), line.num("c"), window,
                                window, line.num("y"), line.num("x"),
                                stride, stride};
@@ -184,8 +205,7 @@ parseScenario(std::istream& in)
             SCAR_REQUIRE(!line.positional.empty(), "line ", number,
                          ": model needs a kind");
             const std::string kind = line.positional.front();
-            const int batch =
-                static_cast<int>(line.numOr("batch", 1));
+            const int batch = line.numOr("batch", 1);
             if (kind == "custom") {
                 Model model;
                 model.name = line.has("name") ? line.str("name")
@@ -252,12 +272,14 @@ parseMcm(std::istream& in)
         } else if (line.keyword == "mesh") {
             SCAR_REQUIRE(line.positional.size() == 2, "line ", number,
                          ": mesh needs width and height");
-            meshW = std::stoi(line.positional[0]);
-            meshH = std::stoi(line.positional[1]);
+            meshW = line.posNum(0, "mesh width");
+            meshH = line.posNum(1, "mesh height");
         } else if (line.keyword == "pes") {
             SCAR_REQUIRE(!line.positional.empty(), "line ", number,
                          ": pes needs a count");
-            pes = std::stoi(line.positional.front());
+            pes = line.posNum(0, "PE count");
+            SCAR_REQUIRE(pes > 0, "line ", number,
+                         ": PE count must be positive");
         } else if (line.keyword == "topology") {
             SCAR_REQUIRE(!line.positional.empty(), "line ", number,
                          ": topology needs a kind (mesh, torus, "
@@ -271,16 +293,18 @@ parseMcm(std::istream& in)
         } else if (line.keyword == "express") {
             SCAR_REQUIRE(line.positional.size() == 2, "line ", number,
                          ": express needs two chiplet ids");
-            expressLinks.emplace_back(std::stoi(line.positional[0]),
-                                      std::stoi(line.positional[1]));
+            expressLinks.emplace_back(
+                line.posNum(0, "express endpoint"),
+                line.posNum(1, "express endpoint"));
         } else if (line.keyword == "broadcast") {
             SCAR_REQUIRE(!line.positional.empty(), "line ", number,
                          ": broadcast needs 'all' or member ids");
             if (line.positional.front() == "all") {
                 broadcastAll = true;
             } else {
-                for (const std::string& token : line.positional)
-                    broadcastMembers.push_back(std::stoi(token));
+                for (std::size_t i = 0; i < line.positional.size(); ++i)
+                    broadcastMembers.push_back(
+                        line.posNum(i, "broadcast member"));
             }
         } else if (line.keyword == "map") {
             // Row-major dataflow map; '/' separates mesh rows.

@@ -25,13 +25,12 @@ nextPow2(int n)
     return p;
 }
 
-/** Quantized decode-round batch for `boarded` riders. */
+/** The dispatched batch for `boarded` riders: rounded up to a power
+ *  of two (signature hygiene), capped at the catalog batch. */
 int
-decodeRoundBatch(int boarded, int cap, bool quantize)
+paddedBatch(int boarded, int cap)
 {
-    if (boarded >= cap)
-        return cap;
-    return quantize ? std::min(nextPow2(boarded), cap) : boarded;
+    return std::min(nextPow2(boarded), cap);
 }
 
 /** Context bucket and step count one decode round covers. */
@@ -205,30 +204,19 @@ AdmissionController::ready(double nowSec) const
 int
 AdmissionController::dispatchBatch(std::size_t model) const
 {
-    const int queued = static_cast<int>(queues_[model].size());
-    const int cap = catalog_[model].model.batch;
-    if (queued >= cap)
-        return cap;
-    return options_.quantizeBatches
-               ? std::min(nextPow2(queued), cap)
-               : queued;
+    return paddedBatch(static_cast<int>(queues_[model].size()),
+                       catalog_[model].model.batch);
 }
 
 Dispatch
 AdmissionController::formDispatch(double nowSec)
 {
-    // The speculative path dispatches partial batches before the
-    // batching timer: any queued work suffices.
-    SCAR_REQUIRE(ready(nowSec) || (options_.speculativePartialDispatch &&
-                                   queuedCount() > 0),
-                 "admission: formDispatch while idle");
-    return formFrom(nowSec,
-                    std::vector<bool>(queues_.size(), true));
+    SCAR_REQUIRE(ready(nowSec), "admission: formDispatch while idle");
+    return formFrom(std::vector<bool>(queues_.size(), true));
 }
 
 Dispatch
-AdmissionController::formFrom(double nowSec,
-                              const std::vector<bool>& take)
+AdmissionController::formFrom(const std::vector<bool>& take)
 {
     // Peek before draining any queue: the prefill variant's bucket
     // covers the queued prompts, the batch is the padded queue depth,
@@ -243,57 +231,9 @@ AdmissionController::formFrom(double nowSec,
         group.batch = part.batch;
         const int boardCount =
             std::min(static_cast<int>(q.size()), group.batch);
-        if (options_.order == QueueOrder::EarliestDeadline &&
-            boardCount < static_cast<int>(q.size())) {
-            // Overload boarding. Starvation bound: the queue front —
-            // the oldest request, the one driving the forced-dispatch
-            // timer — always boards, so every dispatch makes
-            // head-of-line progress and a request admitted behind k
-            // others boards within k dispatches, whatever its
-            // deadline. The remaining slots go to requests that have
-            // waited past maxQueueDelaySec first (older traffic
-            // outranks fresh tight-deadline arrivals), then earliest
-            // deadline, with the queue-position tie-break making the
-            // order total and deterministic.
-            auto agedOut = [&](const Request& req) {
-                return nowSec >=
-                       req.arrivalSec + options_.maxQueueDelaySec;
-            };
-            // Only the `boardCount` best boarders are needed, so a
-            // partial sort over indices suffices.
-            std::vector<std::size_t> byDeadline(q.size());
-            for (std::size_t i = 0; i < q.size(); ++i)
-                byDeadline[i] = i;
-            std::partial_sort(
-                byDeadline.begin(), byDeadline.begin() + boardCount,
-                byDeadline.end(),
-                [&](std::size_t a, std::size_t b) {
-                    if (a == 0 || b == 0)
-                        return a == 0; // oldest always boards
-                    const bool agedA = agedOut(q[a]);
-                    const bool agedB = agedOut(q[b]);
-                    if (agedA != agedB)
-                        return agedA;
-                    if (q[a].deadlineSec != q[b].deadlineSec)
-                        return q[a].deadlineSec < q[b].deadlineSec;
-                    return a < b;
-                });
-            std::vector<bool> boarded(q.size(), false);
-            for (int i = 0; i < boardCount; ++i) {
-                boarded[byDeadline[i]] = true;
-                group.requests.push_back(q[byDeadline[i]]);
-            }
-            std::deque<Request> remaining;
-            for (std::size_t i = 0; i < q.size(); ++i) {
-                if (!boarded[i])
-                    remaining.push_back(q[i]);
-            }
-            q = std::move(remaining);
-        } else {
-            for (int i = 0; i < boardCount; ++i) {
-                group.requests.push_back(q.front());
-                q.pop_front();
-            }
+        for (int i = 0; i < boardCount; ++i) {
+            group.requests.push_back(q.front());
+            q.pop_front();
         }
         refreshQueueStats(m);
         dispatch.groups.push_back(std::move(group));
@@ -425,7 +365,7 @@ AdmissionController::formUrgentDispatch(double nowSec, double slackSec)
     SCAR_REQUIRE(urgentQueued(nowSec, slackSec),
                  "admission: formUrgentDispatch without an urgent "
                  "request queued");
-    return formFrom(nowSec, urgentModels(nowSec, slackSec));
+    return formFrom(urgentModels(nowSec, slackSec));
 }
 
 void
@@ -524,9 +464,8 @@ AdmissionController::decodePeek(std::size_t model,
     MixPeek peek;
     peek.parts.push_back(
         {static_cast<int>(model), &decodeVariant(model, ctxBucket),
-         decodeRoundBatch(static_cast<int>(boarded),
-                          catalog_[model].model.batch,
-                          options_.quantizeBatches)});
+         paddedBatch(static_cast<int>(boarded),
+                     catalog_[model].model.batch)});
     finishPeek(peek);
     return peek;
 }

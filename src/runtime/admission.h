@@ -68,24 +68,6 @@ namespace runtime
 {
 
 /**
- * Which queued requests ride when a dispatch cannot take everyone.
- */
-enum class QueueOrder
-{
-    /** Oldest arrivals first (the PR 1 behavior). */
-    FifoArrival,
-    /**
-     * Earliest SLO deadline first (EDF). Under overload — more
-     * queued requests than the batch cap — the deadline-critical
-     * requests board the next dispatch instead of waiting out the
-     * backlog, which lowers the tail violation rate whenever request
-     * deadlines are heterogeneous (e.g. interactive vs background
-     * traffic against the same model).
-     */
-    EarliestDeadline,
-};
-
-/**
  * How autoregressive decode rounds batch requests (only meaningful
  * for catalog entries with LlmProfile::autoregressive set).
  */
@@ -117,21 +99,8 @@ struct AdmissionOptions
      * full batches (throughput).
      */
     double maxQueueDelaySec = 0.05;
-    /** Round partial batches up to powers of two (signature hygiene). */
-    bool quantizeBatches = true;
-    /** Boarding order when a queue exceeds the batch cap. */
-    QueueOrder order = QueueOrder::FifoArrival;
     /** Decode-round batching policy for autoregressive models. */
     LlmBatchingMode llmBatching = LlmBatchingMode::Continuous;
-    /**
-     * Dispatch a partial batch as soon as a shard would otherwise sit
-     * idle, instead of waiting out maxQueueDelaySec for the batch to
-     * fill. Raises occupancy under bursty load (and decode-batch
-     * occupancy under continuous batching) at the cost of smaller
-     * batches. Off by default: the timer-paced behavior is the
-     * baseline the goldens pin.
-     */
-    bool speculativePartialDispatch = false;
 };
 
 /** One model's share of a dispatch. */
@@ -226,7 +195,8 @@ class AdmissionController
      * Forms a dispatch at nowSec, consuming the queued requests. All
      * models with pending work join the mix (partial batches
      * included) so the package is shared the way the offline
-     * scheduler optimizes for. Requires ready(nowSec).
+     * scheduler optimizes for; a queue past its batch cap boards its
+     * oldest requests and keeps the rest. Requires ready(nowSec).
      */
     Dispatch formDispatch(double nowSec);
 
@@ -356,7 +326,7 @@ class AdmissionController
     static void finishPeek(MixPeek& peek);
     /** The shared queue-draining path of formDispatch /
      *  formUrgentDispatch. */
-    Dispatch formFrom(double nowSec, const std::vector<bool>& take);
+    Dispatch formFrom(const std::vector<bool>& take);
     /** Re-derives queue m's earliest deadline and max prompt after
      *  a drain. */
     void refreshQueueStats(std::size_t model);

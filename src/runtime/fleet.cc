@@ -56,7 +56,10 @@ routingPolicyName(RoutingPolicy policy)
 
 FleetSimulator::FleetSimulator(std::vector<ServedModel> catalog,
                                Mcm mcm, FleetOptions options)
-    : catalog_(std::move(catalog)), options_(std::move(options))
+    : catalog_(std::move(catalog)), options_(std::move(options)),
+      pool_(options_.serving.pool != nullptr ? options_.serving.pool
+                                             : &ThreadPool::global()),
+      cache_(*pool_, ScheduleCacheOptions{options_.serving.cacheCapacity})
 {
     SCAR_REQUIRE(!catalog_.empty(), "fleet: empty catalog");
     SCAR_REQUIRE(options_.shards >= 1, "fleet: need >= 1 shard");
@@ -104,34 +107,16 @@ FleetSimulator::FleetSimulator(std::vector<ServedModel> catalog,
                      "fleet: more catalog models than chiplets on ",
                      tpl.name());
 
-    pool_ = options_.serving.pool != nullptr ? options_.serving.pool
-                                             : &ThreadPool::global();
-    const ScheduleCacheOptions cacheOpts{
-        options_.serving.cacheCapacity};
-    const int numCaches =
-        options_.sharedCache ? 1 : options_.shards;
-    for (int c = 0; c < numCaches; ++c)
-        caches_.push_back(
-            std::make_unique<AsyncScheduleCache>(*pool_, cacheOpts));
     shards_.resize(options_.shards);
-    for (int s = 0; s < options_.shards; ++s) {
-        shards_[s].cache =
-            caches_[options_.sharedCache ? 0 : s].get();
-    }
 
-    // Routing pods: shards sharing a (package template, schedule
-    // cache) pair are interchangeable up to their previous-mix class,
-    // so they fold into one pod of the cluster -> pod -> shard
-    // hierarchy. '|' appears in neither half, so the key is injective.
+    // Routing pods: shards sharing a package template are
+    // interchangeable up to their previous-mix class, so they fold
+    // into one pod of the cluster -> pod -> shard hierarchy.
     std::map<std::string, int> podIndex;
     podOf_.resize(shards_.size(), -1);
     for (std::size_t s = 0; s < shards_.size(); ++s) {
-        const std::string key =
-            templates_[s].signature() + "|" +
-            std::to_string(options_.sharedCache ? 0
-                                                : static_cast<int>(s));
-        const auto [it, inserted] =
-            podIndex.emplace(key, static_cast<int>(pods_.size()));
+        const auto [it, inserted] = podIndex.emplace(
+            templates_[s].signature(), static_cast<int>(pods_.size()));
         if (inserted)
             pods_.emplace_back();
         pods_[it->second].shards.push_back(static_cast<int>(s));
@@ -144,15 +129,6 @@ FleetSimulator::FleetSimulator(std::vector<ServedModel> catalog,
           options_.serving.preemption.enabled
               ? ", urgency bound term armed"
               : "");
-}
-
-const AsyncScheduleCache&
-FleetSimulator::cache(int shard) const
-{
-    SCAR_REQUIRE(shard >= 0 &&
-                     shard < static_cast<int>(shards_.size()),
-                 "fleet: cache index ", shard, " out of range");
-    return *shards_[shard].cache;
 }
 
 const Mcm&
@@ -272,7 +248,7 @@ FleetSimulator::estimateMakespanKeyed(
     }
     const double sec =
         cyclesToSeconds(evaluator.evaluate(placement).latencyCycles);
-    // Keep the memo bounded like the schedule caches it parallels; a
+    // Keep the memo bounded like the schedule cache it parallels; a
     // wholesale reset is fine because re-deriving an estimate is a
     // microsecond-scale single-window pass.
     if (makespanEstimates_.size() >= kMakespanMemoCap)
@@ -290,7 +266,7 @@ FleetSimulator::probePod(RoutingProbes& probes, std::size_t shard,
     if (!probe.probed) {
         probe.probed = true;
         probe.key = cacheKey(probes.peek.signature, shard);
-        const CachePeek peek = shards_[shard].cache->peek(probe.key);
+        const CachePeek peek = cache_.peek(probe.key);
         probe.stored = peek.schedule != nullptr;
         probe.inFlight = peek.inFlight;
         probe.readySec = peek.readySec;
@@ -861,13 +837,12 @@ class FleetSimulator::Loop
         auditRun();
         fleet_.materializedMixes_ = admission_.materializedMixes();
 
-        // Promote stray speculative solves so stats and cache sizes
-        // are settled (and no background work bleeds past the run).
-        for (const auto& cache : fleet_.caches_)
-            cache->drainInFlight();
+        // Promote stray speculative solves so stats and cache size are
+        // settled (and no background work bleeds past the run).
+        fleet_.cache_.drainInFlight();
 
-        long cachedMixes = 0;
-        ScheduleCacheStats delta = cacheTotals(fleet_.caches_, &cachedMixes);
+        const auto cachedMixes = static_cast<long>(fleet_.cache_.size());
+        ScheduleCacheStats delta = fleet_.cache_.stats();
         delta.hits -= before_.hits;
         delta.misses -= before_.misses;
         delta.evictions -= before_.evictions;
@@ -967,8 +942,8 @@ class FleetSimulator::Loop
             SCAR_REQUIRE(trace_[i - 1].arrivalSec <= trace_[i].arrivalSec,
                          "fleet: trace not sorted by arrival time");
 
-        // Per-run accounting reset; caches persist across runs.
-        before_ = cacheTotals(fleet_.caches_);
+        // Per-run accounting reset; the cache persists across runs.
+        before_ = fleet_.cache_.stats();
         for (Shard& shard : shards_) {
             SCAR_REQUIRE(!shard.executor.busy() && !shard.hasPending &&
                              !shard.hasSuspended,
@@ -1103,7 +1078,7 @@ class FleetSimulator::Loop
             // hits parked their schedule at lookup time.
             auto schedule = shard.pendingSchedule != nullptr
                                 ? std::move(shard.pendingSchedule)
-                                : shard.cache->join(shard.pendingKey);
+                                : fleet_.cache_.join(shard.pendingKey);
             double startSec = nowSec_;
             if (!shard.lastKey.empty() &&
                 shard.lastKey != shard.pendingKey && switchSec > 0.0) {
@@ -1176,17 +1151,11 @@ class FleetSimulator::Loop
      *  so BestFit can defer: when an occupied shard's projected
      *  completion beats every idle candidate, the batch stays queued and
      *  is re-routed at the next event (typically when the preferred shard
-     *  frees up). Speculative partial dispatch: with the flag set, a
-     *  shard that would otherwise idle claims whatever is queued right
-     *  now instead of waiting out the batching timer. An urgent batch is
-     *  dispatchable regardless of batch-fill / aging state. */
+     *  frees up). An urgent batch is dispatchable regardless of
+     *  batch-fill / aging state. */
     Routed dispatchReady(bool urgent)
     {
-        const bool partialReady =
-            options_.serving.admission.speculativePartialDispatch &&
-            admission_.queuedCount() > 0 && !fleet_.freeShards_.empty();
-        if (!(admission_.ready(nowSec_) || urgent || partialReady) ||
-            !anyCandidate(urgent))
+        if (!(admission_.ready(nowSec_) || urgent) || !anyCandidate(urgent))
             return Routed::Nothing;
         const MixPeek peeked = peekNext(urgent);
         // Overflow check: padded dispatch batches cover every queued
@@ -1196,8 +1165,7 @@ class FleetSimulator::Loop
         // because some request cannot afford to wait for a better
         // package.
         const bool allowDefer =
-            options_.bestFitDefer && !urgent &&
-            admission_.queuedCount() <= peeked.batchSlots;
+            !urgent && admission_.queuedCount() <= peeked.batchSlots;
         if (routeFormPark(peeked, urgent ? Form::Urgent : Form::Regular,
                           allowDefer))
             return Routed::Parked;
@@ -1252,7 +1220,7 @@ class FleetSimulator::Loop
         // The Scenario is materialized only if the lookup launches a
         // solve or the makespan estimate is new.
         const auto mix = [&]() -> const Scenario& { return probes.mix(); };
-        const AsyncLookup found = shard.cache->lookup(
+        const AsyncLookup found = fleet_.cache_.lookup(
             key, mix, computes_[shardIdx], nowSec_,
             options_.serving.modeledSolveSec);
         double endSec = found.readySec;
@@ -1317,7 +1285,7 @@ class FleetSimulator::Loop
         if (target < 0)
             return;
         const auto shardIdx = static_cast<std::size_t>(target);
-        shards_[shardIdx].cache->prefetch(
+        fleet_.cache_.prefetch(
             fleet_.cacheKey(peeked.signature, shardIdx),
             [&]() -> const Scenario& { return probes.mix(); },
             computes_[shardIdx],
@@ -1884,24 +1852,6 @@ class FleetSimulator::Loop
         return urgent ? admission_.peekUrgentMix(
                             nowSec_, preemption_.slackThresholdSec)
                       : admission_.peekMix();
-    }
-
-    /** Cache counters summed over the fleet's caches; `entries`
-     *  receives their resident schedule count. */
-    static ScheduleCacheStats
-    cacheTotals(const std::vector<std::unique_ptr<AsyncScheduleCache>>& caches,
-                long* entries = nullptr)
-    {
-        ScheduleCacheStats total;
-        for (const auto& cache : caches) {
-            const ScheduleCacheStats s = cache->stats();
-            total.hits += s.hits;
-            total.misses += s.misses;
-            total.evictions += s.evictions;
-            if (entries != nullptr)
-                *entries += static_cast<long>(cache->size());
-        }
-        return total;
     }
 
     FleetSimulator& fleet_;

@@ -43,10 +43,10 @@
  * its own McmConfig-style package (e.g. an NVDLA-heavy package for
  * GEMM-bound datacenter mixes next to a Shi-diannao-heavy package for
  * early-CNN AR/VR mixes). A schedule is only valid for the package it
- * was searched on, so every cache entry is keyed by
- * (mix signature, Mcm::signature()): different templates never share
- * a schedule, while identical shards behind a shared cache still
- * deduplicate fleet-wide.
+ * was searched on, so every entry of the fleet's one schedule cache
+ * is keyed by (mix signature, Mcm::signature()): different templates
+ * never share a schedule, while identical shards deduplicate
+ * fleet-wide.
  *
  * Routing policies pick the shard for a formed dispatch among the
  * currently idle shards: round-robin (fair rotation), least-loaded
@@ -88,14 +88,14 @@
  * queue entry in place), so picking the next event is O(log shards).
  *
  * Hierarchical routing: every dispatch, urgent or not, routes through
- * one index that groups shards into pods of identical (package
- * template, schedule cache) pairs — the cluster -> pod -> shard
- * hierarchy. Within a pod, every idle shard with the same
- * previous-mix class (same last replayed key, or never dispatched)
- * has the *same* BestFit cost for a given mix, and the occupied cost
- * is monotone in the shard's availability instant, so each pod is
- * represented by O(1) cheapest-in-class heads and BestFit folds over
- * O(pods) representatives instead of all N shards — O(log N)
+ * one index that groups shards into pods of identical package
+ * templates — the cluster -> pod -> shard hierarchy. Within a pod,
+ * every idle shard with the same previous-mix class (same last
+ * replayed key, or never dispatched) has the *same* BestFit cost for
+ * a given mix, and the occupied cost is monotone in the shard's
+ * availability instant, so each pod is represented by O(1)
+ * cheapest-in-class heads and BestFit folds over O(pods)
+ * representatives instead of all N shards — O(log N)
  * maintenance per state change. Shards owing a resume (preemptive
  * fleets) carry a suspended tail in their cost and are priced one by
  * one. The fold applies the tie-breaks of an index-order scan over
@@ -156,7 +156,11 @@ enum class RoutingPolicy
      * *deferred* until that shard frees up. The only policy that
      * consults the cost model instead of queue depths — essential on
      * heterogeneous fleets, where deferral keeps slow-on-this-mix
-     * packages free for the traffic they are good at.
+     * packages free for the traffic they are good at. An urgent
+     * dispatch never defers, nor does one that leaves requests
+     * queued behind it (a queue past its cap), and a dispatch waits
+     * for an occupied shard only within the deferral horizon (its
+     * next window boundary plus one makespan of the deferred mix).
      */
     BestFit,
 };
@@ -212,7 +216,7 @@ struct ServingOptions
      * starts replaying a different mix than its previous dispatch.
      */
     double switchOverheadSec = 0.0;
-    /** LRU capacity per schedule cache (0 = unbounded). */
+    /** LRU capacity of the schedule cache (0 = unbounded). */
     std::size_t cacheCapacity = 0;
     /** Request-level boundary preemption (off by default). */
     PreemptionOptions preemption;
@@ -253,37 +257,6 @@ struct FleetOptions
      */
     bool speculativeSolve = true;
     /**
-     * BestFit only: allow deferring a dispatch when an occupied
-     * shard's projected completion beats every idle candidate
-     * (waiting for the right package instead of starting sooner on
-     * the wrong one). Deferral helps steady traffic whose package
-     * gaps exceed typical backlog waits, but while a batch waits it
-     * keeps absorbing new arrivals — under bursty phase changes that
-     * capture effect can cost more than the better package saves, so
-     * it is toggleable. Ignored by the other routing policies.
-     *
-     * Deferral horizon: a dispatch only waits for an occupied shard
-     * when that wait is bounded by the shard's next window boundary
-     * plus one makespan of the deferred mix — the preemption-style
-     * horizon at which the shard could plausibly take the work. An
-     * occupied shard whose full replay backlog stretches past that
-     * horizon never captures a deferral (it used to: the old bound
-     * was the whole backlog, so a long replay on the "right" package
-     * could park a batch for many makespans while idle shards sat
-     * empty); past the horizon the dispatch goes to the best idle
-     * candidate instead.
-     */
-    bool bestFitDefer = true;
-    /**
-     * One schedule cache shared by every shard (each (mix, package)
-     * pair solved once fleet-wide) versus a private cache per shard
-     * (pairs re-solved per shard, but no cross-shard coupling — pair
-     * with MixAffinity routing to keep each mix on one shard).
-     * Entries are keyed by (mix signature, package signature) either
-     * way, so heterogeneous templates never alias.
-     */
-    bool sharedCache = true;
-    /**
      * Flight recorder for this fleet (not owned; nullptr disables all
      * observability). When set, run() records the full per-request
      * lifecycle (arrival -> queue -> dispatch -> replay windows ->
@@ -315,7 +288,7 @@ class FleetSimulator
     /**
      * Serves one request trace to completion and returns the
      * aggregate report (per-shard utilization, solve-stall and
-     * switch-overhead totals included). Schedule caches persist
+     * switch-overhead totals included). The schedule cache persists
      * across run() calls; the report's cache counters cover this run
      * only.
      */
@@ -333,9 +306,8 @@ class FleetSimulator
      */
     long materializedMixes() const { return materializedMixes_; }
 
-    /** The schedule cache of a shard (all shards share cache 0 when
-     *  sharedCache is set). */
-    const AsyncScheduleCache& cache(int shard = 0) const;
+    /** The fleet's schedule cache, shared by every shard. */
+    const AsyncScheduleCache& cache() const { return cache_; }
 
     int shardCount() const
     {
@@ -364,7 +336,6 @@ class FleetSimulator
     struct Shard
     {
         ReplayExecutor executor;
-        AsyncScheduleCache* cache = nullptr;
         // Formed dispatch waiting for its schedule's virtual ready
         // instant (the executor is idle while one is parked here).
         bool hasPending = false;
@@ -418,9 +389,9 @@ class FleetSimulator
     /**
      * One pod's schedule-cache state for the mix being routed, read
      * once per routing decision. Every shard of a pod shares its
-     * (package template, schedule cache) pair, so for one mix they
-     * share the cache key, the stored / in-flight state and the
-     * makespan; nothing mutates a cache while a decision is made
+     * package template, and the fleet has one cache, so for one mix
+     * they share the cache key, the stored / in-flight state and the
+     * makespan; nothing mutates the cache while a decision is made
      * (peek is const, the estimate memo holds pure values).
      */
     struct PodProbe
@@ -520,17 +491,14 @@ class FleetSimulator
      * frees up first — the likeliest dispatch target — otherwise.
      * For an urgent mix the cost model sees boundary-preemption
      * waits, so the predicted target is the replay the preemptor
-     * will actually suspend. Returns -1 when the predicted target's
-     * cache already holds or is already solving the (mix, package)
-     * schedule, so no background solve is wasted re-deriving a
-     * resident schedule (previously only the shared-cache
-     * configuration was protected against this). The BestFit scan
-     * and that final check share one probe per pod, so a
-     * shared-cache fleet probes its cache once.
-     * When every pod's cache already holds or is solving the schedule
-     * — the warm steady state — it returns -1 before pricing any
-     * shard: whichever shard a policy predicts, its pod's probe is
-     * known, and probes have no side effects.
+     * will actually suspend. Returns -1 when the cache already holds
+     * or is already solving the target's (mix, package) schedule, so
+     * no background solve is wasted re-deriving a resident schedule.
+     * The BestFit scan and that final check share one probe per pod.
+     * When the cache already holds or is solving the schedule for
+     * every pod — the warm steady state — it returns -1 before
+     * pricing any shard: whichever shard a policy predicts, its pod's
+     * probe is known, and probes have no side effects.
      */
     int speculationTarget(RoutingProbes& probes, double nowSec,
                           bool urgent);
@@ -550,17 +518,17 @@ class FleetSimulator
     };
 
     /**
-     * One routing pod: the shards sharing a (package template,
-     * schedule cache) pair. Within a pod a given mix has one cache
-     * key, one makespan estimate, and one switch-overhead rule per
-     * previous-mix class, so the cheapest candidate of each class —
-     * the head of its (busySec, shard) set — represents every shard
-     * of that class in the BestFit fold. Occupied shards are indexed
-     * by availability instant: their cost is monotone in it, so the
-     * earliest-available shard of a class is its cheapest (shards
-     * owing a resume are left out; see syncShard). The same sharing
-     * makes the pod the unit of cache probing: a routing decision
-     * reads each pod's cache once (PodProbe).
+     * One routing pod: the shards sharing a package template. Within
+     * a pod a given mix has one cache key, one makespan estimate, and
+     * one switch-overhead rule per previous-mix class, so the
+     * cheapest candidate of each class — the head of its
+     * (busySec, shard) set — represents every shard of that class in
+     * the BestFit fold. Occupied shards are indexed by availability
+     * instant: their cost is monotone in it, so the earliest-available
+     * shard of a class is its cheapest (shards owing a resume are left
+     * out; see syncShard). The same sharing makes the pod the unit of
+     * cache probing: a routing decision reads the cache once per pod
+     * (PodProbe).
      */
     struct Pod
     {
@@ -632,7 +600,7 @@ class FleetSimulator
     FleetOptions options_;
     std::vector<Mcm> templates_; ///< one per shard
     ThreadPool* pool_;
-    std::vector<std::unique_ptr<AsyncScheduleCache>> caches_;
+    AsyncScheduleCache cache_; ///< shared by every shard
     std::vector<Shard> shards_;
     std::vector<Request> records_;
     std::size_t rrNext_ = 0; ///< round-robin cursor
@@ -652,7 +620,7 @@ class FleetSimulator
     std::vector<int> podOf_; ///< shard -> pod
 
     /** Memoized WindowEvaluator makespan estimates, keyed like the
-     *  schedule caches by (mix, package) signature. */
+     *  schedule cache by (mix, package) signature. */
     std::map<std::string, double> makespanEstimates_;
     // Per-run routing-quality accounting (reset by run()).
     long contestedRoutes_ = 0;   ///< dispatches with >= 2 candidates

@@ -20,9 +20,9 @@
  * default — disabled — reproduces the non-preemptive runtime
  * bit-for-bit.
  *
- * For multiple packages, heterogeneous per-shard templates, routing
- * policies (including the cost-aware BestFit), or per-shard caches,
- * use FleetSimulator directly.
+ * For multiple packages, heterogeneous per-shard templates, or
+ * routing policies (including the cost-aware BestFit), use
+ * FleetSimulator directly.
  */
 
 #ifndef SCAR_RUNTIME_SERVING_SIM_H

@@ -7,8 +7,8 @@
  * one freshly built Model per boarded queue, Scenario::signature() of
  * the materialized mix, and O(queued) deadline scans — over a mirror
  * of every queue. Seeded random queue states (plain and LLM catalog
- * entries, FIFO and EDF boarding, quantized and raw batches,
- * deadlines that are not monotone in arrival) interleave enqueue /
+ * entries, static and continuous decode batching, deadlines that are
+ * not monotone in arrival) interleave enqueue /
  * formDispatch / formUrgentDispatch / enqueueDecode /
  * formDecodeDispatch, and every peek, form and urgency probe must
  * agree with the reference.
@@ -115,9 +115,7 @@ class NaiveAdmission
         const int cap = catalog_[model].model.batch;
         if (queued >= cap)
             return cap;
-        return options_.quantizeBatches
-                   ? std::min(nextPow2(queued), cap)
-                   : queued;
+        return std::min(nextPow2(queued), cap);
     }
 
     Model
@@ -236,10 +234,7 @@ class NaiveAdmission
         const int boarded = static_cast<int>(boarders.size());
         const int cap = sm.model.batch;
         scheduled.batch =
-            boarded >= cap ? cap
-                           : (options_.quantizeBatches
-                                  ? std::min(nextPow2(boarded), cap)
-                                  : boarded);
+            boarded >= cap ? cap : std::min(nextPow2(boarded), cap);
         Scenario mix;
         mix.name = "mix";
         mix.models.push_back(std::move(scheduled));
@@ -299,12 +294,8 @@ runOracle(std::uint64_t seed)
 
     AdmissionOptions options;
     options.maxQueueDelaySec = uniform(0.0, 0.05);
-    options.quantizeBatches = pick(2) == 0;
-    options.order = pick(2) == 0 ? QueueOrder::FifoArrival
-                                 : QueueOrder::EarliestDeadline;
     options.llmBatching = pick(2) == 0 ? LlmBatchingMode::Static
                                        : LlmBatchingMode::Continuous;
-    options.speculativePartialDispatch = pick(2) == 0;
     const auto catalog = oracleCatalog(2 + pick(4));
     const std::size_t llm = 2;
     AdmissionController admission(catalog, options);
@@ -398,9 +389,7 @@ runOracle(std::uint64_t seed)
             admission.enqueueDecode(req);
             naive.enqueueDecode(req);
         } else if (op == 5 || op == 6) {
-            if (!(admission.ready(nowSec) ||
-                  (options.speculativePartialDispatch &&
-                   admission.queuedCount() > 0)))
+            if (!admission.ready(nowSec))
                 continue;
             const MixPeek peek = admission.peekMix();
             checkPeek(peek, naive.peekFrom(

@@ -683,12 +683,12 @@ TEST(CostDb, TableReuseIsCountedAndBitTransparent)
     EXPECT_EQ(warm.tableStats().hits, sc.numModels());
     EXPECT_EQ(warm.tableStats().misses, 0);
 
-    // A private build answers identically — reuse must never change
-    // a single bit of any query.
-    CostDbOptions privateBuild;
-    privateBuild.reuseTables = false;
-    const CostDb fresh(sc, mcm, MaestroLite{}, privateBuild);
+    // A fresh build after clearing the cache answers identically —
+    // reuse must never change a single bit of any query.
+    CostDb::clearTableCache();
+    const CostDb fresh(sc, mcm);
     EXPECT_EQ(fresh.tableStats().hits, 0);
+    EXPECT_EQ(fresh.tableStats().misses, sc.numModels());
     for (int m = 0; m < sc.numModels(); ++m) {
         for (int l = 0; l < sc.models[m].numLayers(); ++l) {
             for (const Dataflow df :

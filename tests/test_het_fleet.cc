@@ -1,10 +1,10 @@
 /**
  * @file
  * Tests for heterogeneous multi-MCM fleets: per-shard package
- * templates, (mix, package)-keyed schedule caches (different
+ * templates, the (mix, package)-keyed schedule cache (different
  * templates must never share a cached schedule; identical shards
- * behind a shared cache must still deduplicate), the cost-aware
- * BestFit routing policy and its WindowEvaluator-based completion
+ * must still deduplicate), the cost-aware BestFit routing policy,
+ * its deferral guards and WindowEvaluator-based completion
  * estimates, and the no-wasted-speculative-solve contract.
  */
 
@@ -134,7 +134,7 @@ TEST(HetFleet, ShardsCountConflictingWithTemplatesIsRejected)
  * The cache-key regression of the issue: the same mix dispatched on
  * two different package templates must be solved once per template —
  * a schedule searched for one package is meaningless on another —
- * even through one shared cache.
+ * even though the fleet has one cache.
  */
 TEST(HetFleet, DifferentTemplatesNeverShareACachedSchedule)
 {
@@ -148,7 +148,6 @@ TEST(HetFleet, DifferentTemplatesNeverShareACachedSchedule)
     FleetOptions options;
     options.shardTemplates = {fastPackage(), slowPackage()};
     options.routing = RoutingPolicy::RoundRobin;
-    options.sharedCache = true;
     FleetSimulator fleet(catalog, fastPackage(), options);
     const ServingReport report = fleet.run(trace);
 
@@ -186,7 +185,7 @@ TEST(HetFleet, InterconnectVariantsGetDistinctSignatures)
 
 /**
  * The fleet-level consequence: two shards whose packages differ only
- * in interconnect must each get their own solve through one shared
+ * in interconnect must each get their own solve from the fleet's one
  * cache — a schedule searched on the mesh is wrong on the torus even
  * though every chiplet matches.
  */
@@ -201,7 +200,6 @@ TEST(HetFleet, InterconnectOnlyShardsNeverShareACachedSchedule)
         templates::hetSides3x3(templates::kArvrPes),
         templates::hetSidesTorus3x3(templates::kArvrPes)};
     options.routing = RoutingPolicy::RoundRobin;
-    options.sharedCache = true;
     FleetSimulator fleet(catalog,
                          templates::hetSides3x3(templates::kArvrPes),
                          options);
@@ -218,9 +216,8 @@ TEST(HetFleet, InterconnectOnlyShardsNeverShareACachedSchedule)
         << "one shared-store entry per interconnect";
 }
 
-/** The homogeneous counterpart: identical shards behind a shared
- *  cache still deduplicate — the second shard replays the first
- *  shard's schedule. */
+/** The homogeneous counterpart: identical shards still deduplicate —
+ *  the second shard replays the first shard's schedule. */
 TEST(HetFleet, SharedCacheStillDeduplicatesAcrossIdenticalShards)
 {
     const auto catalog = singleModelCatalog();
@@ -230,7 +227,6 @@ TEST(HetFleet, SharedCacheStillDeduplicatesAcrossIdenticalShards)
     FleetOptions options;
     options.shards = 2; // homogeneous copies of the ctor template
     options.routing = RoutingPolicy::RoundRobin;
-    options.sharedCache = true;
     FleetSimulator fleet(catalog, fastPackage(), options);
     const ServingReport report = fleet.run(trace);
 
@@ -241,25 +237,6 @@ TEST(HetFleet, SharedCacheStillDeduplicatesAcrossIdenticalShards)
         << "identical packages share one schedule";
     EXPECT_EQ(report.cache.hits, 1);
     EXPECT_EQ(report.uniqueMixes, 1);
-}
-
-TEST(HetFleet, PerShardCachesKeepTemplateEntriesApart)
-{
-    const auto catalog = singleModelCatalog();
-    const auto trace =
-        traceFromArrivals(catalog, {{0.0, 0}, {10.0, 0}});
-
-    FleetOptions options;
-    options.shardTemplates = {fastPackage(), slowPackage()};
-    options.routing = RoutingPolicy::RoundRobin;
-    options.sharedCache = false;
-    FleetSimulator fleet(catalog, fastPackage(), options);
-    const ServingReport report = fleet.run(trace);
-
-    EXPECT_EQ(report.completed, 2);
-    EXPECT_EQ(report.cache.misses, 2);
-    EXPECT_EQ(fleet.cache(0).size(), 1u);
-    EXPECT_EQ(fleet.cache(1).size(), 1u);
 }
 
 TEST(HetFleet, MakespanEstimateRanksFastPackageBelowSlow)
@@ -328,13 +305,78 @@ TEST(HetFleet, BestFitRoutesAreCostOptimalByConstruction)
 }
 
 /**
+ * BestFit's deferral guards, on a fast + slow fleet whose fast package
+ * is busy replaying request 0. A batch that fits one dispatch waits
+ * for the fast package; a queue one request past its cap dispatches
+ * its oldest batch on the idle slow package at once, since deferring
+ * would strand the rest; an urgent batch never defers.
+ */
+TEST(HetFleet, BestFitDefersOnlyFittingNonUrgentBatches)
+{
+    const auto catalog = singleModelCatalog(); // batch cap 1
+    struct Outcome
+    {
+        ServingReport report;
+        std::vector<Request> records;
+
+        double dispatchSec(std::int64_t id) const
+        {
+            for (const Request& req : records) {
+                if (req.id == id)
+                    return req.dispatchSec;
+            }
+            return -1.0;
+        }
+    };
+    const auto serve =
+        [&](const std::vector<std::pair<double, int>>& arrivals,
+            bool urgent) {
+            FleetOptions options;
+            options.shardTemplates = {fastPackage(), slowPackage()};
+            options.routing = RoutingPolicy::BestFit;
+            // A slack threshold above the SLO makes every request
+            // urgent on arrival.
+            options.serving.preemption.enabled = urgent;
+            options.serving.preemption.slackThresholdSec =
+                2.0 * catalog[0].sloSec;
+            FleetSimulator fleet(catalog, fastPackage(), options);
+            Outcome out{fleet.run(traceFromArrivals(catalog, arrivals)),
+                        {}};
+            out.records = fleet.records();
+            return out;
+        };
+
+    const Outcome fits = serve({{0.0, 0}, {0.0001, 0}}, false);
+    EXPECT_EQ(fits.report.completed, 2);
+    EXPECT_EQ(fits.report.shards[0].dispatches, 2)
+        << "the fitting batch must wait for the fast package";
+    EXPECT_EQ(fits.report.shards[1].dispatches, 0);
+    EXPECT_GT(fits.dispatchSec(1), 0.0001);
+
+    const Outcome overflow =
+        serve({{0.0, 0}, {0.0001, 0}, {0.0002, 0}}, false);
+    EXPECT_EQ(overflow.report.completed, 3);
+    EXPECT_GE(overflow.report.shards[1].dispatches, 1);
+    EXPECT_DOUBLE_EQ(overflow.dispatchSec(1), 0.0002)
+        << "request 1 must leave the moment request 2 overflows the "
+           "queue";
+
+    const Outcome urgent = serve({{0.0, 0}, {0.0001, 0}}, true);
+    EXPECT_EQ(urgent.report.completed, 2);
+    EXPECT_EQ(urgent.report.shards[1].dispatches, 1)
+        << "the urgent batch must take the idle slow package";
+    EXPECT_DOUBLE_EQ(urgent.dispatchSec(1), 0.0001);
+}
+
+/**
  * The wasted-speculation regression: a (mix, package) schedule that
- * is already resident — or already solving — in the cache of the
- * shard the dispatch is predicted to land on must not trigger another
+ * is already resident — or already solving — for the shard the
+ * dispatch is predicted to land on must not trigger another
  * background solve. Three back-to-back cap-1 requests: the first two
- * park one dispatch per shard (one solve each); the third finds every
- * shard occupied, so the speculative path runs — and must recognize
- * the in-flight solve instead of launching a third.
+ * park one dispatch per shard (one solve, which the second joins);
+ * the third finds every shard occupied, so the speculative path runs
+ * — and must recognize the in-flight solve instead of launching a
+ * second.
  */
 TEST(HetFleet, SpeculationNeverResolvesAResidentSchedule)
 {
@@ -348,7 +390,6 @@ TEST(HetFleet, SpeculationNeverResolvesAResidentSchedule)
         FleetOptions options;
         options.shards = 2;
         options.routing = policy;
-        options.sharedCache = false; // per-shard caches
         options.speculativeSolve = true;
         options.serving.modeledSolveSec = 0.05;
         FleetSimulator fleet(
@@ -356,11 +397,10 @@ TEST(HetFleet, SpeculationNeverResolvesAResidentSchedule)
             options);
         const ServingReport report = fleet.run(trace);
         EXPECT_EQ(report.completed, 3) << routingPolicyName(policy);
-        // Two caches, one solve each for the single mix; request 3
-        // replays from whichever shard frees first. A wasted
-        // speculative solve would show as a third miss.
-        EXPECT_EQ(report.cache.misses, 2) << routingPolicyName(policy);
-        EXPECT_GE(report.cache.hits, 1) << routingPolicyName(policy);
+        // One solve for the single mix; requests 2 and 3 replay it. A
+        // wasted speculative solve would show as a second miss.
+        EXPECT_EQ(report.cache.misses, 1) << routingPolicyName(policy);
+        EXPECT_EQ(report.cache.hits, 2) << routingPolicyName(policy);
     }
 }
 

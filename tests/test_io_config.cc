@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "common/error.h"
 #include "io/config.h"
@@ -86,6 +87,108 @@ TEST(IoScenario, RejectsNonNumericAttribute)
     std::istringstream in(
         "scenario s\nmodel custom\ngemm m=abc n=1 k=1\n");
     EXPECT_THROW(io::parseScenario(in), FatalError);
+}
+
+/** Parses `text` with `parse` and returns the FatalError message
+ *  (empty when nothing was thrown). */
+template <typename Parse>
+std::string
+parseError(Parse parse, const std::string& text)
+{
+    std::istringstream in(text);
+    try {
+        parse(in);
+    } catch (const FatalError& e) {
+        return e.what();
+    }
+    return "";
+}
+
+std::string
+mcmError(const std::string& text)
+{
+    return parseError([](std::istream& in) { io::parseMcm(in); }, text);
+}
+
+std::string
+scenarioError(const std::string& text)
+{
+    return parseError([](std::istream& in) { io::parseScenario(in); },
+                      text);
+}
+
+TEST(IoScenario, RejectsTrailingJunkInAttribute)
+{
+    const std::string error = scenarioError("model resNet50 batch=4x\n");
+    EXPECT_NE(error.find("line 1"), std::string::npos) << error;
+    EXPECT_NE(error.find("'4x' is not an integer"), std::string::npos)
+        << error;
+}
+
+TEST(IoScenario, RejectsOutOfRangeAttribute)
+{
+    const std::string error =
+        scenarioError("scenario s\nmodel resNet50 batch=2147483648\n");
+    EXPECT_NE(error.find("line 2"), std::string::npos) << error;
+    EXPECT_NE(error.find("out of int range"), std::string::npos) << error;
+}
+
+TEST(IoMcm, RejectsNonNumericMeshSize)
+{
+    const std::string error = mcmError("mcm m\nmesh 3 x\n");
+    EXPECT_NE(error.find("line 2: mesh height 'x' is not an integer"),
+              std::string::npos)
+        << error;
+}
+
+TEST(IoMcm, RejectsTrailingJunkInPeCount)
+{
+    const std::string error =
+        mcmError("mcm m\ntemplate hetSides3x3\npes 1x\n");
+    EXPECT_NE(error.find("line 3: PE count '1x' is not an integer"),
+              std::string::npos)
+        << error;
+}
+
+TEST(IoMcm, RejectsNonNumericExpressEndpoint)
+{
+    const std::string error = mcmError(
+        "mcm m\nmesh 3 3\nmap NVD NVD NVD / NVD NVD NVD / NVD NVD NVD\n"
+        "topology express\nexpress 0 8z\n");
+    EXPECT_NE(error.find("line 5: express endpoint '8z' is not an integer"),
+              std::string::npos)
+        << error;
+}
+
+TEST(IoMcm, RejectsNonNumericBroadcastMember)
+{
+    const std::string error = mcmError(
+        "mcm m\nmesh 3 3\nmap NVD NVD NVD / NVD NVD NVD / NVD NVD NVD\n"
+        "topology broadcast\nbroadcast 0 four 8\n");
+    EXPECT_NE(
+        error.find("line 5: broadcast member 'four' is not an integer"),
+        std::string::npos)
+        << error;
+}
+
+TEST(IoMcm, RejectsOutOfRangeIntegers)
+{
+    for (const char* text :
+         {"mcm m\npes 4294967296\n", "mcm m\nmesh 3 -99999999999\n"}) {
+        const std::string error = mcmError(text);
+        EXPECT_NE(error.find("line 2"), std::string::npos) << error;
+        EXPECT_NE(error.find("out of int range"), std::string::npos)
+            << error;
+    }
+}
+
+TEST(IoMcm, RejectsNonPositivePeCount)
+{
+    const std::string error =
+        mcmError("mcm m\ntemplate hetSides3x3\npes 0\n");
+    EXPECT_NE(error.find("line 3: PE count must be positive"),
+              std::string::npos)
+        << error;
 }
 
 TEST(IoMcm, ParsesTemplateReference)

@@ -5,8 +5,8 @@
  * (boarding, buckets, round planning), decode-round tiling in the
  * executor (differential against the former tiled-schedule path),
  * continuous-batching joins and per-sequence retirement at the fleet
- * level, the byte-identical disabled path, determinism across worker
- * pools, and the speculative partial-dispatch admission flag.
+ * level, the byte-identical disabled path, and determinism across
+ * worker pools.
  */
 
 #include <gtest/gtest.h>
@@ -567,38 +567,6 @@ TEST(LlmServing, WarmPassMaterializesNoMix)
     EXPECT_GT(warm.llmJoins, 0);
     EXPECT_EQ(warm.completed, 200);
     EXPECT_EQ(fleet.materializedMixes(), 0);
-}
-
-/**
- * AdmissionOptions::speculativePartialDispatch: a lone request on an
- * idle fleet dispatches immediately instead of aging out the batching
- * timer. Off (the default) preserves the timer-paced baseline.
- */
-TEST(Admission, SpeculativePartialDispatchSkipsBatchTimer)
-{
-    std::vector<ServedModel> catalog(1);
-    catalog[0].model = zoo::eyeCod(4); // batch cap 4, one request
-    catalog[0].sloSec = 10.0;
-    const auto trace =
-        traceFromArrivals(catalog, {{0.0, 0}});
-
-    auto runWith = [&](bool speculative) {
-        FleetOptions options;
-        options.shards = 1;
-        options.serving.admission.maxQueueDelaySec = 0.5;
-        options.serving.admission.speculativePartialDispatch =
-            speculative;
-        FleetSimulator fleet(
-            catalog, templates::hetSides3x3(templates::kArvrPes),
-            options);
-        fleet.run(trace);
-        return fleet.records().front().dispatchSec;
-    };
-
-    EXPECT_GE(runWith(false), 0.5)
-        << "default path waits out the batching timer";
-    EXPECT_DOUBLE_EQ(runWith(true), 0.0)
-        << "speculative path dispatches on the idle shard at once";
 }
 
 } // namespace

@@ -7,10 +7,10 @@
  * byte), the boundary probes behind its conservative bound (the
  * join/release terms land exactly on their cuts), the hierarchical
  * cluster -> pod -> shard routing index that routes every dispatch
- * (a routing-matrix golden over fleet kinds, policies, preemption,
- * and deferral pins its decisions and routing-quality counters), an
- * event-loop matrix golden over LLM batching, preemption, speculation
- * and partial dispatch on an LLM + CNN catalog, and the
+ * (a routing-matrix golden over fleet kinds, policies and
+ * preemption pins its decisions and routing-quality counters), an
+ * event-loop matrix golden over LLM batching, preemption and
+ * speculation on an LLM + CNN catalog, and the
  * AsyncScheduleCache behind it (exactly one solve per key under
  * concurrent callers, idempotent prefetch).
  */
@@ -219,36 +219,27 @@ TEST(FleetGolden, TightSloUrgencyCrossing)
 
 TEST(FleetGolden, HomogeneousPreemptiveSpeculativeFleet)
 {
-    // Many identical shards on the flat preemptive BestFit scan, with
-    // speculative solves: every routing decision and speculation
-    // target prices all shards against their caches. One shared cache
-    // makes the fleet a single pod; private caches make one pod per
-    // shard on a single template, where per-cache state (which shard
-    // holds or is solving a schedule) must steer routing — a probe
-    // keyed by template alone would lose that.
+    // Many identical shards — a single routing pod — under preemptive
+    // BestFit with speculative solves: urgent and regular dispatches
+    // fold over the pod's class heads and the idle shards owing a
+    // resume, and every speculation target probes the one cache.
     auto catalog = twoModelCatalog();
     for (ServedModel& sm : catalog) {
         sm.rateRps *= 1.5;
         sm.sloSec = 0.03;
     }
-    for (const bool shared : {true, false}) {
-        FleetOptions options;
-        options.shards = 8;
-        options.sharedCache = shared;
-        options.routing = RoutingPolicy::BestFit;
-        options.serving.modeledSolveSec = 0.01;
-        options.serving.switchOverheadSec = 0.002;
-        options.serving.admission.maxQueueDelaySec = 0.005;
-        options.serving.preemption.enabled = true;
-        options.serving.preemption.slackThresholdSec = 0.004;
-        ServingReport report;
-        const RunArtifacts run =
-            runFleet(options, catalog, 500, 41, &report);
-        EXPECT_GT(report.preemptions, 0) << "sharedCache = " << shared;
-        golden::checkGolden(shared ? "fleet_preempt_homog_shared"
-                                   : "fleet_preempt_homog_private",
-                            goldenRecord(run));
-    }
+    FleetOptions options;
+    options.shards = 8;
+    options.routing = RoutingPolicy::BestFit;
+    options.serving.modeledSolveSec = 0.01;
+    options.serving.switchOverheadSec = 0.002;
+    options.serving.admission.maxQueueDelaySec = 0.005;
+    options.serving.preemption.enabled = true;
+    options.serving.preemption.slackThresholdSec = 0.004;
+    ServingReport report;
+    const RunArtifacts run = runFleet(options, catalog, 500, 41, &report);
+    EXPECT_GT(report.preemptions, 0);
+    golden::checkGolden("fleet_preempt_homog_shared", goldenRecord(run));
 }
 
 /** One-model LLM catalog around a deliberately small decoder. */
@@ -402,8 +393,7 @@ TEST(FleetCalendar, BoundaryProbesAreUlpExact)
 }
 
 /** The routing-matrix fleet kinds: heterogeneous templates (a pod
- *  per template), 6 identical shards behind one shared cache (a
- *  single pod) or private caches (a pod per shard), and two
+ *  per template), 6 identical shards (a single pod), and two
  *  alternating templates three shards each (two 3-shard pods). */
 FleetOptions
 matrixFleet(const std::string& kind)
@@ -422,20 +412,22 @@ matrixFleet(const std::string& kind)
         return options;
     }
     options.shards = 6;
-    options.sharedCache = kind == "homog6-shared";
     return options;
 }
 
 TEST(FleetRouting, RoutingMatrixIsPinned)
 {
     // One digest line (report, trace, samples, metrics) per fleet
-    // kind x policy x preemption off / slack {0.02, 0.04} x deferral
-    // x seed, captured while preemptive fleets still routed on a flat
-    // O(N) shard scan: every routing decision — urgent candidates on
+    // kind x policy x preemption off / slack {0.02, 0.04} x seed,
+    // captured while preemptive fleets still routed on a flat O(N)
+    // shard scan: every routing decision — urgent candidates on
     // suspended shards, deferral past shards owing a resume, the
-    // routing-quality counters — must stay byte-identical. ~5 s in
-    // Release, 1-2 minutes under the sanitizers, whose builds run the
-    // fleets (and their run invariants) but skip the comparison.
+    // routing-quality counters — must stay byte-identical. The
+    // "homog6-shared" and "defer=1" labels name configurations whose
+    // alternatives were deleted; they stay so the rows stay put.
+    // ~3 s in Release, about a minute under the sanitizers, whose
+    // builds run the fleets (and their run invariants) but skip the
+    // comparison.
     std::string matrix;
     const auto addRow = [&](const std::string& label,
                             const FleetOptions& options,
@@ -449,8 +441,7 @@ TEST(FleetRouting, RoutingMatrixIsPinned)
                   ": " + digest(goldenRecord(run)) + "\n";
     };
     const auto catalog = twoModelCatalog();
-    for (const std::string kind :
-         {"het4", "homog6-shared", "homog6-private"}) {
+    for (const std::string kind : {"het4", "homog6-shared"}) {
         for (const RoutingPolicy policy :
              {RoutingPolicy::RoundRobin, RoutingPolicy::LeastLoaded,
               RoutingPolicy::MixAffinity, RoutingPolicy::BestFit}) {
@@ -458,18 +449,15 @@ TEST(FleetRouting, RoutingMatrixIsPinned)
                  {std::pair<double, const char*>{0.0, "no-preempt"},
                   {0.02, "slack=0.02"},
                   {0.04, "slack=0.04"}}) {
-                for (const bool defer : {false, true}) {
-                    FleetOptions options = matrixFleet(kind);
-                    options.routing = policy;
-                    options.bestFitDefer = defer;
-                    options.serving.preemption.enabled = slack > 0.0;
-                    options.serving.preemption.slackThresholdSec = slack;
-                    const std::string label =
-                        kind + " " + routingPolicyName(policy) + " " +
-                        preemptLabel + " defer=" + std::to_string(defer);
-                    for (const unsigned seed : {3u, 5u})
-                        addRow(label, options, catalog, 100, seed);
-                }
+                FleetOptions options = matrixFleet(kind);
+                options.routing = policy;
+                options.serving.preemption.enabled = slack > 0.0;
+                options.serving.preemption.slackThresholdSec = slack;
+                const std::string label = kind + " " +
+                                          routingPolicyName(policy) +
+                                          " " + preemptLabel + " defer=1";
+                for (const unsigned seed : {3u, 5u})
+                    addRow(label, options, catalog, 100, seed);
             }
         }
     }
@@ -495,12 +483,8 @@ TEST(FleetRouting, RoutingMatrixIsPinned)
                options, catalog, 200, row.seed);
     }
     // The configurations the flat-vs-indexed A/B tests compared.
-    for (const bool defer : {true, false}) {
-        FleetOptions options = hetFleetOptions();
-        options.bestFitDefer = defer;
-        addRow("ab het4 best-fit defer=" + std::to_string(defer),
-               options, catalog, 400, 11);
-    }
+    addRow("ab het4 best-fit defer=1", hetFleetOptions(), catalog, 400,
+           11);
     for (const RoutingPolicy policy :
          {RoutingPolicy::RoundRobin, RoutingPolicy::LeastLoaded,
           RoutingPolicy::MixAffinity}) {
@@ -534,11 +518,12 @@ TEST(FleetLoop, EventLoopMatrixIsPinned)
     // One digest line (report, trace, samples, metrics) per
     // combination of the event loop's handlers no other golden pins
     // together: LLM continuous / static batching x preemption off /
-    // on x speculative solves on / off x speculative partial dispatch
-    // off / on, on an LLM + CNN catalog with deadlines, plus a
-    // one-entry schedule cache that evicts on every mix change. The
-    // handler counters print on each row so a handler no row
-    // exercises shows up as a column of zeros.
+    // on x speculative solves on / off, on an LLM + CNN catalog with
+    // deadlines, plus a one-entry schedule cache that evicts on every
+    // mix change. The handler counters print on each row so a handler
+    // no row exercises shows up as a column of zeros. The "partial=0"
+    // label names the timer-paced dispatch, the only one left; it
+    // stays so the rows stay put.
     const auto catalog = llmCnnCatalog();
     const auto trace = llmPoissonTrace(catalog, 150, 13);
     std::string matrix;
@@ -570,22 +555,17 @@ TEST(FleetLoop, EventLoopMatrixIsPinned)
          {LlmBatchingMode::Continuous, LlmBatchingMode::Static}) {
         for (const bool preempt : {false, true}) {
             for (const bool speculative : {true, false}) {
-                for (const bool partial : {false, true}) {
-                    FleetOptions options = baseOptions();
-                    options.serving.admission.llmBatching = mode;
-                    options.serving.preemption.enabled = preempt;
-                    options.speculativeSolve = speculative;
-                    options.serving.admission
-                        .speculativePartialDispatch = partial;
-                    addRow(std::string(mode == LlmBatchingMode::Continuous
-                                           ? "continuous"
-                                           : "static") +
-                               " preempt=" + std::to_string(preempt) +
-                               " speculative=" +
-                               std::to_string(speculative) +
-                               " partial=" + std::to_string(partial),
-                           options);
-                }
+                FleetOptions options = baseOptions();
+                options.serving.admission.llmBatching = mode;
+                options.serving.preemption.enabled = preempt;
+                options.speculativeSolve = speculative;
+                addRow(std::string(mode == LlmBatchingMode::Continuous
+                                       ? "continuous"
+                                       : "static") +
+                           " preempt=" + std::to_string(preempt) +
+                           " speculative=" + std::to_string(speculative) +
+                           " partial=0",
+                       options);
             }
         }
     }

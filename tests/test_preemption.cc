@@ -426,8 +426,11 @@ TEST(Preemption, ComposesWithBestFitRouting)
     catalog[2].model = zoo::googleNet(4);
     catalog[2].sloSec = 0.05;
 
-    // Both packages busy with BERT batches, then XR frames that must
-    // preempt (no idle shard until ~86 ms).
+    // Both packages busy with datacenter batches, then XR frames that
+    // must preempt (no idle shard until ~86 ms). BestFit may defer, but
+    // its makespan estimate prices the GPT batch equally on both
+    // packages, so the occupied one is never strictly cheaper and the
+    // GPT batch takes the idle package on arrival.
     std::vector<std::pair<double, int>> arrivals;
     for (int i = 0; i < 8; ++i)
         arrivals.push_back({0.0, 0});
@@ -442,11 +445,6 @@ TEST(Preemption, ComposesWithBestFitRouting)
         templates::simba3x3(Dataflow::NvdlaWS),
         templates::hetSides3x3()};
     options.routing = RoutingPolicy::BestFit;
-    // No deferral: with it on, BestFit parks the second BERT batch
-    // waiting for the faster package and the XR frames find an idle
-    // shard — a legitimate composition outcome, but this test forces
-    // the both-shards-busy case where preemption must fire.
-    options.bestFitDefer = false;
     options.serving.switchOverheadSec = 0.002;
     options.serving.preemption.enabled = true;
     options.serving.preemption.slackThresholdSec = 0.03;
@@ -455,6 +453,12 @@ TEST(Preemption, ComposesWithBestFitRouting)
     const ServingReport report = fleet.run(trace);
 
     EXPECT_EQ(report.completed, 18);
+    for (const Request& req : fleet.records()) {
+        if (req.modelIdx == 1) {
+            EXPECT_DOUBLE_EQ(req.dispatchSec, req.arrivalSec)
+                << "the GPT batch must not defer";
+        }
+    }
     EXPECT_GE(report.preemptions, 1);
     EXPECT_GE(report.preemptedRequests, 8);
     // The XR frames made their deadlines through the fast lane.
