@@ -9,6 +9,7 @@
 #ifndef SCAR_COMMON_RNG_H
 #define SCAR_COMMON_RNG_H
 
+#include <array>
 #include <cstdint>
 #include <random>
 
@@ -34,7 +35,77 @@ mixSeed(std::uint64_t seed, std::uint64_t stream)
     return z ^ (z >> 31);
 }
 
-/** Seeded pseudo-random source wrapping std::mt19937_64. */
+/**
+ * MT19937-64: the word sequence of std::mt19937_64 (same seeding,
+ * 312-word state and tempering), with a branchless twist. The
+ * standard engine selects the twist matrix per word with a data-
+ * dependent branch on the low bit, which mispredicts half the time;
+ * here the matrix is masked in. A UniformRandomBitGenerator over the
+ * full 64-bit range, so every std distribution and std::shuffle draws
+ * exactly what they drew from std::mt19937_64 (pinned in
+ * tests/test_common.cc).
+ */
+class Mt19937_64
+{
+  public:
+    using result_type = std::uint64_t;
+
+    static constexpr result_type min() { return 0; }
+    static constexpr result_type max() { return ~result_type{0}; }
+
+    explicit Mt19937_64(result_type seed)
+    {
+        state_[0] = seed;
+        for (int i = 1; i < kN; ++i) {
+            const result_type prev = state_[i - 1];
+            state_[i] = 6364136223846793005uLL * (prev ^ (prev >> 62)) +
+                        static_cast<result_type>(i);
+        }
+    }
+
+    result_type
+    operator()()
+    {
+        if (next_ >= kN)
+            twist();
+        result_type y = state_[next_++];
+        y ^= (y >> 29) & 0x5555555555555555uLL;
+        y ^= (y << 17) & 0x71D67FFFEDA60000uLL;
+        y ^= (y << 37) & 0xFFF7EEE000000000uLL;
+        return y ^ (y >> 43);
+    }
+
+  private:
+    static constexpr int kN = 312;
+    static constexpr int kM = 156;
+    static constexpr result_type kUpper = ~result_type{0} << 31;
+    static constexpr result_type kLower = ~kUpper;
+
+    static result_type
+    mix(result_type hi, result_type lo, result_type far)
+    {
+        const result_type y = (hi & kUpper) | (lo & kLower);
+        return far ^ (y >> 1) ^ ((0 - (y & 1)) & 0xB5026F5AA96619E9uLL);
+    }
+
+    void
+    twist()
+    {
+        int i = 0;
+        for (; i < kN - kM; ++i)
+            state_[i] = mix(state_[i], state_[i + 1], state_[i + kM]);
+        for (; i < kN - 1; ++i)
+            state_[i] =
+                mix(state_[i], state_[i + 1], state_[i + kM - kN]);
+        state_[kN - 1] = mix(state_[kN - 1], state_[0], state_[kM - 1]);
+        next_ = 0;
+    }
+
+    std::array<result_type, kN> state_{};
+    int next_ = kN;
+};
+
+/** Seeded pseudo-random source over the MT19937-64 engine. */
 class Rng
 {
   public:
@@ -71,10 +142,10 @@ class Rng
     bool chance(double p) { return uniform() < p; }
 
     /** Underlying engine, for std::shuffle. */
-    std::mt19937_64& engine() { return engine_; }
+    Mt19937_64& engine() { return engine_; }
 
   private:
-    std::mt19937_64 engine_;
+    Mt19937_64 engine_;
 };
 
 } // namespace scar

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <iterator>
 #include <optional>
+#include <utility>
 
 #include "common/error.h"
 #include "common/logging.h"
@@ -196,18 +198,19 @@ Scar::run()
         WindowScheduler::Result best;
         std::vector<ScoredPlacement> mergedTop;
         for (std::size_t a = 0; a < allocations[w].size(); ++a) {
-            const auto found =
+            auto found =
                 evo ? evo->search(wa, allocations[w][a], genomes[w][a],
                                   allocationSeed(w, a), entry, &pathCache)
                     : scheduler.search(wa, rankings[w][a], entry,
                                        &pathCache);
             if (!found.found)
                 continue;
-            mergedTop.insert(mergedTop.end(), found.top.begin(),
-                             found.top.end());
+            mergedTop.insert(mergedTop.end(),
+                             std::make_move_iterator(found.top.begin()),
+                             std::make_move_iterator(found.top.end()));
             if (!best.found || found.best.score < best.best.score) {
                 best.found = true;
-                best.best = found.best;
+                best.best = std::move(found.best);
             }
         }
         if (prof)
@@ -234,8 +237,8 @@ Scar::run()
             // The model's live data now resides on its tail chiplet.
             entry[mp.modelIdx] = mp.segments.back().chiplet;
         }
-        sw.placement = best.best.placement;
-        sw.cost = best.best.cost;
+        sw.placement = std::move(best.best.placement);
+        sw.cost = std::move(best.best.cost);
         result.windows.push_back(std::move(sw));
         windowTops.push_back(std::move(mergedTop));
     }

@@ -1,9 +1,10 @@
 #include "sched/sched_engine.h"
-#include <functional>
-#include <limits>
-#include <set>
 
 #include <algorithm>
+#include <functional>
+#include <limits>
+#include <numeric>
+#include <set>
 
 #include "common/error.h"
 #include "common/logging.h"
@@ -150,7 +151,8 @@ void
 WindowScheduler::placeCombo(const std::vector<int>& present,
                             const std::vector<Segmentation>& segs,
                             const std::vector<int>& entry,
-                            PathCache& pathCache, Result& result) const
+                            PathCache& pathCache,
+                            std::vector<BoundedPlacement>& placed) const
 {
     const Topology& topo = db_.mcm().topology();
     obs::SearchCounters::bump(opts_.counters,
@@ -247,18 +249,49 @@ WindowScheduler::placeCombo(const std::vector<int>& present,
         beam = std::move(next);
     }
 
-    for (const BeamState& state : beam) {
-        WindowPlacement placement;
-        placement.models = state.placed;
-        placement.entryChiplet.assign(db_.scenario().numModels(), -1);
+    for (BeamState& state : beam) {
+        BoundedPlacement out;
+        out.placement.models = std::move(state.placed);
+        out.placement.entryChiplet.assign(db_.scenario().numModels(), -1);
         for (int m : present)
-            placement.entryChiplet[m] = entryOf(m);
-        ScoredPlacement scored;
-        scored.cost = fullEval_.evaluate(placement);
-        scored.score = score(scored.cost);
-        scored.placement = std::move(placement);
-        result.top.push_back(std::move(scored));
+            out.placement.entryChiplet[m] = entryOf(m);
+        WindowCost partial;
+        partial.latencyCycles = state.maxLatency;
+        partial.energyNj = state.sumEnergy;
+        out.bound = score(partial);
+        placed.push_back(std::move(out));
     }
+}
+
+ScoredPlacement
+WindowScheduler::evaluate(BoundedPlacement&& placed) const
+{
+    ScoredPlacement scored;
+    scored.cost = fullEval_.evaluate(placed.placement);
+    scored.score = score(scored.cost);
+    // The bound every skip in select() rests on; checked on every
+    // evaluation that runs.
+    SCAR_ASSERT(placed.bound <= scored.score, "window score ",
+                scored.score, " below its contention-free bound ",
+                placed.bound);
+    scored.placement = std::move(placed.placement);
+    return scored;
+}
+
+void
+WindowScheduler::finish(Result& result) const
+{
+    if (result.top.empty())
+        return;
+    std::stable_sort(result.top.begin(), result.top.end(),
+                     [](const ScoredPlacement& a,
+                        const ScoredPlacement& b) {
+                         return a.score < b.score;
+                     });
+    if (static_cast<int>(result.top.size()) > opts_.maxTopCandidates)
+        result.top.resize(opts_.maxTopCandidates);
+    result.best = result.top.front();
+    result.found = true;
 }
 
 WindowScheduler::Ranking
@@ -287,11 +320,10 @@ WindowScheduler::rankModel(const WindowAssignment& wa,
                              target_, opts_.seg, segRng);
 }
 
-WindowScheduler::Result
-WindowScheduler::search(const WindowAssignment& wa,
-                        const Ranking& ranking,
-                        const std::vector<int>& entry,
-                        PathCache* sharedPaths) const
+std::vector<WindowScheduler::BoundedPlacement>
+WindowScheduler::place(const WindowAssignment& wa, const Ranking& ranking,
+                       const std::vector<int>& entry,
+                       PathCache* sharedPaths) const
 {
     const std::vector<int> present = presentModels(wa);
     SCAR_REQUIRE(!present.empty(), "window has no layers to schedule");
@@ -358,25 +390,24 @@ WindowScheduler::search(const WindowAssignment& wa,
     }
 
     // Combo placements are independent; fan out across the pool and
-    // merge in combo index order so the stable ranking below is
-    // identical at any pool size.
-    std::vector<Result> comboResults(combos.size());
+    // merge in combo index order so the placement order (the ranking's
+    // tie-break) is identical at any pool size.
+    std::vector<std::vector<BoundedPlacement>> comboPlaced(combos.size());
     forEachIndex(opts_.pool, combos.size(), [&](std::size_t ci) {
         std::vector<Segmentation> segs;
         segs.reserve(combos[ci].size());
         for (std::size_t i = 0; i < combos[ci].size(); ++i)
             segs.push_back(segLists[i][combos[ci][i]]);
-        placeCombo(present, segs, entry, pathCache, comboResults[ci]);
+        placeCombo(present, segs, entry, pathCache, comboPlaced[ci]);
     });
 
-    Result result;
-    for (Result& cr : comboResults) {
-        result.top.insert(result.top.end(),
-                          std::make_move_iterator(cr.top.begin()),
-                          std::make_move_iterator(cr.top.end()));
+    std::vector<BoundedPlacement> placed;
+    for (std::vector<BoundedPlacement>& cp : comboPlaced) {
+        placed.insert(placed.end(), std::make_move_iterator(cp.begin()),
+                      std::make_move_iterator(cp.end()));
     }
 
-    if (result.top.empty()) {
+    if (placed.empty()) {
         // Fallback: one segment per model is always placeable when the
         // package has a free chiplet per model (paths of length 1).
         debug("window search fell back to single-segment placement");
@@ -386,21 +417,66 @@ WindowScheduler::search(const WindowAssignment& wa,
             seg.segments.push_back(wa.perModel[m]);
             segs.push_back(std::move(seg));
         }
-        placeCombo(present, segs, entry, pathCache, result);
+        placeCombo(present, segs, entry, pathCache, placed);
+    }
+    return placed;
+}
+
+WindowScheduler::Result
+WindowScheduler::select(std::vector<BoundedPlacement> placed) const
+{
+    // Evaluate best-first by (bound, placement index) in batches of a
+    // fixed size, so the evaluations that run never depend on the
+    // pool. A placement whose bound is strictly above the current
+    // maxTopCandidates-th best score cannot enter the list: its score
+    // is at least its bound, and that threshold only falls as more
+    // placements are evaluated. The bounds ascend, so the first such
+    // placement ends the walk.
+    const std::size_t n = placed.size();
+    std::vector<std::size_t> order(n);
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return placed[a].bound < placed[b].bound;
+                     });
+    const std::size_t keep = static_cast<std::size_t>(opts_.maxTopCandidates);
+    std::vector<ScoredPlacement> scored(n);
+    std::vector<char> evaluated(n, 0);
+    std::vector<double> lowest; // the `keep` lowest scores so far
+    double threshold = std::numeric_limits<double>::infinity();
+    for (std::size_t begin = 0; begin < n;) {
+        const std::size_t end = std::min(n, begin + kEvalBatch);
+        std::size_t stop = begin;
+        while (stop < end && !(placed[order[stop]].bound > threshold))
+            ++stop;
+        forEachIndex(opts_.pool, stop - begin, [&](std::size_t j) {
+            const std::size_t i = order[begin + j];
+            scored[i] = evaluate(std::move(placed[i]));
+        });
+        for (std::size_t j = begin; j < stop; ++j) {
+            evaluated[order[j]] = 1;
+            lowest.push_back(scored[order[j]].score);
+        }
+        if (stop < end)
+            break;
+        if (lowest.size() >= keep) {
+            std::nth_element(lowest.begin(), lowest.begin() + (keep - 1),
+                             lowest.end());
+            lowest.resize(keep);
+            threshold = lowest.back();
+        }
+        begin = end;
     }
 
-    if (result.top.empty())
-        return result;
-
-    std::stable_sort(result.top.begin(), result.top.end(),
-                     [](const ScoredPlacement& a,
-                        const ScoredPlacement& b) {
-                         return a.score < b.score;
-                     });
-    if (static_cast<int>(result.top.size()) > opts_.maxTopCandidates)
-        result.top.resize(opts_.maxTopCandidates);
-    result.best = result.top.front();
-    result.found = true;
+    // Kept placements in placement order, so finish()'s stable sort
+    // ranks them by (score, placement index): the order evaluating
+    // every placement would give.
+    Result result;
+    for (std::size_t i = 0; i < n; ++i) {
+        if (evaluated[i])
+            result.top.push_back(std::move(scored[i]));
+    }
+    finish(result);
     return result;
 }
 
@@ -410,22 +486,19 @@ WindowScheduler::placeSegmentations(
     const std::vector<Segmentation>& segs,
     const std::vector<int>& entry, PathCache* sharedPaths) const
 {
-    Result result;
     PathCache localPaths;
     localPaths.setCounters(opts_.counters);
     PathCache& paths = sharedPaths != nullptr ? *sharedPaths : localPaths;
-    placeCombo(presentModels, segs, entry, paths, result);
-    if (result.top.empty())
-        return result;
-    std::stable_sort(result.top.begin(), result.top.end(),
-                     [](const ScoredPlacement& a,
-                        const ScoredPlacement& b) {
-                         return a.score < b.score;
-                     });
-    if (static_cast<int>(result.top.size()) > opts_.maxTopCandidates)
-        result.top.resize(opts_.maxTopCandidates);
-    result.best = result.top.front();
-    result.found = true;
+    std::vector<BoundedPlacement> placed;
+    placeCombo(presentModels, segs, entry, paths, placed);
+    // Every placement is evaluated, with no bound skip: each EA
+    // individual's fitness and the EA's merged candidate list read
+    // its whole top list.
+    Result result;
+    result.top.reserve(placed.size());
+    for (BoundedPlacement& p : placed)
+        result.top.push_back(evaluate(std::move(p)));
+    finish(result);
     return result;
 }
 

@@ -22,18 +22,25 @@
  *     model step, cost/window_evaluator.h), and the best `beamWidth`
  *     partial placements survive;
  *  4. complete placements are re-scored with the full window evaluator
- *     (contention + DRAM roofline) and ranked.
+ *     (contention + DRAM roofline) and ranked, best-first by their
+ *     beam score: contention only inflates transfers and the roofline
+ *     only raises latency, so a placement's full score is never below
+ *     score() of its beam's (max solo latency, summed solo energy),
+ *     and placements whose bound is strictly above the current
+ *     maxTopCandidates-th best full score are never evaluated. The
+ *     ranked list is the one evaluating every placement would give.
  *
  * Parallelism and determinism: rank() and search() are re-entrant.
  * Randomness comes from a seed value, not a shared generator — each
  * model's Heuristic-1 ranking draws from its own mixSeed(seed, model)
  * stream, and the ranking reads no entry chiplets, so Scar::run ranks
  * every window of a solve in one fan-out before its serial window
- * walk. The per-model refinement, the refinement's candidate scoring
- * and the combo loop fan out across the optional worker pool; results
- * are collected by model, candidate and combo index and ranked with
- * stable sorts, so the returned Result is bit-identical at any pool
- * size (including fully serial).
+ * walk. The per-model refinement, the refinement's candidate scoring,
+ * the combo loop and each fixed-size batch of full evaluations fan out
+ * across the optional worker pool; results are collected by model,
+ * candidate, combo and placement index and ranked with stable sorts,
+ * so the returned Result — and the number of full evaluations — is
+ * bit-identical at any pool size (including fully serial).
  *
  * All enumeration caps are explicit in WindowSearchOptions; exceeding
  * a cap logs at debug level rather than failing silently.
@@ -99,6 +106,17 @@ class WindowScheduler
         std::vector<ScoredPlacement> top; ///< ascending score
     };
 
+    /**
+     * A complete beam placement before full evaluation, with its
+     * bound: score() of the beam's (max solo latency, summed solo
+     * energy), never above score() of its full evaluation.
+     */
+    struct BoundedPlacement
+    {
+        WindowPlacement placement;
+        double bound = 0.0;
+    };
+
     WindowScheduler(const CostDb& db, OptTarget target,
                     WindowSearchOptions opts = WindowSearchOptions{});
 
@@ -149,7 +167,21 @@ class WindowScheduler
      */
     Result search(const WindowAssignment& wa, const Ranking& ranking,
                   const std::vector<int>& entry = {},
-                  PathCache* sharedPaths = nullptr) const;
+                  PathCache* sharedPaths = nullptr) const
+    {
+        return select(place(wa, ranking, entry, sharedPaths));
+    }
+
+    /**
+     * The placement half of search() (same arguments): every combo's
+     * final beam in combo order, beam order within a combo, or the
+     * single-segment fallback's when no combo places. search() fully
+     * evaluates only those of them that can enter its top list.
+     */
+    std::vector<BoundedPlacement>
+    place(const WindowAssignment& wa, const Ranking& ranking,
+          const std::vector<int>& entry = {},
+          PathCache* sharedPaths = nullptr) const;
 
     /** The whole SEG+SCHED search of one window: rank, then search. */
     Result
@@ -181,6 +213,9 @@ class WindowScheduler
     static std::vector<int> presentModels(const WindowAssignment& wa);
 
   private:
+    /** Full evaluations per parallel batch of select(). */
+    static constexpr std::size_t kEvalBatch = 16;
+
     struct BeamState
     {
         std::vector<bool> used;
@@ -194,10 +229,26 @@ class WindowScheduler
 
     double partialScore(double maxLatency, double sumEnergy) const;
 
+    /** Appends one combo's final beam to `placed`. */
     void placeCombo(const std::vector<int>& present,
                     const std::vector<Segmentation>& segs,
                     const std::vector<int>& entry, PathCache& paths,
-                    Result& result) const;
+                    std::vector<BoundedPlacement>& placed) const;
+
+    /** Fully evaluates a placement, checking it against its bound. */
+    ScoredPlacement evaluate(BoundedPlacement&& placed) const;
+
+    /**
+     * Ranks placements by full score, evaluating best-first by bound
+     * and skipping every placement that cannot enter the top list.
+     */
+    Result select(std::vector<BoundedPlacement> placed) const;
+
+    /**
+     * Stable-sorts `top` by score, keeps the best maxTopCandidates and
+     * sets `best` (search() and placeSegmentations() share this tail).
+     */
+    void finish(Result& result) const;
 
     /**
      * Placement-aware refinement of Heuristic 1: re-scores pruned

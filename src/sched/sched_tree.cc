@@ -21,7 +21,9 @@ namespace
  * reachable from it through unvisited nodes. Every completion of the
  * path lies in that set, so the check only cuts subtrees that yield
  * no path: the output is that of the plain DFS, path for path and in
- * order, without its exponential dead-end search on long paths.
+ * order, without its exponential dead-end search on long paths. A
+ * node entered as its parent's only unvisited neighbour inherits the
+ * parent's check instead of flooding again.
  */
 class PathWalker
 {
@@ -40,12 +42,19 @@ class PathWalker
         out_ = &out;
         base_ = out.size();
         maxPaths_ = maxPaths;
-        dfs(root, length);
+        dfs(root, length, false);
     }
 
   private:
+    /**
+     * @param reachKnown the check is known to pass without a flood:
+     *        the parent passed it and `node` was its only unvisited
+     *        neighbour. The parent reached at least `remaining`
+     *        nodes, all of them through `node`, so `node` reaches
+     *        every one of them but itself: at least remaining - 1.
+     */
     void
-    dfs(int node, int remaining)
+    dfs(int node, int remaining, bool reachKnown)
     {
         if (static_cast<int>(out_->size() - base_) >= maxPaths_)
             return;
@@ -53,10 +62,14 @@ class PathWalker
         visited_[node] = true;
         if (remaining == 1) {
             out_->push_back(path_);
-        } else if (remaining == 2 || reaches(node, remaining - 1)) {
+        } else if (remaining == 2 || reachKnown ||
+                   reaches(node, remaining - 1)) {
+            int open = 0;
+            for (int next : topo_.neighbors(node))
+                open += visited_[next] ? 0 : 1;
             for (int next : topo_.neighbors(node)) {
                 if (!visited_[next])
-                    dfs(next, remaining - 1);
+                    dfs(next, remaining - 1, open == 1);
             }
         }
         visited_[node] = false;

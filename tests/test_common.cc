@@ -6,8 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <numeric>
+#include <random>
+#include <vector>
 
 #include "common/csv.h"
 #include "common/error.h"
@@ -92,6 +97,105 @@ TEST(Rng, UniformInUnitInterval)
         const double v = rng.uniform();
         EXPECT_GE(v, 0.0);
         EXPECT_LT(v, 1.0);
+    }
+}
+
+/**
+ * Rng's draws as they were made from the standard engine, kept as the
+ * oracle of the in-repo MT19937-64: the same distributions over
+ * std::mt19937_64.
+ */
+class ReferenceRng
+{
+  public:
+    explicit ReferenceRng(std::uint64_t seed) : engine_(seed) {}
+
+    int
+    uniformInt(int lo, int hi)
+    {
+        return std::uniform_int_distribution<int>(lo, hi)(engine_);
+    }
+
+    std::size_t
+    index(std::size_t n)
+    {
+        return std::uniform_int_distribution<std::size_t>(0, n - 1)(
+            engine_);
+    }
+
+    double
+    uniform()
+    {
+        return std::uniform_real_distribution<double>(0.0, 1.0)(engine_);
+    }
+
+    bool chance(double p) { return uniform() < p; }
+
+    std::mt19937_64& engine() { return engine_; }
+
+  private:
+    std::mt19937_64 engine_;
+};
+
+std::vector<std::uint64_t>
+oracleSeeds()
+{
+    std::vector<std::uint64_t> seeds = {0, 1, 0xC0FFEEuLL,
+                                        ~std::uint64_t{0}};
+    for (std::uint64_t stream = 0; stream < 16; ++stream)
+        seeds.push_back(mixSeed(0xC0FFEEuLL, stream));
+    return seeds;
+}
+
+TEST(Rng, EngineMatchesStdMt19937_64)
+{
+    static_assert(Mt19937_64::min() == std::mt19937_64::min());
+    static_assert(Mt19937_64::max() == std::mt19937_64::max());
+    for (const std::uint64_t seed : oracleSeeds()) {
+        Mt19937_64 got(seed);
+        std::mt19937_64 want(seed);
+        int mismatches = 0;
+        for (int i = 0; i < 1'000'000; ++i)
+            mismatches += got() != want() ? 1 : 0;
+        EXPECT_EQ(mismatches, 0) << "seed " << seed;
+    }
+}
+
+TEST(Rng, DrawsMatchTheStdEngineReference)
+{
+    for (const std::uint64_t seed : oracleSeeds()) {
+        Rng got(seed);
+        ReferenceRng want(seed);
+        int mismatches = 0;
+        for (int i = 0; i < 20'000; ++i) {
+            // Interleave every draw kind and several range widths, so
+            // each distribution sees the engine in varied states.
+            const int hi = i % 97;
+            mismatches += got.uniformInt(-hi, hi) != want.uniformInt(-hi, hi);
+            mismatches += got.uniformInt(0, 1 << (i % 31)) !=
+                          want.uniformInt(0, 1 << (i % 31));
+            const std::size_t n = 1 + static_cast<std::size_t>(i) * 7919;
+            mismatches += got.index(n) != want.index(n);
+            mismatches += got.uniform() != want.uniform();
+            mismatches += got.chance(0.3) != want.chance(0.3);
+        }
+        EXPECT_EQ(mismatches, 0) << "seed " << seed;
+    }
+}
+
+TEST(Rng, ShuffleMatchesTheStdEngine)
+{
+    for (const std::uint64_t seed : oracleSeeds()) {
+        for (const std::size_t n : {2u, 17u, 1000u}) {
+            std::vector<int> got(n);
+            std::iota(got.begin(), got.end(), 0);
+            std::vector<int> want = got;
+            Rng rng(seed);
+            ReferenceRng ref(seed);
+            std::shuffle(got.begin(), got.end(), rng.engine());
+            std::shuffle(want.begin(), want.end(), ref.engine());
+            EXPECT_EQ(got, want) << "seed " << seed << ", n " << n;
+        }
     }
 }
 

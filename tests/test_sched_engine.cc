@@ -7,13 +7,23 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "arch/mcm_templates.h"
 #include "common/thread_pool.h"
+#include "eval/scenario_suite.h"
+#include "io/config.h"
+#include "obs/solve_profile.h"
 #include "sched/evolutionary.h"
+#include "sched/greedy_packing.h"
 #include "sched/sched_engine.h"
 #include "workload/model_zoo.h"
+#include "workload/transformer_builder.h"
 
 namespace scar
 {
@@ -122,6 +132,7 @@ expectSamePlacement(const ScoredPlacement& got, const ScoredPlacement& want)
     EXPECT_EQ(got.cost.dramBytes, want.cost.dramBytes);
     EXPECT_EQ(got.cost.dramBoundCycles, want.cost.dramBoundCycles);
     EXPECT_EQ(got.cost.maxLinkSharers, want.cost.maxLinkSharers);
+    EXPECT_EQ(got.cost.maxQueueFactor, want.cost.maxQueueFactor);
     ASSERT_EQ(got.cost.perModel.size(), want.cost.perModel.size());
     for (std::size_t m = 0; m < got.cost.perModel.size(); ++m) {
         EXPECT_EQ(got.cost.perModel[m].latencyCycles,
@@ -415,6 +426,275 @@ TEST_F(EvoTest, RejectsDegenerateOptions)
     EXPECT_THROW(EvolutionaryWindowSearch(*db_, OptTarget::Edp,
                                           WindowSearchOptions{}, bad),
                  FatalError);
+}
+
+// ---- Bound-skipped evaluation vs evaluating every placement --------
+
+/**
+ * The tail search() ran before it skipped evaluations, kept as the
+ * oracle of the skip: every placement of place() fully evaluated,
+ * stable-sorted by score and trimmed to maxTopCandidates.
+ */
+namespace reference
+{
+
+WindowScheduler::Result
+evaluateAll(const WindowScheduler& sched, const WindowEvaluator& eval,
+            int maxTopCandidates,
+            std::vector<WindowScheduler::BoundedPlacement> placed,
+            int& boundViolations)
+{
+    WindowScheduler::Result result;
+    for (WindowScheduler::BoundedPlacement& p : placed) {
+        ScoredPlacement scored;
+        scored.cost = eval.evaluate(p.placement);
+        scored.score = sched.score(scored.cost);
+        boundViolations += p.bound <= scored.score ? 0 : 1;
+        scored.placement = std::move(p.placement);
+        result.top.push_back(std::move(scored));
+    }
+    if (result.top.empty())
+        return result;
+    std::stable_sort(result.top.begin(), result.top.end(),
+                     [](const ScoredPlacement& a,
+                        const ScoredPlacement& b) {
+                         return a.score < b.score;
+                     });
+    if (static_cast<int>(result.top.size()) > maxTopCandidates)
+        result.top.resize(maxTopCandidates);
+    result.best = result.top.front();
+    result.found = true;
+    return result;
+}
+
+} // namespace reference
+
+/** One (scenario, package) pair of the oracle matrix. */
+struct OracleCase
+{
+    std::string name;
+    Scenario sc;
+    Mcm mcm;
+};
+
+Scenario
+mix(const std::string& name, std::vector<Model> models)
+{
+    Scenario sc;
+    sc.name = name;
+    sc.models = std::move(models);
+    sc.finalize();
+    return sc;
+}
+
+/** The Table III suite on Het-Sides 3x3, as Scar solves it. */
+std::vector<OracleCase>
+paperSuiteCases()
+{
+    std::vector<OracleCase> cases;
+    for (int idx = 1; idx <= 10; ++idx) {
+        cases.push_back({"Sc" + std::to_string(idx), suite::byIndex(idx),
+                         templates::hetSides3x3(
+                             idx <= 5 ? templates::kDatacenterPes
+                                      : templates::kArvrPes)});
+    }
+    return cases;
+}
+
+/** The fleet benches' catalogs, each served as one mix. */
+std::vector<OracleCase>
+fleetCatalogCases()
+{
+    TransformerConfig chat;
+    chat.name = "chat";
+    chat.numBlocks = 2;
+    chat.dModel = 128;
+    chat.dFf = 256;
+    return {
+        {"arvr catalog",
+         mix("arvr", {zoo::eyeCod(8), zoo::handSP(4), zoo::sp2Dense(4),
+                      zoo::emformer(2), zoo::hrvit(2), zoo::googleNet(4),
+                      zoo::midas(1), zoo::d2go(1)}),
+         templates::hetSides3x3(templates::kArvrPes)},
+        {"dcxr catalog",
+         mix("dcxr",
+             {zoo::bertLarge(8), zoo::googleNet(4), zoo::eyeCod(4)}),
+         templates::hetSides3x3(templates::kDatacenterPes)},
+        {"chat prefill + decode",
+         mix("chat", {buildPrefillModel(chat, 64),
+                      buildDecodeStepModel(chat, 256), zoo::handSP(4)}),
+         templates::hetSides3x3(templates::kArvrPes)},
+    };
+}
+
+/** Every package under configs/, under the datacenter workload. */
+std::vector<OracleCase>
+configCases()
+{
+    const Scenario datacenter =
+        io::loadScenario(std::string(SCAR_CONFIG_DIR) +
+                     "/workload_datacenter.cfg");
+    std::vector<OracleCase> cases;
+    for (const char* file :
+         {"mcm_broadcast.cfg", "mcm_custom_mesh.cfg", "mcm_express.cfg",
+          "mcm_het_sides.cfg", "mcm_torus.cfg"}) {
+        cases.push_back(
+            {file, datacenter,
+             io::loadMcm(std::string(SCAR_CONFIG_DIR) + "/" + file)});
+    }
+    return cases;
+}
+
+/** Every window search of one solve, and the full evaluations run. */
+struct WindowWalk
+{
+    std::vector<WindowScheduler::Result> results;
+    std::int64_t windowEvals = 0;
+};
+
+/**
+ * Walks the windows of one solve as Scar::run does (packing,
+ * provisioning, one search per allocation, entry chiplets from the
+ * best placement). With `checkReference`, every search is held
+ * bitwise to reference::evaluateAll over its place() output, and
+ * every placement's bound to its full score.
+ */
+WindowWalk
+walkWindows(const OracleCase& c, OptTarget target,
+            const EvaluatorOptions& eval, ThreadPool* pool,
+            bool checkReference)
+{
+    CostDb db(c.sc, c.mcm);
+    obs::SearchCounters counters;
+    WindowSearchOptions opts;
+    opts.eval = eval;
+    opts.pool = pool;
+    const WindowScheduler sched(db, target, opts);
+    const WindowEvaluator full(db, eval);
+    const WindowPlan plan = packLayers(db, 4);
+    std::vector<int> entry(c.sc.numModels(), -1);
+    PathCache paths;
+    WindowWalk walk;
+    for (std::size_t w = 0; w < plan.windows.size(); ++w) {
+        const WindowAssignment& wa = plan.windows[w];
+        const auto allocations =
+            provisionNodes(wa, db, target, ProvisionerOptions{});
+        const WindowScheduler::Result* best = nullptr;
+        walk.results.reserve(walk.results.size() + allocations.size());
+        for (std::size_t a = 0; a < allocations.size(); ++a) {
+            SCOPED_TRACE("window " + std::to_string(w) + ", allocation " +
+                         std::to_string(a));
+            const auto ranking = sched.rank(wa, allocations[a],
+                                            mixSeed(w, a));
+            db.setCounters(&counters);
+            walk.results.push_back(sched.search(wa, ranking, entry,
+                                                &paths));
+            db.setCounters(nullptr);
+            const WindowScheduler::Result& got = walk.results.back();
+            if (checkReference) {
+                int violations = 0;
+                const auto want = reference::evaluateAll(
+                    sched, full, opts.maxTopCandidates,
+                    sched.place(wa, ranking, entry, &paths),
+                    violations);
+                EXPECT_EQ(violations, 0);
+                expectSameResult(got, want);
+            }
+            if (got.found && (best == nullptr ||
+                              got.best.score < best->best.score))
+                best = &got;
+        }
+        if (best == nullptr)
+            break;
+        for (const ModelPlacement& mp : best->best.placement.models)
+            entry[mp.modelIdx] = mp.segments.back().chiplet;
+    }
+    walk.windowEvals = counters.windowEvals.load();
+    return walk;
+}
+
+/** Static and Phased fidelity, each with the roofline on and off. */
+std::vector<EvaluatorOptions>
+evaluatorMatrix()
+{
+    std::vector<EvaluatorOptions> matrix;
+    for (const CommFidelity fidelity :
+         {CommFidelity::Static, CommFidelity::Phased}) {
+        for (const bool roofline : {true, false}) {
+            EvaluatorOptions eval;
+            eval.fidelity = fidelity;
+            eval.dramRoofline = roofline;
+            matrix.push_back(eval);
+        }
+    }
+    return matrix;
+}
+
+void
+expectCasesMatchReference(const std::vector<OracleCase>& cases,
+                          const std::vector<OptTarget>& targets)
+{
+    for (const OracleCase& c : cases) {
+        for (const OptTarget target : targets) {
+            for (const EvaluatorOptions& eval : evaluatorMatrix()) {
+                SCOPED_TRACE(c.name + ", " + optTargetName(target) +
+                             (eval.fidelity == CommFidelity::Phased
+                                  ? ", phased"
+                                  : ", static") +
+                             (eval.dramRoofline ? ", roofline"
+                                                : ", no roofline"));
+                const WindowWalk walk =
+                    walkWindows(c, target, eval, nullptr, true);
+                EXPECT_FALSE(walk.results.empty());
+            }
+        }
+    }
+}
+
+TEST(WindowSearchOracle, PaperSuiteMatchesEvaluatingEveryPlacement)
+{
+    expectCasesMatchReference(paperSuiteCases(), {OptTarget::Edp});
+}
+
+TEST(WindowSearchOracle, FleetCatalogsMatchEvaluatingEveryPlacement)
+{
+    expectCasesMatchReference(fleetCatalogCases(),
+                              {OptTarget::Edp, OptTarget::Latency});
+}
+
+TEST(WindowSearchOracle, ConfigPackagesMatchEvaluatingEveryPlacement)
+{
+    expectCasesMatchReference(
+        configCases(),
+        {OptTarget::Edp, OptTarget::Latency, OptTarget::Energy});
+}
+
+/**
+ * Evaluations run in batches of a fixed size, never the pool's
+ * concurrency, so the skipped set — and with it the evaluation count
+ * — is the same at every pool size, as are the results.
+ */
+TEST(WindowSearchOracle, EvaluationsAndResultsArePoolSizeInvariant)
+{
+    std::vector<OracleCase> cases = paperSuiteCases();
+    const std::vector<OracleCase> fleet = fleetCatalogCases();
+    cases.insert(cases.end(), fleet.begin(), fleet.end());
+    for (const OracleCase& c : cases) {
+        SCOPED_TRACE(c.name);
+        const WindowWalk serial = walkWindows(
+            c, OptTarget::Edp, EvaluatorOptions{}, nullptr, false);
+        EXPECT_GT(serial.windowEvals, 0);
+        for (const int concurrency : {1, 2, 4, 8}) {
+            SCOPED_TRACE("pool size " + std::to_string(concurrency));
+            ThreadPool pool(concurrency);
+            const WindowWalk walk = walkWindows(
+                c, OptTarget::Edp, EvaluatorOptions{}, &pool, false);
+            EXPECT_EQ(walk.windowEvals, serial.windowEvals);
+            ASSERT_EQ(walk.results.size(), serial.results.size());
+            for (std::size_t i = 0; i < walk.results.size(); ++i)
+                expectSameResult(walk.results[i], serial.results[i]);
+        }
+    }
 }
 
 // ---- Path memoization (sched_tree.h PathCache) ---------------------
