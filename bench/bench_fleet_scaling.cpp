@@ -1,26 +1,21 @@
 /**
  * @file
  * Fleet scaling sweep: serving throughput of the online runtime
- * across worker-pool threads x MCM shards, against the blocking
- * single-package PR 1 baseline.
+ * across worker-pool threads x MCM shards.
  *
  * Every cell serves the same saturating Table III Sc4 datacenter
  * Poisson stream (~4x one package's service ceiling) on cold caches,
  * charging a modeled 0.25 s schedule-solve latency (the host-side
- * search cost PR 1 treated as free; our lite search takes ~60 ms
- * serially on this mix, the paper-scale EA searches far longer) and
- * a 2 ms weight re-staging overhead on mix switches. The baseline row runs the PR 1 pipeline:
- * one shard, serial search, and a blocking cache path — a new mix's
- * search starts only at dispatch time and the package idles through
- * all of it. The sweep rows run the async runtime: solves overlap
- * in-flight replays (speculative background solves while every shard
- * is busy), so the solve-stall column collapses, and shards multiply
- * the saturated service rate.
+ * search cost; our lite search takes ~60 ms serially on this mix, the
+ * paper-scale EA searches far longer) and a 2 ms weight re-staging
+ * overhead on mix switches. Solves overlap in-flight replays
+ * (speculative background solves while every shard is busy), and
+ * shards multiply the saturated service rate.
  *
  * Two orthogonal effects:
- *  - Shards and async solves scale *serving throughput*
+ *  - Shards scale *serving throughput*
  *    (ServingReport::throughputRps, completed per virtual second);
- *    the Speedup column is relative to the blocking baseline row.
+ *    the Speedup column is relative to the 1-thread x 1-shard cell.
  *  - Threads scale *wall time* only: the same virtual result is
  *    produced faster when searches fan out across the pool. Virtual
  *    columns are bit-identical across thread counts — the
@@ -76,22 +71,19 @@ main()
     const std::vector<Request> trace =
         poissonTrace(catalog, kRequests, /*seed=*/7);
 
-    TextTable table({"Mode", "Threads", "Shards", "Virt req/s",
-                     "Speedup", "Wall (ms)", "p99 (s)", "Searches",
-                     "Stall (s)"});
+    TextTable table({"Threads", "Shards", "Virt req/s", "Speedup",
+                     "Wall (ms)", "p99 (s)", "Searches", "Stall (s)"});
     CsvWriter csv(bench::csvPath("fleet_scaling"),
-                  {"mode", "threads", "shards", "virt_throughput_rps",
+                  {"threads", "shards", "virt_throughput_rps",
                    "speedup", "wall_ms", "req_per_wall_s", "p99_s",
                    "slo_miss_rate", "searches", "solve_stall_s"});
 
     double baselineRps = 0.0;
-    auto runCell = [&](const char* mode, int threads, int shards,
-                       bool speculative) {
+    auto runCell = [&](int threads, int shards) {
         ThreadPool pool(threads);
         FleetOptions options;
         options.shards = shards;
         options.routing = RoutingPolicy::LeastLoaded;
-        options.speculativeSolve = speculative;
         options.serving.pool = &pool;
         options.serving.admission.maxQueueDelaySec = 0.1;
         options.serving.modeledSolveSec = kModeledSolveSec;
@@ -109,7 +101,7 @@ main()
             baselineRps = report.throughputRps;
         const double speedup = report.throughputRps / baselineRps;
 
-        table.addRow({mode, std::to_string(threads),
+        table.addRow({std::to_string(threads),
                       std::to_string(shards),
                       TextTable::num(report.throughputRps, 1),
                       TextTable::num(speedup, 2) + "x",
@@ -117,7 +109,7 @@ main()
                       TextTable::num(report.p99LatencySec, 3),
                       std::to_string(report.cache.misses),
                       TextTable::num(report.solveStallSec, 3)});
-        csv.addRow({mode, std::to_string(threads),
+        csv.addRow({std::to_string(threads),
                     std::to_string(shards),
                     TextTable::num(report.throughputRps, 3),
                     TextTable::num(speedup, 4),
@@ -131,12 +123,10 @@ main()
                     TextTable::num(report.solveStallSec, 6)});
     };
 
-    // The PR 1 pipeline: one package, serial search, blocking miss.
-    runCell("sync", 1, 1, /*speculative=*/false);
-    // The async fleet sweep.
+    // The first cell (1 thread, 1 shard) is the Speedup baseline.
     for (const int threads : {1, 2, 4, 8})
         for (const int shards : {1, 2, 4})
-            runCell("async", threads, shards, /*speculative=*/true);
+            runCell(threads, shards);
 
     std::cout << "Fleet scaling sweep: Sc4 datacenter stream ("
               << kRequests
@@ -145,8 +135,8 @@ main()
               << kModeledSolveSec << " s, switch overhead "
               << kSwitchOverheadSec << " s)\n\n";
     std::cout << table.render();
-    std::cout << "\nBaseline row = PR 1 semantics (blocking cache "
-                 "path). Virtual columns are identical\nacross "
+    std::cout << "\nSpeedup is relative to the 1-thread x 1-shard "
+                 "row. Virtual columns are identical\nacross "
                  "thread counts (determinism contract); wall columns "
                  "scale with host cores ("
               << ThreadPool::defaultConcurrency()

@@ -147,10 +147,9 @@ BENCHMARK(BM_FleetEngineEventsLlm)->Arg(4);
  * dispatches carry many requests and every shard replays long
  * multi-window schedules whose boundary ticks outnumber arrivals.
  * Each fast-forward crosses the window boundaries queued before the
- * next arrival. Arrivals are not absorbed: the fast-forward absorbs
- * them only when speculativeSolve is false, and this fleet keeps the
- * default. The name is historical (the batched commits it once timed
- * are gone) and stays because the regression gate keys on it.
+ * next arrival, which always ends it. The name is historical (the
+ * batched commits it once timed are gone) and stays because the
+ * regression gate keys on it.
  */
 void
 BM_FleetEngineCommitBatched(benchmark::State& state)

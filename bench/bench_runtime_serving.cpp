@@ -10,12 +10,12 @@
  * latency percentiles and SLO misses explode past the package's
  * service ceiling while the schedule cache keeps the search cost flat.
  *
- * Every solve a cache miss triggers blocks that shard on Scar::run(),
- * so the wall-clock solve latency is the serving fleet's tail-latency
- * floor on a miss. The bench therefore measures it directly: a
- * cold-solve probe (the full Sc4 mix, the heaviest mix the sweep
- * solves) before the sweep, and a per-point wall_ms column showing
- * the search cost the schedule cache amortizes away.
+ * The sweep charges no modeled solve latency, so a cache miss costs
+ * only host wall time, spent in Scar::run(). The bench therefore
+ * measures it directly: a cold-solve probe (the full Sc4 mix, the
+ * heaviest mix the sweep solves) before the sweep, and a per-point
+ * wall_ms column showing the search cost the schedule cache
+ * amortizes away.
  *
  * Raw series: bench_results/runtime_serving.csv.
  */
@@ -28,7 +28,7 @@
 #include "common/csv.h"
 #include "common/table.h"
 #include "eval/reporter.h"
-#include "runtime/serving_sim.h"
+#include "runtime/fleet.h"
 
 namespace
 {
@@ -92,10 +92,9 @@ main()
             catalog.push_back(std::move(sm));
         }
 
-        ServingOptions options;
-        options.admission.maxQueueDelaySec = 0.1;
-        ServingSimulator sim(catalog, templates::hetSides3x3(),
-                             options);
+        FleetOptions options;
+        options.serving.admission.maxQueueDelaySec = 0.1;
+        FleetSimulator sim(catalog, templates::hetSides3x3(), options);
         const auto start = std::chrono::steady_clock::now();
         const ServingReport report = sim.run(
             poissonTrace(catalog, kRequests, /*seed=*/7));

@@ -17,7 +17,7 @@
 #include "arch/mcm_templates.h"
 #include "eval/reporter.h"
 #include "eval/scenario_suite.h"
-#include "runtime/serving_sim.h"
+#include "runtime/fleet.h"
 
 int
 main()
@@ -52,9 +52,9 @@ main()
                   << " req/s, SLO " << sm.sloSec << " s\n";
     std::cout << "\n";
 
-    ServingOptions options;
-    options.admission.maxQueueDelaySec = 0.1;
-    ServingSimulator sim(catalog, templates::hetSides3x3(), options);
+    FleetOptions options;
+    options.serving.admission.maxQueueDelaySec = 0.1;
+    FleetSimulator sim(catalog, templates::hetSides3x3(), options);
 
     const int kRequests = 10000;
     const std::vector<Request> trace =

@@ -35,7 +35,7 @@ std::string describeWindowBreakdown(const Scenario& scenario,
 /**
  * Renders an online-serving run: traffic totals, latency
  * percentiles, SLO accounting, and schedule-cache effectiveness
- * (runtime/serving_sim.h).
+ * (runtime/fleet.h).
  */
 std::string describeServingReport(const runtime::ServingReport& report);
 

@@ -1,5 +1,6 @@
 #include "runtime/async_schedule_cache.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/error.h"
@@ -10,27 +11,16 @@ namespace scar
 namespace runtime
 {
 
-AsyncScheduleCache::AsyncScheduleCache(ThreadPool& pool,
-                                       ScheduleCacheOptions options)
-    : pool_(pool), store_(options)
-{
-}
+AsyncScheduleCache::AsyncScheduleCache(ThreadPool& pool) : pool_(pool) {}
 
 AsyncScheduleCache::~AsyncScheduleCache()
 {
     // wait() (unlike get()) does not rethrow a failed solve, so this
     // drain is exception-free; abandoned results are simply dropped.
-    for (;;) {
-        Future pending;
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            if (inflight_.empty())
-                break;
-            pending = inflight_.begin()->second.future;
-            inflight_.erase(inflight_.begin());
-        }
-        pending.wait();
-    }
+    // Workers only fulfil their promise and never touch the map.
+    for (const auto& kv : entries_)
+        if (kv.second.schedule == nullptr)
+            kv.second.future.wait();
 }
 
 std::shared_ptr<AsyncScheduleCache::Promise>
@@ -39,8 +29,8 @@ AsyncScheduleCache::registerLocked(const std::string& key, double readySec)
     ++stats_.misses;
     debug("async schedule cache: solve for mix ", key);
     auto promise = std::make_shared<Promise>();
-    inflight_.emplace(key,
-                      Inflight{promise->get_future().share(), readySec});
+    entries_.emplace(
+        key, Entry{nullptr, promise->get_future().share(), readySec});
     return promise;
 }
 
@@ -48,8 +38,8 @@ void
 AsyncScheduleCache::launch(std::shared_ptr<Promise> promise,
                            const MixFn& mix, const ComputeFn& compute)
 {
-    // The worker only fulfills the promise; promotion into the LRU
-    // store happens at join() on the (virtual-time) event loop, so
+    // The worker only fulfills the promise; promotion into the store
+    // happens at join() on the (virtual-time) event loop, so
     // store contents never depend on wall-clock solve speed. The task
     // owns a copy of the mix and compute: the caller's references may
     // die before the worker runs.
@@ -69,7 +59,7 @@ AsyncScheduleCache::prefetch(const std::string& key, const MixFn& mix,
     std::shared_ptr<Promise> promise;
     {
         std::lock_guard<std::mutex> lock(mu_);
-        if (store_.find(key) != nullptr || inflight_.count(key) > 0)
+        if (entries_.count(key) > 0)
             return;
         promise = registerLocked(key, readySec);
     }
@@ -85,17 +75,15 @@ AsyncScheduleCache::lookup(const std::string& key, const MixFn& mix,
     std::shared_ptr<Promise> promise;
     {
         std::lock_guard<std::mutex> lock(mu_);
-        if (auto hit = store_.find(key)) {
+        auto it = entries_.find(key);
+        if (it != entries_.end()) {
+            // Stored, or in flight: the running solve is reused, not
+            // restarted.
             ++stats_.hits;
-            result.schedule = std::move(hit);
-            result.readySec = nowSec;
-            return result;
-        }
-        auto it = inflight_.find(key);
-        if (it != inflight_.end()) {
-            // The running solve is reused, not restarted.
-            ++stats_.hits;
-            result.readySec = std::max(nowSec, it->second.readySec);
+            result.schedule = it->second.schedule;
+            result.readySec = result.schedule != nullptr
+                                  ? nowSec
+                                  : std::max(nowSec, it->second.readySec);
             return result;
         }
         promise = registerLocked(key, nowSec + modeledSolveSec);
@@ -111,11 +99,11 @@ AsyncScheduleCache::peek(const std::string& key) const
 {
     std::lock_guard<std::mutex> lock(mu_);
     CachePeek result;
-    result.schedule = store_.peek(key);
-    if (result.schedule != nullptr)
+    auto it = entries_.find(key);
+    if (it == entries_.end())
         return result;
-    auto it = inflight_.find(key);
-    if (it != inflight_.end()) {
+    result.schedule = it->second.schedule;
+    if (result.schedule == nullptr) {
         result.inFlight = true;
         result.readySec = it->second.readySec;
     }
@@ -128,30 +116,29 @@ AsyncScheduleCache::join(const std::string& key)
     Future pending;
     {
         std::lock_guard<std::mutex> lock(mu_);
-        if (auto hit = store_.find(key))
-            return hit;
-        auto it = inflight_.find(key);
-        SCAR_REQUIRE(it != inflight_.end(),
+        auto it = entries_.find(key);
+        SCAR_REQUIRE(it != entries_.end(),
                      "async schedule cache: join of unknown mix ", key);
+        if (it->second.schedule != nullptr)
+            return it->second.schedule;
         pending = it->second.future;
     }
     // Wall-clock wait outside the lock. A failed solve is erased
     // before rethrowing so the key can be retried rather than
-    // pinning a dead future in the in-flight map forever.
-    std::shared_ptr<const CachedSchedule> entry;
+    // pinning a dead future in the map forever.
+    std::shared_ptr<const CachedSchedule> schedule;
     try {
-        entry = pending.get();
+        schedule = pending.get();
     } catch (...) {
         std::lock_guard<std::mutex> lock(mu_);
-        inflight_.erase(key);
+        entries_.erase(key);
         throw;
     }
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (inflight_.erase(key) > 0)
-            store_.insert(key, entry);
-    }
-    return entry;
+    std::lock_guard<std::mutex> lock(mu_);
+    Entry& entry = entries_.at(key);
+    entry.schedule = schedule;
+    entry.future = Future();
+    return schedule;
 }
 
 void
@@ -161,9 +148,13 @@ AsyncScheduleCache::drainInFlight()
         std::string next;
         {
             std::lock_guard<std::mutex> lock(mu_);
-            if (inflight_.empty())
+            const auto it = std::find_if(
+                entries_.begin(), entries_.end(), [](const auto& kv) {
+                    return kv.second.schedule == nullptr;
+                });
+            if (it == entries_.end())
                 break;
-            next = inflight_.begin()->first;
+            next = it->first;
         }
         join(next);
     }
@@ -173,22 +164,16 @@ ScheduleCacheStats
 AsyncScheduleCache::stats() const
 {
     std::lock_guard<std::mutex> lock(mu_);
-    ScheduleCacheStats stats = stats_;
-    stats.evictions = store_.evictions();
-    return stats;
+    return stats_;
 }
 
 std::size_t
 AsyncScheduleCache::size() const
 {
     std::lock_guard<std::mutex> lock(mu_);
-    return store_.size();
-}
-
-std::size_t
-AsyncScheduleCache::capacity() const
-{
-    return store_.capacity();
+    return static_cast<std::size_t>(std::count_if(
+        entries_.begin(), entries_.end(),
+        [](const auto& kv) { return kv.second.schedule != nullptr; }));
 }
 
 } // namespace runtime

@@ -15,14 +15,15 @@
  *    results bit-identical regardless of how fast the wall-clock
  *    solve happens to finish.
  *
- * Lifecycle of a key:
+ * Lifecycle of a key (one map entry throughout):
  *   absent --prefetch/lookup--> in flight (future + virtual readySec)
- *          --join (at virtual readySec)--> stored (ScheduleCache LRU)
+ *          --join (at virtual readySec)--> stored
  *
- * In-flight entries are promoted to the LRU store only by join() (the
- * deterministic event loop) or drainInFlight() (end of run), never by
- * the background worker, so the store's contents — and therefore LRU
- * eviction order — depend only on virtual time.
+ * Every stored schedule is kept for the cache's lifetime. In-flight
+ * entries are promoted to stored only by join() (the deterministic
+ * event loop) or drainInFlight() (end of run), never by the
+ * background worker, so the store's contents depend only on virtual
+ * time.
  *
  * The mix is handed in lazily (a callback yielding the Scenario):
  * it is called on the caller's thread, and only when a solve is
@@ -80,18 +81,14 @@ struct CachePeek
 class AsyncScheduleCache
 {
   public:
-    using ComputeFn = ScheduleCache::ComputeFn;
     /** Yields the mix to solve; called only when a solve launches. */
     using MixFn = std::function<const Scenario&()>;
 
     /**
      * @param pool workers for background solves (not owned); with
-     *        concurrency 1 solves run inline — the blocking PR 1 path
-     * @param options LRU bound for the completed-schedule store
+     *        concurrency 1 solves run inline
      */
-    explicit AsyncScheduleCache(
-        ThreadPool& pool,
-        ScheduleCacheOptions options = ScheduleCacheOptions{});
+    explicit AsyncScheduleCache(ThreadPool& pool);
 
     /**
      * Blocks until every background solve has finished: solve tasks
@@ -124,9 +121,9 @@ class AsyncScheduleCache
     /**
      * Non-mutating probe: reports whether the key is stored or in
      * flight (and the in-flight virtual ready instant) without
-     * touching the LRU order or the hit/miss counters. Cost-aware
-     * routing peeks at every candidate shard's cache; only the
-     * eventual dispatch-time lookup() may count and touch.
+     * touching the hit/miss counters. Cost-aware routing peeks at
+     * every candidate shard's cache; only the eventual dispatch-time
+     * lookup() may count.
      */
     CachePeek peek(const std::string& key) const;
 
@@ -151,15 +148,18 @@ class AsyncScheduleCache
     /** Completed schedules in the store (in-flight excluded). */
     std::size_t size() const;
 
-    std::size_t capacity() const;
-
   private:
     using Future =
         std::shared_future<std::shared_ptr<const CachedSchedule>>;
 
-    struct Inflight
+    struct Entry
     {
+        /** The stored schedule; nullptr while the solve is in
+         *  flight. */
+        std::shared_ptr<const CachedSchedule> schedule;
+        /** The in-flight solve; reset once stored. */
         Future future;
+        /** Virtual usable instant of the in-flight solve. */
         double readySec = 0.0;
     };
 
@@ -184,8 +184,7 @@ class AsyncScheduleCache
 
     ThreadPool& pool_;
     mutable std::mutex mu_;
-    ScheduleCache store_;
-    std::map<std::string, Inflight> inflight_;
+    std::map<std::string, Entry> entries_;
     ScheduleCacheStats stats_;
 };
 

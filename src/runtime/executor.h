@@ -32,7 +32,7 @@
  * The fleet charges the modeled weight re-staging overhead of a
  * resume on the virtual clock; the executor itself only moves the
  * cursor. A suspended replay keeps its own shared_ptr to the cached
- * schedule, so LRU eviction while it waits cannot invalidate it.
+ * schedule.
  */
 
 #ifndef SCAR_RUNTIME_EXECUTOR_H
@@ -66,7 +66,7 @@ struct WindowTick
  * A replay detached at a window boundary by ReplayExecutor::suspend.
  *
  * Holds everything resume() needs to continue the dispatch from its
- * saved boundary cursor: the schedule reference (eviction-safe), the
+ * saved boundary cursor: its own reference to the schedule, the
  * dispatch with its still-riding requests (and decode step count),
  * the tiled index of the next window to replay, and the total
  * duration of the remaining windows (the backlog cost-aware routing
@@ -91,9 +91,8 @@ class ReplayExecutor
      * Begins replaying the cached schedule of a dispatch at startSec,
      * tiled max(1, dispatch.llmDecodeSteps) times. The schedule must
      * have been computed for the dispatch's mix (one lastWindow entry
-     * per group, same order); the executor holds a reference, so an
-     * LRU-evicted schedule stays valid until the replay ends.
-     * Requires !busy().
+     * per group, same order); the executor holds a reference until
+     * the replay ends. Requires !busy().
      */
     void start(std::shared_ptr<const CachedSchedule> schedule,
                Dispatch dispatch, double startSec);

@@ -59,7 +59,7 @@ FleetSimulator::FleetSimulator(std::vector<ServedModel> catalog,
     : catalog_(std::move(catalog)), options_(std::move(options)),
       pool_(options_.serving.pool != nullptr ? options_.serving.pool
                                              : &ThreadPool::global()),
-      cache_(*pool_, ScheduleCacheOptions{options_.serving.cacheCapacity})
+      cache_(*pool_)
 {
     SCAR_REQUIRE(!catalog_.empty(), "fleet: empty catalog");
     SCAR_REQUIRE(options_.shards >= 1, "fleet: need >= 1 shard");
@@ -248,9 +248,9 @@ FleetSimulator::estimateMakespanKeyed(
     }
     const double sec =
         cyclesToSeconds(evaluator.evaluate(placement).latencyCycles);
-    // Keep the memo bounded like the schedule cache it parallels; a
-    // wholesale reset is fine because re-deriving an estimate is a
-    // microsecond-scale single-window pass.
+    // Keep the memo bounded. Unlike the schedule cache, which keeps
+    // every solve, a wholesale reset is cheap here: re-deriving an
+    // estimate is a microsecond-scale single-window pass.
     if (makespanEstimates_.size() >= kMakespanMemoCap)
         makespanEstimates_.clear();
     makespanEstimates_.emplace(key, sec);
@@ -799,8 +799,7 @@ class FleetSimulator::Loop
           preemption_(options_.serving.preemption),
           continuous_(options_.serving.admission.llmBatching ==
                       LlmBatchingMode::Continuous),
-          speculating_(options_.speculativeSolve &&
-                       options_.serving.modeledSolveSec > 0.0),
+          speculating_(options_.serving.modeledSolveSec > 0.0),
           admission_(fleet.catalog_, options_.serving.admission),
           llmStreams_(fleet.catalog_.size(), 0)
     {
@@ -845,7 +844,6 @@ class FleetSimulator::Loop
         ScheduleCacheStats delta = fleet_.cache_.stats();
         delta.hits -= before_.hits;
         delta.misses -= before_.misses;
-        delta.evictions -= before_.evictions;
 
         long dispatches = 0;
         for (const Shard& shard : shards_)
@@ -1030,8 +1028,7 @@ class FleetSimulator::Loop
             }
             // Add back the remainder that suspension subtracted; the
             // replay continues from its saved cursor, never re-solved
-            // (the SuspendedReplay pins the schedule, so even an
-            // LRU-evicted cache entry stays valid).
+            // (the SuspendedReplay pins the schedule).
             beginReplay(shard, startSec, shard.suspended.remainingSec,
                         std::move(shard.suspendedKey));
             shard.hasSuspended = false;
@@ -1347,23 +1344,9 @@ class FleetSimulator::Loop
             commitArrival();
         } else if (t.boundary <= t.pending && t.boundary <= t.timer &&
                    t.boundary <= t.urgency) {
-            // With no free shard (and none freeing before the bound),
-            // no urgency, and speculation off, an arrival before the
-            // bound can only enqueue — every routing decision needs a
-            // candidate shard, and none appears until the bound — so
-            // arrivals are absorbed into the fast-forward instead of
-            // capping it. This is what lets a saturated fleet
-            // fast-forward whole replay windows rather than one
-            // inter-arrival gap. Preemption disables absorption: an
-            // absorbed arrival could carry an earlier deadline and
-            // move the urgency crossing into the past.
-            const bool absorbArrivals = fleet_.freeShards_.empty() &&
-                                        !options_.speculativeSolve &&
-                                        !preemption_.enabled;
-            const double bound =
-                forwardBound(t, urgent, deferred, absorbArrivals);
+            const double bound = forwardBound(t, urgent, deferred);
             if (t.boundary < bound)
-                fastForward(bound, absorbArrivals);
+                fastForward(bound);
             else
                 tickOnce(t.boundaryShard);
         }
@@ -1389,7 +1372,7 @@ class FleetSimulator::Loop
      *    (t >= deadline - slack, the same FP expression as U) is
      *    false bit-for-bit, so preemptAt after each committed tick is
      *    a no-op — and the queued deadlines cannot change before B
-     *    because arrivals are never absorbed under preemption;
+     *    because B <= the next arrival;
      *  - on LLM fleets, B stops strictly before the earliest
      *    step-aligned boundary where a decode round with
      *    already-queued waiters could take a join cut, and before the
@@ -1405,18 +1388,15 @@ class FleetSimulator::Loop
      * very next boundary suspends) stays on the single-tick path:
      * B = the head boundary.
      */
-    double forwardBound(const EventTimes& t, bool urgent, bool deferred,
-                        bool absorbArrivals) const
+    double forwardBound(const EventTimes& t, bool urgent,
+                        bool deferred) const
     {
         if (deferred || (preemption_.enabled &&
                          (!fleet_.suspended_.empty() || urgent)))
             return t.boundary;
         const auto& busyEnds = fleet_.busyEndQueue_;
         double bound = busyEnds.empty() ? kInf : busyEnds.begin()->first;
-        bound = std::min(bound, t.pending);
-        if (!absorbArrivals)
-            bound = std::min(bound, t.arrival);
-        bound = std::min(bound, t.timer);
+        bound = std::min({bound, t.pending, t.arrival, t.timer});
         if (speculating_ && admission_.queuedCount() > 0 &&
             queueEpoch_ != lastSpeculativeEpoch_)
             bound = std::min(bound, admission_.nextForcedDispatchSec());
@@ -1466,38 +1446,20 @@ class FleetSimulator::Loop
 
     /** Crosses every tick before `bound` straight off the boundary queue
      *  in its (time, shard) order — the order the loop head picks them in
-     *  — one shard's run at a time: the run ends at the first tick >= B,
-     *  after the next other head, or after an absorbable arrival (the
-     *  arrival wins ties, like nextEvent's branch order). The sample
-     *  block fires after each tick exactly like the loop head does (the
-     *  serial loop fires a tick's due samples at the head of the
-     *  following iteration, so the fast-forward replays the same
-     *  interleaving). A tick before B moves only its shard's boundary key
-     *  (it is never dispatch-done, and commitTick touches no indexed
-     *  field), so the queue node is re-keyed in place of a syncShard. */
-    void fastForward(double bound, bool absorbArrivals)
+     *  — one shard's run at a time: the run ends at the first tick >= B
+     *  or after the next other head. The sample block fires after each
+     *  tick exactly like the loop head does (the serial loop fires a
+     *  tick's due samples at the head of the following iteration, so
+     *  the fast-forward replays the same interleaving). A tick before B
+     *  moves only its shard's boundary key (it is never dispatch-done,
+     *  and commitTick touches no indexed field), so the queue node is
+     *  re-keyed in place of a syncShard. */
+    void fastForward(double bound)
     {
         auto& boundaryQueue = fleet_.boundaryQueue_;
-        const auto arrivalDue = [&](double t) {
-            return absorbArrivals && next_ < trace_.size() &&
-                   trace_[next_].arrivalSec < bound &&
-                   trace_[next_].arrivalSec <= t;
-        };
-        for (;;) {
-            const auto head = boundaryQueue.begin();
-            const double tHead =
-                head != boundaryQueue.end() && head->first < bound
-                    ? head->first
-                    : kInf;
-            if (arrivalDue(tHead)) {
-                advanceTo(trace_[next_].arrivalSec);
-                commitArrival();
-                fireSamples();
-                continue;
-            }
-            if (tHead == kInf)
-                break;
-            auto node = boundaryQueue.extract(head);
+        while (!boundaryQueue.empty() &&
+               boundaryQueue.begin()->first < bound) {
+            auto node = boundaryQueue.extract(boundaryQueue.begin());
             const int si = node.value().second;
             const std::pair<double, int> other =
                 boundaryQueue.empty()
@@ -1505,7 +1467,7 @@ class FleetSimulator::Loop
                                      std::numeric_limits<int>::max())
                     : *boundaryQueue.begin();
             ReplayExecutor& executor = shards_[si].executor;
-            double tTick = tHead;
+            double tTick = node.value().first;
             do {
                 WindowTick tick = executor.advance();
                 SCAR_ASSERT(!tick.dispatchDone,
@@ -1515,9 +1477,7 @@ class FleetSimulator::Loop
                 commitTick(si, tick);
                 fireSamples();
                 tTick = executor.nextBoundarySec();
-            } while (tTick < bound &&
-                     std::make_pair(tTick, si) < other &&
-                     !arrivalDue(tTick));
+            } while (tTick < bound && std::make_pair(tTick, si) < other);
             node.value().first = tTick;
             fleet_.idx_[si].boundarySec = tTick;
             boundaryQueue.insert(std::move(node));
@@ -1718,10 +1678,8 @@ class FleetSimulator::Loop
         }
     }
 
-    /** Admits the next trace arrival: shared by nextEvent and the
-     *  fast-forward (which absorbs arrivals that can only enqueue).
-     *  Timestamps come from the request itself, so the rendered trace
-     *  is identical on either path. */
+    /** Admits the next trace arrival (nextEvent's arrival event).
+     *  Timestamps come from the request itself. */
     void commitArrival()
     {
         const Request& req = trace_[next_];
@@ -1871,7 +1829,7 @@ class FleetSimulator::Loop
     AdmissionController admission_;
     /** One compute closure per shard: a schedule is only meaningful
      *  for the package it was searched on. */
-    std::vector<ScheduleCache::ComputeFn> computes_;
+    std::vector<ComputeFn> computes_;
     ScheduleCacheStats before_; ///< cache counters at run start
     std::size_t next_ = 0;      ///< next arrival to admit
     double nowSec_ = 0.0;

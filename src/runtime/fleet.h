@@ -19,10 +19,11 @@
  *  - dispatchDecode / dispatchReady: LLM decode waiters, or a ready
  *    (or urgent) batch, are routed, formed and parked on a shard,
  *    whose AsyncScheduleCache finds the schedule or starts solving it.
- * When none acts, speculate starts the would-be mix's solve in the
- * background for the shard the dispatch is predicted to land on
- * (unless that shard already holds the schedule), so the search
- * overlaps the in-flight replays instead of stalling them; then
+ * When none acts and solves cost modeled time (modeledSolveSec > 0),
+ * speculate starts the would-be mix's solve in the background for the
+ * shard the dispatch is predicted to land on (unless that shard
+ * already holds the schedule), so the search overlaps the in-flight
+ * replays instead of stalling them; then
  * nextEvent moves the clock to the next arrival (commitArrival),
  * window boundary (fastForward, or tickOnce with its preemptAt and
  * joinCut checks), solve-ready, batching-timer or urgency instant.
@@ -206,9 +207,11 @@ struct ServingOptions
     AdmissionOptions admission; ///< batching policy
     /**
      * Modeled virtual latency of one schedule solve (the time the
-     * package's host would spend searching). 0 keeps the PR 1
-     * semantics: solves are free on the virtual clock and only cost
-     * wall time.
+     * package's host would spend searching). 0 makes solves free on
+     * the virtual clock (they only cost wall time). Above 0, a batch
+     * that is ready while every shard is busy starts its solve in the
+     * background (speculate, in the file comment above), hiding this
+     * latency behind the in-flight replays.
      */
     double modeledSolveSec = 0.0;
     /**
@@ -216,8 +219,6 @@ struct ServingOptions
      * starts replaying a different mix than its previous dispatch.
      */
     double switchOverheadSec = 0.0;
-    /** LRU capacity of the schedule cache (0 = unbounded). */
-    std::size_t cacheCapacity = 0;
     /** Request-level boundary preemption (off by default). */
     PreemptionOptions preemption;
     /**
@@ -245,17 +246,6 @@ struct FleetOptions
      * offer at least as many chiplets as the catalog has models.
      */
     std::vector<Mcm> shardTemplates;
-    /**
-     * Start a background solve for the would-be mix whenever a batch
-     * is ready but every shard is busy, hiding the modeled solve
-     * latency behind in-flight replays. The solve targets the shard
-     * the dispatch is predicted to land on and is skipped when that
-     * shard's cache already holds (or is already solving) the
-     * schedule. Disabling reproduces the PR 1 blocking pipeline: a
-     * new mix's search begins only at dispatch time and the shard
-     * idles through all of it.
-     */
-    bool speculativeSolve = true;
     /**
      * Flight recorder for this fleet (not owned; nullptr disables all
      * observability). When set, run() records the full per-request

@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the fleet serving layer: the asynchronous schedule cache
- * (exactly-once concurrent solves, virtual ready instants, LRU
- * bounds), multi-MCM routing, and the determinism contract —
+ * (exactly-once concurrent solves, virtual ready instants, failed
+ * solves left retriable), multi-MCM routing, and the determinism contract —
  * wall-clock solve concurrency must never change virtual-time results.
  */
 
@@ -52,7 +52,7 @@ struct SlowCompute
     std::atomic<int> calls{0};
     int delayMs = 0;
 
-    ScheduleCache::ComputeFn
+    ComputeFn
     fn()
     {
         return [this](const Scenario& mix) {
@@ -207,7 +207,7 @@ TEST(AsyncScheduleCache, FailedSolveIsErasedAndRetriable)
     const std::string key = mix.signature();
     SlowCompute good;
     std::atomic<int> calls{0};
-    const ScheduleCache::ComputeFn flaky =
+    const ComputeFn flaky =
         [&](const Scenario& m) -> ScheduleResult {
         if (++calls == 1)
             throw std::runtime_error("transient solver failure");
@@ -248,45 +248,6 @@ TEST(AsyncScheduleCache, ThrowingMixLeavesKeyRetriable)
     EXPECT_TRUE(retry.startedSolve);
     EXPECT_NE(cache.join(key), nullptr);
     EXPECT_EQ(compute.calls.load(), 1);
-}
-
-TEST(ScheduleCache, LruEvictsBeyondCapacity)
-{
-    ScheduleCacheOptions options;
-    options.capacity = 2;
-    ScheduleCache cache(options);
-    SlowCompute compute;
-    const Scenario a = mixOf({zoo::eyeCod(1)});
-    const Scenario b = mixOf({zoo::eyeCod(2)});
-    const Scenario c = mixOf({zoo::eyeCod(4)});
-    const auto solve = [&](const Scenario& mix) {
-        auto entry = makeCachedSchedule(mix, compute.fn());
-        cache.insert(mix.signature(), entry);
-        return entry;
-    };
-
-    const auto keepA = solve(a);
-    const auto keepB = solve(b);
-    EXPECT_EQ(cache.size(), 2u);
-    // A non-mutating peek leaves A least recently used ...
-    EXPECT_EQ(cache.peek(a.signature()), keepA);
-    // ... and find touches it: B becomes LRU.
-    EXPECT_EQ(cache.find(a.signature()), keepA);
-
-    solve(c); // evicts B
-    EXPECT_EQ(cache.size(), 2u);
-    EXPECT_EQ(cache.evictions(), 1);
-    EXPECT_EQ(cache.find(b.signature()), nullptr);
-    // The evicted entry stays valid for holders of its shared_ptr.
-    EXPECT_EQ(keepB->lastWindow.size(), 1u);
-    EXPECT_FALSE(keepB->windowSec.empty());
-
-    solve(b); // re-solve B, evicts A
-    EXPECT_EQ(compute.calls.load(), 4);
-    EXPECT_EQ(cache.evictions(), 2);
-    EXPECT_EQ(cache.find(a.signature()), nullptr);
-    EXPECT_NE(cache.find(c.signature()), nullptr);
-    EXPECT_FALSE(keepA->windowSec.empty());
 }
 
 TEST(Fleet, MultiShardCompletesEverythingDeterministically)
@@ -442,25 +403,22 @@ TEST(Fleet, SpeculativeSolvesHideStallBehindReplay)
     const auto catalog = smallCatalog();
     const auto trace = poissonTrace(catalog, 200, 2);
 
-    auto runWith = [&](bool speculative) {
-        FleetOptions options;
-        options.shards = 1;
-        options.speculativeSolve = speculative;
-        options.serving.modeledSolveSec = 0.05;
-        FleetSimulator fleet(
-            catalog, templates::hetSides3x3(templates::kArvrPes),
-            options);
-        return fleet.run(trace);
-    };
-
-    const ServingReport blocking = runWith(false);
-    const ServingReport async = runWith(true);
-    EXPECT_EQ(blocking.completed, 200);
-    EXPECT_EQ(async.completed, 200);
-    // Overlapping solves with in-flight replay must strictly reduce
-    // the time the package idles waiting on the search.
-    EXPECT_LT(async.solveStallSec, blocking.solveStallSec);
-    EXPECT_LE(async.p99LatencySec, blocking.p99LatencySec);
+    FleetOptions options;
+    options.shards = 1;
+    options.serving.modeledSolveSec = 0.05;
+    FleetSimulator fleet(catalog,
+                         templates::hetSides3x3(templates::kArvrPes),
+                         options);
+    const ServingReport report = fleet.run(trace);
+    EXPECT_EQ(report.completed, 200);
+    // A pipeline that began each search at dispatch time would idle
+    // the package for one full modeled solve per miss (up to the
+    // rounding of the ready instants, so the bound keeps a half-solve
+    // margin); overlapping solves with in-flight replays must hide
+    // more than that.
+    EXPECT_LT(report.solveStallSec,
+              (static_cast<double>(report.cache.misses) - 0.5) *
+                  options.serving.modeledSolveSec);
 }
 
 TEST(Fleet, SwitchOverheadChargedOnMixChanges)
@@ -488,23 +446,6 @@ TEST(Fleet, SwitchOverheadChargedOnMixChanges)
     EXPECT_NEAR(report.switchOverheadSec, 3 * 0.01, 1e-9);
     EXPECT_EQ(report.cache.misses, 2);
     EXPECT_EQ(report.cache.hits, 2);
-}
-
-TEST(Fleet, BoundedCacheStillServesEverything)
-{
-    const auto catalog = smallCatalog();
-    const auto trace = poissonTrace(catalog, 300, 23);
-    FleetOptions options;
-    options.shards = 2;
-    options.serving.cacheCapacity = 1; // aggressive eviction
-    FleetSimulator fleet(catalog,
-                         templates::hetSides3x3(templates::kArvrPes),
-                         options);
-    const ServingReport report = fleet.run(trace);
-    EXPECT_EQ(report.completed, 300);
-    EXPECT_GT(report.cache.evictions, 0)
-        << "capacity 1 must evict under multiple mixes";
-    EXPECT_LE(fleet.cache().size(), 1u);
 }
 
 } // namespace

@@ -34,7 +34,7 @@
 
 #include "arch/mcm_templates.h"
 #include "eval/scenario_suite.h"
-#include "runtime/serving_sim.h"
+#include "runtime/fleet.h"
 #include "sched/scar.h"
 
 namespace scar
@@ -42,11 +42,11 @@ namespace scar
 namespace
 {
 
+using runtime::FleetOptions;
+using runtime::FleetSimulator;
 using runtime::Request;
 using runtime::ServedModel;
-using runtime::ServingOptions;
 using runtime::ServingReport;
-using runtime::ServingSimulator;
 using runtime::ShardReport;
 using golden::checkGolden;
 
@@ -137,7 +137,6 @@ serialize(const ServingReport& report)
     putD(os, "sloViolationRate", report.sloViolationRate);
     os << "cache.hits=" << report.cache.hits << '\n'
        << "cache.misses=" << report.cache.misses << '\n'
-       << "cache.evictions=" << report.cache.evictions << '\n'
        << "uniqueMixes=" << report.uniqueMixes << '\n';
     putD(os, "batchOccupancy", report.batchOccupancy);
     for (const ShardReport& shard : report.shards) {
@@ -186,12 +185,12 @@ runServing(int threads)
         sm.sloSec = slosSec[m];
         catalog.push_back(std::move(sm));
     }
-    ServingOptions options;
-    options.admission.maxQueueDelaySec = 0.1;
-    options.scar.threads = threads;
+    FleetOptions options;
+    options.serving.admission.maxQueueDelaySec = 0.1;
+    options.serving.scar.threads = threads;
     ThreadPool pool(threads);
-    options.pool = &pool;
-    ServingSimulator sim(catalog, templates::hetSides3x3(), options);
+    options.serving.pool = &pool;
+    FleetSimulator sim(catalog, templates::hetSides3x3(), options);
     const std::vector<Request> trace =
         runtime::poissonTrace(catalog, 600, /*seed=*/7);
     return sim.run(trace);

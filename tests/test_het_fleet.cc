@@ -390,7 +390,6 @@ TEST(HetFleet, SpeculationNeverResolvesAResidentSchedule)
         FleetOptions options;
         options.shards = 2;
         options.routing = policy;
-        options.speculativeSolve = true;
         options.serving.modeledSolveSec = 0.05;
         FleetSimulator fleet(
             catalog, templates::hetSides3x3(templates::kArvrPes),

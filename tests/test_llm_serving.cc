@@ -21,7 +21,6 @@
 #include "eval/reporter.h"
 #include "runtime/arrival.h"
 #include "runtime/fleet.h"
-#include "runtime/serving_sim.h"
 #include "workload/model_zoo.h"
 #include "workload/transformer_builder.h"
 

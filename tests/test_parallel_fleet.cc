@@ -158,18 +158,10 @@ hetFleetOptions()
 
 TEST(FleetGolden, HeterogeneousBestFitFleet)
 {
-    // Without speculative solves a saturated fleet absorbs arrivals
-    // into the fast-forward (they can only enqueue), so the blocking
-    // variant pins the arrival/tick interleaving too.
-    const auto catalog = twoModelCatalog();
-    for (const bool speculative : {true, false}) {
-        FleetOptions options = hetFleetOptions();
-        options.speculativeSolve = speculative;
-        golden::checkGolden(speculative ? "fleet_het_bestfit"
-                                        : "fleet_het_bestfit_blocking",
-                            goldenRecord(runFleet(options, catalog, 400,
-                                                  17)));
-    }
+    golden::checkGolden("fleet_het_bestfit",
+                        goldenRecord(runFleet(hetFleetOptions(),
+                                              twoModelCatalog(), 400,
+                                              17)));
 }
 
 TEST(FleetGolden, PreemptiveFleet)
@@ -518,12 +510,11 @@ TEST(FleetLoop, EventLoopMatrixIsPinned)
     // One digest line (report, trace, samples, metrics) per
     // combination of the event loop's handlers no other golden pins
     // together: LLM continuous / static batching x preemption off /
-    // on x speculative solves on / off, on an LLM + CNN catalog with
-    // deadlines, plus a one-entry schedule cache that evicts on every
-    // mix change. The handler counters print on each row so a handler
-    // no row exercises shows up as a column of zeros. The "partial=0"
-    // label names the timer-paced dispatch, the only one left; it
-    // stays so the rows stay put.
+    // on, on an LLM + CNN catalog with deadlines. The handler counters
+    // print on each row so a handler no row exercises shows up as a
+    // column of zeros. The "speculative=1" and "partial=0" labels name
+    // the speculative solve pipeline and the timer-paced dispatch, the
+    // only ones left; they stay so the rows stay put.
     const auto catalog = llmCnnCatalog();
     const auto trace = llmPoissonTrace(catalog, 150, 13);
     std::string matrix;
@@ -554,26 +545,17 @@ TEST(FleetLoop, EventLoopMatrixIsPinned)
     for (const LlmBatchingMode mode :
          {LlmBatchingMode::Continuous, LlmBatchingMode::Static}) {
         for (const bool preempt : {false, true}) {
-            for (const bool speculative : {true, false}) {
-                FleetOptions options = baseOptions();
-                options.serving.admission.llmBatching = mode;
-                options.serving.preemption.enabled = preempt;
-                options.speculativeSolve = speculative;
-                addRow(std::string(mode == LlmBatchingMode::Continuous
-                                       ? "continuous"
-                                       : "static") +
-                           " preempt=" + std::to_string(preempt) +
-                           " speculative=" + std::to_string(speculative) +
-                           " partial=0",
-                       options);
-            }
+            FleetOptions options = baseOptions();
+            options.serving.admission.llmBatching = mode;
+            options.serving.preemption.enabled = preempt;
+            addRow(std::string(mode == LlmBatchingMode::Continuous
+                                   ? "continuous"
+                                   : "static") +
+                       " preempt=" + std::to_string(preempt) +
+                       " speculative=1 partial=0",
+                   options);
         }
     }
-    FleetOptions options = baseOptions();
-    options.serving.cacheCapacity = 1;
-    options.serving.preemption.enabled = true;
-    addRow("continuous preempt=1 speculative=1 partial=0 cache=1",
-           options);
     golden::checkGolden("fleet_event_loop_matrix", matrix);
 }
 

@@ -12,7 +12,7 @@
 #include "arch/mcm_templates.h"
 #include "common/error.h"
 #include "eval/reporter.h"
-#include "runtime/serving_sim.h"
+#include "runtime/fleet.h"
 #include "workload/model_zoo.h"
 
 namespace scar
@@ -158,7 +158,7 @@ mixOf(std::vector<Model> models)
  *  join the solve when the lookup launched one. */
 std::shared_ptr<const CachedSchedule>
 lookupAndJoin(AsyncScheduleCache& cache, const Scenario& mix,
-              const ScheduleCache::ComputeFn& compute)
+              const ComputeFn& compute)
 {
     const AsyncLookup found = cache.lookup(
         mix.signature(), [&]() -> const Scenario& { return mix; },
@@ -390,11 +390,11 @@ TEST(ServingSim, SloAccountingOnTwoRequestTrace)
     std::vector<ServedModel> catalog(1);
     catalog[0].model = zoo::eyeCod(2);
     catalog[0].rateRps = 1.0;
-    ServingOptions options;
-    options.admission.maxQueueDelaySec = 0.01;
-    ServingSimulator sim(catalog,
-                         templates::hetSides3x3(templates::kArvrPes),
-                         options);
+    FleetOptions options;
+    options.serving.admission.maxQueueDelaySec = 0.01;
+    FleetSimulator sim(catalog,
+                       templates::hetSides3x3(templates::kArvrPes),
+                       options);
 
     // Probe run: learn the single-request makespan of the mix.
     catalog[0].sloSec = std::numeric_limits<double>::infinity();
@@ -408,9 +408,9 @@ TEST(ServingSim, SloAccountingOnTwoRequestTrace)
     // Request A's SLO absorbs timeout + makespan; request B's cannot.
     const double latency = 0.01 + makespan;
     catalog[0].sloSec = latency * 2.0;
-    ServingSimulator sim2(catalog,
-                          templates::hetSides3x3(templates::kArvrPes),
-                          options);
+    FleetSimulator sim2(catalog,
+                        templates::hetSides3x3(templates::kArvrPes),
+                        options);
     auto trace = traceFromArrivals(catalog, {{0.0, 0}, {10.0, 0}});
     trace[1].deadlineSec = 10.0 + latency * 0.5; // unreachable
     const ServingReport report = sim2.run(trace);
@@ -433,11 +433,11 @@ TEST(ServingSim, SloAccountingOnTwoRequestTrace)
 TEST(ServingSim, DrainsEveryRequestAndCaches)
 {
     const auto catalog = smallCatalog();
-    ServingOptions options;
-    options.admission.maxQueueDelaySec = 0.005;
-    ServingSimulator sim(catalog,
-                         templates::hetSides3x3(templates::kArvrPes),
-                         options);
+    FleetOptions options;
+    options.serving.admission.maxQueueDelaySec = 0.005;
+    FleetSimulator sim(catalog,
+                       templates::hetSides3x3(templates::kArvrPes),
+                       options);
     const auto trace = poissonTrace(catalog, 400, 11);
     const ServingReport report = sim.run(trace);
 
@@ -471,10 +471,10 @@ TEST(ServingSim, DeterministicForFixedSeed)
 {
     const auto catalog = smallCatalog();
     const auto trace = poissonTrace(catalog, 200, 3);
-    ServingSimulator a(catalog,
-                       templates::hetSides3x3(templates::kArvrPes));
-    ServingSimulator b(catalog,
-                       templates::hetSides3x3(templates::kArvrPes));
+    FleetSimulator a(catalog,
+                     templates::hetSides3x3(templates::kArvrPes));
+    FleetSimulator b(catalog,
+                     templates::hetSides3x3(templates::kArvrPes));
     const ServingReport ra = a.run(trace);
     const ServingReport rb = b.run(trace);
     EXPECT_DOUBLE_EQ(ra.p99LatencySec, rb.p99LatencySec);
@@ -488,8 +488,8 @@ TEST(ServingSim, RejectsDuplicateCatalogNames)
     catalog[0].model = zoo::eyeCod(4);
     catalog[1].model = zoo::eyeCod(2); // same name, different batch
     EXPECT_THROW(
-        ServingSimulator(catalog,
-                         templates::hetSides3x3(templates::kArvrPes)),
+        FleetSimulator(catalog,
+                       templates::hetSides3x3(templates::kArvrPes)),
         FatalError)
         << "duplicate names would alias mix signatures";
 }
@@ -497,8 +497,8 @@ TEST(ServingSim, RejectsDuplicateCatalogNames)
 TEST(ServingSim, ReportRendererMentionsKeyMetrics)
 {
     const auto catalog = smallCatalog();
-    ServingSimulator sim(catalog,
-                         templates::hetSides3x3(templates::kArvrPes));
+    FleetSimulator sim(catalog,
+                       templates::hetSides3x3(templates::kArvrPes));
     const ServingReport report =
         sim.run(poissonTrace(catalog, 50, 1));
     const std::string text = describeServingReport(report);
