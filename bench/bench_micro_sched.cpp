@@ -64,6 +64,39 @@ BM_RankSegmentations(benchmark::State& state)
 BENCHMARK(BM_RankSegmentations);
 
 /**
+ * The longest Heuristic-1 ranking of the EA's 6x6 solve: GPT-L's
+ * 39-layer middle window of the Sc4 suite over up to 36 segments at
+ * the default options, so nearly every count samples 512 splits.
+ * `skip_rate` is the share of candidates whose exact score the
+ * lower bound skipped. Not gated.
+ */
+void
+BM_RankSegmentations6x6(benchmark::State& state)
+{
+    Scenario sc;
+    sc.name = "rank6x6";
+    sc.models = {zoo::gptL(8)};
+    sc.finalize();
+    const Mcm mcm = templates::hetCross6x6(templates::kDatacenterPes);
+    CostDb db(sc, mcm);
+    obs::SearchCounters counters;
+    db.setCounters(&counters);
+    const LayerRange range{40, 78};
+    for (auto _ : state) {
+        Rng rng(1);
+        benchmark::DoNotOptimize(rankSegmentations(
+            db, 0, range, 36, OptTarget::Edp, SegmentationOptions{}, rng));
+    }
+    const double visited =
+        static_cast<double>(counters.segCandidates.load());
+    state.counters["skip_rate"] =
+        visited > 0.0
+            ? 1.0 - static_cast<double>(counters.segScored.load()) / visited
+            : 0.0;
+}
+BENCHMARK(BM_RankSegmentations6x6)->Unit(benchmark::kMillisecond);
+
+/**
  * The placement half of one window search — refinement, combos and
  * beam placements — from a precomputed Heuristic-1 ranking: the part
  * Scar::run walks serially, window by window.

@@ -1,5 +1,6 @@
 #include "common/thread_pool.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <utility>
@@ -91,61 +92,112 @@ ThreadPool::parallelFor(std::size_t n,
             body(i);
         return;
     }
+    IndexStream(this, n, body).waitThrough(n);
+}
 
-    /**
-     * Shared loop state. Tasks claim indices from `next`; a late task
-     * that starts after the loop finished claims nothing and only
-     * touches this control block (kept alive by shared_ptr), never
-     * the caller-owned body.
-     */
-    struct Ctl
+/**
+ * Shared stream state. Threads claim indices from `next`; a late
+ * helper that starts after the stream drained claims nothing and only
+ * touches this block (kept alive by shared_ptr), never what body
+ * refers to.
+ */
+struct IndexStream::Ctl
+{
+    Ctl(std::size_t n, std::function<void(std::size_t)> fn)
+        : total(n), body(std::move(fn)), finished(n, 0)
     {
-        std::atomic<std::size_t> next{0};
-        std::atomic<std::size_t> done{0};
-        std::size_t total = 0;
-        const std::function<void(std::size_t)>* body = nullptr;
-        std::mutex mu;
-        std::condition_variable cv;
-        std::exception_ptr error; ///< lowest failing index's (guarded by mu)
-        std::size_t errorIndex = 0; ///< index of `error`, when set
-    };
-    auto ctl = std::make_shared<Ctl>();
-    ctl->total = n;
-    ctl->body = &body;
+    }
 
-    const auto work = [](const std::shared_ptr<Ctl>& c) {
-        for (;;) {
-            const std::size_t i = c->next.fetch_add(1);
-            if (i >= c->total)
-                break;
-            try {
-                (*c->body)(i);
-            } catch (...) {
-                std::lock_guard<std::mutex> lock(c->mu);
-                if (!c->error || i < c->errorIndex) {
-                    c->error = std::current_exception();
-                    c->errorIndex = i;
-                }
-            }
-            if (c->done.fetch_add(1) + 1 == c->total) {
-                std::lock_guard<std::mutex> lock(c->mu);
-                c->cv.notify_all();
+    /** Claims and runs indices while the next one is below `end`. */
+    void
+    runBelow(std::size_t end)
+    {
+        while (next.load() < end) {
+            const std::size_t i = next.fetch_add(1);
+            if (i >= total)
+                return;
+            run(i);
+        }
+    }
+
+    void
+    run(std::size_t i)
+    {
+        try {
+            body(i);
+        } catch (...) {
+            std::lock_guard<std::mutex> lock(mu);
+            if (!error || i < errorIndex) {
+                error = std::current_exception();
+                errorIndex = i;
             }
         }
-    };
+        // Published only once this thread holds no reference to the
+        // exception, which the waiter may take and rethrow at once.
+        {
+            std::lock_guard<std::mutex> lock(mu);
+            finished[i] = 1;
+        }
+        cv.notify_all();
+    }
 
-    const std::size_t helpers = std::min(workers_.size(), n - 1);
+    /** Blocks until body(0..end-1) have finished; the caller's lock. */
+    void
+    awaitBelow(std::unique_lock<std::mutex>& lock, std::size_t end)
+    {
+        cv.wait(lock, [&] {
+            while (ready < end && finished[ready])
+                ++ready;
+            return ready >= end;
+        });
+    }
+
+    std::atomic<std::size_t> next{0};
+    const std::size_t total;
+    const std::function<void(std::size_t)> body;
+    std::mutex mu;
+    std::condition_variable cv;
+    std::vector<char> finished; ///< per index (guarded by mu)
+    std::size_t ready = 0;      ///< [0, ready) finished (guarded by mu)
+    std::exception_ptr error;   ///< lowest failing index's (guarded by mu)
+    std::size_t errorIndex = 0; ///< index of `error`, when set
+};
+
+IndexStream::IndexStream(ThreadPool* pool, std::size_t n,
+                         std::function<void(std::size_t)> body)
+    : ctl_(std::make_shared<Ctl>(n, std::move(body)))
+{
+    const std::size_t workers = pool ? pool->workers_.size() : 0;
+    const std::size_t helpers = n == 0 ? 0 : std::min(workers, n - 1);
     for (std::size_t h = 0; h < helpers; ++h)
-        enqueue([ctl, work] { work(ctl); });
-    work(ctl);
+        pool->enqueue([ctl = ctl_] { ctl->runBelow(ctl->total); });
+}
 
-    std::unique_lock<std::mutex> lock(ctl->mu);
-    ctl->cv.wait(lock,
-                 [&] { return ctl->done.load() >= ctl->total; });
-    // Take the exception out of the control block, which a late task
-    // may still hold: the caller then owns its last reference.
-    if (ctl->error)
-        std::rethrow_exception(std::exchange(ctl->error, nullptr));
+IndexStream::~IndexStream()
+{
+    ctl_->runBelow(ctl_->total);
+    std::unique_lock<std::mutex> lock(ctl_->mu);
+    ctl_->awaitBelow(lock, ctl_->total);
+}
+
+void
+IndexStream::waitThrough(std::size_t end)
+{
+    SCAR_REQUIRE(end <= ctl_->total, "waitThrough(", end,
+                 ") past the stream's ", ctl_->total, " indices");
+    ctl_->runBelow(end);
+    std::unique_lock<std::mutex> lock(ctl_->mu);
+    ctl_->awaitBelow(lock, end);
+    if (!ctl_->error)
+        return;
+    // Drain, then take the exception out of the control block, which
+    // a late helper may still hold: the caller then owns its last
+    // reference.
+    lock.unlock();
+    ctl_->runBelow(ctl_->total);
+    lock.lock();
+    ctl_->awaitBelow(lock, ctl_->total);
+    std::rethrow_exception(std::exchange(ctl_->error, nullptr));
 }
 
 } // namespace scar

@@ -15,6 +15,11 @@
  *    counter, nested parallelFor calls from inside pool tasks cannot
  *    deadlock: worst case the nested loop runs entirely on the
  *    already-running thread.
+ *  - IndexStream runs body(0..n-1) in the background while its
+ *    caller consumes finished prefixes: the caller runs any index
+ *    still unclaimed when it needs it, and only ever waits on indices
+ *    another thread is already running, so it cannot deadlock either.
+ *    parallelFor is an IndexStream the caller consumes whole.
  *  - submit(fn) enqueues a future-backed task; with no workers it runs
  *    fn inline at submit time, which reduces the async schedule cache
  *    to the blocking PR 1 behavior under SCAR_THREADS=1.
@@ -106,6 +111,8 @@ class ThreadPool
     }
 
   private:
+    friend class IndexStream;
+
     void enqueue(std::function<void()> task);
     void workerLoop();
 
@@ -114,6 +121,41 @@ class ThreadPool
     std::mutex mu_;
     std::condition_variable cv_;
     bool stop_ = false;
+};
+
+/**
+ * body(0..n-1), run in the background while the caller consumes it
+ * in index order. Pool helpers (at most n-1) and the caller claim
+ * indices from one shared counter, in index order. waitThrough(end)
+ * returns once body(i) has finished for every i < end: it first runs
+ * every index below `end` that is still unclaimed, then waits only
+ * for indices other threads are running. It never waits on a helper
+ * still queued behind the caller, so a caller that is itself a pool
+ * task cannot deadlock. With a null pool, or one without workers,
+ * the caller runs every index itself, in order, inside waitThrough.
+ *
+ * Errors follow parallelFor: once any body has thrown, waitThrough
+ * drains the stream (every index runs) and rethrows the exception of
+ * the lowest failing index. The destructor drains without throwing,
+ * so no thread is inside body once it returns; a late helper then
+ * claims nothing and only touches the shared control block.
+ */
+class IndexStream
+{
+  public:
+    IndexStream(ThreadPool* pool, std::size_t n,
+                std::function<void(std::size_t)> body);
+    ~IndexStream();
+
+    IndexStream(const IndexStream&) = delete;
+    IndexStream& operator=(const IndexStream&) = delete;
+
+    /** Blocks until body(0..end-1) have finished (end <= n). */
+    void waitThrough(std::size_t end);
+
+  private:
+    struct Ctl;
+    std::shared_ptr<Ctl> ctl_;
 };
 
 /**

@@ -35,6 +35,7 @@ SolveProfile::captureCounters(const SearchCounters& counters)
     combosPlaced = load(counters.combosPlaced);
     eaGenerations = load(counters.eaGenerations);
     segCandidates = load(counters.segCandidates);
+    segScored = load(counters.segScored);
     costDbRangeQueries = load(counters.costDbRangeQueries);
     costDbLayerQueries = load(counters.costDbLayerQueries);
 }
@@ -106,7 +107,8 @@ SolveProfile::summary() const
 
     out += "windows evaluated: " + std::to_string(windowEvals) +
            ", combos placed: " + std::to_string(combosPlaced) +
-           ", segmentations ranked: " + std::to_string(segCandidates);
+           ", segmentations ranked: " + std::to_string(segCandidates) +
+           " (scored exactly: " + std::to_string(segScored) + ")";
     if (eaGenerations > 0)
         out += ", EA generations: " + std::to_string(eaGenerations);
     out += "\n";

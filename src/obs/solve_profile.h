@@ -41,7 +41,8 @@ struct SearchCounters
     std::atomic<std::int64_t> windowEvals{0};   ///< full evaluate() calls
     std::atomic<std::int64_t> combosPlaced{0};  ///< combo fan-out size
     std::atomic<std::int64_t> eaGenerations{0}; ///< EA bred generations
-    std::atomic<std::int64_t> segCandidates{0}; ///< Heuristic-1 scored
+    std::atomic<std::int64_t> segCandidates{0}; ///< Heuristic-1 visited
+    std::atomic<std::int64_t> segScored{0};     ///< ...scored exactly
     std::atomic<std::int64_t> costDbRangeQueries{0}; ///< O(1) tables
     std::atomic<std::int64_t> costDbLayerQueries{0}; ///< per-layer path
 
@@ -67,8 +68,9 @@ struct SolveProfile
     double packMs = 0.0;      ///< MCM-Reconfig greedy packing
     double provisionMs = 0.0; ///< PROV node allocation
     double searchMs = 0.0;    ///< SEG+SCHED window searches
-    /// Of searchMs: the up-front Heuristic-1 ranking fan-out over
-    /// every window (the rest is the serial placement walk).
+    /// Of searchMs: the time the serial window walk spent running or
+    /// waiting on Heuristic-1 ranking jobs, which otherwise overlap
+    /// the walk on the pool (the rest is placement search).
     double rankMs = 0.0;
 
     std::int64_t windows = 0;
@@ -83,6 +85,7 @@ struct SolveProfile
     std::int64_t combosPlaced = 0;
     std::int64_t eaGenerations = 0;
     std::int64_t segCandidates = 0;
+    std::int64_t segScored = 0;
     std::int64_t costDbRangeQueries = 0;
     std::int64_t costDbLayerQueries = 0;
 

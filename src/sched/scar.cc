@@ -100,8 +100,8 @@ Scar::run()
            optTargetName(options_.target));
 
     // PROV and SEG's Heuristic-1 ranking read no placement, so every
-    // window is provisioned and ranked before the serial walk below:
-    // one fan-out over all (window, allocation[, model]) ranking jobs.
+    // window is provisioned up front and its ranking jobs run in the
+    // background while the walk below places earlier windows.
     const std::size_t numWindows = plan.windows.size();
     if (prof)
         phaseStart = Clock::now();
@@ -112,10 +112,8 @@ Scar::run()
         allocationsSearched +=
             static_cast<std::int64_t>(allocations[w].size());
     }
-    if (prof) {
+    if (prof)
         provisionMs = sinceMs(phaseStart);
-        phaseStart = Clock::now();
-    }
 
     WindowSearchOptions wopts = options_.window;
     wopts.pool = pool_;
@@ -133,7 +131,8 @@ Scar::run()
 
     // Brute force ranks one job per (window, allocation, model), each
     // on its own stream; the EA's seed genome shares one stream across
-    // its models, so it is one job per (window, allocation).
+    // its models, so it is one job per (window, allocation). Jobs are
+    // listed window by window: jobsEnd[w] ends window w's.
     struct RankJob
     {
         std::size_t window;
@@ -141,6 +140,7 @@ Scar::run()
         std::size_t slot; ///< present-model index (brute force)
     };
     std::vector<RankJob> jobs;
+    std::vector<std::size_t> jobsEnd(numWindows);
     std::vector<std::vector<int>> present(numWindows);
     std::vector<std::vector<WindowScheduler::Ranking>> rankings(
         numWindows);
@@ -159,8 +159,16 @@ Scar::run()
             for (std::size_t i = 0; i < slots; ++i)
                 jobs.push_back({w, a, i});
         }
+        jobsEnd[w] = jobs.size();
     }
-    forEachIndex(pool_, jobs.size(), [&](std::size_t j) {
+    // Pool helpers and the walk claim the jobs in order from one
+    // counter. The walk searches window w as soon as window w's jobs
+    // are done, running any it finds unclaimed itself: it never waits
+    // on a helper still queued, which could be behind this very solve
+    // when it runs as a pool task. Declared after everything the jobs
+    // read or write, so on a throw its destructor drains them before
+    // any of that is destroyed.
+    IndexStream ranking(pool_, jobs.size(), [&](std::size_t j) {
         const RankJob& job = jobs[j];
         const WindowAssignment& wa = plan.windows[job.window];
         const NodeAllocation& nodes = allocations[job.window][job.alloc];
@@ -173,10 +181,6 @@ Scar::run()
                                     present[job.window][job.slot]);
         }
     });
-    if (prof) {
-        rankMs = sinceMs(phaseStart);
-        searchMs = rankMs;
-    }
 
     // One path memo serves every search of this solve: its values are
     // pure functions of (length, occupancy) on this topology and cap.
@@ -191,10 +195,8 @@ Scar::run()
     // Windows place serially — each window's entry chiplets depend on
     // the previous window's best placement — and each (window,
     // allocation) search parallelizes internally.
-    for (std::size_t w = 0; w < numWindows; ++w) {
+    const auto placeWindow = [&](std::size_t w) {
         const WindowAssignment& wa = plan.windows[w];
-        if (prof)
-            phaseStart = Clock::now();
         WindowScheduler::Result best;
         std::vector<ScoredPlacement> mergedTop;
         for (std::size_t a = 0; a < allocations[w].size(); ++a) {
@@ -213,8 +215,6 @@ Scar::run()
                 best.best = std::move(found.best);
             }
         }
-        if (prof)
-            searchMs += sinceMs(phaseStart);
         SCAR_REQUIRE(best.found,
                      "no feasible placement found for a window of ",
                      scenario_.name, " on ", mcm_.name());
@@ -241,6 +241,25 @@ Scar::run()
         sw.cost = std::move(best.best.cost);
         result.windows.push_back(std::move(sw));
         windowTops.push_back(std::move(mergedTop));
+    };
+    try {
+        for (std::size_t w = 0; w < numWindows; ++w) {
+            if (!prof) {
+                ranking.waitThrough(jobsEnd[w]);
+                placeWindow(w);
+                continue;
+            }
+            const Clock::time_point windowStart = Clock::now();
+            ranking.waitThrough(jobsEnd[w]);
+            rankMs += sinceMs(windowStart);
+            placeWindow(w);
+            searchMs += sinceMs(windowStart);
+        }
+    } catch (...) {
+        // A failed ranking job is reported before any walk error, at
+        // every pool size, as if every job had run before the walk.
+        ranking.waitThrough(jobs.size());
+        throw;
     }
 
     // End-to-end totals: windows execute back to back (Section III-E).

@@ -18,11 +18,12 @@
  *   ScheduleResult result = scar.run();
  * @endcode
  *
- * Parallelism: run() first ranks every window's segmentations in one
- * fan-out (SEG's Heuristic 1 reads no placement), then walks the
- * windows serially, each window's search (refinement, combo fan-out,
- * EA population evaluation) running on the same worker pool, selected
- * by ScarOptions::threads.
+ * Parallelism: run() ranks every window's segmentations in the
+ * background (SEG's Heuristic 1 reads no placement) while it walks the
+ * windows serially, each window searched once its own ranking is done,
+ * and each window's search (refinement, combo fan-out, EA population
+ * evaluation) running on the same worker pool, selected by
+ * ScarOptions::threads.
  * Every randomized stage draws from its own mixSeed-derived stream,
  * so run() returns a bit-identical ScheduleResult at any pool size —
  * including fully serial — and is safe to invoke concurrently from

@@ -1,6 +1,7 @@
 #include "sched/segmentation.h"
 
 #include <algorithm>
+#include <limits>
 #include <optional>
 
 #include "common/flat_hash.h"
@@ -59,16 +60,17 @@ choose(int n, int k)
  */
 using GapBitmap = std::vector<std::uint64_t>;
 
-/** Sets `gap`; false when it was already set. */
+/**
+ * Sets `gap`; false when it was already set. Branch-free: once most
+ * gaps are picked, a random draw hits a set one about as often as not.
+ */
 bool
 setGap(GapBitmap& bitmap, int gap)
 {
     std::uint64_t& word = bitmap[static_cast<std::size_t>(gap) / 64];
-    const std::uint64_t bit = std::uint64_t{1} << (gap % 64);
-    if (word & bit)
-        return false;
-    word |= bit;
-    return true;
+    const std::uint64_t before = word;
+    word |= std::uint64_t{1} << (gap % 64);
+    return word != before;
 }
 
 /** The set gaps of `bitmap`, ascending. */
@@ -215,10 +217,8 @@ walkSplits(const LayerRange& range, int maxSegs, int capPerCount, Rng& rng,
                 // Distinct picks: the draws of filling an ordered set,
                 // which the bitmap keeps sorted.
                 std::fill(picks.begin(), picks.end(), 0);
-                for (int picked = 0; picked < splitsNeeded;) {
-                    if (setGap(picks, rng.uniformInt(0, gaps - 1)))
-                        ++picked;
-                }
+                for (int picked = 0; picked < splitsNeeded;)
+                    picked += setGap(picks, rng.uniformInt(0, gaps - 1));
                 if (!seen->insert(picks))
                     continue;
                 gapsOf(picks, splits);
@@ -239,6 +239,11 @@ walkSplits(const LayerRange& range, int maxSegs, int capPerCount, Rng& rng,
  * there. The sums are the same additions in the same order as the
  * plain per-layer loop, so scores are bit-identical to it whatever
  * the candidate order.
+ *
+ * lowerBound() prices a split list in O(segments) from prefix sums
+ * of the same terms, never above score() (see there), so a ranking
+ * can skip the exact O(layers) score of a candidate whose bound
+ * already loses.
  */
 class SplitScorer
 {
@@ -266,8 +271,67 @@ class SplitScorer
             handoffEnergy_[i] =
                 pjToNj(bytes * 8.0 * db.mcm().params().nopEnergyPjPerBit) *
                 batch_;
+            // lowerBound's error analysis needs nonnegative terms.
+            SCAR_ASSERT(cycles_[i] >= 0.0 && energy_[i] >= 0.0 &&
+                            handoffCycles_[i] >= 0.0 &&
+                            handoffEnergy_[i] >= 0.0,
+                        "negative Heuristic-1 term at layer ", l);
         }
         partial_.push_back(Partial{});
+
+        prefixCycles_.resize(layers + 1);
+        prefixCycles_[0] = 0.0;
+        for (int i = 0; i < layers; ++i) {
+            prefixCycles_[i + 1] = prefixCycles_[i] + cycles_[i];
+            layerEnergyNj_ += energy_[i];
+        }
+        const double n = static_cast<double>(layers) + 2.0;
+        margin_ = 8.0 * n * n * std::numeric_limits<double>::epsilon();
+    }
+
+    /**
+     * A lower bound on score(splits), in O(segments). Segment cycles
+     * are prefix differences plus the exact handoff term, the cycle
+     * sum is the whole range's plus the handoffs, and the energy is
+     * the layers' total plus the handoff energies: the score's
+     * quantities, summed in another order.
+     *
+     * Rounding margin: with n = layers + 2 and u the double epsilon,
+     * score() and this bound each round every summed term (all
+     * nonnegative) with a relative error of at most ~n*u of the
+     * total. A prefix difference may be off by ~2n*u of the whole
+     * range's cycles, and the bottleneck segment is at least the
+     * range's cycles over the segment count (<= n), so the bound's
+     * latency is off by at most ~2n^2*u relative, its energy by
+     * ~2n*u, and their product by ~4n^2*u. Scaling the bound by
+     * (1 - 8n^2*u) therefore keeps it at or below the floating-point
+     * score; rankSegmentations asserts that on every exact score.
+     */
+    double
+    lowerBound(const std::vector<int>& splits) const
+    {
+        const std::size_t numSplits = splits.size();
+        const int lastLayer = static_cast<int>(cycles_.size()) - 1;
+        double handoffCycles = 0.0;
+        double handoffEnergyNj = 0.0;
+        double maxSeg = 0.0;
+        int first = 0;
+        for (std::size_t k = 0; k <= numSplits; ++k) {
+            const int last = k < numSplits ? splits[k] : lastLayer;
+            double cycles = prefixCycles_[last + 1] - prefixCycles_[first];
+            if (k > 0) {
+                cycles += handoffCycles_[first - 1];
+                handoffCycles += handoffCycles_[first - 1];
+                handoffEnergyNj += handoffEnergy_[first - 1];
+            }
+            maxSeg = std::max(maxSeg, cycles);
+            first = last + 1;
+        }
+        const double latCycles = prefixCycles_.back() + handoffCycles +
+                                 (batch_ - 1) * maxSeg;
+        const Metrics metrics{cyclesToSeconds(latCycles),
+                              njToJoules(layerEnergyNj_ + handoffEnergyNj)};
+        return metrics.value(target_) * (1.0 - margin_);
     }
 
     /** Score of the segmentation split after the local gaps `splits`. */
@@ -327,6 +391,9 @@ class SplitScorer
     std::vector<double> handoffEnergy_; ///< its energy x batch
     std::vector<int> prev_;             ///< last scored split list
     std::vector<Partial> partial_;      ///< [k]: after k segments of prev_
+    std::vector<double> prefixCycles_;  ///< [i]: cycles of layers < i
+    double layerEnergyNj_ = 0.0;        ///< energy of every layer
+    double margin_ = 0.0;               ///< lowerBound's relative slack
 };
 
 /** A candidate kept by the streaming selection. */
@@ -387,6 +454,20 @@ detail::quickScores(const CostDb& db, int model, const LayerRange& range,
     return scores;
 }
 
+std::vector<double>
+detail::quickBounds(const CostDb& db, int model, const LayerRange& range,
+                    int maxSegs, int capPerCount, OptTarget target,
+                    Rng& rng)
+{
+    const SplitScorer scorer(db, model, range, target);
+    std::vector<double> bounds;
+    walkSplits(range, maxSegs, capPerCount, rng,
+               [&](const std::vector<int>& splits) {
+                   bounds.push_back(scorer.lowerBound(splits));
+               });
+    return bounds;
+}
+
 std::vector<Segmentation>
 rankSegmentations(const CostDb& db, int model, const LayerRange& range,
                   int maxSegs, OptTarget target,
@@ -397,6 +478,14 @@ rankSegmentations(const CostDb& db, int model, const LayerRange& range,
     // overall (a max-heap), so memory does not grow with the number
     // of candidates. The fillers chosen below always come from those
     // pruneK: a count best takes at most one of them per count.
+    //
+    // A candidate enters either list only by ranking before its
+    // current occupant, and it ranks after every candidate seen so
+    // far on an equal score, so one whose lower bound is not below
+    // the front of a full heap nor below its count's best cannot
+    // enter: its exact score is skipped. It still takes its
+    // enumeration index and the walk its draws, so survivors, ties
+    // and the caller's stream are those of scoring every candidate.
     SplitScorer scorer(db, model, range, target);
     std::vector<Ranked> countBest; // by split count
     std::vector<Ranked> heap;
@@ -407,18 +496,27 @@ rankSegmentations(const CostDb& db, int model, const LayerRange& range,
         return ranksBefore(a.score, a.index, b);
     };
     std::size_t index = 0;
+    std::int64_t scored = 0;
     walkSplits(range, maxSegs, opts.enumCapPerCount, rng,
                [&](const std::vector<int>& splits) {
-                   const double score = scorer.score(splits);
                    const std::size_t idx = index++;
+                   if (splits.size() >= countBest.size())
+                       countBest.resize(splits.size() + 1);
+                   Ranked& best = countBest[splits.size()];
+                   const double bound = scorer.lowerBound(splits);
+                   if (heap.size() == heapCap &&
+                       (heapCap == 0 || bound >= heap.front().score) &&
+                       best.index != Ranked::kNone && bound >= best.score)
+                       return;
+                   const double score = scorer.score(splits);
+                   ++scored;
+                   SCAR_ASSERT(bound <= score, "Heuristic-1 bound ", bound,
+                               " above its score ", score);
                    const auto keep = [&](Ranked& slot) {
                        slot.score = score;
                        slot.index = idx;
                        slot.splits.assign(splits.begin(), splits.end());
                    };
-                   if (splits.size() >= countBest.size())
-                       countBest.resize(splits.size() + 1);
-                   Ranked& best = countBest[splits.size()];
                    if (best.index == Ranked::kNone ||
                        ranksBefore(score, idx, best))
                        keep(best);
@@ -436,6 +534,8 @@ rankSegmentations(const CostDb& db, int model, const LayerRange& range,
     obs::SearchCounters::bump(db.counters(),
                               &obs::SearchCounters::segCandidates,
                               static_cast<std::int64_t>(index));
+    obs::SearchCounters::bump(db.counters(),
+                              &obs::SearchCounters::segScored, scored);
 
     // Per-segment-count diversity: always keep each count's best,
     // then fill by rank up to pruneK.

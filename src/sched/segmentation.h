@@ -65,11 +65,17 @@ std::vector<Segmentation> enumerateSegmentations(const LayerRange& range,
  * in the SCHED engine can still choose a different degree of
  * pipelining.
  *
- * The candidates are scored as they are enumerated and only the
+ * The candidates are ranked as they are enumerated and only the
  * survivors become Segmentations; the result is identical to scoring
- * the enumerateSegmentations list and sorting it. A profiled solve
- * (counters attached to `db`) counts the scored candidates in
- * SearchCounters::segCandidates.
+ * the enumerateSegmentations list and sorting it. Each candidate is
+ * first priced by an O(segments) lower bound on its score; the exact
+ * O(layers) score runs only when that bound is below the pruneK-th
+ * best kept so far (or fewer are kept) or below the best of the
+ * candidate's segment count, since otherwise the candidate cannot
+ * survive. Every exact score checks that its bound did not exceed
+ * it. A profiled solve (counters attached to `db`) counts the
+ * visited candidates in SearchCounters::segCandidates and the
+ * exactly scored ones in SearchCounters::segScored.
  */
 std::vector<Segmentation> rankSegmentations(const CostDb& db, int model,
                                             const LayerRange& range,

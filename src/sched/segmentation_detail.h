@@ -27,6 +27,16 @@ std::vector<double> quickScores(const CostDb& db, int model,
                                 int capPerCount, OptTarget target,
                                 Rng& rng);
 
+/**
+ * The lower bounds rankSegmentations skips exact scores by, of every
+ * enumerateSegmentations candidate, in its order: each is at most
+ * that candidate's quickScores entry.
+ */
+std::vector<double> quickBounds(const CostDb& db, int model,
+                                const LayerRange& range, int maxSegs,
+                                int capPerCount, OptTarget target,
+                                Rng& rng);
+
 } // namespace detail
 } // namespace scar
 

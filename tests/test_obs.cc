@@ -360,13 +360,16 @@ TEST(ObsSolveProfile, ProfilesDatacenterSolvePhasesAndCaches)
     EXPECT_GE(profile.totalMs,
               profile.packMs + profile.provisionMs +
                   profile.searchMs - 1.0);
-    // The ranking fan-out is timed inside the window search.
+    // The walk's ranking time is timed inside the window search.
     EXPECT_GT(profile.rankMs, 0.0);
     EXPECT_LE(profile.rankMs, profile.searchMs);
     EXPECT_GT(profile.allocationsSearched, 0);
     EXPECT_GT(profile.windowEvals, 0);
     EXPECT_GT(profile.combosPlaced, 0);
     EXPECT_GT(profile.segCandidates, 0);
+    // The bound skips most exact scores, never all of them.
+    EXPECT_GT(profile.segScored, 0);
+    EXPECT_LE(profile.segScored, profile.segCandidates);
     EXPECT_GT(profile.soloHits + profile.soloMisses, 0);
     EXPECT_GT(profile.pathHits + profile.pathMisses, 0);
     EXPECT_GT(profile.costDbRangeQueries, 0);
@@ -383,7 +386,9 @@ TEST(ObsSolveProfile, ProfilesDatacenterSolvePhasesAndCaches)
     EXPECT_NE(summary.find("PathCache"), std::string::npos);
     EXPECT_NE(summary.find("CostDb"), std::string::npos);
     EXPECT_NE(summary.find("segmentations ranked: " +
-                           std::to_string(profile.segCandidates)),
+                           std::to_string(profile.segCandidates) +
+                           " (scored exactly: " +
+                           std::to_string(profile.segScored) + ")"),
               std::string::npos);
 }
 
@@ -415,6 +420,7 @@ TEST(ObsSolveProfile, ProfiledCountersAreExactAtAnyThreadCount)
     EXPECT_EQ(at1.windowEvals, at4.windowEvals);
     EXPECT_EQ(at1.combosPlaced, at4.combosPlaced);
     EXPECT_EQ(at1.segCandidates, at4.segCandidates);
+    EXPECT_EQ(at1.segScored, at4.segScored);
     EXPECT_EQ(at1.soloHits, at4.soloHits);
     EXPECT_EQ(at1.soloMisses, at4.soloMisses);
     EXPECT_EQ(at1.costDbRangeQueries, at4.costDbRangeQueries);

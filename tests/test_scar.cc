@@ -8,7 +8,9 @@
 
 #include <cstdint>
 #include <cstring>
+#include <future>
 #include <set>
+#include <vector>
 
 #include "arch/mcm_templates.h"
 #include "eval/scenario_suite.h"
@@ -182,6 +184,45 @@ TEST(Scar, ByteIdenticalAcrossPoolSizesEvolutionary)
         const ScheduleResult result = Scar(sc, mcm, opts).run();
         SCOPED_TRACE("threads=" + std::to_string(threads));
         expectIdenticalResults(baseline, result);
+    }
+}
+
+// The fleet runs solves as pool tasks whose search pool is that same
+// pool. With more solves than workers, every worker is inside a solve
+// while the ranking helpers each solve enqueues wait behind the other
+// solves, so a window walk that waited on a queued helper would hang.
+// Every solve must finish, identical to its serial result.
+TEST(Scar, MoreNestedSolvesThanWorkersFinishAndMatchSerial)
+{
+    const Scenario sc = smallScenario();
+    const Mcm brute = templates::hetSides3x3(templates::kArvrPes);
+    const Mcm cross = templates::hetCross6x6(templates::kArvrPes);
+    const auto options = [](int i) {
+        ScarOptions opts;
+        opts.seed = 300 + static_cast<std::uint64_t>(i);
+        if (i % 3 == 2) {
+            opts.mode = SearchMode::Evolutionary;
+            opts.nsplits = 2;
+        }
+        return opts;
+    };
+    const int kSolves = 6;
+    ThreadPool pool(3); // two workers
+    std::vector<std::future<ScheduleResult>> solves;
+    for (int i = 0; i < kSolves; ++i) {
+        solves.push_back(pool.submit([&, i] {
+            ScarOptions opts = options(i);
+            opts.pool = &pool;
+            return Scar(sc, i % 3 == 2 ? cross : brute, opts).run();
+        }));
+    }
+    for (int i = 0; i < kSolves; ++i) {
+        ScarOptions serial = options(i);
+        serial.threads = 1;
+        const ScheduleResult expected =
+            Scar(sc, i % 3 == 2 ? cross : brute, serial).run();
+        SCOPED_TRACE("solve " + std::to_string(i));
+        expectIdenticalResults(expected, solves[i].get());
     }
 }
 

@@ -16,6 +16,7 @@
 #include "common/logging.h"
 #include "common/units.h"
 #include "cost/comm_model.h"
+#include "obs/solve_profile.h"
 #include "sched/segmentation.h"
 #include "sched/segmentation_detail.h"
 #include "workload/model_zoo.h"
@@ -445,20 +446,47 @@ class RankOracle : public ::testing::Test
         return c;
     }
 
-    Scenario sc_;
-    Mcm mcm_;
-    std::unique_ptr<CostDb> db_;
-};
+    /**
+     * A configuration shaped like the EA's seed rankings on a 6x6
+     * package: up to 36 segments over ranges of 30-110 layers, at the
+     * default cap and a tighter one, so most take the sampling branch
+     * with many segment counts.
+     */
+    Config
+    eaConfig(int i, Rng& pick) const
+    {
+        static const OptTarget kTargets[] = {
+            OptTarget::Latency, OptTarget::Energy, OptTarget::Edp};
+        static const int kPruneK[] = {1, 3, 16};
+        static const int kCaps[] = {40, 512};
+        // The models with at least 30 layers (BERT-base 36, ResNet-50
+        // 72, GoogLeNet 63, Emformer 60, GPT-L 110).
+        static const int kLongModels[] = {0, 1, 4, 5, 6};
+        Config c;
+        c.model = kLongModels[pick.uniformInt(0, 4)];
+        const int layers = sc_.models[c.model].numLayers();
+        const int len = pick.uniformInt(30, layers);
+        const int first = pick.uniformInt(0, layers - len);
+        c.range = LayerRange{first, first + len - 1};
+        c.maxSegs = pick.uniformInt(2, 36);
+        c.target = kTargets[i % 3];
+        c.opts.pruneK = kPruneK[(i / 3) % 3];
+        c.opts.enumCapPerCount = kCaps[(i / 9) % 2];
+        c.seed = static_cast<std::uint64_t>(pick.uniformInt(0, 1 << 30));
+        c.capped = false;
+        for (int segs = 2; segs <= std::min(c.maxSegs, len); ++segs) {
+            if (reference::choose(len - 1, segs - 1) >
+                c.opts.enumCapPerCount)
+                c.capped = true;
+        }
+        c.wide = c.capped && len - 1 > 64;
+        return c;
+    }
 
-TEST_F(RankOracle, StreamingRankMatchesMaterializingReference)
-{
-    Rng pick(2024);
-    int capped = 0;
-    int wide = 0;
-    for (int i = 0; i < 270; ++i) {
-        const Config c = config(i, pick);
-        capped += c.capped ? 1 : 0;
-        wide += c.wide ? 1 : 0;
+    /** Ranks `c` both ways: identical survivors and stream use. */
+    void
+    expectMatchesReference(const Config& c, int i) const
+    {
         Rng refRng(c.seed);
         Rng rng(c.seed);
         const auto expected = reference::rankSegmentations(
@@ -475,10 +503,91 @@ TEST_F(RankOracle, StreamingRankMatchesMaterializingReference)
                   refRng.uniformInt(0, 1 << 30))
             << "config " << i;
     }
+
+    Scenario sc_;
+    Mcm mcm_;
+    std::unique_ptr<CostDb> db_;
+};
+
+TEST_F(RankOracle, StreamingRankMatchesMaterializingReference)
+{
+    Rng pick(2024);
+    int capped = 0;
+    int wide = 0;
+    for (int i = 0; i < 270; ++i) {
+        const Config c = config(i, pick);
+        capped += c.capped ? 1 : 0;
+        wide += c.wide ? 1 : 0;
+        expectMatchesReference(c, i);
+    }
     // The sampled branch (random picks, dedup, attempt cap) is covered,
     // with one-word and multi-word pick bitmaps.
     EXPECT_GE(capped, 60);
     EXPECT_GE(wide, 3);
+}
+
+TEST_F(RankOracle, EaShapedRankMatchesMaterializingReference)
+{
+    Rng pick(6636);
+    int capped = 0;
+    int wide = 0;
+    for (int i = 0; i < 36; ++i) {
+        const Config c = eaConfig(i, pick);
+        capped += c.capped ? 1 : 0;
+        wide += c.wide ? 1 : 0;
+        expectMatchesReference(c, i);
+    }
+    // Nearly all sample, some with multi-word pick bitmaps.
+    EXPECT_GE(capped, 30);
+    EXPECT_GE(wide, 3);
+}
+
+// The ranking skips the exact score of a candidate whose lower bound
+// cannot enter its lists. The bound must never be above the score —
+// or the skip could drop a survivor — and on capped configurations,
+// where the lists fill early, most candidates must take the skip.
+TEST_F(RankOracle, BoundNeverExceedsScoreAndSkipsOnCappedConfigs)
+{
+    Rng pick(2028);
+    int capped = 0;
+    for (int i = 0; i < 270 + 36; ++i) {
+        const bool ea = i >= 270;
+        const Config c = ea ? eaConfig(i - 270, pick) : config(i, pick);
+        Rng boundRng(c.seed);
+        Rng scoreRng(c.seed);
+        const auto bounds =
+            detail::quickBounds(*db_, c.model, c.range, c.maxSegs,
+                                c.opts.enumCapPerCount, c.target, boundRng);
+        const auto scores =
+            detail::quickScores(*db_, c.model, c.range, c.maxSegs,
+                                c.opts.enumCapPerCount, c.target, scoreRng);
+        ASSERT_EQ(bounds.size(), scores.size()) << "config " << i;
+        for (std::size_t k = 0; k < scores.size(); ++k) {
+            ASSERT_LE(bounds[k], scores[k])
+                << "config " << i << " candidate " << k;
+            // Tight enough to skip: the margin is a few ulps' worth.
+            ASSERT_GE(bounds[k], scores[k] * (1.0 - 1e-9))
+                << "config " << i << " candidate " << k;
+        }
+
+        obs::SearchCounters counters;
+        db_->setCounters(&counters);
+        Rng rng(c.seed);
+        rankSegmentations(*db_, c.model, c.range, c.maxSegs, c.target,
+                          c.opts, rng);
+        db_->setCounters(nullptr);
+        const std::int64_t visited = counters.segCandidates.load();
+        const std::int64_t scored = counters.segScored.load();
+        EXPECT_EQ(visited, static_cast<std::int64_t>(scores.size()))
+            << "config " << i;
+        EXPECT_GT(scored, 0) << "config " << i;
+        EXPECT_LE(scored, visited) << "config " << i;
+        if (ea && c.capped) {
+            ++capped;
+            EXPECT_LT(scored, visited) << "config " << i;
+        }
+    }
+    EXPECT_GE(capped, 30);
 }
 
 TEST_F(RankOracle, EnumerationAndScoresMatchReferenceBitForBit)

@@ -9,6 +9,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <future>
+#include <memory>
 #include <numeric>
 #include <set>
 #include <stdexcept>
@@ -125,6 +127,109 @@ TEST(ThreadPool, ManySubmissionsAllComplete)
     for (auto& f : futures)
         sum += f.get();
     EXPECT_EQ(sum, 199 * 200 / 2);
+}
+
+TEST(IndexStream, WaitThroughReturnsWithTheWholePrefixFinished)
+{
+    for (int concurrency : {0, 1, 2, 4}) {
+        std::unique_ptr<ThreadPool> pool;
+        if (concurrency > 0)
+            pool = std::make_unique<ThreadPool>(concurrency);
+        const std::size_t n = 200;
+        std::vector<std::atomic<int>> counts(n);
+        IndexStream stream(pool.get(), n,
+                           [&](std::size_t i) { ++counts[i]; });
+        for (std::size_t end : {0, 1, 17, 17, 150, 200}) {
+            stream.waitThrough(end);
+            for (std::size_t i = 0; i < end; ++i)
+                ASSERT_EQ(counts[i].load(), 1)
+                    << "concurrency " << concurrency << ", index " << i;
+        }
+    }
+}
+
+TEST(IndexStream, CallerRunsWhatIsUnclaimedInOrderWithoutWorkers)
+{
+    for (int concurrency : {0, 1}) {
+        std::unique_ptr<ThreadPool> pool;
+        if (concurrency > 0)
+            pool = std::make_unique<ThreadPool>(concurrency);
+        std::vector<std::size_t> order;
+        IndexStream stream(pool.get(), 10,
+                           [&](std::size_t i) { order.push_back(i); });
+        EXPECT_TRUE(order.empty()); // nothing runs before it is needed
+        stream.waitThrough(4);
+        EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3}));
+        stream.waitThrough(10);
+        std::vector<std::size_t> all(10);
+        std::iota(all.begin(), all.end(), std::size_t{0});
+        EXPECT_EQ(order, all);
+    }
+}
+
+TEST(IndexStream, NeverWaitsOnAHelperStillQueued)
+{
+    // The pool's only worker is blocked until the stream is done, so
+    // the helper the stream enqueues cannot start before then: the
+    // caller must run every index itself. The helper starts after the
+    // stream is destroyed and must claim nothing.
+    ThreadPool pool(2);
+    std::promise<void> release;
+    std::shared_future<void> gate = release.get_future().share();
+    std::future<void> blocker = pool.submit([gate] { gate.wait(); });
+    const std::thread::id caller = std::this_thread::get_id();
+    std::atomic<int> ran{0};
+    {
+        IndexStream stream(&pool, 32, [&](std::size_t) {
+            EXPECT_EQ(std::this_thread::get_id(), caller);
+            ++ran;
+        });
+        stream.waitThrough(32);
+    }
+    EXPECT_EQ(ran.load(), 32);
+    release.set_value();
+    blocker.get();
+    // The worker takes tasks in order: the late helper ran before this.
+    pool.submit([] {}).get();
+    EXPECT_EQ(ran.load(), 32);
+}
+
+TEST(IndexStream, DestructorRunsEveryIndex)
+{
+    for (int concurrency : {1, 4}) {
+        ThreadPool pool(concurrency);
+        std::atomic<int> ran{0};
+        {
+            IndexStream stream(&pool, 100, [&](std::size_t) { ++ran; });
+            stream.waitThrough(10);
+        }
+        EXPECT_EQ(ran.load(), 100) << "concurrency " << concurrency;
+    }
+}
+
+TEST(IndexStream, FailureDrainsAndRethrowsTheLowestFailingIndex)
+{
+    for (int concurrency : {1, 4}) {
+        ThreadPool pool(concurrency);
+        std::atomic<int> ran{0};
+        IndexStream stream(&pool, 64, [&](std::size_t i) {
+            ++ran;
+            if (i == 40) {
+                std::this_thread::sleep_for(std::chrono::milliseconds(2));
+                throw std::runtime_error("index 40");
+            }
+            if (i == 50)
+                throw std::runtime_error("index 50");
+        });
+        std::string message;
+        try {
+            stream.waitThrough(64);
+        } catch (const std::runtime_error& e) {
+            message = e.what();
+        }
+        EXPECT_EQ(message, "index 40") << "concurrency " << concurrency;
+        EXPECT_EQ(ran.load(), 64) << "concurrency " << concurrency;
+    }
 }
 
 TEST(MixSeed, StreamsAreDistinctAndDeterministic)
