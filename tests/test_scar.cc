@@ -390,6 +390,62 @@ TEST(Scar, PaperSuiteEdpsArePinned)
     }
 }
 
+/** FNV-1a over the bit patterns of a candidate cloud, in order. */
+std::uint64_t
+cloudDigest(const std::vector<Metrics>& cloud)
+{
+    std::uint64_t h = 0xcbf29ce484222325uLL;
+    for (const Metrics& m : cloud) {
+        for (const double v : {m.latencySec, m.energyJ}) {
+            std::uint64_t bits = 0;
+            std::memcpy(&bits, &v, sizeof bits);
+            for (int b = 0; b < 8; ++b) {
+                h ^= (bits >> (8 * b)) & 0xffu;
+                h *= 0x100000001b3uLL;
+            }
+        }
+    }
+    return h;
+}
+
+/**
+ * The scenario-level candidate clouds (every ScheduleResult::candidates
+ * point, in order) of Sc1-10 on Het-Sides 3x3 by brute force and of Sc4
+ * and Sc9 on Het-Cross 6x6 by the evolutionary search, pinned bit for
+ * bit. The clouds are built from each window's ranked top list, so
+ * this pins the ranking, trimming and merging of every top list.
+ */
+TEST(Scar, PaperSuiteCandidateCloudsArePinned)
+{
+    const std::uint64_t pinned[12] = {
+        0x38a3eab23cf3b035uLL, 0x5a96a475ad13523duLL,
+        0x314a0a7559e7e0f8uLL, 0x2d6462475d85dd26uLL,
+        0x5d0cd4527f272ea2uLL, 0x144d0fbf79f1b254uLL,
+        0x76a6a4a5b440be6euLL, 0xc38ca714545e481duLL,
+        0x3aa6938e724a17bcuLL, 0x11940af2f263fd31uLL,
+        0xca2dd0cb1d78f48auLL, 0xf8816fb79ef5bcceuLL,
+    };
+    for (int c = 0; c < 12; ++c) {
+        const bool evo = c >= 10;
+        const int scenario = c < 10 ? c + 1 : (c == 10 ? 4 : 9);
+        const int pes = scenario <= 5 ? templates::kDatacenterPes
+                                      : templates::kArvrPes;
+        ScarOptions opts;
+        if (evo) {
+            opts.mode = SearchMode::Evolutionary;
+            opts.nsplits = 2;
+        }
+        const Mcm mcm = evo ? templates::hetCross6x6(pes)
+                            : templates::hetSides3x3(pes);
+        const ScheduleResult result =
+            Scar(suite::byIndex(scenario), mcm, opts).run();
+        SCOPED_TRACE("case " + std::to_string(c));
+        EXPECT_EQ(result.candidates.size(), 80u);
+        EXPECT_EQ(cloudDigest(result.candidates), pinned[c])
+            << std::hex << "0x" << cloudDigest(result.candidates);
+    }
+}
+
 TEST(Scar, ZeroTopCandidatesIsRejectedNotACrash)
 {
     ScarOptions options;
