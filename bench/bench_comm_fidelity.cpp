@@ -155,7 +155,7 @@ runFleet(const std::vector<ServedModel>& catalog,
                               onePortPackage(true)};
     options.routing = RoutingPolicy::BestFit;
     options.serving.pool = &solverPool;
-    options.serving.scar.window.eval.fidelity = fidelity;
+    options.serving.scar.eval.fidelity = fidelity;
     options.serving.modeledSolveSec = 0.01;
     options.serving.switchOverheadSec = 0.002;
     // The default batching delay (0.05 s) lets multi-model mixes
@@ -212,7 +212,7 @@ main()
             for (const CommFidelity fidelity :
                  {CommFidelity::Static, CommFidelity::Phased}) {
                 ScarOptions options;
-                options.window.eval.fidelity = fidelity;
+                options.eval.fidelity = fidelity;
                 Scar scar(sweep.scenario, variant.mcm, options);
                 const ScheduleResult result = scar.run();
                 const Metrics& m = result.metrics;

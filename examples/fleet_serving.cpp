@@ -148,7 +148,7 @@ main()
         }
         std::cout << "trace bundle written to "
                   << rec->options().outDir << "/ ("
-                  << rec->trace().virtualSize() << " virtual events)\n";
+                  << rec->trace().size() << " events)\n";
     }
 
     // SCAR_PROFILE=1: profile one standalone SCAR solve of the same

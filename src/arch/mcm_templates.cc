@@ -162,17 +162,6 @@ hetSidesBroadcast3x3(int numPes)
 }
 
 Mcm
-simbaTorus(int width, int height, Dataflow df, int numPes)
-{
-    const std::string name = std::string("Simba-T") +
-                             std::to_string(width) + "x" +
-                             std::to_string(height) + "(" +
-                             dataflowName(df) + ")";
-    return gridMcm(name, Topology::torus(width, height), numPes,
-                   [df](int, int) { return df; });
-}
-
-Mcm
 hetCross6x6(int numPes)
 {
     return meshMcm("Het-Cross", 6, 6, numPes, [](int x, int y) {

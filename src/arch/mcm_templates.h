@@ -66,10 +66,6 @@ Mcm hetSidesExpress3x3(int numPes = kDatacenterPes);
 /** Het-Sides with a package-wide wireless broadcast plane. */
 Mcm hetSidesBroadcast3x3(int numPes = kDatacenterPes);
 
-/** Homogeneous width x height torus of the given dataflow. */
-Mcm simbaTorus(int width, int height, Dataflow df,
-               int numPes = kDatacenterPes);
-
 /** Triangular homogeneous package ("Simba-T"), rows of 2,3,4 chiplets. */
 Mcm simbaTriangular(Dataflow df, int numPes = kDatacenterPes);
 

@@ -162,9 +162,6 @@ class CommModel
     /** Off-chip bandwidth in bytes per cycle (package total). */
     double offchipBytesPerCycle() const { return offchipBpc_; }
 
-    /** Shared-medium bandwidth in bytes per cycle (0 without plane). */
-    double broadcastBytesPerCycle() const { return broadcastBpc_; }
-
     /** The MCM this model prices. */
     const Mcm& mcm() const { return mcm_; }
 

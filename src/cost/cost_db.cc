@@ -179,8 +179,6 @@ struct TableCache
 
     std::mutex mu;
     std::unordered_map<std::uint64_t, Future> map; // guarded by mu
-    std::int64_t hits = 0;                         // guarded by mu
-    std::int64_t misses = 0;                       // guarded by mu
 
     static TableCache&
     instance()
@@ -206,14 +204,12 @@ cachedTables(std::uint64_t key, bool& wasHit, BuildFn&& build)
         auto it = cache.map.find(key);
         if (it != cache.map.end()) {
             fut = it->second;
-            ++cache.hits;
             wasHit = true;
         } else {
             if (cache.map.size() >= kTableCacheCap)
                 cache.map.clear(); // shared_ptrs in use stay valid
             fut = prom.get_future().share();
             cache.map.emplace(key, fut);
-            ++cache.misses;
             wasHit = false;
             builder = true;
         }
@@ -263,22 +259,12 @@ CostDb::CostDb(const Scenario& scenario, const Mcm& mcm, MaestroLite model,
     }
 }
 
-CostDb::TableStats
-CostDb::tableCacheTotals()
-{
-    TableCache& cache = TableCache::instance();
-    std::lock_guard<std::mutex> lock(cache.mu);
-    return TableStats{cache.hits, cache.misses};
-}
-
 void
 CostDb::clearTableCache()
 {
     TableCache& cache = TableCache::instance();
     std::lock_guard<std::mutex> lock(cache.mu);
     cache.map.clear();
-    cache.hits = 0;
-    cache.misses = 0;
 }
 
 std::size_t

@@ -187,9 +187,6 @@ class CostDb
      */
     const TableStats& tableStats() const { return tableStats_; }
 
-    /** Process-wide cache totals (all CostDb constructions so far). */
-    static TableStats tableCacheTotals();
-
     /**
      * Drops every cached table set, so the next construction builds
      * cold (test isolation, cold-build benchmarks; in-flight shared

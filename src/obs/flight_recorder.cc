@@ -53,8 +53,7 @@ FlightRecorder::writeAll() const
     }
     const std::filesystem::path dir(options_.outDir);
     bool ok = true;
-    ok &= trace_.writeJson((dir / "trace.json").string(),
-                           options_.wallEventsInTrace);
+    ok &= trace_.writeJson((dir / "trace.json").string());
     ok &= metrics_.writeJson((dir / "metrics.json").string());
     ok &= metrics_.writeCsv((dir / "metrics.csv").string());
     ok &= samples_.writeCsv((dir / "samples.csv").string());

@@ -36,12 +36,6 @@ struct FlightRecorderOptions
     std::string outDir = "obs";
     /** Virtual-time sampling interval for the time series. */
     double sampleIntervalSec = 0.05;
-    /**
-     * Include wall-clock solver events in the exported trace. Off by
-     * default: wall events vary run to run, and the default export is
-     * part of the determinism contract.
-     */
-    bool wallEventsInTrace = false;
 };
 
 /** Bundled trace + metrics + sampler with file export. */

@@ -153,7 +153,6 @@ class TimeSeriesSampler
     /** Declares the value columns (the time column is implicit). */
     void setColumns(std::vector<std::string> columns);
 
-    bool hasColumns() const { return !columns_.empty(); }
     double intervalSec() const { return intervalSec_; }
 
     /** True while the next scheduled sample time is <= nowSec. */

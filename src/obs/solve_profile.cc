@@ -47,21 +47,9 @@ SolveProfile::soloHitRate() const
 }
 
 double
-SolveProfile::pathHitRate() const
-{
-    return rate(pathHits, pathMisses);
-}
-
-double
 SolveProfile::costDbRangeRate() const
 {
     return rate(costDbRangeQueries, costDbLayerQueries);
-}
-
-double
-SolveProfile::costDbTableHitRate() const
-{
-    return rate(costDbTableHits, costDbTableMisses);
 }
 
 std::string

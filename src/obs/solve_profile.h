@@ -106,21 +106,12 @@ struct SolveProfile
      */
     double soloHitRate() const;
 
-    /** PathCache hit fraction in [0, 1]; 0 with no lookups. */
-    double pathHitRate() const;
-
     /**
      * Fraction of CostDb costings served by the O(1) range tables
      * rather than the per-layer path — the CostDb "hit rate" (the
      * database has no misses; every query is answered).
      */
     double costDbRangeRate() const;
-
-    /**
-     * Cross-solve table-reuse fraction in [0, 1]; 0 when no models
-     * were costed (or reuse was disabled).
-     */
-    double costDbTableHitRate() const;
 
     /** Human-readable multi-line report (table + cache rates). */
     std::string summary() const;

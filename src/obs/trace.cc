@@ -212,34 +212,10 @@ TraceRecorder::asyncEndVirtual(std::uint64_t id, std::string name,
 }
 
 void
-TraceRecorder::completeWall(int tid, std::string name, std::string cat,
-                            double startUs, double durUs,
-                            std::vector<TraceArg> args)
-{
-    Event e;
-    e.ph = 'X';
-    e.wall = true;
-    e.tid = tid;
-    e.tsUs = startUs;
-    e.durUs = durUs;
-    e.name = std::move(name);
-    e.cat = std::move(cat);
-    e.args = std::move(args);
-    push(std::move(e));
-}
-
-void
 TraceRecorder::setThreadName(int tid, std::string name)
 {
     std::lock_guard<std::mutex> lock(mu_);
     threadNames_[tid] = std::move(name);
-}
-
-void
-TraceRecorder::setWallThreadName(int tid, std::string name)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    wallThreadNames_[tid] = std::move(name);
 }
 
 std::size_t
@@ -249,29 +225,16 @@ TraceRecorder::size() const
     return events_.size();
 }
 
-std::size_t
-TraceRecorder::virtualSize() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    std::size_t n = 0;
-    for (const Event& e : events_) {
-        if (!e.wall)
-            ++n;
-    }
-    return n;
-}
-
 void
 TraceRecorder::clear()
 {
     std::lock_guard<std::mutex> lock(mu_);
     events_.clear();
     threadNames_.clear();
-    wallThreadNames_.clear();
 }
 
 std::string
-TraceRecorder::toJson(bool includeWall) const
+TraceRecorder::toJson() const
 {
     std::lock_guard<std::mutex> lock(mu_);
     std::string out;
@@ -284,45 +247,31 @@ TraceRecorder::toJson(bool includeWall) const
         first = false;
     };
 
-    // Metadata first: process and thread track names. std::map keeps
-    // the emission order deterministic.
-    auto processName = [&](int pid, const char* name) {
+    // Metadata first: the process and thread track names. std::map
+    // keeps the emission order deterministic.
+    const std::string pid = std::to_string(kVirtualPid);
+    comma();
+    out += "{\"ph\":\"M\",\"pid\":";
+    out += pid;
+    out += ",\"tid\":0,\"name\":\"process_name\",\"args\":"
+           "{\"name\":\"fleet (virtual time)\"}}";
+    for (const auto& [tid, name] : threadNames_) {
         comma();
         out += "{\"ph\":\"M\",\"pid\":";
-        out += std::to_string(pid);
-        out += ",\"tid\":0,\"name\":\"process_name\",\"args\":"
-               "{\"name\":\"";
-        out += name;
-        out += "\"}}";
-    };
-    processName(kVirtualPid, "fleet (virtual time)");
-    if (includeWall)
-        processName(kWallPid, "solver (wall time)");
-    auto threadName = [&](int pid, int tid, const std::string& name) {
-        comma();
-        out += "{\"ph\":\"M\",\"pid\":";
-        out += std::to_string(pid);
+        out += pid;
         out += ",\"tid\":";
         out += std::to_string(tid);
         out += ",\"name\":\"thread_name\",\"args\":{\"name\":\"";
         appendEscaped(out, name);
         out += "\"}}";
-    };
-    for (const auto& [tid, name] : threadNames_)
-        threadName(kVirtualPid, tid, name);
-    if (includeWall) {
-        for (const auto& [tid, name] : wallThreadNames_)
-            threadName(kWallPid, tid, name);
     }
 
     for (const Event& e : events_) {
-        if (e.wall && !includeWall)
-            continue;
         comma();
         out += "{\"ph\":\"";
         out += e.ph;
         out += "\",\"pid\":";
-        out += std::to_string(e.wall ? kWallPid : kVirtualPid);
+        out += pid;
         out += ",\"tid\":";
         out += std::to_string(e.tid);
         out += ",\"ts\":";
@@ -351,12 +300,12 @@ TraceRecorder::toJson(bool includeWall) const
 }
 
 bool
-TraceRecorder::writeJson(const std::string& path, bool includeWall) const
+TraceRecorder::writeJson(const std::string& path) const
 {
     std::ofstream out(path);
     if (!out.good())
         return false;
-    out << toJson(includeWall);
+    out << toJson();
     return out.good();
 }
 

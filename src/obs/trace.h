@@ -1,18 +1,12 @@
 /**
  * @file
  * Event tracing for the flight recorder: Chrome trace-event spans and
- * instants over the fleet's virtual clock and the solver's wall clock.
+ * instants over the fleet's virtual clock.
  *
- * The recorder keeps two clock domains apart:
- *
- *  - Virtual events carry fleet-simulation timestamps (seconds of
- *    simulated time). They are recorded only from the single-threaded
- *    discrete-event loop, so their insertion order — and therefore the
- *    exported JSON — is deterministic at any solver thread count.
- *  - Wall events carry real elapsed time (microseconds) measured
- *    inside the solver. Their values vary run to run, so toJson()
- *    excludes them by default; pass includeWall = true for a combined
- *    view when determinism does not matter.
+ * Events carry fleet-simulation timestamps (seconds of simulated
+ * time). They are recorded only from the single-threaded
+ * discrete-event loop, so their insertion order — and therefore the
+ * exported JSON — is deterministic at any solver thread count.
  *
  * The export is standard Chrome trace-event JSON ("traceEvents" array
  * of ph = X/i/C/b/n/e/M records), loadable in Perfetto or
@@ -53,14 +47,12 @@ TraceArg argInt(std::string key, long long value);
 /** A boolean trace-event argument. */
 TraceArg argBool(std::string key, bool value);
 
-/** Thread-safe trace-event recorder with a virtual/wall split. */
+/** Thread-safe trace-event recorder over the fleet's virtual clock. */
 class TraceRecorder
 {
   public:
     /** Trace pid used for virtual-clock (fleet) events. */
     static constexpr int kVirtualPid = 1;
-    /** Trace pid used for wall-clock (solver) events. */
-    static constexpr int kWallPid = 2;
 
     /** A complete span [startSec, startSec + durSec] in virtual time. */
     void completeVirtual(int tid, std::string name, std::string cat,
@@ -90,42 +82,25 @@ class TraceRecorder
                          std::string cat, double atSec,
                          std::vector<TraceArg> args = {});
 
-    /** A complete span on the wall clock (timestamps in microseconds). */
-    void completeWall(int tid, std::string name, std::string cat,
-                      double startUs, double durUs,
-                      std::vector<TraceArg> args = {});
-
     /** Names a virtual-domain thread track (ph = M metadata). */
     void setThreadName(int tid, std::string name);
-
-    /** Names a wall-domain thread track (ph = M metadata). */
-    void setWallThreadName(int tid, std::string name);
 
     /** Number of recorded events (metadata names excluded). */
     std::size_t size() const;
 
-    /** Number of recorded virtual-domain events. */
-    std::size_t virtualSize() const;
-
     /** Drops all recorded events and track names. */
     void clear();
 
-    /**
-     * Renders Chrome trace-event JSON. Wall-clock events are excluded
-     * unless `includeWall` is set, keeping the default export
-     * byte-identical across solver thread counts.
-     */
-    std::string toJson(bool includeWall = false) const;
+    /** Renders Chrome trace-event JSON. */
+    std::string toJson() const;
 
     /** Writes toJson() to a file; returns false on I/O failure. */
-    bool writeJson(const std::string& path,
-                   bool includeWall = false) const;
+    bool writeJson(const std::string& path) const;
 
   private:
     struct Event
     {
         char ph = 'X';
-        bool wall = false;
         bool hasId = false;
         int tid = 0;
         std::uint64_t id = 0;
@@ -140,8 +115,7 @@ class TraceRecorder
 
     mutable std::mutex mu_;
     std::vector<Event> events_;
-    std::map<int, std::string> threadNames_;     ///< virtual tracks
-    std::map<int, std::string> wallThreadNames_; ///< wall tracks
+    std::map<int, std::string> threadNames_;
 };
 
 } // namespace obs

@@ -192,7 +192,7 @@ FleetSimulator::estimateMakespanKeyed(
     // BestFit see a saturated interconnect that the static count
     // ignores (gated in bench_comm_fidelity).
     EvaluatorOptions evalOpts;
-    evalOpts.fidelity = options_.serving.scar.window.eval.fidelity;
+    evalOpts.fidelity = options_.serving.scar.eval.fidelity;
     const WindowEvaluator evaluator(db, evalOpts);
 
     struct ModelWork

@@ -9,18 +9,24 @@
 namespace scar
 {
 
-EvolutionaryWindowSearch::EvolutionaryWindowSearch(
-    const CostDb& db, OptTarget target, WindowSearchOptions schedOpts,
-    EvoOptions evoOpts)
-    : db_(db), target_(target), seg_(schedOpts.seg),
-      scheduler_(db, target, schedOpts),
-      evo_(evoOpts), pool_(schedOpts.pool),
-      counters_(schedOpts.counters)
+namespace
 {
-    SCAR_REQUIRE(evo_.population >= 2, "population must be >= 2");
-    SCAR_REQUIRE(evo_.generations >= 1, "generations must be >= 1");
-    SCAR_REQUIRE(evo_.eliteCount < evo_.population,
-                 "elite count must be below population");
+
+constexpr int kPopulation = 10;
+constexpr int kGenerations = 4;
+constexpr double kCrossoverProb = 0.5; ///< per-model genome exchange
+constexpr double kMutationProb = 0.4;  ///< per-model split perturbation
+constexpr int kEliteCount = 2;         ///< genomes carried over unchanged
+static_assert(kEliteCount < kPopulation,
+              "elite count must be below population");
+
+} // namespace
+
+EvolutionaryWindowSearch::EvolutionaryWindowSearch(
+    const CostDb& db, OptTarget target, WindowSearchOptions schedOpts)
+    : db_(db), target_(target), scheduler_(db, target, schedOpts),
+      pool_(schedOpts.pool), counters_(schedOpts.counters)
+{
 }
 
 EvolutionaryWindowSearch::Genome
@@ -50,7 +56,7 @@ EvolutionaryWindowSearch::mutate(Genome& genome,
                                  Rng& rng) const
 {
     for (std::size_t i = 0; i < genome.size(); ++i) {
-        if (!rng.chance(evo_.mutationProb))
+        if (!rng.chance(kMutationProb))
             continue;
         const int m = present[i];
         const int layers = wa.perModel[m].size();
@@ -106,7 +112,7 @@ EvolutionaryWindowSearch::seedGenome(const WindowAssignment& wa,
     for (int m : WindowScheduler::presentModels(wa)) {
         const auto ranked =
             rankSegmentations(db_, m, wa.perModel[m], nodes[m], target_,
-                              seg_, seedRng);
+                              SegmentationOptions{}, seedRng);
         std::vector<int> splits;
         const LayerRange& range = wa.perModel[m];
         for (std::size_t k = 0; k + 1 < ranked.front().segments.size();
@@ -143,7 +149,7 @@ EvolutionaryWindowSearch::search(const WindowAssignment& wa,
     // Seed the population: top-1 ranked segmentation + random genomes.
     std::vector<Individual> population(1);
     population.front().genome = seeded;
-    while (static_cast<int>(population.size()) < evo_.population) {
+    while (static_cast<int>(population.size()) < kPopulation) {
         Individual ind;
         ind.genome = randomGenome(present, wa, nodes, rng);
         population.push_back(std::move(ind));
@@ -168,16 +174,13 @@ EvolutionaryWindowSearch::search(const WindowAssignment& wa,
             ind.result = scheduler_.placeSegmentations(
                 present, decode(ind.genome, present, wa), entry,
                 &pathCache);
-            ind.fitness = ind.result.found
-                              ? ind.result.best.score
+            ind.fitness = ind.result.found()
+                              ? ind.result.best().score
                               : std::numeric_limits<double>::infinity();
         });
         for (Individual* ind : batch) {
-            if (ind->result.found) {
-                global.top.insert(global.top.end(),
-                                  ind->result.top.begin(),
-                                  ind->result.top.end());
-            }
+            global.top.insert(global.top.end(), ind->result.top.begin(),
+                              ind->result.top.end());
         }
     };
 
@@ -192,13 +195,13 @@ EvolutionaryWindowSearch::search(const WindowAssignment& wa,
         return a.fitness < b.fitness;
     };
 
-    for (int gen = 1; gen < evo_.generations; ++gen) {
+    for (int gen = 1; gen < kGenerations; ++gen) {
         obs::SearchCounters::bump(counters_,
                                   &obs::SearchCounters::eaGenerations);
         std::stable_sort(population.begin(), population.end(),
                          byFitness);
         std::vector<Individual> next(
-            population.begin(), population.begin() + evo_.eliteCount);
+            population.begin(), population.begin() + kEliteCount);
         auto tournament = [&]() -> const Individual& {
             const Individual& a = population[rng.index(population.size())];
             const Individual& b = population[rng.index(population.size())];
@@ -207,10 +210,10 @@ EvolutionaryWindowSearch::search(const WindowAssignment& wa,
         // Selection/crossover/mutation only read the previous
         // generation's fitness, so all children are bred first (one
         // serial RNG stream) and evaluated as one parallel batch.
-        while (static_cast<int>(next.size()) < evo_.population) {
+        while (static_cast<int>(next.size()) < kPopulation) {
             Individual child;
             child.genome = tournament().genome;
-            if (rng.chance(evo_.crossoverProb)) {
+            if (rng.chance(kCrossoverProb)) {
                 const Individual& other = tournament();
                 for (std::size_t i = 0; i < child.genome.size(); ++i) {
                     if (rng.chance(0.5))
@@ -221,21 +224,15 @@ EvolutionaryWindowSearch::search(const WindowAssignment& wa,
             next.push_back(std::move(child));
         }
         std::vector<Individual*> batch;
-        for (std::size_t i = evo_.eliteCount; i < next.size(); ++i)
+        for (std::size_t i = kEliteCount; i < next.size(); ++i)
             batch.push_back(&next[i]);
         evaluateBatch(batch);
         population = std::move(next);
     }
 
-    if (global.top.empty())
-        return global;
-    std::stable_sort(global.top.begin(), global.top.end(),
-                     [](const ScoredPlacement& a,
-                        const ScoredPlacement& b) {
-                         return a.score < b.score;
-                     });
-    global.best = global.top.front();
-    global.found = true;
+    // Exact under the stable order: an entry of Scar::run's merged
+    // top list is also in its own allocation's top kMaxTopCandidates.
+    keepTop(global.top);
     return global;
 }
 

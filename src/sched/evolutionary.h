@@ -6,8 +6,8 @@
  *
  * Genome: one sorted split-gap list per present model (<= N_i - 1
  * splits). Fitness: beam placement + full window evaluation, exactly
- * the SCHED pipeline. Defaults follow the paper: population 10,
- * 4 generations.
+ * the SCHED pipeline. The EA runs the paper's one configuration:
+ * population 10, 4 generations.
  *
  * Parallelism: genome creation (selection, crossover, mutation) stays
  * serial on one seeded stream — it is cheap and order-sensitive — but
@@ -28,34 +28,23 @@
 namespace scar
 {
 
-/** Evolutionary-algorithm knobs (paper defaults). */
-struct EvoOptions
-{
-    int population = 10;
-    int generations = 4;
-    double crossoverProb = 0.5; ///< per-model genome exchange
-    double mutationProb = 0.4;  ///< per-model split perturbation
-    int eliteCount = 2;         ///< genomes carried over unchanged
-};
-
 /** Evolves window segmentations; placement remains the SCHED beam. */
 class EvolutionaryWindowSearch
 {
   public:
     EvolutionaryWindowSearch(const CostDb& db, OptTarget target,
-                             WindowSearchOptions schedOpts,
-                             EvoOptions evoOpts = EvoOptions{});
+                             WindowSearchOptions schedOpts);
 
     /** Per-model split lists (gap indices local to the window range). */
     using Genome = std::vector<std::vector<int>>;
 
     /**
      * The seeded individual of the initial population: each present
-     * model's top Heuristic-1 segmentation under the search's SEG
-     * options (WindowSearchOptions::seg), the models drawing in order
-     * from one Rng(1) stream. The stream is fixed, not derived from
-     * the EA seed, so the seed genome is a function of the window
-     * alone (and the pinned EA results stay put). It reads no entry
+     * model's top Heuristic-1 segmentation under the default
+     * SegmentationOptions, the models drawing in order from one Rng(1)
+     * stream. The stream is fixed, not derived from the EA seed, so
+     * the seed genome is a function of the window alone (and the
+     * pinned EA results stay put). It reads no entry
      * chiplets, so Scar::run builds every window's seed genome in one
      * fan-out before its serial window walk.
      */
@@ -99,9 +88,7 @@ class EvolutionaryWindowSearch
 
     const CostDb& db_;
     OptTarget target_;
-    SegmentationOptions seg_; ///< from schedOpts; ranks the seed genome
     WindowScheduler scheduler_;
-    EvoOptions evo_;
     ThreadPool* pool_;
     obs::SearchCounters* counters_; ///< from schedOpts; may be null
 };

@@ -9,6 +9,7 @@
 #include "common/error.h"
 #include "common/logging.h"
 #include "common/units.h"
+#include "sched/evolutionary.h"
 
 namespace scar
 {
@@ -49,17 +50,13 @@ Scar::Scar(Scenario scenario, Mcm mcm, ScarOptions options)
 {
     SCAR_REQUIRE(scenario_.numModels() >= 1, "scenario has no models");
     SCAR_REQUIRE(options_.nsplits >= 0, "nsplits must be >= 0");
-    SCAR_REQUIRE(options_.threads >= 0, "threads must be >= 0");
-    if (options_.pool != nullptr) {
+    SCAR_REQUIRE(options_.threads == 0 || options_.threads == 1,
+                 "threads must be 0 (global pool) or 1 (serial), not ",
+                 options_.threads, "; pass a ThreadPool as pool instead");
+    if (options_.pool != nullptr)
         pool_ = options_.pool;
-    } else if (options_.threads == 1) {
-        pool_ = nullptr; // fully serial search
-    } else if (options_.threads > 1) {
-        ownedPool_ = std::make_unique<ThreadPool>(options_.threads);
-        pool_ = ownedPool_.get();
-    } else {
+    else if (options_.threads == 0)
         pool_ = &ThreadPool::global();
-    }
 }
 
 ScheduleResult
@@ -115,13 +112,11 @@ Scar::run()
     if (prof)
         provisionMs = sinceMs(phaseStart);
 
-    WindowSearchOptions wopts = options_.window;
-    wopts.pool = pool_;
-    wopts.counters = runCounters_;
+    const WindowSearchOptions wopts{options_.eval, pool_, runCounters_};
     const WindowScheduler scheduler(db_, options_.target, wopts);
     std::optional<EvolutionaryWindowSearch> evo;
     if (options_.mode == SearchMode::Evolutionary)
-        evo.emplace(db_, options_.target, wopts, options_.evo);
+        evo.emplace(db_, options_.target, wopts);
     // Every (window, allocation) search has its own seed stream.
     const auto allocationSeed = [&](std::size_t w, std::size_t a) {
         return mixSeed(mixSeed(options_.seed,
@@ -197,7 +192,6 @@ Scar::run()
     // allocation) search parallelizes internally.
     const auto placeWindow = [&](std::size_t w) {
         const WindowAssignment& wa = plan.windows[w];
-        WindowScheduler::Result best;
         std::vector<ScoredPlacement> mergedTop;
         for (std::size_t a = 0; a < allocations[w].size(); ++a) {
             auto found =
@@ -205,40 +199,29 @@ Scar::run()
                                   allocationSeed(w, a), entry, &pathCache)
                     : scheduler.search(wa, rankings[w][a], entry,
                                        &pathCache);
-            if (!found.found)
-                continue;
             mergedTop.insert(mergedTop.end(),
                              std::make_move_iterator(found.top.begin()),
                              std::make_move_iterator(found.top.end()));
-            if (!best.found || found.best.score < best.best.score) {
-                best.found = true;
-                best.best = std::move(found.best);
-            }
         }
-        SCAR_REQUIRE(best.found,
+        SCAR_REQUIRE(!mergedTop.empty(),
                      "no feasible placement found for a window of ",
                      scenario_.name, " on ", mcm_.name());
-
-        std::stable_sort(
-            mergedTop.begin(), mergedTop.end(),
-            [](const ScoredPlacement& a, const ScoredPlacement& b) {
-                return a.score < b.score;
-            });
-        if (static_cast<int>(mergedTop.size()) >
-            options_.window.maxTopCandidates)
-            mergedTop.resize(options_.window.maxTopCandidates);
+        // The window's best placement is the merged list's front: the
+        // first allocation's best among those of the lowest score.
+        keepTop(mergedTop);
+        const ScoredPlacement& best = mergedTop.front();
 
         ScheduledWindow sw;
         sw.assignment = wa;
         sw.nodes.assign(scenario_.numModels(), 0);
-        for (const ModelPlacement& mp : best.best.placement.models) {
+        for (const ModelPlacement& mp : best.placement.models) {
             sw.nodes[mp.modelIdx] =
                 static_cast<int>(mp.segments.size());
             // The model's live data now resides on its tail chiplet.
             entry[mp.modelIdx] = mp.segments.back().chiplet;
         }
-        sw.placement = std::move(best.best.placement);
-        sw.cost = std::move(best.best.cost);
+        sw.placement = best.placement;
+        sw.cost = best.cost;
         result.windows.push_back(std::move(sw));
         windowTops.push_back(std::move(mergedTop));
     };

@@ -23,7 +23,7 @@
  * windows serially, each window searched once its own ranking is done,
  * and each window's search (refinement, combo fan-out, EA population
  * evaluation) running on the same worker pool, selected by
- * ScarOptions::threads.
+ * ScarOptions::pool and ScarOptions::threads.
  * Every randomized stage draws from its own mixSeed-derived stream,
  * so run() returns a bit-identical ScheduleResult at any pool size —
  * including fully serial — and is safe to invoke concurrently from
@@ -36,11 +36,9 @@
 #define SCAR_SCHED_SCAR_H
 
 #include <cstdint>
-#include <memory>
 
 #include "common/thread_pool.h"
 #include "obs/solve_profile.h"
-#include "sched/evolutionary.h"
 #include "sched/greedy_packing.h"
 #include "sched/sched_engine.h"
 
@@ -62,16 +60,15 @@ struct ScarOptions
     int nsplits = 4;            ///< window boundary points (paper default)
     PackingPolicy packing = PackingPolicy::GreedyFirstFit;
     ProvisionerOptions prov;
-    WindowSearchOptions window;
+    EvaluatorOptions eval; ///< window-evaluation options of the search
     SearchMode mode = SearchMode::BruteForce;
-    EvoOptions evo;
     std::uint64_t seed = 0xC0FFEEuLL;
     /**
-     * Search parallelism: 0 uses the process-wide ThreadPool::global()
-     * (SCAR_THREADS env / hardware size), 1 forces a fully serial
-     * search, N > 1 gives this scheduler a dedicated pool of that
-     * concurrency. Ignored when `pool` is set. Results are identical
-     * for every setting.
+     * Search parallelism when `pool` is unset: 0 uses the process-wide
+     * ThreadPool::global() (SCAR_THREADS env / hardware size), 1 forces
+     * a fully serial search. Other values are rejected; a search of
+     * another pool size passes a ThreadPool as `pool`. Results are
+     * identical for every setting.
      */
     int threads = 0;
     /** Explicit worker pool override (not owned); wins over threads. */
@@ -162,8 +159,7 @@ class Scar
     ScarOptions options_;
     CostDb db_;
     obs::SearchCounters* runCounters_ = nullptr; ///< live in profiled run()
-    std::unique_ptr<ThreadPool> ownedPool_; ///< when threads > 1
-    ThreadPool* pool_ = nullptr;            ///< null = serial search
+    ThreadPool* pool_ = nullptr;                 ///< null = serial search
 };
 
 } // namespace scar

@@ -17,6 +17,15 @@ namespace scar
 namespace
 {
 
+/** DFS path candidates per model and package occupancy. */
+constexpr int kMaxPathsPerModel = 96;
+/** Partial placements surviving each beam step. */
+constexpr int kBeamWidth = 12;
+/** Segmentation combos a window search places. */
+constexpr int kMaxCombos = 64;
+/** Refined segmentations kept per model (beyond one per count). */
+constexpr int kRefinedPerModel = 3;
+
 /** Evaluator options for the cheap per-model beam scoring. */
 EvaluatorOptions
 soloOptions(const EvaluatorOptions& base)
@@ -34,13 +43,6 @@ WindowScheduler::WindowScheduler(const CostDb& db, OptTarget target,
     : db_(db), target_(target), opts_(opts),
       fullEval_(db, opts.eval), soloEval_(db, soloOptions(opts.eval))
 {
-    SCAR_REQUIRE(opts_.beamWidth >= 1, "beam width must be >= 1");
-    SCAR_REQUIRE(opts_.maxPathsPerModel >= 1, "need >= 1 path candidate");
-    SCAR_REQUIRE(opts_.maxCombos >= 1, "need >= 1 combo");
-    SCAR_REQUIRE(opts_.maxTopCandidates >= 1,
-                 "need >= 1 top candidate kept");
-    SCAR_REQUIRE(opts_.seg.topK >= 1,
-                 "need >= 1 refined segmentation per model");
 }
 
 std::vector<int>
@@ -100,7 +102,7 @@ WindowScheduler::refineSegmentations(
     forEachIndex(opts_.pool, pruned.size(), [&](std::size_t i) {
         const int numSegs = pruned[i].numSegments();
         const auto paths = pathCache.get(
-            topo, numSegs, noneBlocked, opts_.maxPathsPerModel);
+            topo, numSegs, noneBlocked, kMaxPathsPerModel);
         SoloPricer pricer(soloEval_, model, pruned[i].segments, entry);
         double best = std::numeric_limits<double>::infinity();
         for (const auto& path : *paths) {
@@ -136,7 +138,7 @@ WindowScheduler::refineSegmentations(
     }
     for (const auto& [score, idx] : scored) {
         if (static_cast<int>(top.size()) >=
-            std::max<int>(opts_.seg.topK,
+            std::max<int>(kRefinedPerModel,
                           static_cast<int>(countsSeen.size())))
             break;
         if (!taken[idx]) {
@@ -181,7 +183,7 @@ WindowScheduler::placeCombo(const std::vector<int>& present,
         const int numSegs = seg.numSegments();
 
         // Score every (state, path) extension first and materialize
-        // only the beamWidth survivors: a BeamState copy is several
+        // only the kBeamWidth survivors: a BeamState copy is several
         // vector allocations, and the pre-PR loop paid it for every
         // candidate just to discard all but the top few. Candidates
         // are generated in (state, path) order and ranked with the
@@ -201,7 +203,7 @@ WindowScheduler::placeCombo(const std::vector<int>& present,
         for (std::size_t si = 0; si < beam.size(); ++si) {
             const BeamState& state = beam[si];
             statePaths[si] = pathCache.get(
-                topo, numSegs, state.used, opts_.maxPathsPerModel);
+                topo, numSegs, state.used, kMaxPathsPerModel);
             const auto& paths = *statePaths[si];
             for (std::size_t pi = 0; pi < paths.size(); ++pi) {
                 const SoloWindowCost cost = pricer.price(paths[pi]);
@@ -224,8 +226,8 @@ WindowScheduler::placeCombo(const std::vector<int>& present,
                                     partialScore(b.maxLatency,
                                                  b.sumEnergy);
                          });
-        if (static_cast<int>(candidates.size()) > opts_.beamWidth)
-            candidates.resize(opts_.beamWidth);
+        if (static_cast<int>(candidates.size()) > kBeamWidth)
+            candidates.resize(kBeamWidth);
 
         std::vector<BeamState> next;
         next.reserve(candidates.size());
@@ -279,19 +281,14 @@ WindowScheduler::evaluate(BoundedPlacement&& placed) const
 }
 
 void
-WindowScheduler::finish(Result& result) const
+keepTop(std::vector<ScoredPlacement>& top)
 {
-    if (result.top.empty())
-        return;
-    std::stable_sort(result.top.begin(), result.top.end(),
-                     [](const ScoredPlacement& a,
-                        const ScoredPlacement& b) {
+    std::stable_sort(top.begin(), top.end(),
+                     [](const ScoredPlacement& a, const ScoredPlacement& b) {
                          return a.score < b.score;
                      });
-    if (static_cast<int>(result.top.size()) > opts_.maxTopCandidates)
-        result.top.resize(opts_.maxTopCandidates);
-    result.best = result.top.front();
-    result.found = true;
+    if (top.size() > kMaxTopCandidates)
+        top.resize(kMaxTopCandidates);
 }
 
 WindowScheduler::Ranking
@@ -317,7 +314,7 @@ WindowScheduler::rankModel(const WindowAssignment& wa,
                  " present but allocated no nodes");
     Rng segRng(mixSeed(seed, static_cast<std::uint64_t>(model)));
     return rankSegmentations(db_, model, wa.perModel[model], nodes[model],
-                             target_, opts_.seg, segRng);
+                             target_, SegmentationOptions{}, segRng);
 }
 
 std::vector<WindowScheduler::BoundedPlacement>
@@ -360,14 +357,14 @@ WindowScheduler::place(const WindowAssignment& wa, const Ranking& ranking,
             maxSum += static_cast<int>(list.size()) - 1;
         for (int s = 0;
              s <= maxSum &&
-             static_cast<int>(combos.size()) < opts_.maxCombos;
+             static_cast<int>(combos.size()) < kMaxCombos;
              ++s) {
             std::vector<int> combo(segLists.size(), 0);
             // Recursive enumeration of fixed-sum index vectors.
             std::function<void(std::size_t, int)> rec =
                 [&](std::size_t idx, int remaining) {
                     if (static_cast<int>(combos.size()) >=
-                        opts_.maxCombos)
+                        kMaxCombos)
                         return;
                     if (idx + 1 == combo.size()) {
                         if (remaining <
@@ -428,7 +425,7 @@ WindowScheduler::select(std::vector<BoundedPlacement> placed) const
     // Evaluate best-first by (bound, placement index) in batches of a
     // fixed size, so the evaluations that run never depend on the
     // pool. A placement whose bound is strictly above the current
-    // maxTopCandidates-th best score cannot enter the list: its score
+    // kMaxTopCandidates-th best score cannot enter the list: its score
     // is at least its bound, and that threshold only falls as more
     // placements are evaluated. The bounds ascend, so the first such
     // placement ends the walk.
@@ -439,10 +436,9 @@ WindowScheduler::select(std::vector<BoundedPlacement> placed) const
                      [&](std::size_t a, std::size_t b) {
                          return placed[a].bound < placed[b].bound;
                      });
-    const std::size_t keep = static_cast<std::size_t>(opts_.maxTopCandidates);
     std::vector<ScoredPlacement> scored(n);
     std::vector<char> evaluated(n, 0);
-    std::vector<double> lowest; // the `keep` lowest scores so far
+    std::vector<double> lowest; // the kMaxTopCandidates lowest so far
     double threshold = std::numeric_limits<double>::infinity();
     for (std::size_t begin = 0; begin < n;) {
         const std::size_t end = std::min(n, begin + kEvalBatch);
@@ -459,16 +455,17 @@ WindowScheduler::select(std::vector<BoundedPlacement> placed) const
         }
         if (stop < end)
             break;
-        if (lowest.size() >= keep) {
-            std::nth_element(lowest.begin(), lowest.begin() + (keep - 1),
+        if (lowest.size() >= kMaxTopCandidates) {
+            std::nth_element(lowest.begin(),
+                             lowest.begin() + (kMaxTopCandidates - 1),
                              lowest.end());
-            lowest.resize(keep);
+            lowest.resize(kMaxTopCandidates);
             threshold = lowest.back();
         }
         begin = end;
     }
 
-    // Kept placements in placement order, so finish()'s stable sort
+    // Kept placements in placement order, so keepTop()'s stable sort
     // ranks them by (score, placement index): the order evaluating
     // every placement would give.
     Result result;
@@ -476,7 +473,7 @@ WindowScheduler::select(std::vector<BoundedPlacement> placed) const
         if (evaluated[i])
             result.top.push_back(std::move(scored[i]));
     }
-    finish(result);
+    keepTop(result.top);
     return result;
 }
 
@@ -498,7 +495,7 @@ WindowScheduler::placeSegmentations(
     result.top.reserve(placed.size());
     for (BoundedPlacement& p : placed)
         result.top.push_back(evaluate(std::move(p)));
-    finish(result);
+    keepTop(result.top);
     return result;
 }
 

@@ -19,7 +19,7 @@
  *  3. for each combo, models place in decreasing node-count order via
  *     beam search: path candidates from every free root are scored
  *     with a contention-free single-model cost (a SoloPricer per
- *     model step, cost/window_evaluator.h), and the best `beamWidth`
+ *     model step, cost/window_evaluator.h), and the best beam-width
  *     partial placements survive;
  *  4. complete placements are re-scored with the full window evaluator
  *     (contention + DRAM roofline) and ranked, best-first by their
@@ -27,7 +27,7 @@
  *     only raises latency, so a placement's full score is never below
  *     score() of its beam's (max solo latency, summed solo energy),
  *     and placements whose bound is strictly above the current
- *     maxTopCandidates-th best full score are never evaluated. The
+ *     kMaxTopCandidates-th best full score are never evaluated. The
  *     ranked list is the one evaluating every placement would give.
  *
  * Parallelism and determinism: rank() and search() are re-entrant.
@@ -42,13 +42,15 @@
  * so the returned Result — and the number of full evaluations — is
  * bit-identical at any pool size (including fully serial).
  *
- * All enumeration caps are explicit in WindowSearchOptions; exceeding
- * a cap logs at debug level rather than failing silently.
+ * The enumeration caps are fixed constants of the search (the paper's
+ * single configuration); exceeding a cap logs at debug level rather
+ * than failing silently.
  */
 
 #ifndef SCAR_SCHED_SCHED_ENGINE_H
 #define SCAR_SCHED_SCHED_ENGINE_H
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -64,15 +66,16 @@
 namespace scar
 {
 
-/** Per-window search knobs. */
+/**
+ * Ranked placements a window search keeps for the scenario's Pareto
+ * cloud; Scar::run trims its merged per-window list to the same size.
+ */
+constexpr std::size_t kMaxTopCandidates = 32;
+
+/** Per-window search settings. */
 struct WindowSearchOptions
 {
-    SegmentationOptions seg;     ///< SEG engine (top-k, enumeration cap)
-    int maxPathsPerModel = 96;   ///< DFS path candidates per model
-    int beamWidth = 12;          ///< surviving partial placements
-    int maxCombos = 64;          ///< segmentation combos explored
-    int maxTopCandidates = 32;   ///< ranked placements kept for Pareto
-    EvaluatorOptions eval;       ///< final-evaluation options
+    EvaluatorOptions eval; ///< final-evaluation options
     /**
      * Worker pool for the combo/refinement fan-out; nullptr runs the
      * search serially. Results are identical either way.
@@ -94,16 +97,25 @@ struct ScoredPlacement
     double score = 0.0;
 };
 
+/**
+ * Stable-sorts `top` by score and keeps the best kMaxTopCandidates:
+ * the one ranking every top list goes through (a window search's, the
+ * EA's merged list and Scar::run's per-window merge). Ties keep their
+ * input order.
+ */
+void keepTop(std::vector<ScoredPlacement>& top);
+
 /** Searches the scheduling space of one time window. */
 class WindowScheduler
 {
   public:
-    /** Search outcome: best placement plus a ranked candidate list. */
+    /** Search outcome: a ranked candidate list, best first. */
     struct Result
     {
-        bool found = false;
-        ScoredPlacement best;
         std::vector<ScoredPlacement> top; ///< ascending score
+
+        bool found() const { return !top.empty(); }
+        const ScoredPlacement& best() const { return top.front(); }
     };
 
     /**
@@ -243,12 +255,6 @@ class WindowScheduler
      * and skipping every placement that cannot enter the top list.
      */
     Result select(std::vector<BoundedPlacement> placed) const;
-
-    /**
-     * Stable-sorts `top` by score, keeps the best maxTopCandidates and
-     * sets `best` (search() and placeSegmentations() share this tail).
-     */
-    void finish(Result& result) const;
 
     /**
      * Placement-aware refinement of Heuristic 1: re-scores pruned

@@ -31,11 +31,12 @@ struct Segmentation
     int numSegments() const { return static_cast<int>(segments.size()); }
 };
 
-/** SEG engine knobs. */
+/**
+ * Heuristic-1 ranking knobs. The solver always ranks under the
+ * defaults; the fields exist for the ranking's own tests.
+ */
 struct SegmentationOptions
 {
-    int topK = 3;              ///< refined candidates kept per model
-                               ///< (read by the SCHED refinement)
     int pruneK = 16;           ///< quick-stage survivors before the
                                ///< placement-aware refinement
     int enumCapPerCount = 512; ///< cap on enumerated splits per count

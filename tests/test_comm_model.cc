@@ -547,9 +547,10 @@ TEST(CommPhased, ScheduleIsBitIdenticalAcrossThreadCounts)
         templates::hetSidesBroadcast3x3(templates::kArvrPes);
 
     auto runAt = [&](int threads) {
+        ThreadPool pool(threads);
         ScarOptions options;
-        options.threads = threads;
-        options.window.eval.fidelity = CommFidelity::Phased;
+        options.pool = &pool;
+        options.eval.fidelity = CommFidelity::Phased;
         Scar scar(sc, mcm, options);
         const ScheduleResult result = scar.run();
         std::string fingerprint;

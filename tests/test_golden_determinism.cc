@@ -165,8 +165,9 @@ serialize(const ServingReport& report)
 ScheduleResult
 runScar(const Scenario& sc, const Mcm& mcm, int threads)
 {
+    ThreadPool pool(threads);
     ScarOptions opts;
-    opts.threads = threads;
+    opts.pool = &pool;
     Scar scar(sc, mcm, opts);
     return scar.run();
 }
@@ -187,9 +188,9 @@ runServing(int threads)
     }
     FleetOptions options;
     options.serving.admission.maxQueueDelaySec = 0.1;
-    options.serving.scar.threads = threads;
     ThreadPool pool(threads);
     options.serving.pool = &pool;
+    options.serving.scar.pool = &pool;
     FleetSimulator sim(catalog, templates::hetSides3x3(), options);
     const std::vector<Request> trace =
         runtime::poissonTrace(catalog, 600, /*seed=*/7);

@@ -161,8 +161,8 @@ TEST(IntegrationInvariants, ContentionOffNeverSlower)
     const Mcm mcm = templates::hetSides3x3(templates::kArvrPes);
     ScarOptions on;
     ScarOptions off;
-    off.window.eval.contention = false;
-    off.window.eval.dramRoofline = false;
+    off.eval.contention = false;
+    off.eval.dramRoofline = false;
     const Metrics mOn = Scar(sc, mcm, on).run().metrics;
     const Metrics mOff = Scar(sc, mcm, off).run().metrics;
     EXPECT_LE(mOff.latencySec, mOn.latencySec * 1.05);

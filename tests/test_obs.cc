@@ -175,19 +175,6 @@ TEST(ObsTrace, EmitsChromeTraceEventShapes)
     EXPECT_EQ(trace.size(), 6u);
 }
 
-TEST(ObsTrace, WallEventsExcludedFromDefaultExport)
-{
-    obs::TraceRecorder trace;
-    trace.completeVirtual(1, "v", "virt", 0.0, 0.001);
-    trace.completeWall(1, "solve", "wall", 0.0, 1234.0);
-    const std::string deterministic = trace.toJson();
-    EXPECT_EQ(deterministic.find("solve"), std::string::npos);
-    const std::string combined = trace.toJson(true);
-    EXPECT_NE(combined.find("solve"), std::string::npos);
-    EXPECT_EQ(trace.size(), 2u);
-    EXPECT_EQ(trace.virtualSize(), 1u);
-}
-
 // ---- Fleet tracing: determinism + zero-overhead-when-off -----------
 
 std::vector<runtime::ServedModel>
@@ -223,7 +210,8 @@ runTracedFleet(int solverThreads, bool preemptive)
     options.routing = runtime::RoutingPolicy::BestFit;
     options.serving.modeledSolveSec = 0.01;
     options.serving.switchOverheadSec = 0.002;
-    options.serving.scar.threads = solverThreads;
+    ThreadPool solverPool(solverThreads);
+    options.serving.scar.pool = &solverPool;
     if (preemptive) {
         options.serving.preemption.enabled = true;
         options.serving.preemption.slackThresholdSec = 0.5;
@@ -347,8 +335,9 @@ TEST(ObsSolveProfile, ProfilesDatacenterSolvePhasesAndCaches)
     const Scenario sc = suite::datacenterScenario(4);
     const Mcm mcm = templates::hetSides3x3();
     obs::SolveProfile profile;
+    ThreadPool pool(2);
     ScarOptions options;
-    options.threads = 2;
+    options.pool = &pool;
     options.profile = &profile;
     Scar scar(sc, mcm, options);
     const ScheduleResult result = scar.run();
@@ -398,8 +387,9 @@ TEST(ObsSolveProfile, ProfiledCountersAreExactAtAnyThreadCount)
     const Mcm mcm = templates::hetSides3x3();
     auto countersAt = [&](int threads) {
         obs::SolveProfile profile;
+        ThreadPool pool(threads);
         ScarOptions options;
-        options.threads = threads;
+        options.pool = &pool;
         options.profile = &profile;
         Scar scar(sc, mcm, options);
         scar.run();

@@ -10,6 +10,7 @@
 #include <cstring>
 #include <future>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "arch/mcm_templates.h"
@@ -158,9 +159,10 @@ TEST(Scar, ByteIdenticalAcrossPoolSizes)
     const ScheduleResult baseline = Scar(sc, mcm, serial).run();
 
     for (int threads : {2, 4, 8}) {
+        ThreadPool pool(threads);
         ScarOptions opts;
         opts.seed = 2024;
-        opts.threads = threads;
+        opts.pool = &pool;
         const ScheduleResult result = Scar(sc, mcm, opts).run();
         SCOPED_TRACE("threads=" + std::to_string(threads));
         expectIdenticalResults(baseline, result);
@@ -179,8 +181,9 @@ TEST(Scar, ByteIdenticalAcrossPoolSizesEvolutionary)
     const ScheduleResult baseline = Scar(sc, mcm, serial).run();
 
     for (int threads : {2, 4, 8}) {
+        ThreadPool pool(threads);
         ScarOptions opts = serial;
-        opts.threads = threads;
+        opts.pool = &pool;
         const ScheduleResult result = Scar(sc, mcm, opts).run();
         SCOPED_TRACE("threads=" + std::to_string(threads));
         expectIdenticalResults(baseline, result);
@@ -364,10 +367,11 @@ TEST(Scar, PaperSuiteEdpsArePinned)
         0x3ff6cbda60cbf66cuLL,
     };
     for (int threads : {1, 4}) {
+        ThreadPool pool(threads);
         for (int c = 0; c < 11; ++c) {
             const bool evo = c == 10;
             ScarOptions opts;
-            opts.threads = threads;
+            opts.pool = &pool;
             if (evo) {
                 opts.mode = SearchMode::Evolutionary;
                 opts.nsplits = 2;
@@ -446,12 +450,17 @@ TEST(Scar, PaperSuiteCandidateCloudsArePinned)
     }
 }
 
-TEST(Scar, ZeroTopCandidatesIsRejectedNotACrash)
+TEST(Scar, ThreadCountsAboveOneAreRejectedInFavourOfAPool)
 {
     ScarOptions options;
-    options.window.maxTopCandidates = 0;
-    Scar scar(suite::byIndex(1), templates::hetSides3x3(), options);
-    EXPECT_THROW(scar.run(), FatalError);
+    options.threads = 2;
+    try {
+        Scar(suite::byIndex(1), templates::hetSides3x3(), options);
+        FAIL() << "threads = 2 was accepted";
+    } catch (const FatalError& e) {
+        EXPECT_NE(std::string(e.what()).find("pool"), std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(Scar, MoreModelsThanChipletsIsRejected)

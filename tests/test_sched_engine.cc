@@ -58,19 +58,19 @@ TEST_F(SchedEngineTest, FindsFeasiblePlacement)
 {
     const WindowScheduler sched(*db_, OptTarget::Edp);
     const auto result = sched.search(wa_, nodes_, 1);
-    ASSERT_TRUE(result.found);
-    EXPECT_EQ(result.best.placement.models.size(), 2u);
-    EXPECT_GT(result.best.cost.latencyCycles, 0.0);
-    EXPECT_GT(result.best.cost.energyNj, 0.0);
+    ASSERT_TRUE(result.found());
+    EXPECT_EQ(result.best().placement.models.size(), 2u);
+    EXPECT_GT(result.best().cost.latencyCycles, 0.0);
+    EXPECT_GT(result.best().cost.energyNj, 0.0);
 }
 
 TEST_F(SchedEngineTest, PlacementRespectsExclusivity)
 {
     const WindowScheduler sched(*db_, OptTarget::Edp);
     const auto result = sched.search(wa_, nodes_, 1);
-    ASSERT_TRUE(result.found);
+    ASSERT_TRUE(result.found());
     std::set<int> used;
-    for (const ModelPlacement& mp : result.best.placement.models) {
+    for (const ModelPlacement& mp : result.best().placement.models) {
         for (const PlacedSegment& seg : mp.segments)
             EXPECT_TRUE(used.insert(seg.chiplet).second)
                 << "chiplet reused: " << seg.chiplet;
@@ -81,8 +81,8 @@ TEST_F(SchedEngineTest, SegmentsRespectNodeAllocation)
 {
     const WindowScheduler sched(*db_, OptTarget::Edp);
     const auto result = sched.search(wa_, nodes_, 1);
-    ASSERT_TRUE(result.found);
-    for (const ModelPlacement& mp : result.best.placement.models) {
+    ASSERT_TRUE(result.found());
+    for (const ModelPlacement& mp : result.best().placement.models) {
         EXPECT_LE(static_cast<int>(mp.segments.size()),
                   nodes_[mp.modelIdx]);
     }
@@ -92,8 +92,8 @@ TEST_F(SchedEngineTest, SegmentsOnAdjacentChiplets)
 {
     const WindowScheduler sched(*db_, OptTarget::Edp);
     const auto result = sched.search(wa_, nodes_, 1);
-    ASSERT_TRUE(result.found);
-    for (const ModelPlacement& mp : result.best.placement.models) {
+    ASSERT_TRUE(result.found());
+    for (const ModelPlacement& mp : result.best().placement.models) {
         for (std::size_t k = 0; k + 1 < mp.segments.size(); ++k) {
             EXPECT_EQ(mcm_.topology().hops(mp.segments[k].chiplet,
                                            mp.segments[k + 1].chiplet),
@@ -106,11 +106,10 @@ TEST_F(SchedEngineTest, TopListIsSortedByScore)
 {
     const WindowScheduler sched(*db_, OptTarget::Edp);
     const auto result = sched.search(wa_, nodes_, 1);
-    ASSERT_TRUE(result.found);
+    ASSERT_TRUE(result.found());
     EXPECT_GE(result.top.size(), 2u);
     for (std::size_t i = 0; i + 1 < result.top.size(); ++i)
         EXPECT_LE(result.top[i].score, result.top[i + 1].score);
-    EXPECT_DOUBLE_EQ(result.best.score, result.top.front().score);
 }
 
 TEST_F(SchedEngineTest, DeterministicForFixedSeed)
@@ -118,8 +117,8 @@ TEST_F(SchedEngineTest, DeterministicForFixedSeed)
     const WindowScheduler sched(*db_, OptTarget::Edp);
     const auto a = sched.search(wa_, nodes_, 42);
     const auto b = sched.search(wa_, nodes_, 42);
-    ASSERT_TRUE(a.found && b.found);
-    EXPECT_DOUBLE_EQ(a.best.score, b.best.score);
+    ASSERT_TRUE(a.found() && b.found());
+    EXPECT_DOUBLE_EQ(a.best().score, b.best().score);
 }
 
 /** Exact (bitwise for doubles) equality of two window placements. */
@@ -154,13 +153,11 @@ expectSamePlacement(const ScoredPlacement& got, const ScoredPlacement& want)
     }
 }
 
-/** Exact equality of two search results: best and the ranked list. */
+/** Exact equality of two search results' ranked lists. */
 void
 expectSameResult(const WindowScheduler::Result& got,
                  const WindowScheduler::Result& want)
 {
-    ASSERT_EQ(got.found, want.found);
-    expectSamePlacement(got.best, want.best);
     ASSERT_EQ(got.top.size(), want.top.size());
     for (std::size_t i = 0; i < got.top.size(); ++i) {
         SCOPED_TRACE("top " + std::to_string(i));
@@ -175,7 +172,7 @@ TEST_F(SchedEngineTest, PoolSizeDoesNotChangeResults)
     WindowSearchOptions serialOpts;
     const WindowScheduler serial(*db_, OptTarget::Edp, serialOpts);
     const auto baseline = serial.search(wa_, nodes_, 42);
-    ASSERT_TRUE(baseline.found);
+    ASSERT_TRUE(baseline.found());
 
     for (int concurrency : {2, 4, 8}) {
         SCOPED_TRACE("concurrency " + std::to_string(concurrency));
@@ -208,21 +205,21 @@ TEST_F(SchedEngineTest, WarmSharedPathMemoDoesNotChangeResults)
                                        WindowSearchOptions{});
 
     PathCache paths;
-    ASSERT_TRUE(brute.search(shifted, otherNodes, 3, {1, 7}, &paths).found);
-    ASSERT_TRUE(brute.search(shifted, nodes_, 5, entry, &paths).found);
-    ASSERT_TRUE(evo.search(shifted, otherNodes, 6, {0, 8}, &paths).found);
+    ASSERT_TRUE(brute.search(shifted, otherNodes, 3, {1, 7}, &paths).found());
+    ASSERT_TRUE(brute.search(shifted, nodes_, 5, entry, &paths).found());
+    ASSERT_TRUE(evo.search(shifted, otherNodes, 6, {0, 8}, &paths).found());
 
     {
         SCOPED_TRACE("brute force");
         const auto fresh = brute.search(wa_, nodes_, 9, entry);
-        ASSERT_TRUE(fresh.found);
+        ASSERT_TRUE(fresh.found());
         expectSameResult(brute.search(wa_, nodes_, 9, entry, &paths),
                          fresh);
     }
     {
         SCOPED_TRACE("evolutionary");
         const auto fresh = evo.search(wa_, nodes_, 9, entry);
-        ASSERT_TRUE(fresh.found);
+        ASSERT_TRUE(fresh.found());
         expectSameResult(evo.search(wa_, nodes_, 9, entry, &paths), fresh);
     }
 }
@@ -233,19 +230,19 @@ TEST_F(SchedEngineTest, LatencyTargetPrefersFasterWindows)
     const WindowScheduler nrgSched(*db_, OptTarget::Energy);
     const auto lat = latSched.search(wa_, nodes_, 1);
     const auto nrg = nrgSched.search(wa_, nodes_, 1);
-    ASSERT_TRUE(lat.found && nrg.found);
+    ASSERT_TRUE(lat.found() && nrg.found());
     // Both searches are heuristic (beam), so allow a small slack.
-    EXPECT_LE(lat.best.cost.latencyCycles,
-              nrg.best.cost.latencyCycles * 1.05);
-    EXPECT_LE(nrg.best.cost.energyNj, lat.best.cost.energyNj * 1.05);
+    EXPECT_LE(lat.best().cost.latencyCycles,
+              nrg.best().cost.latencyCycles * 1.05);
+    EXPECT_LE(nrg.best().cost.energyNj, lat.best().cost.energyNj * 1.05);
 }
 
 TEST_F(SchedEngineTest, SingleNodePerModelStillWorks)
 {
     const WindowScheduler sched(*db_, OptTarget::Edp);
     const auto result = sched.search(wa_, {1, 1}, 1);
-    ASSERT_TRUE(result.found);
-    for (const ModelPlacement& mp : result.best.placement.models)
+    ASSERT_TRUE(result.found());
+    for (const ModelPlacement& mp : result.best().placement.models)
         EXPECT_EQ(mp.segments.size(), 1u);
 }
 
@@ -254,10 +251,10 @@ TEST_F(SchedEngineTest, EntryChipletInfluencesPlacementCost)
     const WindowScheduler sched(*db_, OptTarget::Edp);
     const auto fresh = sched.search(wa_, nodes_, 1, {});
     const auto continued = sched.search(wa_, nodes_, 1, {0, 4});
-    ASSERT_TRUE(fresh.found && continued.found);
+    ASSERT_TRUE(fresh.found() && continued.found());
     // Continuing from on-package data can only help (less DRAM).
-    EXPECT_LE(continued.best.cost.dramBytes,
-              fresh.best.cost.dramBytes + 1.0);
+    EXPECT_LE(continued.best().cost.dramBytes,
+              fresh.best().cost.dramBytes + 1.0);
 }
 
 TEST_F(SchedEngineTest, MoreModelsThanFitFailsGracefully)
@@ -283,29 +280,21 @@ TEST_F(SchedEngineTest, RejectsRankingOfAnotherWindow)
     EXPECT_THROW(evo.search(wa_, nodes_, genome, 1), FatalError);
 }
 
-TEST_F(SchedEngineTest, EaSeedGenomeRanksUnderTheSearchSegOptions)
+TEST_F(SchedEngineTest, EaSeedGenomeIsEachModelsTopRankedSegmentation)
 {
-    // A tighter enumeration cap samples other split candidates, so a
-    // seed genome that ignored the search's SEG options would not see
-    // the cap.
-    WindowSearchOptions capped;
-    capped.seg.enumCapPerCount = 2;
-    const EvolutionaryWindowSearch plain(*db_, OptTarget::Edp,
-                                         WindowSearchOptions{});
-    const EvolutionaryWindowSearch evo(*db_, OptTarget::Edp, capped);
+    // Each model's genes are its top Heuristic-1 segmentation under
+    // the default options, the models drawing in order from one Rng(1).
+    const EvolutionaryWindowSearch evo(*db_, OptTarget::Edp,
+                                       WindowSearchOptions{});
     const EvolutionaryWindowSearch::Genome genome =
         evo.seedGenome(wa_, nodes_);
-    EXPECT_NE(genome, plain.seedGenome(wa_, nodes_));
-
-    // Each model's genes are its top Heuristic-1 segmentation under
-    // those options, the models drawing in order from one Rng(1).
     Rng rng(1);
     ASSERT_EQ(genome.size(), wa_.perModel.size());
     for (std::size_t m = 0; m < genome.size(); ++m) {
         const LayerRange& range = wa_.perModel[m];
         const std::vector<Segmentation> ranked = rankSegmentations(
             *db_, static_cast<int>(m), range, nodes_[m], OptTarget::Edp,
-            capped.seg, rng);
+            SegmentationOptions{}, rng);
         std::vector<int> splits;
         for (std::size_t k = 0; k + 1 < ranked.front().segments.size();
              ++k)
@@ -313,19 +302,6 @@ TEST_F(SchedEngineTest, EaSeedGenomeRanksUnderTheSearchSegOptions)
                              range.first);
         EXPECT_EQ(genome[m], splits) << "model " << m;
     }
-}
-
-TEST_F(SchedEngineTest, RejectsDegenerateOptions)
-{
-    // maxTopCandidates = 0 used to empty the ranked list and then read
-    // its front; both knobs must be rejected up front.
-    WindowSearchOptions noTop;
-    noTop.maxTopCandidates = 0;
-    EXPECT_THROW(WindowScheduler(*db_, OptTarget::Edp, noTop), FatalError);
-    WindowSearchOptions noSegs;
-    noSegs.seg.topK = 0;
-    EXPECT_THROW(WindowScheduler(*db_, OptTarget::Edp, noSegs),
-                 FatalError);
 }
 
 TEST(SchedEngineSmallMcm, WorksOnMotivational2x2)
@@ -340,8 +316,8 @@ TEST(SchedEngineSmallMcm, WorksOnMotivational2x2)
     WindowAssignment wa;
     wa.perModel = {LayerRange{0, sc.models[0].numLayers() - 1}};
     const auto result = sched.search(wa, {2}, 1);
-    ASSERT_TRUE(result.found);
-    EXPECT_LE(result.best.placement.models[0].segments.size(), 2u);
+    ASSERT_TRUE(result.found());
+    EXPECT_LE(result.best().placement.models[0].segments.size(), 2u);
 }
 
 class EvoTest : public SchedEngineTest
@@ -353,9 +329,10 @@ TEST_F(EvoTest, FindsFeasiblePlacement)
     const EvolutionaryWindowSearch evo(*db_, OptTarget::Edp,
                                        WindowSearchOptions{});
     const auto result = evo.search(wa_, nodes_, 1);
-    ASSERT_TRUE(result.found);
+    ASSERT_TRUE(result.found());
+    EXPECT_LE(result.top.size(), kMaxTopCandidates);
     std::set<int> used;
-    for (const ModelPlacement& mp : result.best.placement.models) {
+    for (const ModelPlacement& mp : result.best().placement.models) {
         EXPECT_LE(static_cast<int>(mp.segments.size()),
                   nodes_[mp.modelIdx]);
         for (const PlacedSegment& seg : mp.segments)
@@ -369,8 +346,8 @@ TEST_F(EvoTest, DeterministicForFixedSeed)
                                        WindowSearchOptions{});
     const auto a = evo.search(wa_, nodes_, 7);
     const auto b = evo.search(wa_, nodes_, 7);
-    ASSERT_TRUE(a.found && b.found);
-    EXPECT_DOUBLE_EQ(a.best.score, b.best.score);
+    ASSERT_TRUE(a.found() && b.found());
+    EXPECT_DOUBLE_EQ(a.best().score, b.best().score);
 }
 
 TEST_F(EvoTest, PoolSizeDoesNotChangeResults)
@@ -379,7 +356,7 @@ TEST_F(EvoTest, PoolSizeDoesNotChangeResults)
     const EvolutionaryWindowSearch serial(*db_, OptTarget::Edp,
                                           serialOpts);
     const auto baseline = serial.search(wa_, nodes_, 7);
-    ASSERT_TRUE(baseline.found);
+    ASSERT_TRUE(baseline.found());
 
     for (int concurrency : {4, 8}) {
         ThreadPool pool(concurrency);
@@ -388,8 +365,8 @@ TEST_F(EvoTest, PoolSizeDoesNotChangeResults)
         const EvolutionaryWindowSearch parallel(*db_, OptTarget::Edp,
                                                 opts);
         const auto result = parallel.search(wa_, nodes_, 7);
-        ASSERT_TRUE(result.found);
-        EXPECT_EQ(result.best.score, baseline.best.score);
+        ASSERT_TRUE(result.found());
+        EXPECT_EQ(result.best().score, baseline.best().score);
         ASSERT_EQ(result.top.size(), baseline.top.size());
         for (std::size_t i = 0; i < result.top.size(); ++i)
             EXPECT_EQ(result.top[i].score, baseline.top[i].score);
@@ -403,29 +380,10 @@ TEST_F(EvoTest, SeededGenomeMakesEvoCompetitiveWithBruteForce)
                                        WindowSearchOptions{});
     const auto b = brute.search(wa_, nodes_, 1);
     const auto e = evo.search(wa_, nodes_, 1);
-    ASSERT_TRUE(b.found && e.found);
+    ASSERT_TRUE(b.found() && e.found());
     // The EA population is seeded with the quick-ranked segmentation,
     // so it should come within 2x of the brute-force score.
-    EXPECT_LE(e.best.score, b.best.score * 2.0);
-}
-
-TEST_F(EvoTest, RespectsPopulationAndGenerationKnobs)
-{
-    EvoOptions opts;
-    opts.population = 4;
-    opts.generations = 2;
-    const EvolutionaryWindowSearch evo(*db_, OptTarget::Edp,
-                                       WindowSearchOptions{}, opts);
-    EXPECT_TRUE(evo.search(wa_, nodes_, 1).found);
-}
-
-TEST_F(EvoTest, RejectsDegenerateOptions)
-{
-    EvoOptions bad;
-    bad.population = 1;
-    EXPECT_THROW(EvolutionaryWindowSearch(*db_, OptTarget::Edp,
-                                          WindowSearchOptions{}, bad),
-                 FatalError);
+    EXPECT_LE(e.best().score, b.best().score * 2.0);
 }
 
 // ---- Bound-skipped evaluation vs evaluating every placement --------
@@ -433,14 +391,13 @@ TEST_F(EvoTest, RejectsDegenerateOptions)
 /**
  * The tail search() ran before it skipped evaluations, kept as the
  * oracle of the skip: every placement of place() fully evaluated,
- * stable-sorted by score and trimmed to maxTopCandidates.
+ * stable-sorted by score and trimmed to kMaxTopCandidates.
  */
 namespace reference
 {
 
 WindowScheduler::Result
 evaluateAll(const WindowScheduler& sched, const WindowEvaluator& eval,
-            int maxTopCandidates,
             std::vector<WindowScheduler::BoundedPlacement> placed,
             int& boundViolations)
 {
@@ -453,17 +410,13 @@ evaluateAll(const WindowScheduler& sched, const WindowEvaluator& eval,
         scored.placement = std::move(p.placement);
         result.top.push_back(std::move(scored));
     }
-    if (result.top.empty())
-        return result;
     std::stable_sort(result.top.begin(), result.top.end(),
                      [](const ScoredPlacement& a,
                         const ScoredPlacement& b) {
                          return a.score < b.score;
                      });
-    if (static_cast<int>(result.top.size()) > maxTopCandidates)
-        result.top.resize(maxTopCandidates);
-    result.best = result.top.front();
-    result.found = true;
+    if (result.top.size() > kMaxTopCandidates)
+        result.top.resize(kMaxTopCandidates);
     return result;
 }
 
@@ -594,19 +547,18 @@ walkWindows(const OracleCase& c, OptTarget target,
             if (checkReference) {
                 int violations = 0;
                 const auto want = reference::evaluateAll(
-                    sched, full, opts.maxTopCandidates,
-                    sched.place(wa, ranking, entry, &paths),
+                    sched, full, sched.place(wa, ranking, entry, &paths),
                     violations);
                 EXPECT_EQ(violations, 0);
                 expectSameResult(got, want);
             }
-            if (got.found && (best == nullptr ||
-                              got.best.score < best->best.score))
+            if (got.found() && (best == nullptr ||
+                              got.best().score < best->best().score))
                 best = &got;
         }
         if (best == nullptr)
             break;
-        for (const ModelPlacement& mp : best->best.placement.models)
+        for (const ModelPlacement& mp : best->best().placement.models)
             entry[mp.modelIdx] = mp.segments.back().chiplet;
     }
     walk.windowEvals = counters.windowEvals.load();

@@ -135,7 +135,6 @@ TEST_F(RankFixture, RankedListIsSortedByQuickScore)
 {
     Rng rng(3);
     SegmentationOptions opts;
-    opts.topK = 8;
     opts.pruneK = 8;
     const auto ranked = rankSegmentations(*db_, 0, LayerRange{0, 11}, 3,
                                           OptTarget::Edp, opts, rng);
